@@ -302,3 +302,13 @@ fi
 grep -qi 'corrupt' "${SMOKE}/verify.out"
 rm -rf "${SMOKE}"
 echo "check.sh: durable artifact verify smoke passed"
+
+# Benchmark parity gate: the daemons block on LSH band fingerprints, and
+# the traced perfbench replicas recompute Link's edges and every worker's
+# owned edges through the string-keyed reference (HammingLshBlocker::
+# BuildIndex / CandidatePairs, OwnedCandidatePairs) on realistic CLKs.
+# run.py exits 3 on any difference.
+for WORKLOAD in ship-single ship-sharded; do
+  python3 perfbench/run.py --workload "${WORKLOAD}" --seed 1 --seconds 3 --trace 1 >/dev/null
+  echo "check.sh: perfbench ${WORKLOAD} traced replica matches the string reference"
+done

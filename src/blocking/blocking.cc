@@ -283,8 +283,15 @@ void StreamBlockedPairs(const BlockIndex& a, const BlockIndex& b, size_t shard_s
 
 void StreamBlockedPairRuns(const BlockIndex& a, const BlockIndex& b,
                            size_t shard_size, const CandidateShardFn& emit) {
+  StreamCandidateRowRuns(
+      [&](const CandidateRowFn& row) { ForEachBlockedRun(a, b, row); }, shard_size,
+      emit);
+}
+
+void StreamCandidateRowRuns(const CandidateRowSource& rows, size_t shard_size,
+                            const CandidateShardFn& emit) {
   RunShardEmitter shards(shard_size, emit);
-  ForEachBlockedRun(a, b, [&](uint32_t ra, const std::vector<uint32_t>& bs) {
+  rows([&](uint32_t ra, const std::vector<uint32_t>& bs) {
     // Compress the sorted, deduplicated b list into maximal consecutive
     // intervals. Blocked candidates are clustered (whole blocks of
     // adjacent record ids), so runs are usually much shorter than pairs;

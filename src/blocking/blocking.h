@@ -152,6 +152,21 @@ void StreamFullPairs(size_t size_a, size_t size_b, size_t shard_size,
 void StreamBlockedPairRuns(const BlockIndex& a, const BlockIndex& b,
                            size_t shard_size, const CandidateShardFn& emit);
 
+/// One a-record's candidates: `bs` ascending, distinct and non-empty.
+using CandidateRowFn =
+    std::function<void(uint32_t a, const std::vector<uint32_t>& bs)>;
+
+/// A per-record candidate generator: calls its argument once for every
+/// a-record that has candidates, in ascending a.
+using CandidateRowSource = std::function<void(const CandidateRowFn&)>;
+
+/// The run-shard emitter behind StreamBlockedPairRuns, for any per-record
+/// generator (the LSH band index's among them): each record's b list is
+/// compressed into maximal consecutive runs and cut into shards exactly
+/// as StreamBlockedPairRuns cuts them.
+void StreamCandidateRowRuns(const CandidateRowSource& rows, size_t shard_size,
+                            const CandidateShardFn& emit);
+
 void StreamFullPairRuns(size_t size_a, size_t size_b, size_t shard_size,
                         const CandidateShardFn& emit);
 

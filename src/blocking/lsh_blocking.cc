@@ -4,6 +4,20 @@
 
 namespace pprl {
 
+Status ValidateLshGeometry(uint64_t num_tables, uint64_t bits_per_key) {
+  if (num_tables < 1 || num_tables > kMaxLshTables) {
+    return Status::InvalidArgument("LSH tables " + std::to_string(num_tables) +
+                                   " outside [1, " + std::to_string(kMaxLshTables) +
+                                   "]");
+  }
+  if (bits_per_key < 1 || bits_per_key > kMaxLshBitsPerKey) {
+    return Status::InvalidArgument("LSH bits per key " + std::to_string(bits_per_key) +
+                                   " outside [1, " +
+                                   std::to_string(kMaxLshBitsPerKey) + "]");
+  }
+  return Status::OK();
+}
+
 HammingLshBlocker::HammingLshBlocker(size_t filter_bits, size_t num_tables,
                                      size_t bits_per_key, Rng& rng)
     : filter_bits_(filter_bits) {
@@ -26,6 +40,17 @@ std::vector<std::string> HammingLshBlocker::Keys(const BitVector& bf) const {
     keys.push_back(std::move(key));
   }
   return keys;
+}
+
+uint64_t HammingLshBlocker::Fingerprint(const uint64_t* words, size_t table) const {
+  const std::vector<uint32_t>& positions = positions_[table];
+  uint64_t fp = 0;
+  // Last sampled position first, so each step shifts by one, not by i.
+  for (size_t i = positions.size(); i-- > 0;) {
+    const uint32_t pos = positions[i];
+    fp = (fp << 1) | ((words[pos >> 6] >> (pos & 63)) & 1);
+  }
+  return fp;
 }
 
 BlockIndex HammingLshBlocker::BuildIndex(const std::vector<BitVector>& filters) const {

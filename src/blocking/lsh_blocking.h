@@ -12,6 +12,20 @@
 
 namespace pprl {
 
+/// Largest band geometry any linkage entry point accepts. A band
+/// fingerprint packs one table's sampled bits into a u64, hence the 64; a
+/// thousand tables is already far past any useful recall curve, and the
+/// bound keeps a hostile assignment from sizing the tables to exhaustion.
+inline constexpr uint64_t kMaxLshTables = 1024;
+inline constexpr uint64_t kMaxLshBitsPerKey = 64;
+
+/// InvalidArgument unless 1 <= num_tables <= kMaxLshTables and
+/// 1 <= bits_per_key <= kMaxLshBitsPerKey. Every place LSH geometry enters
+/// the process checks it here: the linkage entry points, the daemon's
+/// start-up, and the assign-partition and checkpoint decoders (which
+/// report it as a ProtocolViolation).
+Status ValidateLshGeometry(uint64_t num_tables, uint64_t bits_per_key);
+
 /// Hamming-LSH blocking over Bloom filters (Karapiperis & Verykios [18],
 /// Durham [12]).
 ///
@@ -32,6 +46,13 @@ class HammingLshBlocker {
   /// key so tables do not mix).
   std::vector<std::string> Keys(const BitVector& bf) const;
 
+  /// The integer form of Keys()[table] after its "t<table>:" prefix: bit i
+  /// is the filter's bit at the table's i-th sampled position (the key's
+  /// i-th '0'/'1'). `words` is the filter in BitVector/BitMatrix word
+  /// layout. Injective, so equal fingerprints are exactly equal keys;
+  /// needs bits_per_key <= kMaxLshBitsPerKey.
+  uint64_t Fingerprint(const uint64_t* words, size_t table) const;
+
   /// Builds the multi-table index of a database's filters.
   BlockIndex BuildIndex(const std::vector<BitVector>& filters) const;
 
@@ -47,9 +68,8 @@ class HammingLshBlocker {
   size_t bits_per_key() const { return positions_.empty() ? 0 : positions_[0].size(); }
   size_t filter_bits() const { return filter_bits_; }
 
-  /// The sampled bit positions, [table][sampled bit]. Exposed so an
-  /// incremental index (blocking/lsh_index.h) can hash the exact same band
-  /// geometry without re-deriving keys through strings.
+  /// The sampled bit positions, [table][sampled bit]: two blockers with
+  /// equal positions collide identically.
   const std::vector<std::vector<uint32_t>>& positions() const { return positions_; }
 
  private:

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <string>
+#include <string_view>
 
 namespace pprl {
 
@@ -75,37 +77,20 @@ LshBandIndex::LshBandIndex(size_t filter_bits, size_t num_tables,
       blocker_(filter_bits, num_tables, bits_per_key, rng_),
       tables_(num_tables),
       rows_(0, filter_bits),
-      band_checksum_(kFnvOffset) {}
-
-uint64_t LshBandIndex::FingerprintWords(const uint64_t* words,
-                                        size_t table) const {
-  const std::vector<uint32_t>& positions = blocker_.positions()[table];
-  if (positions.size() <= 64) {
-    // Packed sampled bits: injective, so fingerprint equality IS string-key
-    // equality of HammingLshBlocker::Keys for this table.
-    uint64_t fp = 0;
-    for (size_t i = 0; i < positions.size(); ++i) {
-      fp |= ((words[positions[i] >> 6] >> (positions[i] & 63)) & 1) << i;
-    }
-    return fp;
-  }
-  uint64_t h = kFnvOffset;
-  for (uint32_t pos : positions) {
-    h = (h ^ ((words[pos >> 6] >> (pos & 63)) & 1)) * kFnvPrime;
-  }
-  return h;
+      band_checksum_(kFnvOffset) {
+  assert(ValidateLshGeometry(num_tables, bits_per_key).ok());
 }
 
 uint64_t LshBandIndex::BandFingerprint(const BitVector& bf,
                                        size_t table) const {
   assert(bf.size() == filter_bits());
-  return FingerprintWords(bf.words().data(), table);
+  return blocker_.Fingerprint(bf.words().data(), table);
 }
 
 void LshBandIndex::IndexRow(uint32_t row) {
   const uint64_t* words = rows_.row(row);
   for (size_t t = 0; t < tables_.size(); ++t) {
-    const uint64_t fp = FingerprintWords(words, t);
+    const uint64_t fp = blocker_.Fingerprint(words, t);
     tables_[t].Insert(fp, row);
     for (int b = 0; b < 8; ++b) {
       band_checksum_ = (band_checksum_ ^ ((fp >> (8 * b)) & 0xff)) * kFnvPrime;
@@ -118,6 +103,11 @@ uint32_t LshBandIndex::Append(const BitVector& filter) {
   const uint32_t row = static_cast<uint32_t>(rows_.AppendRow(filter));
   IndexRow(row);
   return row;
+}
+
+void LshBandIndex::Reserve(size_t rows) {
+  rows_.ReserveRows(rows);
+  for (BandTable& table : tables_) table.next.reserve(rows);
 }
 
 uint32_t LshBandIndex::AppendFrom(const BitMatrix& src, size_t src_row) {
@@ -145,6 +135,104 @@ void LshBandIndex::Probe(const BitVector& probe,
   probed_entries_.fetch_add(scanned, std::memory_order_relaxed);
   std::sort(out->begin(), out->end());
   out->erase(std::unique(out->begin(), out->end()), out->end());
+}
+
+std::deque<LshBandIndex> BuildBandIndexes(
+    const std::vector<const std::vector<BitVector>*>& databases, size_t filter_bits,
+    size_t num_tables, size_t bits_per_key, uint64_t seed) {
+  std::deque<LshBandIndex> indexes;
+  for (const std::vector<BitVector>* filters : databases) {
+    LshBandIndex& index =
+        indexes.emplace_back(filter_bits, num_tables, bits_per_key, seed);
+    index.Reserve(filters->size());
+    for (const BitVector& filter : *filters) index.Append(filter);
+  }
+  return indexes;
+}
+
+void ForEachLshCandidateRow(const LshBandIndex& a_index, const LshBandIndex& b_index,
+                            const BlockPartitioner& partitioner, uint32_t worker,
+                            const CandidateRowFn& consume) {
+  assert(a_index.blocker().positions() == b_index.blocker().positions());
+  const size_t num_tables = b_index.tables_.size();
+  const size_t bits_per_key = b_index.blocker().bits_per_key();
+
+  // Table visiting order and each table's key-prefix hash, from the
+  // prefixes HammingLshBlocker::Keys writes. Prefixes end in ':', which
+  // sorts after every digit, so no prefix is a prefix of another and the
+  // order of two keys from different tables is their prefixes' order.
+  std::vector<std::string> prefixes(num_tables);
+  std::vector<uint64_t> prefix_hash(num_tables);
+  std::vector<uint32_t> order(num_tables);
+  for (uint32_t t = 0; t < num_tables; ++t) {
+    // Built in place: GCC 12 raises a false -Wrestrict on "t" + ... + ":".
+    prefixes[t] = std::to_string(t);
+    prefixes[t].insert(0, 1, 't');
+    prefixes[t] += ':';
+    prefix_hash[t] = HashBlockKey(prefixes[t]);
+    order[t] = t;
+  }
+  std::sort(order.begin(), order.end(),
+            [&](uint32_t x, uint32_t y) { return prefixes[x] < prefixes[y]; });
+  const bool partitioned = partitioner.num_workers() > 1;
+
+  // seen[b] == a + 1 once row b turned up for row a: the first sighting
+  // is in the pair's owning table, later ones are repeats.
+  std::vector<uint32_t> seen(b_index.size(), 0);
+  std::vector<uint32_t> bs;
+  char key_bits[kMaxLshBitsPerKey];
+  for (uint32_t a = 0; a < a_index.size(); ++a) {
+    const uint64_t* words = a_index.rows_.row(a);
+    const uint32_t stamp = a + 1;
+    bs.clear();
+    for (const uint32_t t : order) {
+      const uint64_t fp = b_index.blocker().Fingerprint(words, t);
+      const LshBandIndex::BandTable& table = b_index.tables_[t];
+      uint32_t row = table.Find(fp);
+      if (row == LshBandIndex::kNoRow) continue;
+      bool owned = true;
+      if (partitioned) {
+        // The rest of the HammingLshBlocker key: one '0'/'1' per sampled
+        // bit.
+        for (size_t i = 0; i < bits_per_key; ++i) {
+          key_bits[i] = ((fp >> i) & 1) != 0 ? '1' : '0';
+        }
+        owned = partitioner.WorkerForHash(HashBlockKey(
+                    std::string_view(key_bits, bits_per_key), prefix_hash[t])) ==
+                worker;
+      }
+      for (; row != LshBandIndex::kNoRow; row = table.next[row]) {
+        if (seen[row] == stamp) continue;
+        seen[row] = stamp;
+        if (owned) bs.push_back(row);
+      }
+    }
+    if (bs.empty()) continue;
+    std::sort(bs.begin(), bs.end());
+    consume(a, bs);
+  }
+}
+
+std::vector<CandidatePair> LshCandidatePairs(const LshBandIndex& a_index,
+                                             const LshBandIndex& b_index,
+                                             const BlockPartitioner& partitioner,
+                                             uint32_t worker) {
+  std::vector<CandidatePair> pairs;
+  ForEachLshCandidateRow(a_index, b_index, partitioner, worker,
+                         [&](uint32_t a, const std::vector<uint32_t>& bs) {
+                           for (const uint32_t b : bs) pairs.push_back({a, b});
+                         });
+  return pairs;
+}
+
+void StreamLshPairRuns(const LshBandIndex& a_index, const LshBandIndex& b_index,
+                       const BlockPartitioner& partitioner, uint32_t worker,
+                       size_t shard_size, const CandidateShardFn& emit) {
+  StreamCandidateRowRuns(
+      [&](const CandidateRowFn& row) {
+        ForEachLshCandidateRow(a_index, b_index, partitioner, worker, row);
+      },
+      shard_size, emit);
 }
 
 }  // namespace pprl

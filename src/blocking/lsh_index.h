@@ -3,34 +3,38 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
+#include "blocking/blocking.h"
 #include "blocking/lsh_blocking.h"
+#include "blocking/partitioner.h"
 #include "common/bit_matrix.h"
 #include "common/bitvector.h"
 #include "common/random.h"
 
 namespace pprl {
 
-/// An incrementally-maintainable Hamming-LSH blocking index.
+/// The Hamming-LSH band index every linkage path blocks on.
 ///
-/// `HammingLshBlocker` answers the batch question — all candidate pairs
-/// between two fully-materialized databases — by building string-keyed
-/// `BlockIndex` maps and intersecting them. The online serving path asks a
-/// different question thousands of times per second: given ONE new filter,
-/// which already-indexed rows collide with it in at least one band table?
-/// This class answers that in O(tables + candidates) per probe and supports
-/// append-without-rebuild, which is what turns "link one new record" from a
-/// batch job into a sub-millisecond query (ROADMAP "velocity" item).
+/// `HammingLshBlocker::BuildIndex` keys each record by one string per
+/// table ("t7:0110…") in hash maps; that stays as the reference the tests
+/// compare against. This class finds the same collisions with integer band
+/// fingerprints. The online serving path asks it, thousands of times per
+/// second, which indexed rows collide with ONE new filter (Probe) and
+/// appends without a rebuild, which turns "link one new record" into a
+/// sub-millisecond query (ROADMAP "velocity" item). The batch paths build
+/// one index per database (BuildBandIndexes) and join two indexes with
+/// ForEachLshCandidateRow.
 ///
 /// Design:
 ///  - Band geometry is the `HammingLshBlocker`'s own sampled positions
 ///    (constructed from the same seed), so the collision relation is
 ///    IDENTICAL to the batch blocker's: two rows collide here iff their
 ///    string keys in `HammingLshBlocker::Keys` are equal for some table.
-///    For bits_per_key <= 64 the band fingerprint packs the sampled bits
-///    into a u64 (injective, hence exact); wider bands fall back to
-///    FNV-1a-64 over the sampled bits.
+///    The band fingerprint packs the sampled bits into a u64
+///    (HammingLshBlocker::Fingerprint) — injective, hence exact, because
+///    bits_per_key <= kMaxLshBitsPerKey (64).
 ///  - Each table is an open-addressing fingerprint -> bucket-head map with
 ///    per-row chain links ("next" array), so an append touches O(tables)
 ///    cache lines and never reallocates per-bucket storage.
@@ -42,6 +46,7 @@ class LshBandIndex {
   /// Samples band geometry from `Rng(seed)` exactly like the batch path in
   /// pipeline/party.cc does, so a batch `Link()` with the same
   /// (filter_bits, num_tables, bits_per_key, seed) sees the same collisions.
+  /// The geometry must pass ValidateLshGeometry().
   LshBandIndex(size_t filter_bits, size_t num_tables, size_t bits_per_key,
                uint64_t seed);
 
@@ -56,13 +61,16 @@ class LshBandIndex {
   /// re-appending its rows (docs/PROTOCOLS.md Appendix B).
   uint32_t AppendFrom(const BitMatrix& src, size_t src_row);
 
+  /// Makes room for `rows` rows in total, so a bulk build appends without
+  /// regrowing the row matrix or the chain links.
+  void Reserve(size_t rows);
+
   /// All distinct indexed rows that collide with `probe` in at least one
   /// band table, ascending row order. Does not insert. `out` is cleared.
   void Probe(const BitVector& probe, std::vector<uint32_t>* out) const;
 
   /// Band fingerprint of `bf` in `table` — equal fingerprints are exactly
-  /// the string-key collisions of `HammingLshBlocker::Keys` when
-  /// bits_per_key <= 64.
+  /// the string-key collisions of `HammingLshBlocker::Keys`.
   uint64_t BandFingerprint(const BitVector& bf, size_t table) const;
 
   size_t size() const { return rows_.num_rows(); }
@@ -105,12 +113,14 @@ class LshBandIndex {
 
   static constexpr uint32_t kNoRow = UINT32_MAX;
 
-  /// BandFingerprint over raw row words (bit i of the filter is bit i%64
-  /// of word i/64, the BitVector/BitMatrix layout).
-  uint64_t FingerprintWords(const uint64_t* words, size_t table) const;
   /// Indexes an already-stored row in every band table and folds its
   /// fingerprints into band_checksum_.
   void IndexRow(uint32_t row);
+
+  friend void ForEachLshCandidateRow(const LshBandIndex& a_index,
+                                     const LshBandIndex& b_index,
+                                     const BlockPartitioner& partitioner,
+                                     uint32_t worker, const CandidateRowFn& consume);
 
   Rng rng_;  ///< consumed by blocker_'s construction; kept for init order
   HammingLshBlocker blocker_;
@@ -121,6 +131,47 @@ class LshBandIndex {
   /// lock in OnlineLinkageEngine) stay race-free.
   mutable std::atomic<uint64_t> probed_entries_{0};
 };
+
+/// The block step every batch linkage path shares (LinkageUnitService::Link
+/// and LinkPartition, PprlPipeline's Hamming-LSH branch): one index per
+/// database, all over the same band geometry. Index d holds
+/// `*databases[d]` as rows 0..n-1, so its rows() matrix is what the
+/// compare kernels read. A deque, because an index cannot move.
+std::deque<LshBandIndex> BuildBandIndexes(
+    const std::vector<const std::vector<BitVector>*>& databases, size_t filter_bits,
+    size_t num_tables, size_t bits_per_key, uint64_t seed);
+
+/// The candidate generator of the batch paths. For each row `a` of
+/// `a_index`, in ascending order, it walks `b_index`'s band chains for a's
+/// fingerprints, drops repeats with a per-row stamp, and calls
+/// consume(a, bs) with the sorted b rows that `worker` owns (rows with
+/// none are skipped). Both indexes must share one band geometry.
+///
+/// Ownership is the canonical-key rule of OwnedCandidatePairs: tables are
+/// visited in the string order of their HammingLshBlocker key prefixes
+/// "t<k>:" (t0, t10…t19, t1, t2…t9 for 20 tables), so the first table in
+/// which a b row collides holds the pair's lexicographically smallest
+/// common key and owns the pair; that table's chain belongs to
+/// partitioner.WorkerForKey() of the key, hashed straight from
+/// (table, fingerprint) once per non-empty chain. With one worker the
+/// rows are exactly HammingLshBlocker::CandidatePairs' list; with more,
+/// exactly OwnedCandidatePairs' share of `worker`.
+void ForEachLshCandidateRow(const LshBandIndex& a_index, const LshBandIndex& b_index,
+                            const BlockPartitioner& partitioner, uint32_t worker,
+                            const CandidateRowFn& consume);
+
+/// ForEachLshCandidateRow as one ascending (a, b) pair list, for the
+/// serial compare.
+std::vector<CandidatePair> LshCandidatePairs(const LshBandIndex& a_index,
+                                             const LshBandIndex& b_index,
+                                             const BlockPartitioner& partitioner,
+                                             uint32_t worker);
+
+/// ForEachLshCandidateRow as run shards (StreamCandidateRowRuns), for the
+/// streaming compare.
+void StreamLshPairRuns(const LshBandIndex& a_index, const LshBandIndex& b_index,
+                       const BlockPartitioner& partitioner, uint32_t worker,
+                       size_t shard_size, const CandidateShardFn& emit);
 
 }  // namespace pprl
 

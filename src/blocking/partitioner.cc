@@ -6,19 +6,6 @@ namespace pprl {
 
 namespace {
 
-/// FNV-1a 64 over the key bytes — the same cheap order-sensitive hash the
-/// protocol layer uses for chunk checksums. Key assignment only needs
-/// determinism and spread, not collision resistance: keys are already
-/// HMAC/LSH outputs, not attacker-chosen strings.
-uint64_t HashKey(std::string_view key) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : key) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 /// splitmix64 finalizer: decorrelates the per-worker / per-vnode seeds
 /// from their small dense indices.
 uint64_t Mix(uint64_t x) {
@@ -70,9 +57,8 @@ BlockPartitioner::BlockPartitioner(size_t num_workers, PartitionScheme scheme,
   }
 }
 
-uint32_t BlockPartitioner::WorkerForKey(std::string_view key) const {
+uint32_t BlockPartitioner::WorkerForHash(uint64_t hash) const {
   if (num_workers_ == 1) return 0;
-  const uint64_t hash = HashKey(key);
   if (scheme_ == PartitionScheme::kRendezvous) {
     uint32_t best = 0;
     uint64_t best_score = 0;

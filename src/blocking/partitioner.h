@@ -27,6 +27,22 @@ enum class PartitionScheme {
 
 const char* PartitionSchemeName(PartitionScheme scheme);
 
+/// FNV-1a 64 offset basis: the hash of the empty key.
+inline constexpr uint64_t kBlockKeyHashBasis = 0xcbf29ce484222325ULL;
+
+/// FNV-1a 64 over `bytes`, continuing from `hash` — so a key hashed in
+/// pieces (a prefix once, then each suffix) hashes exactly like the whole
+/// key. Key assignment only needs determinism and spread, not collision
+/// resistance: keys are already HMAC/LSH outputs, not attacker-chosen.
+inline uint64_t HashBlockKey(std::string_view bytes,
+                             uint64_t hash = kBlockKeyHashBasis) {
+  for (const char c : bytes) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
 /// Deterministically assigns block ids (blocking keys) to workers
 /// 0..num_workers-1. Workers are identified by dense index, so any two
 /// processes that agree on (num_workers, scheme) agree on every
@@ -38,7 +54,12 @@ class BlockPartitioner {
                             PartitionScheme scheme = PartitionScheme::kAuto,
                             size_t vnodes_per_worker = 64);
 
-  uint32_t WorkerForKey(std::string_view key) const;
+  uint32_t WorkerForKey(std::string_view key) const {
+    return WorkerForHash(HashBlockKey(key));
+  }
+
+  /// The worker of a key whose HashBlockKey() is `key_hash`.
+  uint32_t WorkerForHash(uint64_t key_hash) const;
 
   size_t num_workers() const { return num_workers_; }
   /// The scheme actually in use (kAuto resolved).

@@ -12,6 +12,7 @@
 
 #include <dirent.h>
 
+#include "blocking/lsh_blocking.h"
 #include "io/pclk.h"
 #include "obs/metrics.h"
 
@@ -201,11 +202,15 @@ Result<OnlineSnapshot> DecodeCheckpoint(const uint8_t* data, size_t size,
   const uint32_t section_count = GetU32(data + 28);
   snapshot.lsh_seed = GetU64(data + 32);
   snapshot.dice_threshold = BitsDouble(GetU64(data + 40));
-  if (snapshot.filter_bits == 0 || snapshot.lsh_tables == 0 ||
-      snapshot.lsh_bits_per_key == 0) {
+  if (snapshot.filter_bits == 0) {
     return Status::ProtocolViolation("checkpoint " + origin +
-                                     " declares degenerate LSH geometry" +
-                                     Offset(16));
+                                     " declares 0-bit filters" + Offset(16));
+  }
+  const Status geometry =
+      ValidateLshGeometry(snapshot.lsh_tables, snapshot.lsh_bits_per_key);
+  if (!geometry.ok()) {
+    return Status::ProtocolViolation("checkpoint " + origin + " declares " +
+                                     geometry.message() + Offset(20));
   }
   if (section_count != 4) {
     return Status::ProtocolViolation("checkpoint " + origin + " declares " +

@@ -31,8 +31,8 @@ namespace pprl::io {
 ///   8       8     wal_sequence — last WAL record applied to this state;
 ///                 recovery replays only records with sequence > this
 ///   16      4     filter_bits
-///   20      4     lsh_tables
-///   24      4     lsh_bits_per_key
+///   20      4     lsh_tables (1..1024, ValidateLshGeometry)
+///   24      4     lsh_bits_per_key (1..64)
 ///   28      4     section count
 ///   32      8     lsh_seed
 ///   40      8     dice_threshold (IEEE-754 double bit pattern)

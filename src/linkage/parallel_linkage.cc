@@ -306,19 +306,4 @@ StreamCompareResult StreamCompareShards(SimilarityMeasure measure,
   return result;
 }
 
-StreamCompareResult StreamCompareBlocked(SimilarityMeasure measure,
-                                         const BitMatrix& a_matrix,
-                                         const BitMatrix& b_matrix,
-                                         const BlockIndex& a_index,
-                                         const BlockIndex& b_index, double min_score,
-                                         const ParallelLinkageOptions& options) {
-  const ResolvedParallelTuning tuning =
-      ResolveParallelTuning(options, a_matrix.num_bits());
-  return StreamCompareShards(
-      measure, a_matrix, b_matrix, min_score, options,
-      [&](const CandidateShardFn& emit) {
-        StreamBlockedPairRuns(a_index, b_index, tuning.shard_size, emit);
-      });
-}
-
 }  // namespace pprl

@@ -94,7 +94,8 @@ struct StreamCompareResult {
 };
 
 /// A producer that drives any candidate stream (StreamBlockedPairRuns,
-/// StreamFullPairRuns, the materializing variants, a custom generator)
+/// StreamLshPairRuns, StreamFullPairRuns, the materializing variants, a
+/// custom generator)
 /// into the consumer callback. It runs on the calling thread and blocks
 /// inside `emit` when the shard window is full.
 using ShardProducer = std::function<void(const CandidateShardFn& emit)>;
@@ -114,15 +115,6 @@ StreamCompareResult StreamCompareShards(SimilarityMeasure measure,
                                         const BitMatrix& b_matrix, double min_score,
                                         const ParallelLinkageOptions& options,
                                         const ShardProducer& produce);
-
-/// Convenience: streams the blocked candidates of two indexes (same pairs
-/// as StandardBlocker::CandidatePairs) straight into StreamCompareShards.
-StreamCompareResult StreamCompareBlocked(SimilarityMeasure measure,
-                                         const BitMatrix& a_matrix,
-                                         const BitMatrix& b_matrix,
-                                         const BlockIndex& a_index,
-                                         const BlockIndex& b_index, double min_score,
-                                         const ParallelLinkageOptions& options);
 
 }  // namespace pprl
 

@@ -1,10 +1,10 @@
 #include "pipeline/party.h"
 
+#include <deque>
 #include <optional>
 
-#include "blocking/lsh_blocking.h"
+#include "blocking/lsh_index.h"
 #include "common/bit_matrix.h"
-#include "common/random.h"
 #include "common/thread_pool.h"
 #include "linkage/comparison.h"
 #include "linkage/parallel_linkage.h"
@@ -91,77 +91,106 @@ Status LinkageUnitService::Receive(const std::string& owner, EncodedDatabase enc
   return Status::OK();
 }
 
-Result<MultiPartyLinkageResult> LinkageUnitService::Link(
-    const MultiPartyLinkageOptions& options) const {
-  if (databases_.size() < 2) {
+namespace {
+
+/// The filter length Link() and LinkPartition() run at, once the shipments
+/// and the LSH geometry pass the checks both entry points share.
+Result<size_t> LinkableFilterBits(const std::vector<EncodedDatabase>& databases,
+                                  const MultiPartyLinkageOptions& options) {
+  if (databases.size() < 2) {
     return Status::FailedPrecondition("linkage needs >= 2 shipped databases");
   }
-  const size_t filter_bits =
-      databases_[0].filters.empty() ? 0 : databases_[0].filters[0].size();
-  if (filter_bits == 0) {
+  if (databases[0].filters.empty() || databases[0].filters[0].size() == 0) {
     return Status::InvalidArgument("first shipment is empty");
   }
+  PPRL_RETURN_IF_ERROR(
+      ValidateLshGeometry(options.lsh_tables, options.lsh_bits_per_key));
+  return databases[0].filters[0].size();
+}
 
-  obs::GlobalMetrics()
-      .GetCounter("pprl_linkage_runs_total",
-                  "Multi-party linkage runs at a linkage unit")
-      .Increment();
-  MultiPartyLinkageResult result;
-  Rng rng(options.lsh_seed);
-  const HammingLshBlocker blocker(filter_bits, options.lsh_tables,
-                                  options.lsh_bits_per_key, rng);
-  // Pre-build every database's LSH index and contiguous bit matrix once.
+/// Parallel runs either borrow the caller's scheduler (the daemon shares
+/// one across sessions) or spin one up in `owned`; nullptr means serial.
+WorkStealingScheduler* LinkScheduler(const MultiPartyLinkageOptions& options,
+                                     std::optional<WorkStealingScheduler>& owned) {
+  if (options.scheduler != nullptr || options.num_threads <= 1) {
+    return options.scheduler;
+  }
+  WorkStealingScheduler::Options sched_options;
+  sched_options.num_threads = options.num_threads;
+  sched_options.max_pending = 64;
+  return &owned.emplace(sched_options);
+}
+
+/// The block and compare stages Link() and LinkPartition() share: one
+/// LshBandIndex per database over the options' seeded geometry, then, for
+/// every database pair, the candidates `worker` owns under `partitioner`
+/// (all of them with one worker), scored by the Dice kernels over the
+/// indexes' row matrices and thresholded. Every process holding the same
+/// shipments derives the same indexes, so a partition needs no
+/// coordination beyond the ring geometry.
+///
+/// Serially, the block stage ends once every pair's candidates exist, so
+/// pprl_stage_seconds{stage="block"} is index plus candidates and
+/// {stage="compare"} kernels plus threshold. With a scheduler the
+/// candidates stream as run shards into the tiled compare instead, so
+/// their production counts under compare. Both branches score the same
+/// pairs in the same order with the same kernel, so edges are identical
+/// at any worker count.
+PartitionLinkResult BlockAndCompare(const std::vector<EncodedDatabase>& databases,
+                                    size_t filter_bits,
+                                    const MultiPartyLinkageOptions& options,
+                                    const BlockPartitioner& partitioner,
+                                    uint32_t worker, WorkStealingScheduler* scheduler) {
   obs::StageTimer block_span("block");
-  std::vector<BlockIndex> indexes;
-  std::vector<BitMatrix> matrices;
-  indexes.reserve(databases_.size());
-  matrices.reserve(databases_.size());
-  for (const EncodedDatabase& db : databases_) {
-    indexes.push_back(blocker.BuildIndex(db.filters));
-    matrices.push_back(BitMatrix::FromVectors(db.filters));
+  std::vector<const std::vector<BitVector>*> filters;
+  for (const EncodedDatabase& db : databases) filters.push_back(&db.filters);
+  const std::deque<LshBandIndex> indexes =
+      BuildBandIndexes(filters, filter_bits, options.lsh_tables,
+                       options.lsh_bits_per_key, options.lsh_seed);
+  std::vector<std::vector<CandidatePair>> candidates;
+  if (scheduler == nullptr) {
+    for (uint32_t d1 = 0; d1 < databases.size(); ++d1) {
+      for (uint32_t d2 = d1 + 1; d2 < databases.size(); ++d2) {
+        candidates.push_back(
+            LshCandidatePairs(indexes[d1], indexes[d2], partitioner, worker));
+      }
+    }
   }
   block_span.Stop();
-
-  // Parallel runs either borrow the caller's scheduler (the daemon shares
-  // one across sessions) or spin one up for this Link() call.
-  const bool parallel = options.scheduler != nullptr || options.num_threads > 1;
-  std::optional<WorkStealingScheduler> owned_scheduler;
-  WorkStealingScheduler* scheduler = options.scheduler;
-  if (parallel && scheduler == nullptr) {
-    WorkStealingScheduler::Options sched_options;
-    sched_options.num_threads = options.num_threads;
-    sched_options.max_pending = 64;
-    owned_scheduler.emplace(sched_options);
-    scheduler = &*owned_scheduler;
-  }
 
   // The kernel's min_score sits 2e-12 under the acceptance test below, so
   // cardinality pruning can never skip a pair that `dice + 1e-12 >=
   // threshold` would have kept; the final filter reproduces the exact
-  // tolerance semantics of the scalar path. The streaming branch scores the
-  // same pairs in the same order with the same kernel, so edges are
-  // identical at any worker count.
+  // tolerance semantics of the scalar path.
+  const double min_score = options.dice_threshold - 2e-12;
   const ComparisonEngine engine(SimilarityMeasure::kDice);
+  PartitionLinkResult result;
   obs::StageTimer compare_span("compare");
-  for (uint32_t d1 = 0; d1 < databases_.size(); ++d1) {
-    for (uint32_t d2 = d1 + 1; d2 < databases_.size(); ++d2) {
+  size_t pair_index = 0;
+  for (uint32_t d1 = 0; d1 < databases.size(); ++d1) {
+    for (uint32_t d2 = d1 + 1; d2 < databases.size(); ++d2) {
+      const BitMatrix& a_rows = indexes[d1].rows();
+      const BitMatrix& b_rows = indexes[d2].rows();
       std::vector<ScoredPair> scored;
-      if (parallel) {
+      if (scheduler != nullptr) {
         ParallelLinkageOptions parallel_options;
         parallel_options.scheduler = scheduler;
-        StreamCompareResult streamed = StreamCompareBlocked(
-            SimilarityMeasure::kDice, matrices[d1], matrices[d2], indexes[d1],
-            indexes[d2], options.dice_threshold - 2e-12, parallel_options);
+        const size_t shard_size =
+            ResolveParallelTuning(parallel_options, filter_bits).shard_size;
+        StreamCompareResult streamed = StreamCompareShards(
+            SimilarityMeasure::kDice, a_rows, b_rows, min_score, parallel_options,
+            [&](const CandidateShardFn& emit) {
+              StreamLshPairRuns(indexes[d1], indexes[d2], partitioner, worker,
+                                shard_size, emit);
+            });
         result.candidate_pairs += streamed.comparisons;
         result.comparisons += streamed.comparisons;
         result.pruned_comparisons += streamed.pruned;
         scored = std::move(streamed.hits);
       } else {
-        const auto candidates =
-            HammingLshBlocker::CandidatePairs(indexes[d1], indexes[d2]);
-        result.candidate_pairs += candidates.size();
-        scored = engine.CompareMatrices(matrices[d1], matrices[d2], candidates,
-                                        options.dice_threshold - 2e-12);
+        const std::vector<CandidatePair> pairs = std::move(candidates[pair_index++]);
+        result.candidate_pairs += pairs.size();
+        scored = engine.CompareMatrices(a_rows, b_rows, pairs, min_score);
         result.comparisons += engine.last_comparison_count();
         result.pruned_comparisons += engine.last_pruned_count();
       }
@@ -173,10 +202,34 @@ Result<MultiPartyLinkageResult> LinkageUnitService::Link(
     }
   }
   compare_span.Stop();
+  return result;
+}
+
+}  // namespace
+
+Result<MultiPartyLinkageResult> LinkageUnitService::Link(
+    const MultiPartyLinkageOptions& options) const {
+  const Result<size_t> filter_bits = LinkableFilterBits(databases_, options);
+  if (!filter_bits.ok()) return filter_bits.status();
+
+  obs::GlobalMetrics()
+      .GetCounter("pprl_linkage_runs_total",
+                  "Multi-party linkage runs at a linkage unit")
+      .Increment();
+  std::optional<WorkStealingScheduler> owned_scheduler;
+  WorkStealingScheduler* scheduler = LinkScheduler(options, owned_scheduler);
+  PartitionLinkResult linked = BlockAndCompare(
+      databases_, *filter_bits, options, BlockPartitioner(1), 0, scheduler);
+
+  MultiPartyLinkageResult result;
+  result.edges = std::move(linked.edges);
+  result.comparisons = linked.comparisons;
+  result.candidate_pairs = linked.candidate_pairs;
+  result.pruned_comparisons = linked.pruned_comparisons;
   obs::StageTimer cluster_span("cluster");
   if (options.use_star_clustering) {
     result.clusters = StarClustering(result.edges);
-  } else if (parallel) {
+  } else if (scheduler != nullptr) {
     result.clusters = ParallelConnectedComponents(result.edges, *scheduler);
   } else {
     result.clusters = ConnectedComponents(result.edges);
@@ -187,66 +240,22 @@ Result<MultiPartyLinkageResult> LinkageUnitService::Link(
 
 Result<PartitionLinkResult> LinkageUnitService::LinkPartition(
     const MultiPartyLinkageOptions& options, const PartitionSpec& spec) const {
-  if (databases_.size() < 2) {
-    return Status::FailedPrecondition("linkage needs >= 2 shipped databases");
-  }
+  const Result<size_t> filter_bits = LinkableFilterBits(databases_, options);
+  if (!filter_bits.ok()) return filter_bits.status();
   if (spec.num_workers == 0 || spec.worker_index >= spec.num_workers) {
     return Status::InvalidArgument(
         "partition worker " + std::to_string(spec.worker_index) +
         " outside ring of " + std::to_string(spec.num_workers));
-  }
-  const size_t filter_bits =
-      databases_[0].filters.empty() ? 0 : databases_[0].filters[0].size();
-  if (filter_bits == 0) {
-    return Status::InvalidArgument("first shipment is empty");
   }
 
   obs::GlobalMetrics()
       .GetCounter("pprl_partition_runs_total",
                   "Partition compare runs at a worker linkage unit")
       .Increment();
-  // Same seeded blocker as Link(): every worker holding the same
-  // shipments derives the same indexes, so the partition rule needs no
-  // coordination beyond the ring geometry in `spec`.
-  Rng rng(options.lsh_seed);
-  const HammingLshBlocker blocker(filter_bits, options.lsh_tables,
-                                  options.lsh_bits_per_key, rng);
-  obs::StageTimer block_span("block");
-  std::vector<BlockIndex> indexes;
-  std::vector<BitMatrix> matrices;
-  indexes.reserve(databases_.size());
-  matrices.reserve(databases_.size());
-  for (const EncodedDatabase& db : databases_) {
-    indexes.push_back(blocker.BuildIndex(db.filters));
-    matrices.push_back(BitMatrix::FromVectors(db.filters));
-  }
-  block_span.Stop();
-
-  const BlockPartitioner partitioner(spec.num_workers, spec.scheme);
-  const ComparisonEngine engine(SimilarityMeasure::kDice);
-  PartitionLinkResult result;
-  obs::StageTimer compare_span("compare");
-  for (uint32_t d1 = 0; d1 < databases_.size(); ++d1) {
-    for (uint32_t d2 = d1 + 1; d2 < databases_.size(); ++d2) {
-      const auto owned = OwnedCandidatePairs(indexes[d1], indexes[d2], partitioner,
-                                             spec.worker_index);
-      result.candidate_pairs += owned.size();
-      // Identical threshold tolerance to Link(): the kernel's min_score
-      // sits 2e-12 under the acceptance test so pruning never skips a
-      // pair the `+ 1e-12` filter would have kept.
-      const auto scored = engine.CompareMatrices(
-          matrices[d1], matrices[d2], owned, options.dice_threshold - 2e-12);
-      result.comparisons += engine.last_comparison_count();
-      result.pruned_comparisons += engine.last_pruned_count();
-      for (const ScoredPair& pair : scored) {
-        if (pair.score + 1e-12 >= options.dice_threshold) {
-          result.edges.push_back({{d1, pair.a}, {d2, pair.b}, pair.score});
-        }
-      }
-    }
-  }
-  compare_span.Stop();
-  return result;
+  std::optional<WorkStealingScheduler> owned_scheduler;
+  return BlockAndCompare(databases_, *filter_bits, options,
+                         BlockPartitioner(spec.num_workers, spec.scheme),
+                         spec.worker_index, LinkScheduler(options, owned_scheduler));
 }
 
 Status LocalLinkageUnitSink::Deliver(const std::string& owner,

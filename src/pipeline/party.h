@@ -78,9 +78,9 @@ struct MultiPartyLinkageOptions {
   /// If true, clusters come from star clustering; else connected components.
   bool use_star_clustering = true;
   /// Workers for the comparison (and, for connected components, the union)
-  /// stages. 1 keeps the serial path; >1 streams each database pair's
-  /// candidates through a work-stealing scheduler. Results are identical at
-  /// any worker count.
+  /// stages, in Link() and LinkPartition() alike. 1 keeps the serial path;
+  /// >1 streams each database pair's candidates through a work-stealing
+  /// scheduler. Results are identical at any worker count.
   size_t num_threads = 1;
   /// Borrowed long-lived scheduler (e.g. the daemon's, shared across
   /// concurrent sessions). Overrides num_threads when set.
@@ -134,15 +134,18 @@ class LinkageUnitService {
   Status Receive(const std::string& owner, EncodedDatabase encoded);
 
   /// Runs pairwise blocking + matching + clustering over all received
-  /// databases. Needs >= 2 shipments.
+  /// databases. Needs >= 2 shipments and LSH geometry that passes
+  /// ValidateLshGeometry() (InvalidArgument otherwise).
   Result<MultiPartyLinkageResult> Link(const MultiPartyLinkageOptions& options) const;
 
   /// Worker-role step of a sharded run: compares only the candidate pairs
   /// this worker owns under the canonical-key partition rule
   /// (blocking/partitioner.h) and returns their scored edges — no
-  /// clustering, which stays global at the coordinator. Deterministic:
-  /// the LSH index is rebuilt from options.lsh_seed, so every process
-  /// holding the same shipments computes the same partition.
+  /// clustering, which stays global at the coordinator. Link() runs the
+  /// same blocking and compare code as a one-worker partition.
+  /// Deterministic: the LSH band indexes are rebuilt from
+  /// options.lsh_seed, so every process holding the same shipments
+  /// computes the same partition.
   Result<PartitionLinkResult> LinkPartition(const MultiPartyLinkageOptions& options,
                                             const PartitionSpec& spec) const;
 

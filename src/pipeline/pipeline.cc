@@ -1,9 +1,10 @@
 #include "pipeline/pipeline.h"
 
 #include <algorithm>
+#include <deque>
 
 #include "blocking/blocking.h"
-#include "blocking/lsh_blocking.h"
+#include "blocking/lsh_index.h"
 #include "eval/quality_estimation.h"
 #include "encoding/hardening.h"
 #include "common/thread_pool.h"
@@ -92,6 +93,10 @@ Result<std::vector<BitVector>> PprlPipeline::EncodeDatabase(const Database& db,
 
 Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) const {
   PPRL_RETURN_IF_ERROR(config_.bloom.Validate());
+  if (config_.blocking == BlockingScheme::kHammingLsh) {
+    PPRL_RETURN_IF_ERROR(
+        ValidateLshGeometry(config_.lsh_tables, config_.lsh_bits_per_key));
+  }
   LinkageOutput out;
   Channel channel;
   obs::GlobalMetrics()
@@ -134,6 +139,10 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
   std::vector<CandidatePair> candidates;
   BlockIndex index_a;
   BlockIndex index_b;
+  // Hamming-LSH only: the two band indexes, whose row matrices the compare
+  // kernels read directly.
+  std::deque<LshBandIndex> lsh;
+  const BlockPartitioner whole(1);
   switch (config_.blocking) {
     case BlockingScheme::kNone:
       if (!streaming) candidates = FullPairs(a.records.size(), b.records.size());
@@ -152,10 +161,9 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
       break;
     }
     case BlockingScheme::kHammingLsh: {
-      Rng lsh_rng(config_.seed);
-      const size_t filter_bits = fa.empty() ? config_.bloom.num_bits : fa[0].size();
-      const HammingLshBlocker blocker(filter_bits, config_.lsh_tables,
-                                      config_.lsh_bits_per_key, lsh_rng);
+      const size_t filter_bits = !fa.empty()   ? fa[0].size()
+                                 : !fb.empty() ? fb[0].size()
+                                               : config_.bloom.num_bits;
       if (config_.model == LinkageModel::kDualLinkageUnit) {
         const size_t key_bytes = (config_.lsh_bits_per_key + 7) / 8 + 2;
         channel.Send("party-a", "lu-block", a.records.size() * config_.lsh_tables * key_bytes,
@@ -163,9 +171,9 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
         channel.Send("party-b", "lu-block", b.records.size() * config_.lsh_tables * key_bytes,
                      "lsh-keys");
       }
-      index_a = blocker.BuildIndex(fa);
-      index_b = blocker.BuildIndex(fb);
-      if (!streaming) candidates = HammingLshBlocker::CandidatePairs(index_a, index_b);
+      lsh = BuildBandIndexes({&fa, &fb}, filter_bits, config_.lsh_tables,
+                             config_.lsh_bits_per_key, config_.seed);
+      if (!streaming) candidates = LshCandidatePairs(lsh[0], lsh[1], whole, 0);
       break;
     }
   }
@@ -175,13 +183,19 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
   // The devirtualized Dice kernel over contiguous bit-matrix storage;
   // scores are bitwise identical to DiceSimilarity(), and pairs whose
   // cardinality bound already falls below the threshold skip the word loop.
+  // The LSH indexes already hold the packed rows; other schemes pack here.
   obs::StageTimer compare_span("compare");
+  BitMatrix packed_a, packed_b;
+  if (lsh.empty()) {
+    packed_a = BitMatrix::FromVectors(fa);
+    packed_b = BitMatrix::FromVectors(fb);
+  }
+  const BitMatrix& ma = lsh.empty() ? packed_a : lsh[0].rows();
+  const BitMatrix& mb = lsh.empty() ? packed_b : lsh[1].rows();
   std::vector<ScoredPair> scored;
   if (streaming) {
     ParallelLinkageOptions parallel_options;
     parallel_options.num_threads = config_.num_threads;
-    const BitMatrix ma = BitMatrix::FromVectors(fa);
-    const BitMatrix mb = BitMatrix::FromVectors(fb);
     // Resolve the auto-sized tuning once: the run-shard producers need the
     // effective shard size, and StreamCompareShards resolves to the same
     // values internally (same options, same filter width).
@@ -190,11 +204,17 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
     StreamCompareResult streamed = StreamCompareShards(
         SimilarityMeasure::kDice, ma, mb, config_.match_threshold, parallel_options,
         [&](const CandidateShardFn& emit) {
-          if (config_.blocking == BlockingScheme::kNone) {
-            StreamFullPairRuns(a.records.size(), b.records.size(),
-                               tuning.shard_size, emit);
-          } else {
-            StreamBlockedPairRuns(index_a, index_b, tuning.shard_size, emit);
+          switch (config_.blocking) {
+            case BlockingScheme::kNone:
+              StreamFullPairRuns(a.records.size(), b.records.size(),
+                                 tuning.shard_size, emit);
+              break;
+            case BlockingScheme::kSoundex:
+              StreamBlockedPairRuns(index_a, index_b, tuning.shard_size, emit);
+              break;
+            case BlockingScheme::kHammingLsh:
+              StreamLshPairRuns(lsh[0], lsh[1], whole, 0, tuning.shard_size, emit);
+              break;
           }
         });
     scored = std::move(streamed.hits);
@@ -203,7 +223,7 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
     out.candidate_pairs = streamed.comparisons;
   } else {
     const ComparisonEngine engine(SimilarityMeasure::kDice);
-    scored = engine.Compare(fa, fb, candidates, config_.match_threshold);
+    scored = engine.CompareMatrices(ma, mb, candidates, config_.match_threshold);
     out.comparisons = engine.last_comparison_count();
     out.pruned_comparisons = engine.last_pruned_count();
     out.candidate_pairs = candidates.size();

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "blocking/lsh_blocking.h"
 #include "net/frame.h"
 #include "net/wire.h"
 
@@ -331,6 +332,10 @@ Result<AssignPartitionMessage> DecodeAssignPartition(
   }
   if (!(msg.dice_threshold > 0.0 && msg.dice_threshold <= 1.0)) {
     return Status::ProtocolViolation("assign-partition: threshold outside (0, 1]");
+  }
+  const Status geometry = ValidateLshGeometry(msg.lsh_tables, msg.lsh_bits_per_key);
+  if (!geometry.ok()) {
+    return Status::ProtocolViolation("assign-partition: " + geometry.message());
   }
   return msg;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "blocking/lsh_blocking.h"
 #include "common/logging.h"
 #include "net/frame.h"
 #include "obs/export.h"
@@ -113,6 +114,8 @@ Status LinkageUnitServer::Start() {
   if (config_.min_owners == 1) {
     return Status::InvalidArgument("quorum of 1 owner cannot produce a linkage");
   }
+  PPRL_RETURN_IF_ERROR(ValidateLshGeometry(config_.link_options.lsh_tables,
+                                           config_.link_options.lsh_bits_per_key));
   if (!config_.wal_dir.empty() && !config_.online_mode) {
     return Status::InvalidArgument(
         "--wal-dir is an online-serving knob; batch runs persist shipments "

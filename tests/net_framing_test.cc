@@ -414,6 +414,65 @@ TEST(ProtocolFuzzTest, HandshakeAndResumeDecodersNeverCrash) {
   }
 }
 
+AssignPartitionMessage SampleAssignment() {
+  AssignPartitionMessage msg;
+  msg.protocol_version = kWireProtocolVersion;
+  msg.coordinator = "coordinator";
+  msg.worker_index = 2;
+  msg.num_workers = 3;
+  msg.scheme = 1;
+  msg.expected_owners = 4;
+  msg.dice_threshold = 0.85;
+  msg.lsh_tables = 20;
+  msg.lsh_bits_per_key = 18;
+  msg.lsh_seed = 0x0123456789abcdefULL;
+  return msg;
+}
+
+TEST(ProtocolTest, AssignPartitionRoundTrip) {
+  const AssignPartitionMessage msg = SampleAssignment();
+  auto decoded = DecodeAssignPartition(EncodeAssignPartition(msg));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->protocol_version, msg.protocol_version);
+  EXPECT_EQ(decoded->coordinator, msg.coordinator);
+  EXPECT_EQ(decoded->worker_index, msg.worker_index);
+  EXPECT_EQ(decoded->num_workers, msg.num_workers);
+  EXPECT_EQ(decoded->scheme, msg.scheme);
+  EXPECT_EQ(decoded->expected_owners, msg.expected_owners);
+  EXPECT_EQ(decoded->dice_threshold, msg.dice_threshold);
+  EXPECT_EQ(decoded->lsh_tables, msg.lsh_tables);
+  EXPECT_EQ(decoded->lsh_bits_per_key, msg.lsh_bits_per_key);
+  EXPECT_EQ(decoded->lsh_seed, msg.lsh_seed);
+
+  // The geometry bounds themselves are accepted.
+  for (const auto& [tables, bits] : {std::pair<uint32_t, uint32_t>{1, 1}, {1024, 64}}) {
+    AssignPartitionMessage edge = msg;
+    edge.lsh_tables = tables;
+    edge.lsh_bits_per_key = bits;
+    EXPECT_TRUE(DecodeAssignPartition(EncodeAssignPartition(edge)).ok())
+        << tables << " tables x " << bits << " bits";
+  }
+}
+
+TEST(ProtocolTest, AssignPartitionRejectsOutOfRangeGeometry) {
+  // 2^32-1 tables would size the band tables to ~100 GB: the decoder must
+  // refuse it before any worker builds an index.
+  for (const uint32_t tables : {0u, 1025u, UINT32_MAX}) {
+    AssignPartitionMessage msg = SampleAssignment();
+    msg.lsh_tables = tables;
+    auto decoded = DecodeAssignPartition(EncodeAssignPartition(msg));
+    ASSERT_FALSE(decoded.ok()) << tables << " tables";
+    EXPECT_EQ(decoded.status().code(), StatusCode::kProtocolViolation) << tables;
+  }
+  for (const uint32_t bits : {0u, 65u}) {
+    AssignPartitionMessage msg = SampleAssignment();
+    msg.lsh_bits_per_key = bits;
+    auto decoded = DecodeAssignPartition(EncodeAssignPartition(msg));
+    ASSERT_FALSE(decoded.ok()) << bits << " bits";
+    EXPECT_EQ(decoded.status().code(), StatusCode::kProtocolViolation) << bits;
+  }
+}
+
 TEST(ProtocolFuzzTest, AssemblerIsIdempotentUnderDuplicatesGapsAndCorruption) {
   Rng rng(777);
   constexpr uint32_t kBits = 64;

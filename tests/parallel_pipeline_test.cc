@@ -139,6 +139,24 @@ TEST(ParallelPipelineTest, MultiPartyLinkIdenticalAcrossWorkerCounts) {
   const auto borrowed = unit.Link(shared_options);
   ASSERT_TRUE(borrowed.ok()) << borrowed.status().message();
   expect_same(*borrowed, "borrowed scheduler");
+
+  // A worker's partition runs the same block and compare code: streamed
+  // run shards of its owned pairs score exactly like the serial list.
+  for (uint32_t w = 0; w < 3; ++w) {
+    const PartitionSpec spec{w, 3, PartitionScheme::kAuto};
+    const auto serial_part = unit.LinkPartition(options, spec);
+    const auto parallel_part = unit.LinkPartition(shared_options, spec);
+    ASSERT_TRUE(serial_part.ok() && parallel_part.ok());
+    ASSERT_EQ(serial_part->edges.size(), parallel_part->edges.size()) << "worker " << w;
+    for (size_t i = 0; i < serial_part->edges.size(); ++i) {
+      EXPECT_EQ(serial_part->edges[i].x, parallel_part->edges[i].x) << "worker " << w;
+      EXPECT_EQ(serial_part->edges[i].y, parallel_part->edges[i].y) << "worker " << w;
+      EXPECT_EQ(serial_part->edges[i].score, parallel_part->edges[i].score) << "worker " << w;
+    }
+    EXPECT_EQ(serial_part->candidate_pairs, parallel_part->candidate_pairs) << "worker " << w;
+    EXPECT_EQ(serial_part->pruned_comparisons, parallel_part->pruned_comparisons)
+        << "worker " << w;
+  }
 }
 
 /// The tiled compare path re-orders kernel execution by (a-tile, b-tile)
@@ -178,13 +196,23 @@ TEST(ParallelPipelineTest, TiledExecutionDeterministicAcrossThreadsAndTiles) {
     if (i >= mb.num_rows() / 2) index_b["k0"].push_back(i);
   }
 
+  // Streams the blocked candidates through the tiled compare at the
+  // options' effective shard size.
+  auto stream_blocked = [&](const ParallelLinkageOptions& options) {
+    const size_t shard_size = ResolveParallelTuning(options, ma.num_bits()).shard_size;
+    return StreamCompareShards(SimilarityMeasure::kDice, ma, mb, 0.40, options,
+                               [&](const CandidateShardFn& emit) {
+                                 StreamBlockedPairRuns(index_a, index_b, shard_size,
+                                                       emit);
+                               });
+  };
+
   ParallelLinkageOptions reference_options;
   reference_options.num_threads = 1;
   // 0.40 sits ~2.6 sigma above the mean Dice of independent 0.3-density
   // filters: enough hits to make the equality assertions meaningful,
   // rare enough that the prune and threshold paths stay exercised.
-  const StreamCompareResult reference = StreamCompareBlocked(
-      SimilarityMeasure::kDice, ma, mb, index_a, index_b, 0.40, reference_options);
+  const StreamCompareResult reference = stream_blocked(reference_options);
   ASSERT_FALSE(reference.hits.empty());
   const auto reference_clusters = ConnectedComponents([&] {
     std::vector<MatchEdge> edges;
@@ -213,8 +241,7 @@ TEST(ParallelPipelineTest, TiledExecutionDeterministicAcrossThreadsAndTiles) {
       options.tile_b_rows = geometry.tile_b_rows;
       options.shard_size = geometry.shard_size;
       options.b_copy_min_reuse = 1;  // force the copy path wherever legal
-      const StreamCompareResult actual = StreamCompareBlocked(
-          SimilarityMeasure::kDice, ma, mb, index_a, index_b, 0.40, options);
+      const StreamCompareResult actual = stream_blocked(options);
       const std::string label =
           std::string(geometry.label) + " tiles, " + std::to_string(threads) + " threads";
       ASSERT_EQ(reference.hits.size(), actual.hits.size()) << label;

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <deque>
 #include <set>
 #include <string>
 #include <vector>
@@ -6,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "blocking/lsh_blocking.h"
+#include "blocking/lsh_index.h"
 #include "blocking/partitioner.h"
 #include "common/random.h"
 
@@ -107,8 +109,13 @@ TEST(PartitionerTest, OwnedPairsPartitionTheCandidateSet) {
   // rule's contract: per-worker owned sets are sorted, pairwise disjoint,
   // and their union is exactly the deduplicated single-machine candidate
   // list — the property that makes scattered compare counters sum to the
-  // single-daemon totals.
-  const size_t kBits = 256, kRecords = 300;
+  // single-daemon totals. The band-fingerprint generator the linkage paths
+  // run (LshCandidatePairs) must agree element for element with the
+  // string-keyed reference (OwnedCandidatePairs) for every worker. At
+  // least 11 tables are needed for the key order (t10 < t1) to differ from
+  // the table order; 1-bit keys make almost every pair a candidate, 64-bit
+  // keys only near-duplicates.
+  const size_t kBits = 256, kRecords = 200;
   Rng data_rng(7);
   std::vector<BitVector> a_filters, b_filters;
   for (size_t i = 0; i < kRecords; ++i) {
@@ -118,34 +125,58 @@ TEST(PartitionerTest, OwnedPairsPartitionTheCandidateSet) {
       if (data_rng.NextUint64() % 3 == 0) bv.Set(bit);
     }
     // Inject overlap so many pairs collide in several tables — the case
-    // that double-counts if ownership is not canonicalized.
+    // that double-counts if ownership is not canonicalized. Near-duplicates
+    // collide in only some tables, so which table comes first matters.
     if (i % 3 == 0) bv = av;
+    if (i % 3 == 1) {
+      bv = av;
+      for (int flip = 0; flip < 4; ++flip) bv.Flip(data_rng.NextUint64(kBits));
+    }
     a_filters.push_back(av);
     b_filters.push_back(bv);
   }
-  Rng lsh_rng(42);
-  HammingLshBlocker blocker(kBits, /*num_tables=*/6, /*bits_per_key=*/12, lsh_rng);
-  const BlockIndex a = blocker.BuildIndex(a_filters);
-  const BlockIndex b = blocker.BuildIndex(b_filters);
 
-  std::vector<CandidatePair> reference = HammingLshBlocker::CandidatePairs(a, b);
-  std::sort(reference.begin(), reference.end());
-  ASSERT_GT(reference.size(), 100u) << "scenario produced too few candidates";
+  constexpr uint64_t kSeed = 42;
+  for (const size_t tables : {1u, 6u, 11u, 20u, 30u}) {
+    for (const size_t bits_per_key : {1u, 12u, 18u, 64u}) {
+      const std::string geometry = std::to_string(tables) + " tables x " +
+                                   std::to_string(bits_per_key) + " bits";
+      Rng lsh_rng(kSeed);
+      HammingLshBlocker blocker(kBits, tables, bits_per_key, lsh_rng);
+      const BlockIndex a = blocker.BuildIndex(a_filters);
+      const BlockIndex b = blocker.BuildIndex(b_filters);
+      const std::deque<LshBandIndex> bands = BuildBandIndexes(
+          {&a_filters, &b_filters}, kBits, tables, bits_per_key, kSeed);
 
-  for (const size_t num_workers : {1u, 2u, 4u, 7u}) {
-    BlockPartitioner partitioner(num_workers);
-    std::vector<CandidatePair> merged;
-    size_t total = 0;
-    for (uint32_t w = 0; w < num_workers; ++w) {
-      const auto owned = OwnedCandidatePairs(a, b, partitioner, w);
-      EXPECT_TRUE(std::is_sorted(owned.begin(), owned.end())) << "worker " << w;
-      total += owned.size();
-      merged.insert(merged.end(), owned.begin(), owned.end());
+      const std::vector<CandidatePair> reference =
+          HammingLshBlocker::CandidatePairs(a, b);
+      ASSERT_GE(reference.size(), kRecords / 3) << geometry;
+
+      // kAuto: rendezvous up to 8 workers, the ring above.
+      for (const size_t num_workers : {1u, 2u, 4u, 7u, 9u, 12u}) {
+        const std::string label = geometry + ", " + std::to_string(num_workers) + " workers";
+        BlockPartitioner partitioner(num_workers);
+        std::vector<CandidatePair> merged;
+        size_t total = 0;
+        for (uint32_t w = 0; w < num_workers; ++w) {
+          const auto owned = OwnedCandidatePairs(a, b, partitioner, w);
+          EXPECT_TRUE(std::is_sorted(owned.begin(), owned.end()))
+              << label << ", worker " << w;
+          EXPECT_EQ(LshCandidatePairs(bands[0], bands[1], partitioner, w), owned)
+              << label << ", worker " << w;
+          total += owned.size();
+          merged.insert(merged.end(), owned.begin(), owned.end());
+        }
+        // Disjoint (sizes add up to the union's size) and complete.
+        EXPECT_EQ(total, reference.size()) << label;
+        std::sort(merged.begin(), merged.end());
+        EXPECT_EQ(merged, reference) << label;
+        if (num_workers == 1) {
+          EXPECT_EQ(LshCandidatePairs(bands[0], bands[1], partitioner, 0), reference)
+              << label;
+        }
+      }
     }
-    // Disjoint (sizes add up to the union's size) and complete.
-    EXPECT_EQ(total, reference.size()) << num_workers << " workers";
-    std::sort(merged.begin(), merged.end());
-    EXPECT_EQ(merged, reference) << num_workers << " workers";
   }
 }
 

@@ -65,6 +65,34 @@ TEST_F(PartyTest, LinkNeedsTwoDatabases) {
   EXPECT_FALSE(lu.Link(MultiPartyLinkageOptions{}).ok());
 }
 
+TEST_F(PartyTest, OutOfRangeLshGeometryIsRejected) {
+  LinkageUnitService lu("lu");
+  EncodedDatabase db;
+  db.ids = {1};
+  db.filters = {BitVector(100)};
+  ASSERT_TRUE(lu.Receive("a", db).ok());
+  ASSERT_TRUE(lu.Receive("b", db).ok());
+  const std::vector<std::pair<size_t, size_t>> rejected = {
+      {0, 18}, {1025, 18}, {size_t{UINT32_MAX}, 18}, {20, 0}, {20, 65}};
+  for (const auto& [tables, bits] : rejected) {
+    MultiPartyLinkageOptions options;
+    options.lsh_tables = tables;
+    options.lsh_bits_per_key = bits;
+    EXPECT_EQ(lu.Link(options).status().code(), StatusCode::kInvalidArgument)
+        << tables << " x " << bits;
+    EXPECT_EQ(lu.LinkPartition(options, PartitionSpec{}).status().code(),
+              StatusCode::kInvalidArgument)
+        << tables << " x " << bits;
+  }
+  for (const auto& [tables, bits] : {std::pair<size_t, size_t>{1, 1}, {1024, 64}}) {
+    MultiPartyLinkageOptions options;
+    options.lsh_tables = tables;
+    options.lsh_bits_per_key = bits;
+    EXPECT_TRUE(lu.Link(options).ok()) << tables << " x " << bits;
+    EXPECT_TRUE(lu.LinkPartition(options, PartitionSpec{}).ok()) << tables << " x " << bits;
+  }
+}
+
 TEST_F(PartyTest, ThreeHospitalEndToEnd) {
   DataGenerator gen(GeneratorConfig{});
   LinkageScenarioConfig scenario;

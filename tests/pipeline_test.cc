@@ -153,6 +153,19 @@ TEST_F(PipelineTest, InvalidConfigRejected) {
   EXPECT_FALSE(PprlPipeline(config).Link(a, b).ok());
 }
 
+TEST_F(PipelineTest, OutOfRangeLshGeometryRejected) {
+  const auto [a, b] = MakeScenario(0.0);
+  for (const auto& [tables, bits] :
+       {std::pair<size_t, size_t>{0, 18}, {1025, 18}, {20, 0}, {20, 65}}) {
+    PipelineConfig config;
+    config.lsh_tables = tables;
+    config.lsh_bits_per_key = bits;
+    EXPECT_EQ(PprlPipeline(config).Link(a, b).status().code(),
+              StatusCode::kInvalidArgument)
+        << tables << " x " << bits;
+  }
+}
+
 TEST_F(PipelineTest, ReportsTimingAndCandidates) {
   const auto [a, b] = MakeScenario(0.5);
   PipelineConfig config;

@@ -170,6 +170,29 @@ TEST(CheckpointTest, BandChecksumCatchesGeometryDrift) {
             std::string::npos);
 }
 
+/// A checkpoint whose header declares LSH geometry no entry point accepts
+/// (its checksums are intact) must fail recovery with a typed error
+/// instead of sizing band tables from it.
+TEST(CheckpointTest, OutOfRangeGeometryFailsRecovery) {
+  const auto dbs = MakeDatabases(12, /*seed=*/8);
+  auto reference = BuildReference(dbs);
+  for (const auto& [tables, bits] : {std::pair<uint32_t, uint32_t>{20, 65}, {1025, 18}}) {
+    const std::string dir = FreshDir("ckpt_geometry");
+    io::OnlineSnapshot snapshot = reference->ExportSnapshot(1);
+    snapshot.lsh_tables = tables;
+    snapshot.lsh_bits_per_key = bits;
+    ASSERT_TRUE(io::WriteCheckpointFile(dir, snapshot, nullptr).ok());
+
+    OnlineDurability durability(Config(dir));
+    std::unique_ptr<OnlineLinkageEngine> recovered;
+    RecoveryReport report;
+    const Status status = durability.Recover(&recovered, &report);
+    EXPECT_EQ(status.code(), StatusCode::kProtocolViolation)
+        << tables << " x " << bits << ": " << status.ToString();
+    EXPECT_EQ(recovered, nullptr);
+  }
+}
+
 /// Every single-bit flip in a checkpoint file must fail the read with a
 /// typed error naming the file — a daemon must refuse corrupt state, not
 /// serve from it.

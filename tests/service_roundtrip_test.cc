@@ -297,5 +297,17 @@ TEST(ServiceRoundtripTest, DuplicateOwnerNameIsRejectedOverTheWire) {
   first.join();
 }
 
+TEST(ServiceRoundtripTest, OutOfRangeLshGeometryFailsStart) {
+  for (const auto& [tables, bits] : {std::pair<size_t, size_t>{1025, 18}, {20, 65}}) {
+    LinkageUnitServerConfig config;
+    config.expected_owners = 2;
+    config.link_options.lsh_tables = tables;
+    config.link_options.lsh_bits_per_key = bits;
+    LinkageUnitServer server(config);
+    EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument)
+        << tables << " x " << bits;
+  }
+}
+
 }  // namespace
 }  // namespace pprl
