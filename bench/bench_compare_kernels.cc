@@ -1,15 +1,15 @@
 // Throughput of the comparison step (the pipeline bottleneck every
 // complexity-reduction technology in the survey exists to shrink):
 // the seed's std::function-over-BitVector path versus the devirtualized
-// batch kernels over contiguous BitMatrix storage, with and without the
-// Dice cardinality bound, across 1/2/4/8 threads and 500/1000-bit
-// filters. Optionally writes the numbers as JSON (BENCH_compare.json is
-// the committed baseline) so later PRs can track the trajectory.
+// serial batch kernels over contiguous BitMatrix storage, with and without
+// the Dice cutoff table, at 500/1000-bit filters. Optionally writes the
+// numbers as JSON (BENCH_compare.json is the committed baseline) so later
+// PRs can track the trajectory.
 //
-// A second, larger sweep drives the end-to-end parallel path: 10k x 10k
-// candidates streamed in shards from blocking straight into the
-// work-stealing scheduler (linkage/parallel_linkage.h) at 1/2/4/8 workers.
-// BENCH_parallel.json is its committed baseline.
+// A second, larger sweep drives the threaded path: 10k x 10k candidates
+// streamed in run shards straight into the work-stealing scheduler
+// (linkage/parallel_linkage.h) at 1/2/4/8 workers. BENCH_parallel.json is
+// its committed baseline.
 //
 // usage: bench_compare_kernels [out.json [parallel_out.json]]
 
@@ -78,8 +78,6 @@ std::vector<Measurement> BenchAtWidth(size_t bits, const Database& a, const Data
 
   const ComparisonEngine scalar(MeasureFunction(SimilarityMeasure::kDice));
   const ComparisonEngine kernel(SimilarityMeasure::kDice);
-  const BitMatrix ma = BitMatrix::FromVectors(fa);
-  const BitMatrix mb = BitMatrix::FromVectors(fb);
 
   std::vector<Measurement> out;
   out.push_back(Measure("scalar", bits, n, [&] {
@@ -101,12 +99,6 @@ std::vector<Measurement> BenchAtWidth(size_t bits, const Database& a, const Data
     kernel.Compare(fa, fb, candidates, kPruneThreshold);
     return kernel.last_pruned_count();
   }));
-  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    out.push_back(Measure("kernel-t" + std::to_string(threads), bits, n, [&] {
-      kernel.CompareMatricesParallel(ma, mb, candidates, 0.0, threads);
-      return kernel.last_pruned_count();
-    }));
-  }
   return out;
 }
 

@@ -51,6 +51,7 @@
 #include <cstring>
 #include <string>
 
+#include "blocking/lsh_blocking.h"
 #include "common/cache_info.h"
 #include "common/logging.h"
 #include "linkage/parallel_linkage.h"
@@ -242,7 +243,14 @@ int main(int argc, char** argv) {
   config.port = static_cast<uint16_t>(std::atoi(argv[1]));
   config.expected_owners = static_cast<size_t>(std::atoll(argv[2]));
   if (argc > 3 && argv[3][0] != '-') {
-    config.link_options.dice_threshold = std::atof(argv[3]);
+    char* end = nullptr;
+    config.link_options.dice_threshold = std::strtod(argv[3], &end);
+    const Status threshold = ValidateDiceThreshold(config.link_options.dice_threshold);
+    if (end == argv[3] || *end != '\0' || !threshold.ok()) {
+      std::fprintf(stderr, "threshold must be a number in (0, 1], got '%s'\n",
+                   argv[3]);
+      return 2;
+    }
   }
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];

@@ -19,12 +19,12 @@ export UBSAN_OPTIONS=${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" "$@"
 echo "check.sh: all tests passed under ASan+UBSan"
 
-# ThreadSanitizer gate for the concurrent paths: the parallel comparison
-# engine, the batch kernels it chunks across the scheduler, the
-# work-stealing scheduler itself, the streaming parallel pipeline, and
-# the lock-free metrics registry they all report into. Scoped to those
-# tests — TSan slows everything ~10x and the rest of the suite is
-# single-threaded.
+# ThreadSanitizer gate for the concurrent paths: the threaded run-shard
+# compare (StreamCompareShards) and the kernels it runs on the
+# scheduler, the work-stealing scheduler itself, the streaming parallel
+# pipeline, and the lock-free metrics registry they all report into.
+# Scoped to those tests — TSan slows everything ~10x and the rest of the
+# suite is single-threaded.
 TSAN_BUILD_DIR=build-tsan
 cmake -B "${TSAN_BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -123,11 +123,12 @@ cmake --build "${PERF_BUILD_DIR}" -j "$(nproc)" --target pprl_linkd pprl_cli ppr
 scripts/check_docs.sh "${PERF_BUILD_DIR}"
 echo "check.sh: docs lint passed"
 
-# README smoke + sharded parity gate: the two quickstart paths from the
-# README run end to end with real processes, and the sharded one — a
-# coordinator scattering over two --worker daemons, with chaos injection
-# on — must hand every owner byte-identical match files and print the
-# same cluster/edge/comparison counts as the single daemon. This is the
+# README smoke + threaded and sharded parity gate: the two quickstart
+# paths from the README run end to end with real processes, and both a
+# --threads 4 single daemon and the sharded run — a coordinator
+# scattering over two --worker daemons, with chaos injection on — must
+# hand every owner byte-identical match files and print the same
+# cluster/edge/comparison counts as the serial single daemon. This is the
 # operator-visible form of the bitwise-determinism contract that
 # tests/coordinator_test.cc checks in-process.
 SMOKE=$(mktemp -d /tmp/pprl-smoke-XXXXXX)
@@ -136,6 +137,14 @@ CLI="${PERF_BUILD_DIR}/examples/pprl_cli"
 "${CLI}" generate "${SMOKE}/a.csv" "${SMOKE}/b.csv" 400 >/dev/null
 "${CLI}" encode "${SMOKE}/a.csv" "${SMOKE}/a.pclk" shared-secret >/dev/null
 "${CLI}" encode "${SMOKE}/b.csv" "${SMOKE}/b.pclk" shared-secret >/dev/null
+
+# A positional threshold that is not a number in (0, 1] is a usage
+# error (exit 2), never a silent threshold of 0.
+for BAD in abc 0 1.5; do
+  RC=0
+  "${LINKD}" 18904 2 "${BAD}" >/dev/null 2>&1 || RC=$?
+  [ "${RC}" = 2 ] || { echo "check.sh: pprl_linkd threshold '${BAD}' exited ${RC}, want 2" >&2; exit 1; }
+done
 
 # Owner registration order IS the database-index order that the
 # canonical cluster ids depend on: every daemon in these gates must see
@@ -162,6 +171,18 @@ wait_registered "${SMOKE}/single.err" clinic-a
 "${CLI}" ship "${SMOKE}/b.pclk" clinic-b 127.0.0.1:18901 "${SMOKE}/b_single.csv" >/dev/null
 wait "${SHIP_A}" "${SINGLE_PID}"
 
+# Path 1b: the same single daemon with --threads 4, the only path where
+# the Dice cutoff table reaches the threaded run-shard compare through
+# real processes. Must match the serial daemon byte for byte.
+"${LINKD}" 18903 2 0.8 --threads 4 > "${SMOKE}/threaded.log" 2> "${SMOKE}/threaded.err" &
+THREADED_PID=$!
+sleep 0.5
+"${CLI}" ship "${SMOKE}/a.pclk" clinic-a 127.0.0.1:18903 "${SMOKE}/a_threaded.csv" >/dev/null &
+SHIP_A=$!
+wait_registered "${SMOKE}/threaded.err" clinic-a
+"${CLI}" ship "${SMOKE}/b.pclk" clinic-b 127.0.0.1:18903 "${SMOKE}/b_threaded.csv" >/dev/null
+wait "${SHIP_A}" "${THREADED_PID}"
+
 # Path 2: coordinator + two workers (docs/OPERATIONS.md walkthrough),
 # with deterministic chaos on every link.
 "${LINKD}" 18911 2 --worker > "${SMOKE}/worker1.log" &
@@ -180,14 +201,19 @@ wait "${SHIP_A}" "${COORD_PID}"
 kill "${WORKER1_PID}" "${WORKER2_PID}" 2>/dev/null || true
 wait "${WORKER1_PID}" "${WORKER2_PID}" 2>/dev/null || true
 
+cmp "${SMOKE}/a_single.csv" "${SMOKE}/a_threaded.csv"
+cmp "${SMOKE}/b_single.csv" "${SMOKE}/b_threaded.csv"
 cmp "${SMOKE}/a_single.csv" "${SMOKE}/a_coord.csv"
 cmp "${SMOKE}/b_single.csv" "${SMOKE}/b_coord.csv"
 SINGLE_COUNTS=$(grep '^linked ' "${SMOKE}/single.log")
+THREADED_COUNTS=$(grep '^linked ' "${SMOKE}/threaded.log")
 COORD_COUNTS=$(grep '^linked ' "${SMOKE}/coord.log")
 echo "check.sh: single daemon : ${SINGLE_COUNTS}"
+echo "check.sh: --threads 4   : ${THREADED_COUNTS}"
 echo "check.sh: sharded+chaos : ${COORD_COUNTS}"
+[ "${SINGLE_COUNTS}" = "${THREADED_COUNTS}" ]
 [ "${SINGLE_COUNTS}" = "${COORD_COUNTS}" ]
-echo "check.sh: sharded linkage parity gate passed (chaos seed 99)"
+echo "check.sh: threaded and sharded linkage parity gate passed (chaos seed 99)"
 
 # Online serving parity gate: a 5k+5k corpus (10k appended records)
 # through the protocol-v4 serving path. A batch daemon with

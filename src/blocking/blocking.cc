@@ -118,76 +118,20 @@ std::vector<CandidatePair> FullPairs(size_t size_a, size_t size_b) {
 }
 
 size_t CandidateShard::num_pairs() const {
-  if (!pairs.empty()) return pairs.size();
   size_t n = 0;
   for (const PairRun& run : runs) n += run.b_end - run.b_begin;
   return n;
 }
 
-void CandidateShard::MaterializePairs() {
-  if (runs.empty()) return;
-  pairs.reserve(num_pairs());
-  for (const PairRun& run : runs) {
-    for (uint32_t b = run.b_begin; b < run.b_end; ++b) pairs.push_back({run.a, b});
-  }
-  runs = {};
-}
-
 namespace {
 
-/// Accumulates pairs and hands full shards to the consumer; Flush() emits
-/// the trailing partial shard.
-class ShardEmitter {
+/// Accumulates PairRuns, splitting them at shard boundaries so every
+/// emitted shard covers exactly `shard_size` candidate pairs (the final
+/// one fewer). shard_size 0 keeps the unsharded semantics: one shard per
+/// Append'ed run group.
+class ShardCutter {
  public:
-  ShardEmitter(size_t shard_size, const CandidateShardFn& emit)
-      : shard_size_(shard_size), emit_(emit) {}
-
-  void Append(std::vector<CandidatePair>&& run) {
-    if (shard_size_ == 0) {
-      EmitShard(std::move(run));
-      return;
-    }
-    // Bulk copy in whole-chunk steps; the per-pair loop this replaces was
-    // the generation bottleneck once the kernels stopped dividing.
-    size_t off = 0;
-    while (off < run.size()) {
-      if (buffer_.empty()) buffer_.reserve(shard_size_);
-      const size_t chunk =
-          std::min(run.size() - off, shard_size_ - buffer_.size());
-      buffer_.insert(buffer_.end(), run.begin() + off, run.begin() + off + chunk);
-      off += chunk;
-      if (buffer_.size() >= shard_size_) EmitShard(std::move(buffer_));
-    }
-  }
-
-  void Flush() {
-    if (!buffer_.empty()) EmitShard(std::move(buffer_));
-  }
-
- private:
-  void EmitShard(std::vector<CandidatePair>&& pairs) {
-    if (pairs.empty()) return;
-    CandidateShard shard;
-    shard.shard_id = next_id_++;
-    shard.pairs = std::move(pairs);
-    emit_(std::move(shard));
-    buffer_ = {};
-  }
-
-  size_t shard_size_;
-  const CandidateShardFn& emit_;
-  std::vector<CandidatePair> buffer_;
-  uint32_t next_id_ = 0;
-};
-
-/// The run-shard counterpart of ShardEmitter: accumulates PairRuns,
-/// splitting them at shard boundaries so every emitted shard covers
-/// exactly `shard_size` candidate pairs (the final one fewer) — the same
-/// boundaries the materializing emitters produce. shard_size 0 keeps the
-/// unsharded semantics: one shard per Append'ed run group.
-class RunShardEmitter {
- public:
-  RunShardEmitter(size_t shard_size, const CandidateShardFn& emit)
+  ShardCutter(size_t shard_size, const CandidateShardFn& emit)
       : shard_size_(shard_size), emit_(emit) {}
 
   /// Adds the run (a, [b_begin, b_end)) to the current shard.
@@ -267,20 +211,6 @@ void ForEachBlockedRun(const BlockIndex& a, const BlockIndex& b,
 
 }  // namespace
 
-void StreamBlockedPairs(const BlockIndex& a, const BlockIndex& b, size_t shard_size,
-                        const CandidateShardFn& emit) {
-  ShardEmitter shards(shard_size, emit);
-  std::vector<CandidatePair> run;
-  ForEachBlockedRun(a, b, [&](uint32_t ra, const std::vector<uint32_t>& bs) {
-    run.clear();
-    run.reserve(bs.size());
-    for (uint32_t rb : bs) run.push_back({ra, rb});
-    shards.Append(std::move(run));
-    run = {};
-  });
-  shards.Flush();
-}
-
 void StreamBlockedPairRuns(const BlockIndex& a, const BlockIndex& b,
                            size_t shard_size, const CandidateShardFn& emit) {
   StreamCandidateRowRuns(
@@ -290,7 +220,7 @@ void StreamBlockedPairRuns(const BlockIndex& a, const BlockIndex& b,
 
 void StreamCandidateRowRuns(const CandidateRowSource& rows, size_t shard_size,
                             const CandidateShardFn& emit) {
-  RunShardEmitter shards(shard_size, emit);
+  ShardCutter shards(shard_size, emit);
   rows([&](uint32_t ra, const std::vector<uint32_t>& bs) {
     // Compress the sorted, deduplicated b list into maximal consecutive
     // intervals. Blocked candidates are clustered (whole blocks of
@@ -311,65 +241,12 @@ void StreamCandidateRowRuns(const CandidateRowSource& rows, size_t shard_size,
 void StreamFullPairRuns(size_t size_a, size_t size_b, size_t shard_size,
                         const CandidateShardFn& emit) {
   if (size_a == 0 || size_b == 0) return;
-  RunShardEmitter shards(shard_size, emit);
+  ShardCutter shards(shard_size, emit);
   for (uint32_t i = 0; i < size_a; ++i) {
     shards.Append(i, 0, static_cast<uint32_t>(size_b));
     shards.EndGroup();
   }
   shards.Flush();
-}
-
-void StreamFullPairs(size_t size_a, size_t size_b, size_t shard_size,
-                     const CandidateShardFn& emit) {
-  if (size_a == 0 || size_b == 0) return;
-  if (shard_size == 0) {
-    // One shard per a-record, matching ShardEmitter's unsharded semantics.
-    uint32_t next_id = 0;
-    for (uint32_t i = 0; i < size_a; ++i) {
-      CandidateShard shard;
-      shard.shard_id = next_id++;
-      shard.pairs.reserve(size_b);
-      for (uint32_t j = 0; j < size_b; ++j) shard.pairs.push_back({i, j});
-      emit(std::move(shard));
-    }
-    return;
-  }
-  // The cross product is dense and its shard boundaries are computable, so
-  // write pairs straight into the shard buffer — no intermediate run, no
-  // per-pair size checks. Shard contents and order are identical to the
-  // ShardEmitter path: full shards of `shard_size`, then the remainder.
-  uint32_t next_id = 0;
-  std::vector<CandidatePair> buf(shard_size);
-  CandidatePair* p = buf.data();
-  const CandidatePair* end = p + shard_size;
-  for (uint32_t i = 0; i < size_a; ++i) {
-    uint32_t j = 0;
-    while (j < size_b) {
-      const size_t chunk =
-          std::min<size_t>(size_b - j, static_cast<size_t>(end - p));
-      for (size_t k = 0; k < chunk; ++k) {
-        p[k] = {i, j + static_cast<uint32_t>(k)};
-      }
-      p += chunk;
-      j += static_cast<uint32_t>(chunk);
-      if (p == end) {
-        CandidateShard shard;
-        shard.shard_id = next_id++;
-        shard.pairs = std::move(buf);
-        emit(std::move(shard));
-        buf.assign(shard_size, CandidatePair{});
-        p = buf.data();
-        end = p + shard_size;
-      }
-    }
-  }
-  if (p != buf.data()) {
-    buf.resize(static_cast<size_t>(p - buf.data()));
-    CandidateShard shard;
-    shard.shard_id = next_id++;
-    shard.pairs = std::move(buf);
-    emit(std::move(shard));
-  }
 }
 
 }  // namespace pprl

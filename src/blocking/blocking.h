@@ -102,27 +102,20 @@ struct PairRun {
   }
 };
 
-/// A contiguous run of candidate pairs. Shard ids are dense and ascending
-/// in emission order; concatenating shards by id reproduces exactly the
-/// sorted, deduplicated list the materializing functions return.
-///
-/// A shard carries its candidates either materialized (`pairs`) or as
-/// dense runs (`runs`) — never both. A run shard's candidate sequence is
-/// its runs expanded in order: for each run, (a, b) for b in
-/// [b_begin, b_end); run producers guarantee that sequence is ascending
+/// A contiguous run of candidate pairs, carried as dense runs. Shard ids
+/// are dense and ascending in emission order; concatenating the shards'
+/// expanded sequences by id reproduces exactly the sorted, deduplicated
+/// list the materializing functions return. A shard's candidate sequence
+/// is its runs expanded in order: for each run, (a, b) for b in
+/// [b_begin, b_end). Producers guarantee that sequence is ascending
 /// (a, b), which the tiled comparison path relies on to restore candidate
 /// order after cache-blocked execution.
 struct CandidateShard {
   uint32_t shard_id = 0;
-  std::vector<CandidatePair> pairs;
   std::vector<PairRun> runs;
 
-  /// Candidate pairs this shard covers, whichever representation it uses.
+  /// Candidate pairs this shard covers.
   size_t num_pairs() const;
-
-  /// Expands `runs` into `pairs` (no-op for pair shards) — for consumers
-  /// that want the materialized form.
-  void MaterializePairs();
 };
 
 /// Consumes one shard (ownership moves to the consumer).
@@ -130,25 +123,12 @@ using CandidateShardFn = std::function<void(CandidateShard)>;
 
 /// Streams the candidate pairs of two block indexes in shards of at most
 /// `shard_size` pairs (the final shard may be shorter; a shard_size of 0
-/// means one shard per run of pairs sharing an a-record). Pair order is
-/// ascending (a, b) with duplicates removed — byte-identical to
-/// StandardBlocker::CandidatePairs(a, b) / HammingLshBlocker counterparts —
-/// but peak memory is O(index + densest a-record's candidates + shard)
-/// instead of O(total pairs).
-void StreamBlockedPairs(const BlockIndex& a, const BlockIndex& b, size_t shard_size,
-                        const CandidateShardFn& emit);
-
-/// Streams all |A| x |B| pairs in ascending (a, b) order — the streaming
-/// counterpart of FullPairs().
-void StreamFullPairs(size_t size_a, size_t size_b, size_t shard_size,
-                     const CandidateShardFn& emit);
-
-/// Run-shard variants: the same candidate sequence, shard boundaries and
-/// shard ids as their materializing counterparts above, but each shard
-/// carries PairRuns instead of pairs. Producer work drops from O(pairs)
-/// to O(runs) — for the full cross product, O(a-rows) — so candidate
-/// generation stops being the serial stage of the parallel compare path;
-/// consumers expand (or tile) runs on their own worker threads.
+/// means one shard per a-record). Pair order is ascending (a, b) with
+/// duplicates removed — the sequence of StandardBlocker::CandidatePairs(a,
+/// b) — but peak memory is O(index + densest a-record's candidates +
+/// shard) instead of O(total pairs), and producer work is O(runs), so
+/// candidate generation stops being the serial stage of the parallel
+/// compare path; consumers expand (or tile) runs on their own workers.
 void StreamBlockedPairRuns(const BlockIndex& a, const BlockIndex& b,
                            size_t shard_size, const CandidateShardFn& emit);
 
@@ -167,6 +147,9 @@ using CandidateRowSource = std::function<void(const CandidateRowFn&)>;
 void StreamCandidateRowRuns(const CandidateRowSource& rows, size_t shard_size,
                             const CandidateShardFn& emit);
 
+/// Streams all |A| x |B| pairs in ascending (a, b) order, one run per
+/// a-record — the streaming counterpart of FullPairs(), with the same
+/// shard boundaries as StreamBlockedPairRuns.
 void StreamFullPairRuns(size_t size_a, size_t size_b, size_t shard_size,
                         const CandidateShardFn& emit);
 

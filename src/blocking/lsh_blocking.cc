@@ -18,6 +18,24 @@ Status ValidateLshGeometry(uint64_t num_tables, uint64_t bits_per_key) {
   return Status::OK();
 }
 
+Status ValidateFilterBits(uint64_t filter_bits) {
+  if (filter_bits < 1 || filter_bits > kMaxFilterBits) {
+    return Status::InvalidArgument("filter length " + std::to_string(filter_bits) +
+                                   " bits outside [1, " +
+                                   std::to_string(kMaxFilterBits) + "]");
+  }
+  return Status::OK();
+}
+
+Status ValidateDiceThreshold(double threshold) {
+  // Written so NaN fails too.
+  if (!(threshold > 0.0 && threshold <= 1.0)) {
+    return Status::InvalidArgument("Dice threshold " + std::to_string(threshold) +
+                                   " outside (0, 1]");
+  }
+  return Status::OK();
+}
+
 HammingLshBlocker::HammingLshBlocker(size_t filter_bits, size_t num_tables,
                                      size_t bits_per_key, Rng& rng)
     : filter_bits_(filter_bits) {

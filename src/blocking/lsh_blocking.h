@@ -26,6 +26,20 @@ inline constexpr uint64_t kMaxLshBitsPerKey = 64;
 /// report it as a ProtocolViolation).
 Status ValidateLshGeometry(uint64_t num_tables, uint64_t bits_per_key);
 
+/// Widest Bloom filter any linkage entry point accepts. The Dice cutoff
+/// table (linkage/compare_kernels.h) holds one entry per |a| + |b| in
+/// [0, 2 * bits], so the bound caps one table at 131,073 entries
+/// (512 KiB); the widest filter any shipped config uses is 10,000 bits.
+inline constexpr uint64_t kMaxFilterBits = 65536;
+
+/// InvalidArgument unless 1 <= filter_bits <= kMaxFilterBits, and unless
+/// the Dice threshold is finite and in (0, 1]. Checked wherever these
+/// values enter the process, beside ValidateLshGeometry(): the linkage
+/// entry points, the daemon's start-up and hello handler, and the WAL,
+/// checkpoint and assign-partition decoders.
+Status ValidateFilterBits(uint64_t filter_bits);
+Status ValidateDiceThreshold(double threshold);
+
 /// Hamming-LSH blocking over Bloom filters (Karapiperis & Verykios [18],
 /// Durham [12]).
 ///

@@ -98,7 +98,7 @@ class BitVector {
 
   size_t num_bits_;
   std::vector<uint64_t> words_;
-  // Concurrent Count() calls on a shared filter (CompareParallel fan-out)
+  // Concurrent Count() calls on a shared filter (concurrent sessions)
   // may race to fill the cache; relaxed atomicity makes that benign — both
   // threads store the same value. Mutation is single-threaded by contract.
   mutable std::atomic<size_t> cached_count_{kNoCount};

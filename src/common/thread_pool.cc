@@ -293,19 +293,4 @@ void TaskGroup::Wait() {
   });
 }
 
-void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
-                 const std::function<void(size_t)>& body) {
-  if (begin >= end) return;
-  const size_t n = end - begin;
-  const size_t num_chunks = std::min(n, pool.num_threads() * 4);
-  const size_t chunk = (n + num_chunks - 1) / num_chunks;
-  for (size_t c = begin; c < end; c += chunk) {
-    const size_t chunk_end = std::min(end, c + chunk);
-    pool.Submit([c, chunk_end, &body] {
-      for (size_t i = c; i < chunk_end; ++i) body(i);
-    });
-  }
-  pool.Wait();
-}
-
 }  // namespace pprl

@@ -22,8 +22,7 @@ class Counter;
 /// A fixed-size worker pool for the parallel/distributed complexity-reduction
 /// branch of the taxonomy (survey §3.4 "Parallel/distributed processing").
 ///
-/// Blocks can be compared on different workers; `ParallelFor` partitions an
-/// index range across the pool and joins before returning.
+/// The daemon runs its session handlers on one.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers (at least 1).
@@ -54,11 +53,6 @@ class ThreadPool {
   size_t in_flight_ = 0;
   bool shutdown_ = false;
 };
-
-/// Runs `body(i)` for every i in [begin, end), distributing contiguous chunks
-/// over `pool`. Blocks until all iterations complete.
-void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
-                 const std::function<void(size_t)>& body);
 
 /// The sharded execution layer of the parallel linkage path (survey §3.4,
 /// "Parallel/distributed processing").

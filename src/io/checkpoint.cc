@@ -202,9 +202,15 @@ Result<OnlineSnapshot> DecodeCheckpoint(const uint8_t* data, size_t size,
   const uint32_t section_count = GetU32(data + 28);
   snapshot.lsh_seed = GetU64(data + 32);
   snapshot.dice_threshold = BitsDouble(GetU64(data + 40));
-  if (snapshot.filter_bits == 0) {
-    return Status::ProtocolViolation("checkpoint " + origin +
-                                     " declares 0-bit filters" + Offset(16));
+  const Status filter_bits = ValidateFilterBits(snapshot.filter_bits);
+  if (!filter_bits.ok()) {
+    return Status::ProtocolViolation("checkpoint " + origin + " declares " +
+                                     filter_bits.message() + Offset(16));
+  }
+  const Status threshold = ValidateDiceThreshold(snapshot.dice_threshold);
+  if (!threshold.ok()) {
+    return Status::ProtocolViolation("checkpoint " + origin + " declares " +
+                                     threshold.message() + Offset(40));
   }
   const Status geometry =
       ValidateLshGeometry(snapshot.lsh_tables, snapshot.lsh_bits_per_key);

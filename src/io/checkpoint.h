@@ -30,12 +30,13 @@ namespace pprl::io {
 ///   4       4     version (currently 1)
 ///   8       8     wal_sequence — last WAL record applied to this state;
 ///                 recovery replays only records with sequence > this
-///   16      4     filter_bits
+///   16      4     filter_bits (1..65536, ValidateFilterBits)
 ///   20      4     lsh_tables (1..1024, ValidateLshGeometry)
 ///   24      4     lsh_bits_per_key (1..64)
 ///   28      4     section count
 ///   32      8     lsh_seed
-///   40      8     dice_threshold (IEEE-754 double bit pattern)
+///   40      8     dice_threshold (IEEE-754 double bit pattern, in
+///                 (0, 1], ValidateDiceThreshold)
 ///   48      8     reserved, must be 0
 ///   56      8     header checksum — FNV-1a-64 over bytes [0, 56)
 ///

@@ -12,6 +12,7 @@
 
 #include <dirent.h>
 
+#include "blocking/lsh_blocking.h"
 #include "io/pclk.h"
 #include "obs/metrics.h"
 
@@ -236,9 +237,10 @@ Result<WalSegment> ReadWalFile(const std::string& path) {
   WalSegment segment;
   segment.start_sequence = GetU64(data.data() + 8);
   segment.filter_bits = GetU32(data.data() + 16);
-  if (segment.filter_bits == 0) {
-    return Status::ProtocolViolation("WAL segment " + path +
-                                     " declares zero filter bits" + Offset(16));
+  const Status filter_bits = ValidateFilterBits(segment.filter_bits);
+  if (!filter_bits.ok()) {
+    return Status::ProtocolViolation("WAL segment " + path + " declares " +
+                                     filter_bits.message() + Offset(16));
   }
 
   uint64_t offset = kWalHeaderBytes;

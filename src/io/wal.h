@@ -29,6 +29,7 @@ namespace pprl::io {
 ///   4       4     version (currently 1)
 ///   8       8     start_sequence — sequence of the segment's first record
 ///   16      4     filter_bits — bit length of every journaled filter
+///                 (1..65536, ValidateFilterBits)
 ///   20      4     reserved, must be 0
 ///   24      8     header checksum — FNV-1a-64 over bytes [0, 24)
 ///

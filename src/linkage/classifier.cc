@@ -23,45 +23,6 @@ std::vector<ScoredPair> ThresholdClassifier::SelectMatches(
   return out;
 }
 
-std::vector<ScoredPair> ThresholdClassifier::ParallelSelectMatches(
-    const std::vector<ScoredPair>& scored, WorkStealingScheduler& scheduler) const {
-  // Chunks are large: classification is two double compares per pair, so
-  // anything finer drowns in dispatch overhead.
-  constexpr size_t kMinChunk = 1u << 16;
-  const size_t n = scored.size();
-  const size_t target_chunks = std::max<size_t>(1, scheduler.num_threads() * 4);
-  const size_t chunk = std::max(kMinChunk, (n + target_chunks - 1) / target_chunks);
-  const size_t num_chunks = n == 0 ? 0 : (n + chunk - 1) / chunk;
-  if (num_chunks <= 1) return SelectMatches(scored);
-
-  std::vector<std::vector<ScoredPair>> buffers(num_chunks);
-  TaskGroup group(scheduler);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t begin = c * chunk;
-    const size_t end = std::min(n, begin + chunk);
-    group.Submit([this, &scored, &buffers, c, begin, end] {
-      std::vector<ScoredPair> kept;
-      for (size_t i = begin; i < end; ++i) {
-        if (Classify(scored[i].score) == MatchDecision::kMatch) {
-          kept.push_back(scored[i]);
-        }
-      }
-      buffers[c] = std::move(kept);
-    });
-  }
-  group.Wait();
-
-  size_t total = 0;
-  for (const auto& buffer : buffers) total += buffer.size();
-  std::vector<ScoredPair> out;
-  out.reserve(total);
-  for (auto& buffer : buffers) {
-    out.insert(out.end(), buffer.begin(), buffer.end());
-    buffer = {};
-  }
-  return out;
-}
-
 RuleBasedClassifier::RuleBasedClassifier(std::vector<MatchRule> rules)
     : rules_(std::move(rules)) {}
 

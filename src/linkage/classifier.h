@@ -25,13 +25,6 @@ class ThresholdClassifier {
   /// Convenience: keeps the pairs classified kMatch.
   std::vector<ScoredPair> SelectMatches(const std::vector<ScoredPair>& scored) const;
 
-  /// SelectMatches() sharded over `scheduler`: chunks classify in parallel
-  /// into per-chunk buffers that merge in chunk order, so the output is
-  /// identical to the serial call at any worker count. Worth it only for
-  /// multi-million-pair score vectors; the per-pair work is two compares.
-  std::vector<ScoredPair> ParallelSelectMatches(const std::vector<ScoredPair>& scored,
-                                                WorkStealingScheduler& scheduler) const;
-
  private:
   double lower_;
   double upper_;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/bitvector.h"
+#include "common/thread_pool.h"
 #include "linkage/comparison.h"
 
 namespace pprl {

@@ -1,6 +1,7 @@
 #include "linkage/compare_kernels.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -82,18 +83,13 @@ inline double BoundImpl(size_t ca, size_t cb, size_t num_bits) {
 
 /// Appends one hit in whatever shape this instantiation emits: KernelPair
 /// carries an explicit output slot (tiled execution order != candidate
-/// order), a plain CandidatePair scored in caller order gets slot
-/// `slot_base + i`, and an Out of ScoredPair skips the slot indirection
-/// entirely.
+/// order), a CandidatePair becomes a finished ScoredPair.
 template <typename Pair, typename Out>
-inline void EmitScore(const Pair& pair, size_t i, uint32_t slot_base, double score,
-                      std::vector<Out>& out) {
+inline void EmitScore(const Pair& pair, double score, std::vector<Out>& out) {
   if constexpr (std::is_same_v<Out, ScoredPair>) {
     out.push_back({pair.a, pair.b, score});
-  } else if constexpr (std::is_same_v<Pair, KernelPair>) {
-    out.push_back({pair.slot, score});
   } else {
-    out.push_back({slot_base + static_cast<uint32_t>(i), score});
+    out.push_back({pair.slot, score});
   }
 }
 
@@ -129,11 +125,12 @@ inline void PrefetchPairRows(const BitMatrix& a, const BitMatrix& b,
 /// One kernel body serves both pair layouts and both output shapes (see
 /// EmitScore). `min_score <= 0` hoists the bound check out of the loop —
 /// every score lands in [0, 1], so nothing can prune and the bound's
-/// division would be pure overhead.
+/// division would be pure overhead. Thresholded Dice never gets here: it
+/// runs DiceThresholdLoopBody over its cutoff table.
 template <SimilarityMeasure M, typename Pair, typename Out>
 inline void KernelLoopBody(const BitMatrix& a, const BitMatrix& b, const Pair* pairs,
-                           size_t num_pairs, uint32_t slot_base, double min_score,
-                           std::vector<Out>& out, CompareKernelStats& stats) {
+                           size_t num_pairs, double min_score, std::vector<Out>& out,
+                           CompareKernelStats& stats) {
   assert(a.num_bits() == b.num_bits());
   const size_t words = a.words_per_row();
   const size_t num_bits = a.num_bits();
@@ -152,90 +149,53 @@ inline void KernelLoopBody(const BitMatrix& a, const BitMatrix& b, const Pair* p
     const size_t c = AndCountWords(a.row(pair.a), b.row(pair.b), words);
     ++stats.scored;
     const double score = ScoreImpl<M>(ca, cb, c, num_bits);
-    if (score >= min_score) EmitScore(pair, i, slot_base, score, out);
+    if (score >= min_score) EmitScore(pair, score, out);
   }
 }
 
-/// Division-free threshold comparisons for the Dice loop below.
-///
-/// Every Dice decision is "is RN(2x / sum) >= t" for exact small integers
-/// 2x, sum. Multiplying through: outside a narrow band around t * sum the
-/// comparison's outcome survives IEEE rounding, so the division is only
-/// needed inside the band (vanishingly rare) and for actual hits, whose
-/// emitted score must be the exactly-rounded quotient anyway. The band is
-/// +-2^-48 relative — ~32 ulps, far wider than the <= 3 ulps the two
-/// roundings (the t*sum products and the quotient) can move either side —
-/// so the certain-above / certain-below verdicts are never wrong and the
-/// kernel stays bitwise identical to the scalar path.
-struct DiceBand {
-  double hi = 0;  ///< t scaled up: 2x >= hi * sum proves the quotient >= t
-  double lo = 0;  ///< t scaled down: 2x <= lo * sum proves the quotient < t
-  explicit DiceBand(double t) : hi(t * (1.0 + 0x1p-48)), lo(t * (1.0 - 0x1p-48)) {}
-};
-
-/// The Dice kernel for thresholded runs (the comparison path every
-/// pipeline takes): same pairs, same stats, same emitted scores as
-/// KernelLoopBody<kDice>, but the two per-pair divisions (cardinality
-/// bound, score-vs-threshold) collapse into two multiplies and integer-ish
-/// compares via DiceBand. Only hits and band cases divide.
+/// The Dice threshold loop (the comparison path every linkage run takes):
+/// the cutoff table decides every prune and accept in integers, and only
+/// accepted pairs divide, to emit their score.
 template <typename Pair, typename Out>
-inline void DiceThresholdLoopBody(const BitMatrix& a, const BitMatrix& b,
-                                  const Pair* pairs, size_t num_pairs,
-                                  uint32_t slot_base, double min_score,
-                                  std::vector<Out>& out, CompareKernelStats& stats) {
-  assert(a.num_bits() == b.num_bits());
-  constexpr SimilarityMeasure M = SimilarityMeasure::kDice;
+inline void DiceThresholdLoopBody(const DiceCutoffs& cutoffs, const BitMatrix& a,
+                                  const BitMatrix& b, const Pair* pairs,
+                                  size_t num_pairs, std::vector<Out>& out,
+                                  CompareKernelStats& stats) {
   const size_t words = a.words_per_row();
   const size_t num_bits = a.num_bits();
   const size_t* a_counts = a.row_counts().data();
   const size_t* b_counts = b.row_counts().data();
-  const DiceBand band(min_score);
+  const uint32_t* c_min = cutoffs.data();
   for (size_t i = 0; i < num_pairs; ++i) {
     PrefetchPairRows(a, b, pairs, i, num_pairs);
     const Pair pair = pairs[i];
     const size_t ca = a_counts[pair.a];
     const size_t cb = b_counts[pair.b];
-    const size_t sum = ca + cb;
-    if (sum == 0) {  // two empty filters score 1.0 by convention
-      if (BoundImpl<M>(ca, cb, num_bits) < min_score) {
-        ++stats.pruned;
-        continue;
-      }
-      ++stats.scored;
-      const double score = ScoreImpl<M>(ca, cb, 0, num_bits);
-      if (score >= min_score) EmitScore(pair, i, slot_base, score, out);
-      continue;
-    }
-    const double dsum = static_cast<double>(sum);
-    const double above = band.hi * dsum;
-    const double below = band.lo * dsum;
-    const double m2 = static_cast<double>(2 * std::min(ca, cb));
-    if (m2 <= below ||
-        (m2 < above && BoundImpl<M>(ca, cb, num_bits) < min_score)) {
+    const size_t need = c_min[ca + cb];
+    if (std::min(ca, cb) < need) {
       ++stats.pruned;
       continue;
     }
     const size_t c = AndCountWords(a.row(pair.a), b.row(pair.b), words);
     ++stats.scored;
-    if (static_cast<double>(2 * c) <= below) continue;  // certain miss, no division
-    const double score = ScoreImpl<M>(ca, cb, c, num_bits);
-    if (score >= min_score) EmitScore(pair, i, slot_base, score, out);
+    if (c >= need) {
+      EmitScore(pair, ScoreImpl<SimilarityMeasure::kDice>(ca, cb, c, num_bits), out);
+    }
   }
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
-#define PPRL_HAVE_AVX512_CLONE 1
+#define PPRL_HAVE_X86_CLONES 1
 /// Clone of the loop for AVX-512 VPOPCNTDQ machines: one 512-bit
 /// AND + lane popcount per 8 words. BitMatrix rows are 64-byte aligned and
 /// zero-padded to their stride, so the loop rounds the word count up to
 /// whole 512-bit blocks, uses aligned loads, and never needs a scalar
-/// tail. Selected once per process via __builtin_cpu_supports, like the
-/// POPCNT clone below.
+/// tail.
 template <SimilarityMeasure M, typename Pair, typename Out>
 __attribute__((target("avx512f,avx512bw,avx512dq,avx512vpopcntdq"))) void
 KernelLoopAvx512(const BitMatrix& a, const BitMatrix& b, const Pair* pairs,
-                 size_t num_pairs, uint32_t slot_base, double min_score,
-                 std::vector<Out>& out, CompareKernelStats& stats) {
+                 size_t num_pairs, double min_score, std::vector<Out>& out,
+                 CompareKernelStats& stats) {
   assert(a.num_bits() == b.num_bits());
   const size_t blocks = (a.words_per_row() + 7) / 8;
   const size_t num_bits = a.num_bits();
@@ -262,7 +222,7 @@ KernelLoopAvx512(const BitMatrix& a, const BitMatrix& b, const Pair* pairs,
     const size_t c = static_cast<size_t>(_mm512_reduce_add_epi64(acc));
     ++stats.scored;
     const double score = ScoreImpl<M>(ca, cb, c, num_bits);
-    if (score >= min_score) EmitScore(pair, i, slot_base, score, out);
+    if (score >= min_score) EmitScore(pair, score, out);
   }
 }
 
@@ -293,35 +253,19 @@ HorizontalSum8(__m512i v0, __m512i v1, __m512i v2, __m512i v3, __m512i v4,
 }
 
 /// One pair of the Dice threshold loop, AVX-512 popcount. The batched loop
-/// below falls back to this for groups touched by pruning or empty
-/// filters, and for the tail.
+/// below falls back to this for groups touched by pruning, and for the
+/// tail.
 template <typename Pair, typename Out>
 __attribute__((target("avx512f,avx512bw,avx512dq,avx512vpopcntdq"))) inline void
 DiceThresholdPairAvx512(const BitMatrix& a, const BitMatrix& b,
                         const size_t* a_counts, const size_t* b_counts,
-                        size_t blocks, size_t num_bits, const DiceBand& band,
-                        double min_score, const Pair& pair, size_t i,
-                        uint32_t slot_base, std::vector<Out>& out,
+                        const uint32_t* c_min, size_t blocks, size_t num_bits,
+                        const Pair& pair, std::vector<Out>& out,
                         CompareKernelStats& stats) {
-  constexpr SimilarityMeasure M = SimilarityMeasure::kDice;
   const size_t ca = a_counts[pair.a];
   const size_t cb = b_counts[pair.b];
-  const size_t sum = ca + cb;
-  if (sum == 0) {  // two empty filters score 1.0 by convention
-    if (BoundImpl<M>(ca, cb, num_bits) < min_score) {
-      ++stats.pruned;
-      return;
-    }
-    ++stats.scored;
-    const double score = ScoreImpl<M>(ca, cb, 0, num_bits);
-    if (score >= min_score) EmitScore(pair, i, slot_base, score, out);
-    return;
-  }
-  const double dsum = static_cast<double>(sum);
-  const double above = band.hi * dsum;
-  const double below = band.lo * dsum;
-  const double m2 = static_cast<double>(2 * std::min(ca, cb));
-  if (m2 <= below || (m2 < above && BoundImpl<M>(ca, cb, num_bits) < min_score)) {
+  const size_t need = c_min[ca + cb];
+  if (std::min(ca, cb) < need) {
     ++stats.pruned;
     return;
   }
@@ -335,46 +279,35 @@ DiceThresholdPairAvx512(const BitMatrix& a, const BitMatrix& b,
   }
   const size_t c = static_cast<size_t>(_mm512_reduce_add_epi64(acc));
   ++stats.scored;
-  if (static_cast<double>(2 * c) <= below) return;
-  const double score = ScoreImpl<M>(ca, cb, c, num_bits);
-  if (score >= min_score) EmitScore(pair, i, slot_base, score, out);
+  if (c >= need) {
+    EmitScore(pair, ScoreImpl<SimilarityMeasure::kDice>(ca, cb, c, num_bits), out);
+  }
 }
 
 /// Eight pairs {a0, b0..b0+7}: one a row against eight consecutive b rows
-/// — the shape StreamFullPairs emits, where BitMatrix rows b0..b0+7 are
-/// also adjacent in memory. The a row, its count and the band constants
-/// hoist out; the cardinality tests and the miss test run as 8-lane
-/// vector compares over the contiguous b_counts window. Returns false
-/// (touching nothing) when the group needs the scalar path: an empty
-/// filter, or a pair inside the rounding band whose prune decision needs
-/// the exact bound.
+/// — the shape StreamFullPairRuns and sorted per-record blocked runs
+/// expand to, where BitMatrix rows b0..b0+7 are also adjacent in memory.
+/// The a row and its count hoist out, the eight cutoffs load from the
+/// table at the eight sums, and the prune and accept tests run as 8-lane
+/// integer compares.
 template <typename Out>
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vpopcntdq"))) inline bool
+__attribute__((target("avx512f,avx512bw,avx512dq,avx512vpopcntdq"))) inline void
 DiceThresholdDense8(const BitMatrix& a, const BitMatrix& b, const size_t* a_counts,
-                    const size_t* b_counts, size_t blocks, size_t num_bits,
-                    const DiceBand& band, double min_score,
-                    const CandidatePair* pairs, size_t i, uint32_t slot_base,
+                    const size_t* b_counts, const uint32_t* c_min, size_t blocks,
+                    size_t num_bits, const CandidatePair* pairs,
                     std::vector<Out>& out, CompareKernelStats& stats) {
-  constexpr SimilarityMeasure M = SimilarityMeasure::kDice;
-  const uint32_t a0 = pairs[i].a;
-  const uint32_t b0 = pairs[i].b;
+  const uint32_t a0 = pairs[0].a;
+  const uint32_t b0 = pairs[0].b;
   const size_t ca = a_counts[a0];
   // Pass 1, vectorized: lane k decides pair (a0, b0 + k).
   const __m512i ca_v = _mm512_set1_epi64(static_cast<long long>(ca));
   const __m512i cb_v = _mm512_loadu_si512(b_counts + b0);
-  const __m512i sum_v = _mm512_add_epi64(ca_v, cb_v);
-  if (_mm512_cmpeq_epi64_mask(sum_v, _mm512_setzero_si512()) != 0) return false;
-  const __m512d dsum = _mm512_cvtepu64_pd(sum_v);
-  const __m512d above = _mm512_mul_pd(_mm512_set1_pd(band.hi), dsum);
-  const __m512d below = _mm512_mul_pd(_mm512_set1_pd(band.lo), dsum);
-  const __m512d m2 = _mm512_cvtepu64_pd(
-      _mm512_slli_epi64(_mm512_min_epu64(ca_v, cb_v), 1));
-  const __mmask8 certain_prune = _mm512_cmp_pd_mask(m2, below, _CMP_LE_OQ);
-  const __mmask8 in_band =
-      _mm512_cmp_pd_mask(m2, above, _CMP_LT_OQ) & static_cast<__mmask8>(~certain_prune);
-  if (in_band != 0) return false;
-  stats.pruned += static_cast<size_t>(__builtin_popcount(certain_prune));
-  const __mmask8 scored = static_cast<__mmask8>(~certain_prune);
+  const __m512i need_v = _mm512_cvtepu32_epi64(
+      _mm512_i64gather_epi32(_mm512_add_epi64(ca_v, cb_v), c_min, 4));
+  const __mmask8 pruned =
+      _mm512_cmplt_epu64_mask(_mm512_min_epu64(ca_v, cb_v), need_v);
+  stats.pruned += static_cast<size_t>(__builtin_popcount(pruned));
+  const __mmask8 scored = static_cast<__mmask8>(~pruned);
   stats.scored += static_cast<size_t>(__builtin_popcount(scored));
   // Pass 2: popcounts against eight consecutive (adjacent) b rows; pruned
   // lanes ride along — recomputing them is cheaper than masking them out.
@@ -411,60 +344,53 @@ DiceThresholdDense8(const BitMatrix& a, const BitMatrix& b, const size_t* a_coun
   }
   const __m512i c_v =
       HorizontalSum8(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]);
-  // Pass 3: lanes above the certain-miss line divide; everything else is
-  // done. At real thresholds the hit mask is almost always zero.
-  const __m512d two_c = _mm512_cvtepu64_pd(_mm512_slli_epi64(c_v, 1));
-  __mmask8 hits = _mm512_cmp_pd_mask(two_c, below, _CMP_GT_OQ) & scored;
+  // Pass 3: accepted lanes divide for their score; at real thresholds the
+  // mask is almost always zero.
+  __mmask8 hits = _mm512_cmpge_epu64_mask(c_v, need_v) & scored;
   if (hits != 0) {
     alignas(64) uint64_t counts[8];
     _mm512_store_si512(reinterpret_cast<__m512i*>(counts), c_v);
     while (hits != 0) {
       const size_t k = static_cast<size_t>(__builtin_ctz(hits));
       hits = static_cast<__mmask8>(hits & (hits - 1));
-      const size_t cb = b_counts[b0 + k];
-      const double score = ScoreImpl<M>(ca, cb, counts[k], num_bits);
-      if (score >= min_score) {
-        EmitScore(pairs[i + k], i + k, slot_base, score, out);
-      }
+      EmitScore(pairs[k],
+                ScoreImpl<SimilarityMeasure::kDice>(ca, b_counts[b0 + k], counts[k],
+                                                    num_bits),
+                out);
     }
   }
-  return true;
 }
 
-/// AVX-512 clone of DiceThresholdLoopBody: the 512-bit popcount plus the
-/// division-free threshold tests, eight pairs per iteration. The hottest
-/// loop in the codebase.
+/// AVX-512 clone of DiceThresholdLoopBody, eight pairs per iteration. The
+/// hottest loop in the codebase.
 ///
-/// Groups of eight run in three passes: cardinality band tests, then eight
-/// AND+VPOPCNT reductions sharing one HorizontalSum8 (the per-pair
-/// _mm512_reduce_add_epi64 was the bottleneck once the divisions were
-/// gone), then threshold decisions. Any group containing a prune or an
-/// empty filter replays pair-by-pair through DiceThresholdPairAvx512 —
-/// counters and emissions stay in pair order either way, so stats and
-/// output are identical to the scalar loop at every prune rate.
+/// Groups of eight run in three passes: cutoff lookups and prune tests,
+/// then eight AND+VPOPCNT reductions sharing one HorizontalSum8 (the
+/// per-pair _mm512_reduce_add_epi64 was the bottleneck once the divisions
+/// were gone), then accept tests. A group containing a prune replays pair
+/// by pair through DiceThresholdPairAvx512 — counters and emissions stay
+/// in pair order either way, so stats and output are identical to the
+/// portable loop at every prune rate.
 template <typename Pair, typename Out>
 __attribute__((target("avx512f,avx512bw,avx512dq,avx512vpopcntdq"))) void
-DiceThresholdLoopAvx512(const BitMatrix& a, const BitMatrix& b, const Pair* pairs,
-                        size_t num_pairs, uint32_t slot_base, double min_score,
+DiceThresholdLoopAvx512(const DiceCutoffs& cutoffs, const BitMatrix& a,
+                        const BitMatrix& b, const Pair* pairs, size_t num_pairs,
                         std::vector<Out>& out, CompareKernelStats& stats) {
-  assert(a.num_bits() == b.num_bits());
-  constexpr SimilarityMeasure M = SimilarityMeasure::kDice;
   const size_t blocks = (a.words_per_row() + 7) / 8;
   const size_t num_bits = a.num_bits();
   const size_t* a_counts = a.row_counts().data();
   const size_t* b_counts = b.row_counts().data();
-  const DiceBand band(min_score);
+  const uint32_t* c_min = cutoffs.data();
   alignas(64) uint64_t counts[8];
-  double below8[8];
+  size_t need8[8];
   size_t i = 0;
   for (; i + 8 <= num_pairs; i += 8) {
     // Prefetch the next group's first rows one group ahead — eight fused
     // AND-popcounts of lead is plenty to cover a fresh B range.
     PrefetchPairRows(a, b, pairs, i + 7, num_pairs);
-    // Dense-run detection: eight pairs {a0, b0..b0+7} (what StreamFullPairs
-    // and sorted per-record blocked runs emit) take the fully vectorized
-    // path. One 64-byte compare of the pair array against the expected
-    // arithmetic run decides.
+    // Dense-run detection: eight pairs {a0, b0..b0+7} take the fully
+    // vectorized path. One 64-byte compare of the pair array against the
+    // expected arithmetic run decides.
     if constexpr (std::is_same_v<Pair, CandidatePair> &&
                   sizeof(CandidatePair) == 8) {
       uint64_t first = 0;
@@ -476,39 +402,28 @@ DiceThresholdLoopAvx512(const BitMatrix& a, const BitMatrix& b, const Pair* pair
           _mm512_set1_epi64(static_cast<long long>(first)), kStep);
       const __m512i pvec =
           _mm512_loadu_si512(reinterpret_cast<const void*>(pairs + i));
-      if (_mm512_cmpeq_epi64_mask(pvec, expect) == 0xFF &&
-          DiceThresholdDense8(a, b, a_counts, b_counts, blocks, num_bits, band,
-                              min_score, pairs, i, slot_base, out, stats)) {
+      if (_mm512_cmpeq_epi64_mask(pvec, expect) == 0xFF) {
+        DiceThresholdDense8(a, b, a_counts, b_counts, c_min, blocks, num_bits,
+                            pairs + i, out, stats);
         continue;
       }
     }
-    // Pass 1: the division-free cardinality tests for the whole group.
-    bool slow = false;
+    // Pass 1: the group's cutoffs and prune tests.
+    bool pruned = false;
     for (size_t k = 0; k < 8; ++k) {
       const Pair pair = pairs[i + k];
       const size_t ca = a_counts[pair.a];
       const size_t cb = b_counts[pair.b];
-      const size_t sum = ca + cb;
-      if (sum == 0) {
-        slow = true;
+      need8[k] = c_min[ca + cb];
+      if (std::min(ca, cb) < need8[k]) {
+        pruned = true;
         break;
       }
-      const double dsum = static_cast<double>(sum);
-      const double above = band.hi * dsum;
-      const double below = band.lo * dsum;
-      const double m2 = static_cast<double>(2 * std::min(ca, cb));
-      if (m2 <= below ||
-          (m2 < above && BoundImpl<M>(ca, cb, num_bits) < min_score)) {
-        slow = true;
-        break;
-      }
-      below8[k] = below;
     }
-    if (slow) {
+    if (pruned) {
       for (size_t k = 0; k < 8; ++k) {
-        DiceThresholdPairAvx512(a, b, a_counts, b_counts, blocks, num_bits, band,
-                                min_score, pairs[i + k], i + k, slot_base, out,
-                                stats);
+        DiceThresholdPairAvx512(a, b, a_counts, b_counts, c_min, blocks, num_bits,
+                                pairs[i + k], out, stats);
       }
       continue;
     }
@@ -539,120 +454,120 @@ DiceThresholdLoopAvx512(const BitMatrix& a, const BitMatrix& b, const Pair* pair
     }
     _mm512_store_si512(reinterpret_cast<__m512i*>(counts),
                        HorizontalSum8(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]));
-    // Pass 3: threshold decisions; division only for hits and band cases.
+    // Pass 3: accept tests; division only for accepted pairs.
+    stats.scored += 8;
     for (size_t k = 0; k < 8; ++k) {
-      ++stats.scored;
-      const size_t c = counts[k];
-      if (static_cast<double>(2 * c) <= below8[k]) continue;
+      if (counts[k] < need8[k]) continue;
       const Pair pair = pairs[i + k];
-      const size_t ca = a_counts[pair.a];
-      const size_t cb = b_counts[pair.b];
-      const double score = ScoreImpl<M>(ca, cb, c, num_bits);
-      if (score >= min_score) EmitScore(pair, i + k, slot_base, score, out);
+      EmitScore(pair,
+                ScoreImpl<SimilarityMeasure::kDice>(a_counts[pair.a], b_counts[pair.b],
+                                                    counts[k], num_bits),
+                out);
     }
   }
   for (; i < num_pairs; ++i) {
-    DiceThresholdPairAvx512(a, b, a_counts, b_counts, blocks, num_bits, band,
-                            min_score, pairs[i], i, slot_base, out, stats);
+    DiceThresholdPairAvx512(a, b, a_counts, b_counts, c_min, blocks, num_bits,
+                            pairs[i], out, stats);
   }
 }
 
-#define PPRL_HAVE_POPCNT_CLONE 1
-/// Copy of the loop compiled with the POPCNT ISA extension: std::popcount
-/// becomes one instruction instead of the portable SWAR sequence. Chosen
-/// once per process via __builtin_cpu_supports, never per pair.
+/// Copies of the portable loops compiled with the POPCNT ISA extension:
+/// std::popcount becomes one instruction instead of the portable SWAR
+/// sequence.
 template <SimilarityMeasure M, typename Pair, typename Out>
 __attribute__((target("popcnt"))) void KernelLoopPopcnt(
     const BitMatrix& a, const BitMatrix& b, const Pair* pairs, size_t num_pairs,
-    uint32_t slot_base, double min_score, std::vector<Out>& out,
-    CompareKernelStats& stats) {
-  KernelLoopBody<M>(a, b, pairs, num_pairs, slot_base, min_score, out, stats);
+    double min_score, std::vector<Out>& out, CompareKernelStats& stats) {
+  KernelLoopBody<M>(a, b, pairs, num_pairs, min_score, out, stats);
 }
 
 template <typename Pair, typename Out>
 __attribute__((target("popcnt"))) void DiceThresholdLoopPopcnt(
-    const BitMatrix& a, const BitMatrix& b, const Pair* pairs, size_t num_pairs,
-    uint32_t slot_base, double min_score, std::vector<Out>& out,
+    const DiceCutoffs& cutoffs, const BitMatrix& a, const BitMatrix& b,
+    const Pair* pairs, size_t num_pairs, std::vector<Out>& out,
     CompareKernelStats& stats) {
-  DiceThresholdLoopBody(a, b, pairs, num_pairs, slot_base, min_score, out, stats);
+  DiceThresholdLoopBody(cutoffs, a, b, pairs, num_pairs, out, stats);
 }
 #endif
 
-template <SimilarityMeasure M, typename Pair, typename Out>
-void KernelLoopGeneric(const BitMatrix& a, const BitMatrix& b, const Pair* pairs,
-                       size_t num_pairs, uint32_t slot_base, double min_score,
-                       std::vector<Out>& out, CompareKernelStats& stats) {
-  KernelLoopBody<M>(a, b, pairs, num_pairs, slot_base, min_score, out, stats);
+/// The clone a ScopedKernelClone forces, or -1 for the fastest supported.
+std::atomic<int> forced_clone{-1};
+
+/// The clone this call runs: chosen once per process via
+/// __builtin_cpu_supports, never per pair.
+KernelClone ActiveClone() {
+  const int forced = forced_clone.load(std::memory_order_relaxed);
+  if (forced >= 0) return static_cast<KernelClone>(forced);
+  static const KernelClone fastest = SupportedKernelClones().back();
+  return fastest;
 }
 
 template <SimilarityMeasure M, typename Pair, typename Out>
-void CompareKernelImpl(const BitMatrix& a, const BitMatrix& b, const Pair* pairs,
-                       size_t num_pairs, uint32_t slot_base, double min_score,
-                       std::vector<Out>& out, CompareKernelStats& stats) {
-  constexpr bool kIsDice = M == SimilarityMeasure::kDice;
-#ifdef PPRL_HAVE_AVX512_CLONE
-  static const bool have_avx512 = __builtin_cpu_supports("avx512f") &&
-                                  __builtin_cpu_supports("avx512vpopcntdq");
-  if (have_avx512) {
-    if constexpr (kIsDice) {
-      if (min_score > 0) {
-        DiceThresholdLoopAvx512(a, b, pairs, num_pairs, slot_base, min_score, out,
-                                stats);
-        return;
-      }
-    }
-    KernelLoopAvx512<M>(a, b, pairs, num_pairs, slot_base, min_score, out, stats);
-    return;
-  }
-#endif
-#ifdef PPRL_HAVE_POPCNT_CLONE
-  static const bool have_popcnt = __builtin_cpu_supports("popcnt");
-  if (have_popcnt) {
-    if constexpr (kIsDice) {
-      if (min_score > 0) {
-        DiceThresholdLoopPopcnt(a, b, pairs, num_pairs, slot_base, min_score, out,
-                                stats);
-        return;
-      }
-    }
-    KernelLoopPopcnt<M>(a, b, pairs, num_pairs, slot_base, min_score, out, stats);
-    return;
-  }
-#endif
-  if constexpr (kIsDice) {
-    if (min_score > 0) {
-      DiceThresholdLoopBody(a, b, pairs, num_pairs, slot_base, min_score, out, stats);
+void RunMeasureLoop(const BitMatrix& a, const BitMatrix& b, const Pair* pairs,
+                    size_t num_pairs, double min_score, std::vector<Out>& out,
+                    CompareKernelStats& stats) {
+  switch (ActiveClone()) {
+#ifdef PPRL_HAVE_X86_CLONES
+    case KernelClone::kAvx512:
+      KernelLoopAvx512<M>(a, b, pairs, num_pairs, min_score, out, stats);
       return;
-    }
+    case KernelClone::kPopcnt:
+      KernelLoopPopcnt<M>(a, b, pairs, num_pairs, min_score, out, stats);
+      return;
+#endif
+    default:
+      KernelLoopBody<M>(a, b, pairs, num_pairs, min_score, out, stats);
   }
-  KernelLoopGeneric<M>(a, b, pairs, num_pairs, slot_base, min_score, out, stats);
+}
+
+template <typename Pair, typename Out>
+void RunDiceLoop(const DiceCutoffs& cutoffs, const BitMatrix& a, const BitMatrix& b,
+                 const Pair* pairs, size_t num_pairs, std::vector<Out>& out,
+                 CompareKernelStats& stats) {
+  assert(a.num_bits() == b.num_bits() && cutoffs.num_bits() == a.num_bits());
+  switch (ActiveClone()) {
+#ifdef PPRL_HAVE_X86_CLONES
+    case KernelClone::kAvx512:
+      DiceThresholdLoopAvx512(cutoffs, a, b, pairs, num_pairs, out, stats);
+      return;
+    case KernelClone::kPopcnt:
+      DiceThresholdLoopPopcnt(cutoffs, a, b, pairs, num_pairs, out, stats);
+      return;
+#endif
+    default:
+      DiceThresholdLoopBody(cutoffs, a, b, pairs, num_pairs, out, stats);
+  }
 }
 
 template <typename Pair, typename Out>
 void DispatchKernel(SimilarityMeasure measure, const BitMatrix& a, const BitMatrix& b,
-                    const Pair* pairs, size_t num_pairs, uint32_t slot_base,
-                    double min_score, std::vector<Out>& out,
-                    CompareKernelStats& stats) {
+                    const Pair* pairs, size_t num_pairs, double min_score,
+                    std::vector<Out>& out, CompareKernelStats& stats) {
   switch (measure) {
     case SimilarityMeasure::kDice:
-      CompareKernelImpl<SimilarityMeasure::kDice>(a, b, pairs, num_pairs, slot_base,
-                                                  min_score, out, stats);
+      if (min_score > 0) {
+        RunDiceLoop(DiceCutoffs(min_score, a.num_bits()), a, b, pairs, num_pairs, out,
+                    stats);
+      } else {
+        RunMeasureLoop<SimilarityMeasure::kDice>(a, b, pairs, num_pairs, min_score,
+                                                 out, stats);
+      }
       return;
     case SimilarityMeasure::kJaccard:
-      CompareKernelImpl<SimilarityMeasure::kJaccard>(a, b, pairs, num_pairs, slot_base,
-                                                     min_score, out, stats);
+      RunMeasureLoop<SimilarityMeasure::kJaccard>(a, b, pairs, num_pairs, min_score,
+                                                  out, stats);
       return;
     case SimilarityMeasure::kHamming:
-      CompareKernelImpl<SimilarityMeasure::kHamming>(a, b, pairs, num_pairs, slot_base,
-                                                     min_score, out, stats);
+      RunMeasureLoop<SimilarityMeasure::kHamming>(a, b, pairs, num_pairs, min_score,
+                                                  out, stats);
       return;
     case SimilarityMeasure::kOverlap:
-      CompareKernelImpl<SimilarityMeasure::kOverlap>(a, b, pairs, num_pairs, slot_base,
-                                                     min_score, out, stats);
+      RunMeasureLoop<SimilarityMeasure::kOverlap>(a, b, pairs, num_pairs, min_score,
+                                                  out, stats);
       return;
     case SimilarityMeasure::kCosine:
-      CompareKernelImpl<SimilarityMeasure::kCosine>(a, b, pairs, num_pairs, slot_base,
-                                                    min_score, out, stats);
+      RunMeasureLoop<SimilarityMeasure::kCosine>(a, b, pairs, num_pairs, min_score,
+                                                 out, stats);
       return;
   }
 }
@@ -730,23 +645,64 @@ double ScoreUpperBound(SimilarityMeasure measure, size_t ca, size_t cb,
   return 0;
 }
 
-void CompareKernel(SimilarityMeasure measure, const BitMatrix& a, const BitMatrix& b,
-                   const KernelPair* pairs, size_t num_pairs, double min_score,
-                   std::vector<SlottedScore>& out, CompareKernelStats& stats) {
-  DispatchKernel(measure, a, b, pairs, num_pairs, 0, min_score, out, stats);
+DiceCutoffs::DiceCutoffs(double threshold, size_t num_bits, AcceptRule accept)
+    : num_bits_(num_bits), c_min_(2 * num_bits + 1) {
+  // One cursor walks the whole table. Each entry is exact on its own: the
+  // cursor steps down while the score one below still passes and up while
+  // its own score fails. c_min never decreases in s (a pair passing at s
+  // passes at s - 1 too), so the walk stays amortized O(num_bits) score
+  // evaluations.
+  size_t c = 0;
+  for (size_t s = 0; s < c_min_.size(); ++s) {
+    // The kernels' own score formula; Dice reads only c and ca + cb.
+    const auto passes = [&](size_t x) {
+      return accept(ScoreImpl<SimilarityMeasure::kDice>(x, s - x, x, num_bits),
+                    threshold);
+    };
+    while (c > 0 && passes(c - 1)) --c;
+    while (c <= s / 2 && !passes(c)) ++c;
+    c_min_[s] = static_cast<uint32_t>(c);
+  }
 }
 
 void CompareKernel(SimilarityMeasure measure, const BitMatrix& a, const BitMatrix& b,
-                   const CandidatePair* pairs, size_t num_pairs, uint32_t slot_base,
-                   double min_score, std::vector<SlottedScore>& out,
-                   CompareKernelStats& stats) {
-  DispatchKernel(measure, a, b, pairs, num_pairs, slot_base, min_score, out, stats);
+                   const KernelPair* pairs, size_t num_pairs, double min_score,
+                   std::vector<SlottedScore>& out, CompareKernelStats& stats) {
+  DispatchKernel(measure, a, b, pairs, num_pairs, min_score, out, stats);
 }
 
 void CompareKernel(SimilarityMeasure measure, const BitMatrix& a, const BitMatrix& b,
                    const CandidatePair* pairs, size_t num_pairs, double min_score,
                    std::vector<ScoredPair>& out, CompareKernelStats& stats) {
-  DispatchKernel(measure, a, b, pairs, num_pairs, 0, min_score, out, stats);
+  DispatchKernel(measure, a, b, pairs, num_pairs, min_score, out, stats);
 }
+
+void CompareKernel(const DiceCutoffs& cutoffs, const BitMatrix& a, const BitMatrix& b,
+                   const KernelPair* pairs, size_t num_pairs,
+                   std::vector<SlottedScore>& out, CompareKernelStats& stats) {
+  RunDiceLoop(cutoffs, a, b, pairs, num_pairs, out, stats);
+}
+
+void CompareKernel(const DiceCutoffs& cutoffs, const BitMatrix& a, const BitMatrix& b,
+                   const CandidatePair* pairs, size_t num_pairs,
+                   std::vector<ScoredPair>& out, CompareKernelStats& stats) {
+  RunDiceLoop(cutoffs, a, b, pairs, num_pairs, out, stats);
+}
+
+std::vector<KernelClone> SupportedKernelClones() {
+  std::vector<KernelClone> clones = {KernelClone::kPortable};
+#ifdef PPRL_HAVE_X86_CLONES
+  if (__builtin_cpu_supports("popcnt")) clones.push_back(KernelClone::kPopcnt);
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vpopcntdq")) {
+    clones.push_back(KernelClone::kAvx512);
+  }
+#endif
+  return clones;
+}
+
+ScopedKernelClone::ScopedKernelClone(KernelClone clone)
+    : previous_(forced_clone.exchange(static_cast<int>(clone))) {}
+
+ScopedKernelClone::~ScopedKernelClone() { forced_clone.store(previous_); }
 
 }  // namespace pprl

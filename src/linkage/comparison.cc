@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace pprl {
 
 namespace {
 
-/// Comparison counters: one relaxed atomic add per Compare*() call (not
-/// per pair), so instrumentation cost is invisible next to the O(pairs)
+/// Comparison counters: one relaxed atomic add per compare call (not per
+/// pair), so instrumentation cost is invisible next to the O(pairs)
 /// kernel work. The `path` label is the kernel-dispatch breakdown.
 struct CompareMetrics {
   obs::Counter& pairs = obs::GlobalMetrics().GetCounter(
@@ -20,21 +19,14 @@ struct CompareMetrics {
   obs::Counter& pruned = obs::GlobalMetrics().GetCounter(
       "pprl_compare_pairs_pruned_total",
       "Pairs the cardinality bound rejected without running the word loop");
-  obs::Counter& scalar_calls = obs::GlobalMetrics().GetCounter(
-      "pprl_compare_calls_total", "Compare*() dispatches by execution path",
-      {{"path", "scalar"}});
-  obs::Counter& kernel_calls = obs::GlobalMetrics().GetCounter(
-      "pprl_compare_calls_total", "Compare*() dispatches by execution path",
-      {{"path", "kernel"}});
-  obs::Counter& scalar_parallel_calls = obs::GlobalMetrics().GetCounter(
-      "pprl_compare_calls_total", "Compare*() dispatches by execution path",
-      {{"path", "scalar-parallel"}});
-  obs::Counter& kernel_parallel_calls = obs::GlobalMetrics().GetCounter(
-      "pprl_compare_calls_total", "Compare*() dispatches by execution path",
-      {{"path", "kernel-parallel"}});
-  obs::Counter& fieldwise_calls = obs::GlobalMetrics().GetCounter(
-      "pprl_compare_calls_total", "Compare*() dispatches by execution path",
-      {{"path", "fieldwise"}});
+  obs::Counter* calls[4] = {&Calls("scalar"), &Calls("kernel"), &Calls("stream"),
+                            &Calls("fieldwise")};
+
+  static obs::Counter& Calls(const char* path) {
+    return obs::GlobalMetrics().GetCounter(
+        "pprl_compare_calls_total", "Compare*() dispatches by execution path",
+        {{"path", path}});
+  }
 };
 
 CompareMetrics& Metrics() {
@@ -79,9 +71,12 @@ std::vector<KernelPair> TiledPairs(const std::vector<CandidatePair>& candidates)
   return pairs;
 }
 
-/// Maps slot-sorted hits back to ScoredPairs in the caller's order.
-std::vector<ScoredPair> EmitSlotSorted(const std::vector<SlottedScore>& hits,
-                                       const std::vector<CandidatePair>& candidates) {
+/// Restores candidate order: hits arrive in kernel execution order, each
+/// slot at most once, so sorting by slot recovers the caller's order.
+std::vector<ScoredPair> EmitInCandidateOrder(std::vector<SlottedScore> hits,
+                                             const std::vector<CandidatePair>& candidates) {
+  std::sort(hits.begin(), hits.end(),
+            [](const SlottedScore& x, const SlottedScore& y) { return x.slot < y.slot; });
   std::vector<ScoredPair> out;
   out.reserve(hits.size());
   for (const SlottedScore& hit : hits) {
@@ -89,15 +84,6 @@ std::vector<ScoredPair> EmitSlotSorted(const std::vector<SlottedScore>& hits,
     out.push_back({pair.a, pair.b, hit.score});
   }
   return out;
-}
-
-/// Restores candidate order: hits arrive in kernel execution order, each
-/// slot at most once, so sorting by slot recovers the caller's order.
-std::vector<ScoredPair> EmitInCandidateOrder(std::vector<SlottedScore> hits,
-                                             const std::vector<CandidatePair>& candidates) {
-  std::sort(hits.begin(), hits.end(),
-            [](const SlottedScore& x, const SlottedScore& y) { return x.slot < y.slot; });
-  return EmitSlotSorted(hits, candidates);
 }
 
 }  // namespace
@@ -122,8 +108,28 @@ std::vector<ScoredPair> ComparisonEngine::Compare(
   }
   last_comparisons_ = candidates.size();
   last_pruned_ = 0;
-  Metrics().scalar_calls.Increment();
-  Metrics().pairs.Increment(candidates.size());
+  RecordCompareCall(ComparePath::kScalar, candidates.size(), 0);
+  return out;
+}
+
+template <typename ScoreFn>
+std::vector<ScoredPair> ComparisonEngine::CompareWith(
+    const BitMatrix& a_matrix, const BitMatrix& b_matrix,
+    const std::vector<CandidatePair>& candidates, const ScoreFn& score) const {
+  CompareKernelStats stats;
+  std::vector<ScoredPair> out;
+  if (WorthTiling(a_matrix, b_matrix)) {
+    const std::vector<KernelPair> pairs = TiledPairs(candidates);
+    std::vector<SlottedScore> hits;
+    score(pairs.data(), pairs.size(), hits, stats);
+    out = EmitInCandidateOrder(std::move(hits), candidates);
+  } else {
+    out.reserve(candidates.size());
+    score(candidates.data(), candidates.size(), out, stats);
+  }
+  last_comparisons_ = candidates.size();
+  last_pruned_ = stats.pruned;
+  RecordCompareCall(ComparePath::kKernel, candidates.size(), stats.pruned);
   return out;
 }
 
@@ -131,176 +137,28 @@ std::vector<ScoredPair> ComparisonEngine::CompareMatrices(
     const BitMatrix& a_matrix, const BitMatrix& b_matrix,
     const std::vector<CandidatePair>& candidates, double min_score) const {
   assert(measure_.has_value());
-  CompareKernelStats stats;
-  last_comparisons_ = candidates.size();
-  Metrics().kernel_calls.Increment();
-  Metrics().pairs.Increment(candidates.size());
-  if (WorthTiling(a_matrix, b_matrix)) {
-    const std::vector<KernelPair> pairs = TiledPairs(candidates);
-    std::vector<SlottedScore> hits;
-    CompareKernel(*measure_, a_matrix, b_matrix, pairs.data(), pairs.size(), min_score,
-                  hits, stats);
-    last_pruned_ = stats.pruned;
-    Metrics().pruned.Increment(stats.pruned);
-    return EmitInCandidateOrder(std::move(hits), candidates);
-  }
-  std::vector<ScoredPair> out;
-  out.reserve(candidates.size());
-  CompareKernel(*measure_, a_matrix, b_matrix, candidates.data(), candidates.size(),
-                min_score, out, stats);
-  last_pruned_ = stats.pruned;
-  Metrics().pruned.Increment(stats.pruned);
-  return out;
+  return CompareWith(a_matrix, b_matrix, candidates,
+                     [&](const auto* pairs, size_t n, auto& out, CompareKernelStats& stats) {
+                       CompareKernel(*measure_, a_matrix, b_matrix, pairs, n, min_score,
+                                     out, stats);
+                     });
 }
 
-namespace {
-
-/// Chunking for the parallel paths. Shards must be big enough that a
-/// dispatch (one scheduler hop, one buffer move) amortizes over the word
-/// loop, and numerous enough that stealing can balance uneven pruning;
-/// `threads * 8` chunks with a floor of kMinChunkPairs satisfies both.
-constexpr size_t kMinChunkPairs = 8192;
-
-size_t ChunkSizeFor(size_t n, size_t num_threads) {
-  const size_t target_chunks = std::max<size_t>(1, num_threads * 8);
-  return std::max(kMinChunkPairs, (n + target_chunks - 1) / target_chunks);
-}
-
-/// Concatenates per-chunk buffers in chunk order (chunks cover ascending
-/// ranges, so this is deterministic no matter which worker ran what).
-template <typename T>
-std::vector<T> MergeChunks(std::vector<std::vector<T>>& buffers) {
-  size_t total = 0;
-  for (const auto& buffer : buffers) total += buffer.size();
-  std::vector<T> out;
-  out.reserve(total);
-  for (auto& buffer : buffers) {
-    out.insert(out.end(), buffer.begin(), buffer.end());
-    buffer = {};
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<ScoredPair> ComparisonEngine::CompareParallel(
-    const std::vector<BitVector>& a_filters, const std::vector<BitVector>& b_filters,
-    const std::vector<CandidatePair>& candidates, double min_score,
-    size_t num_threads) const {
-  WorkStealingScheduler scheduler(num_threads);
-  return CompareParallel(a_filters, b_filters, candidates, min_score, scheduler);
-}
-
-std::vector<ScoredPair> ComparisonEngine::CompareParallel(
-    const std::vector<BitVector>& a_filters, const std::vector<BitVector>& b_filters,
-    const std::vector<CandidatePair>& candidates, double min_score,
-    WorkStealingScheduler& scheduler) const {
-  if (measure_.has_value()) {
-    return CompareMatricesParallel(BitMatrix::FromVectors(a_filters),
-                                   BitMatrix::FromVectors(b_filters), candidates,
-                                   min_score, scheduler);
-  }
-  // Fallback path: chunk results accumulate in a worker-local vector (one
-  // reserve, no reallocation churn) and land in the shared per-chunk slot
-  // with a single move, so workers never write interleaved cache lines.
-  const size_t n = candidates.size();
-  const size_t chunk = ChunkSizeFor(n, scheduler.num_threads());
-  const size_t num_chunks = n == 0 ? 0 : (n + chunk - 1) / chunk;
-  TaskGroup group(scheduler);
-  std::vector<std::vector<SlottedScore>> buffers(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t begin = c * chunk;
-    const size_t end = std::min(n, begin + chunk);
-    group.Submit([this, &candidates, &a_filters, &b_filters, &buffers, c, begin,
-                      end, min_score] {
-      std::vector<SlottedScore> hits;
-      hits.reserve(end - begin);
-      for (size_t i = begin; i < end; ++i) {
-        const CandidatePair& pair = candidates[i];
-        const double score = similarity_(a_filters[pair.a], b_filters[pair.b]);
-        if (score >= min_score) hits.push_back({static_cast<uint32_t>(i), score});
-      }
-      buffers[c] = std::move(hits);
-    });
-  }
-  group.Wait();
-  last_comparisons_.store(n, std::memory_order_relaxed);
-  last_pruned_.store(0, std::memory_order_relaxed);
-  Metrics().scalar_parallel_calls.Increment();
-  Metrics().pairs.Increment(n);
-  return EmitInCandidateOrder(MergeChunks(buffers), candidates);
-}
-
-std::vector<ScoredPair> ComparisonEngine::CompareMatricesParallel(
+std::vector<ScoredPair> ComparisonEngine::CompareMatrices(
     const BitMatrix& a_matrix, const BitMatrix& b_matrix,
-    const std::vector<CandidatePair>& candidates, double min_score,
-    size_t num_threads) const {
-  WorkStealingScheduler scheduler(num_threads);
-  return CompareMatricesParallel(a_matrix, b_matrix, candidates, min_score, scheduler);
+    const std::vector<CandidatePair>& candidates, const DiceCutoffs& cutoffs) const {
+  assert(measure_ == SimilarityMeasure::kDice);
+  return CompareWith(a_matrix, b_matrix, candidates,
+                     [&](const auto* pairs, size_t n, auto& out, CompareKernelStats& stats) {
+                       CompareKernel(cutoffs, a_matrix, b_matrix, pairs, n, out, stats);
+                     });
 }
 
-std::vector<ScoredPair> ComparisonEngine::CompareMatricesParallel(
-    const BitMatrix& a_matrix, const BitMatrix& b_matrix,
-    const std::vector<CandidatePair>& candidates, double min_score,
-    WorkStealingScheduler& scheduler) const {
-  assert(measure_.has_value());
-  const size_t n = candidates.size();
-  const size_t chunk = ChunkSizeFor(n, scheduler.num_threads());
-  const size_t num_chunks = n == 0 ? 0 : (n + chunk - 1) / chunk;
-  // Chunk stats live on the worker's stack and fold into the shared
-  // atomics once per chunk; the old per-chunk stats array put four
-  // counters on each cache line and every scored pair bounced them
-  // between cores (the "t8 slower than t1" regression).
-  std::atomic<size_t> pruned_total{0};
-  TaskGroup group(scheduler);
-  last_comparisons_.store(n, std::memory_order_relaxed);
-  Metrics().kernel_parallel_calls.Increment();
-  Metrics().pairs.Increment(n);
-  if (WorthTiling(a_matrix, b_matrix)) {
-    const std::vector<KernelPair> pairs = TiledPairs(candidates);
-    std::vector<std::vector<SlottedScore>> buffers(num_chunks);
-    for (size_t c = 0; c < num_chunks; ++c) {
-      const size_t begin = c * chunk;
-      const size_t end = std::min(n, begin + chunk);
-      group.Submit([this, &a_matrix, &b_matrix, &pairs, &buffers, &pruned_total, c,
-                        begin, end, min_score] {
-        CompareKernelStats stats;
-        std::vector<SlottedScore> hits;
-        hits.reserve(end - begin);
-        CompareKernel(*measure_, a_matrix, b_matrix, pairs.data() + begin, end - begin,
-                      min_score, hits, stats);
-        buffers[c] = std::move(hits);
-        pruned_total.fetch_add(stats.pruned, std::memory_order_relaxed);
-      });
-    }
-    group.Wait();
-    const size_t pruned = pruned_total.load(std::memory_order_relaxed);
-    last_pruned_.store(pruned, std::memory_order_relaxed);
-    Metrics().pruned.Increment(pruned);
-    return EmitInCandidateOrder(MergeChunks(buffers), candidates);
-  }
-  // Untiled chunks cover ascending candidate ranges and emit finished
-  // ScoredPairs, so concatenating the buffers is already candidate order.
-  std::vector<std::vector<ScoredPair>> buffers(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t begin = c * chunk;
-    const size_t end = std::min(n, begin + chunk);
-    group.Submit([this, &a_matrix, &b_matrix, &candidates, &buffers, &pruned_total,
-                  c, begin, end, min_score] {
-      CompareKernelStats stats;
-      std::vector<ScoredPair> hits;
-      hits.reserve(end - begin);
-      CompareKernel(*measure_, a_matrix, b_matrix, candidates.data() + begin,
-                    end - begin, min_score, hits, stats);
-      buffers[c] = std::move(hits);
-      pruned_total.fetch_add(stats.pruned, std::memory_order_relaxed);
-    });
-  }
-  group.Wait();
-  const size_t pruned = pruned_total.load(std::memory_order_relaxed);
-  last_pruned_.store(pruned, std::memory_order_relaxed);
-  Metrics().pruned.Increment(pruned);
-  return MergeChunks(buffers);
+void RecordCompareCall(ComparePath path, size_t pairs, size_t pruned) {
+  CompareMetrics& metrics = Metrics();
+  metrics.calls[static_cast<size_t>(path)]->Increment();
+  metrics.pairs.Increment(pairs);
+  metrics.pruned.Increment(pruned);
 }
 
 std::vector<FieldwiseScoredPair> CompareFieldwise(
@@ -331,25 +189,26 @@ std::vector<FieldwiseScoredPair> CompareFieldwise(
     const std::vector<CandidatePair>& candidates, SimilarityMeasure measure) {
   std::vector<FieldwiseScoredPair> out(candidates.size());
   const size_t num_fields = a_field_filters.size();
-  Metrics().fieldwise_calls.Increment();
-  Metrics().pairs.Increment(candidates.size() * num_fields);
+  RecordCompareCall(ComparePath::kFieldwise, candidates.size() * num_fields, 0);
   for (size_t i = 0; i < candidates.size(); ++i) {
     out[i].a = candidates[i].a;
     out[i].b = candidates[i].b;
     out[i].field_scores.reserve(num_fields);
   }
-  std::vector<SlottedScore> hits;
-  hits.reserve(candidates.size());
+  std::vector<ScoredPair> scored;
+  scored.reserve(candidates.size());
   for (size_t f = 0; f < num_fields; ++f) {
     const BitMatrix ma = BitMatrix::FromVectors(a_field_filters[f]);
     const BitMatrix mb = BitMatrix::FromVectors(b_field_filters[f]);
-    hits.clear();
+    scored.clear();
     CompareKernelStats stats;
-    // min_score 0 keeps every pair (all measures map into [0, 1]), so each
-    // slot receives exactly one score per field, appended in field order.
-    CompareKernel(measure, ma, mb, candidates.data(), candidates.size(),
-                  /*slot_base=*/0, 0.0, hits, stats);
-    for (const SlottedScore& hit : hits) out[hit.slot].field_scores.push_back(hit.score);
+    // min_score 0 keeps every pair (all measures map into [0, 1]) in
+    // candidate order, so scored[i] is candidate i's score for this field.
+    CompareKernel(measure, ma, mb, candidates.data(), candidates.size(), 0.0, scored,
+                  stats);
+    for (size_t i = 0; i < scored.size(); ++i) {
+      out[i].field_scores.push_back(scored[i].score);
+    }
   }
   return out;
 }

@@ -9,7 +9,6 @@
 
 #include "common/bit_matrix.h"
 #include "common/bitvector.h"
-#include "common/thread_pool.h"
 #include "blocking/blocking.h"
 #include "linkage/compare_kernels.h"
 
@@ -50,39 +49,22 @@ class ComparisonEngine {
                                   double min_score = 0) const;
 
   /// Same, over already-packed matrices — lets callers amortize the
-  /// conversion across many calls. Measure-constructed engines only.
+  /// conversion across many calls. Measure-constructed engines only. The
+  /// exact contract: a pair is kept iff its double score is >= min_score
+  /// (a Dice engine decides it with a DiceCutoffs table built for this
+  /// call).
   std::vector<ScoredPair> CompareMatrices(const BitMatrix& a_matrix,
                                           const BitMatrix& b_matrix,
                                           const std::vector<CandidatePair>& candidates,
                                           double min_score = 0) const;
 
-  /// Multi-threaded variant for the parallel-PPRL experiments; results are
-  /// in candidate order, identical to Compare(). Spins up a scheduler for
-  /// this one call — callers with a long-lived scheduler (the daemon, the
-  /// streaming pipeline) should use the scheduler overload instead.
-  std::vector<ScoredPair> CompareParallel(const std::vector<BitVector>& a_filters,
-                                          const std::vector<BitVector>& b_filters,
+  /// Same, deciding with a prebuilt Dice table — for callers that score
+  /// many batches at one threshold (the linkage unit, the online engine).
+  /// Dice engines only.
+  std::vector<ScoredPair> CompareMatrices(const BitMatrix& a_matrix,
+                                          const BitMatrix& b_matrix,
                                           const std::vector<CandidatePair>& candidates,
-                                          double min_score, size_t num_threads) const;
-
-  /// Same, sharing `scheduler`'s workers (no per-call thread spawn).
-  std::vector<ScoredPair> CompareParallel(const std::vector<BitVector>& a_filters,
-                                          const std::vector<BitVector>& b_filters,
-                                          const std::vector<CandidatePair>& candidates,
-                                          double min_score,
-                                          WorkStealingScheduler& scheduler) const;
-
-  /// Matrix variant of CompareParallel(); measure-constructed engines only.
-  std::vector<ScoredPair> CompareMatricesParallel(
-      const BitMatrix& a_matrix, const BitMatrix& b_matrix,
-      const std::vector<CandidatePair>& candidates, double min_score,
-      size_t num_threads) const;
-
-  /// Same, sharing `scheduler`'s workers; measure-constructed engines only.
-  std::vector<ScoredPair> CompareMatricesParallel(
-      const BitMatrix& a_matrix, const BitMatrix& b_matrix,
-      const std::vector<CandidatePair>& candidates, double min_score,
-      WorkStealingScheduler& scheduler) const;
+                                          const DiceCutoffs& cutoffs) const;
 
   /// Candidate pairs evaluated (attempted) by the last Compare*() call,
   /// whether by the word loop or by the cardinality bound. Counters are
@@ -102,11 +84,28 @@ class ComparisonEngine {
   std::optional<SimilarityMeasure> measure() const { return measure_; }
 
  private:
+  /// The shared body of both CompareMatrices() forms; `score` runs the
+  /// kernel over one pair array.
+  template <typename ScoreFn>
+  std::vector<ScoredPair> CompareWith(const BitMatrix& a_matrix,
+                                      const BitMatrix& b_matrix,
+                                      const std::vector<CandidatePair>& candidates,
+                                      const ScoreFn& score) const;
+
   std::optional<SimilarityMeasure> measure_;
   PairSimilarityFunction similarity_;
   mutable std::atomic<size_t> last_comparisons_{0};
   mutable std::atomic<size_t> last_pruned_{0};
 };
+
+/// Where a compare call ran, the `path` label of pprl_compare_calls_total.
+enum class ComparePath { kScalar, kKernel, kStream, kFieldwise };
+
+/// Counts one finished compare call into the pprl_compare_* counters:
+/// `pairs` candidates evaluated, `pruned` of them answered by the
+/// cardinality bound. Every compare entry point reports here once per
+/// call, after its results are merged.
+void RecordCompareCall(ComparePath path, size_t pairs, size_t pruned);
 
 /// Per-field similarity vectors for multi-attribute classifiers: one
 /// encoded filter per field per record.

@@ -27,12 +27,6 @@ const std::vector<double>& MicroLatencyBuckets() {
   return buckets;
 }
 
-/// Same acceptance tolerances as the batch path in pipeline/party.cc: the
-/// kernel may prune with a bound 2e-12 under the threshold, and a score
-/// within 1e-12 of the threshold is accepted.
-constexpr double kKernelSlack = 2e-12;
-constexpr double kAcceptSlack = 1e-12;
-
 }  // namespace
 
 OnlineLinkageEngine::OnlineLinkageEngine(size_t filter_bits,
@@ -41,6 +35,7 @@ OnlineLinkageEngine::OnlineLinkageEngine(size_t filter_bits,
       index_(filter_bits, options.lsh_tables, options.lsh_bits_per_key,
              options.lsh_seed),
       engine_(SimilarityMeasure::kDice),
+      cutoffs_(options.dice_threshold, filter_bits, LinkageAccepts),
       insert_seconds_(obs::GlobalMetrics().GetHistogram(
           "pprl_index_insert_seconds",
           "Latency of linking one arriving record (LSH index append + "
@@ -118,11 +113,9 @@ Result<uint32_t> OnlineLinkageEngine::Append(uint32_t database, uint64_t id,
     pair_scratch_.push_back({row, cand});
   }
   comparisons_ += pair_scratch_.size();
-  const std::vector<ScoredPair> scored = engine_.CompareMatrices(
-      index_.rows(), index_.rows(), pair_scratch_,
-      options_.dice_threshold - kKernelSlack);
+  const std::vector<ScoredPair> scored =
+      engine_.CompareMatrices(index_.rows(), index_.rows(), pair_scratch_, cutoffs_);
   for (const ScoredPair& pair : scored) {
-    if (pair.score + kAcceptSlack < options_.dice_threshold) continue;
     Union(pair.a, pair.b);
     linked_[pair.a] = true;
     linked_[pair.b] = true;
@@ -191,14 +184,8 @@ OnlineQueryResult OnlineLinkageEngine::QueryLocked(const BitVector& filter,
   std::memcpy(probe.mutable_row(0), filter.words().data(),
               filter.words().size() * sizeof(uint64_t));
   probe.RecountRow(0);
-  std::vector<ScoredPair> scored = engine_.CompareMatrices(
-      probe, index_.rows(), pairs, options_.dice_threshold - kKernelSlack);
-  scored.erase(std::remove_if(scored.begin(), scored.end(),
-                              [this](const ScoredPair& p) {
-                                return p.score + kAcceptSlack <
-                                       options_.dice_threshold;
-                              }),
-               scored.end());
+  std::vector<ScoredPair> scored =
+      engine_.CompareMatrices(probe, index_.rows(), pairs, cutoffs_);
   std::sort(scored.begin(), scored.end(),
             [this](const ScoredPair& x, const ScoredPair& y) {
               if (x.score != y.score) return x.score > y.score;

@@ -169,6 +169,9 @@ class OnlineLinkageEngine {
   const OnlineLinkageOptions options_;
   LshBandIndex index_;
   ComparisonEngine engine_;
+  /// The linkage unit's accept rule at options_.dice_threshold, built once
+  /// here and shared by every Append and Query.
+  const DiceCutoffs cutoffs_;
 
   mutable std::shared_mutex mutex_;
   std::vector<RowMeta> meta_;

@@ -11,6 +11,7 @@
 #include "common/cache_info.h"
 #include "common/logging.h"
 #include "common/timer.h"
+#include "linkage/comparison.h"
 #include "obs/metrics.h"
 
 namespace pprl {
@@ -78,11 +79,11 @@ TileScratch& Scratch() {
 /// (a-row-tile, b-row-tile), buckets in ascending tile order, hits sorted
 /// back to candidate order at the end. Scores are computed per pair from
 /// the same rows regardless of tiling, so the result is bitwise identical
-/// to expanding the runs and scoring them in order.
-void RunTiledShard(SimilarityMeasure measure, const BitMatrix& a_matrix,
-                   const BitMatrix& b_matrix, double min_score,
-                   const ResolvedParallelTuning& tuning, const CandidateShard& shard,
-                   ShardSlot* slot) {
+/// to expanding the runs and scoring them in order. `score(b, pairs, n,
+/// hits, stats)` runs the kernel over one chunk of pairs against `b`.
+template <typename ScoreFn>
+void RunTiledShard(const BitMatrix& b_matrix, const ResolvedParallelTuning& tuning,
+                   const CandidateShard& shard, const ScoreFn& score, ShardSlot* slot) {
   // Bucket the runs. Keys order buckets (a_tile, b_tile) ascending, so a
   // bucket's B rows stay hot while every A tile that needs them streams by.
   std::map<uint64_t, std::vector<PairRun>> buckets;
@@ -158,15 +159,13 @@ void RunTiledShard(SimilarityMeasure measure, const BitMatrix& a_matrix,
         filled += take;
         b += take;
         if (filled == kChunkPairs) {
-          CompareKernel(measure, a_matrix, *b_used, scratch.pair_buf.data(), filled,
-                        min_score, slot->hits, stats);
+          score(*b_used, scratch.pair_buf.data(), filled, slot->hits, stats);
           filled = 0;
         }
       }
     }
     if (filled != 0) {
-      CompareKernel(measure, a_matrix, *b_used, scratch.pair_buf.data(), filled,
-                    min_score, slot->hits, stats);
+      score(*b_used, scratch.pair_buf.data(), filled, slot->hits, stats);
     }
     if (b_offset != 0) {
       for (size_t i = hits_before; i < slot->hits.size(); ++i) {
@@ -188,6 +187,58 @@ void RunTiledShard(SimilarityMeasure measure, const BitMatrix& a_matrix,
             });
   slot->comparisons = total_pairs;
   slot->pruned = stats.pruned;
+}
+
+/// The body both StreamCompareShards() forms share; `score` is the chunk
+/// kernel RunTiledShard calls.
+template <typename ScoreFn>
+StreamCompareResult StreamCompare(const BitMatrix& a_matrix,
+                                  const BitMatrix& b_matrix,
+                                  const ParallelLinkageOptions& options,
+                                  const ShardProducer& produce, const ScoreFn& score) {
+  const ResolvedParallelTuning tuning =
+      ResolveParallelTuning(options, a_matrix.num_bits());
+
+  // Either borrow the caller's long-lived scheduler or spin one up for this
+  // call. The owned scheduler's queue bound is what turns `emit` into
+  // backpressure on the blocking thread.
+  std::optional<WorkStealingScheduler> owned;
+  WorkStealingScheduler* scheduler = options.scheduler;
+  if (scheduler == nullptr) {
+    WorkStealingScheduler::Options sched_options;
+    sched_options.num_threads = tuning.num_threads;
+    sched_options.max_pending = tuning.max_pending_shards;
+    owned.emplace(sched_options);
+    scheduler = &*owned;
+  }
+
+  TaskGroup group(*scheduler);
+  std::deque<ShardSlot> slots;
+  produce([&](CandidateShard shard) {
+    slots.emplace_back();
+    ShardSlot* slot = &slots.back();
+    // The shard moves into the closure, so the candidates alive at once
+    // are bounded by the scheduler's max_pending plus one per worker.
+    group.Submit([&b_matrix, &score, slot, tuning, shard = std::move(shard)] {
+      RunTiledShard(b_matrix, tuning, shard, score, slot);
+    });
+  });
+  group.Wait();
+
+  // Shards were emitted in global candidate order and slots sit in emission
+  // order, so concatenation restores the serial output exactly.
+  StreamCompareResult result;
+  size_t total_hits = 0;
+  for (const ShardSlot& slot : slots) total_hits += slot.hits.size();
+  result.hits.reserve(total_hits);
+  for (ShardSlot& slot : slots) {
+    result.hits.insert(result.hits.end(), slot.hits.begin(), slot.hits.end());
+    result.comparisons += slot.comparisons;
+    result.pruned += slot.pruned;
+    slot.hits = {};
+  }
+  RecordCompareCall(ComparePath::kStream, result.comparisons, result.pruned);
+  return result;
 }
 
 }  // namespace
@@ -244,66 +295,33 @@ ResolvedParallelTuning ResolveParallelTuning(const ParallelLinkageOptions& optio
   return t;
 }
 
+StreamCompareResult StreamCompareShards(const DiceCutoffs& cutoffs,
+                                        const BitMatrix& a_matrix,
+                                        const BitMatrix& b_matrix,
+                                        const ParallelLinkageOptions& options,
+                                        const ShardProducer& produce) {
+  return StreamCompare(a_matrix, b_matrix, options, produce,
+                       [&](const BitMatrix& b, const CandidatePair* pairs, size_t n,
+                           std::vector<ScoredPair>& hits, CompareKernelStats& stats) {
+                         CompareKernel(cutoffs, a_matrix, b, pairs, n, hits, stats);
+                       });
+}
+
 StreamCompareResult StreamCompareShards(SimilarityMeasure measure,
                                         const BitMatrix& a_matrix,
                                         const BitMatrix& b_matrix, double min_score,
                                         const ParallelLinkageOptions& options,
                                         const ShardProducer& produce) {
-  const ResolvedParallelTuning tuning =
-      ResolveParallelTuning(options, a_matrix.num_bits());
-
-  // Either borrow the caller's long-lived scheduler or spin one up for this
-  // call. The owned scheduler's queue bound is what turns `emit` into
-  // backpressure on the blocking thread.
-  std::optional<WorkStealingScheduler> owned;
-  WorkStealingScheduler* scheduler = options.scheduler;
-  if (scheduler == nullptr) {
-    WorkStealingScheduler::Options sched_options;
-    sched_options.num_threads = tuning.num_threads;
-    sched_options.max_pending = tuning.max_pending_shards;
-    owned.emplace(sched_options);
-    scheduler = &*owned;
+  if (measure == SimilarityMeasure::kDice && min_score > 0) {
+    return StreamCompareShards(DiceCutoffs(min_score, a_matrix.num_bits()), a_matrix,
+                               b_matrix, options, produce);
   }
-
-  TaskGroup group(*scheduler);
-  std::deque<ShardSlot> slots;
-  produce([&](CandidateShard shard) {
-    slots.emplace_back();
-    ShardSlot* slot = &slots.back();
-    // The shard moves into the closure, so the candidates alive at once
-    // are bounded by the scheduler's max_pending plus one per worker.
-    group.Submit([&a_matrix, &b_matrix, measure, min_score, slot, tuning,
-                  shard = std::move(shard)] {
-      if (!shard.runs.empty()) {
-        RunTiledShard(measure, a_matrix, b_matrix, min_score, tuning, shard, slot);
-        return;
-      }
-      // Materialized pair shards (generic producers, arbitrary pair
-      // order): score in place, untiled — candidate order is whatever the
-      // producer emitted, so no sort may be applied.
-      CompareKernelStats stats;
-      slot->hits.reserve(shard.pairs.size() / 16);
-      CompareKernel(measure, a_matrix, b_matrix, shard.pairs.data(),
-                    shard.pairs.size(), min_score, slot->hits, stats);
-      slot->comparisons = shard.pairs.size();
-      slot->pruned = stats.pruned;
-    });
-  });
-  group.Wait();
-
-  // Shards were emitted in global candidate order and slots sit in emission
-  // order, so concatenation restores the serial output exactly.
-  StreamCompareResult result;
-  size_t total_hits = 0;
-  for (const ShardSlot& slot : slots) total_hits += slot.hits.size();
-  result.hits.reserve(total_hits);
-  for (ShardSlot& slot : slots) {
-    result.hits.insert(result.hits.end(), slot.hits.begin(), slot.hits.end());
-    result.comparisons += slot.comparisons;
-    result.pruned += slot.pruned;
-    slot.hits = {};
-  }
-  return result;
+  return StreamCompare(a_matrix, b_matrix, options, produce,
+                       [&](const BitMatrix& b, const CandidatePair* pairs, size_t n,
+                           std::vector<ScoredPair>& hits, CompareKernelStats& stats) {
+                         CompareKernel(measure, a_matrix, b, pairs, n, min_score, hits,
+                                       stats);
+                       });
 }
 
 }  // namespace pprl

@@ -84,8 +84,9 @@ ResolvedParallelTuning ResolveParallelTuning(const ParallelLinkageOptions& optio
 
 /// What a streaming comparison run produced.
 struct StreamCompareResult {
-  /// Pairs scoring >= min_score, in the global candidate order (identical
-  /// to materializing the pairs and calling ComparisonEngine::Compare).
+  /// Kept pairs, in the global candidate order (identical to
+  /// materializing the pairs and calling ComparisonEngine::CompareMatrices
+  /// with the same threshold).
   std::vector<ScoredPair> hits;
   /// Candidate pairs evaluated (word loop or cardinality bound).
   size_t comparisons = 0;
@@ -93,23 +94,30 @@ struct StreamCompareResult {
   size_t pruned = 0;
 };
 
-/// A producer that drives any candidate stream (StreamBlockedPairRuns,
-/// StreamLshPairRuns, StreamFullPairRuns, the materializing variants, a
-/// custom generator)
-/// into the consumer callback. It runs on the calling thread and blocks
-/// inside `emit` when the shard window is full.
+/// A producer that drives a run-shard candidate stream
+/// (StreamBlockedPairRuns, StreamLshPairRuns, StreamFullPairRuns,
+/// StreamCandidateRowRuns) into the consumer callback. It runs on the
+/// calling thread and blocks inside `emit` when the shard window is full.
 using ShardProducer = std::function<void(const CandidateShardFn& emit)>;
 
-/// Runs `produce`'s candidate stream through the comparison kernels on a
-/// work-stealing scheduler. Shard results land in per-shard buffers and are
-/// concatenated in shard order after the last shard finishes, so `hits` is
-/// deterministic for every (options.num_threads, scheduler) choice.
-///
-/// Run shards (CandidateShard::runs) take the cache-blocked tiled path;
-/// their expanded candidate sequence must be ascending (a, b) within the
-/// shard — which every Stream*PairRuns producer guarantees — so hits can
-/// be restored to candidate order by an (a, b) sort. Materialized pair
-/// shards may use any order and are scored in place, untiled.
+/// Runs `produce`'s candidate stream through the Dice kernels on a
+/// work-stealing scheduler, deciding every pair with `cutoffs`. Shards run
+/// cache-blocked and land in per-shard buffers that are concatenated in
+/// shard order after the last shard finishes, so `hits` is deterministic
+/// for every (options.num_threads, scheduler) choice. Each shard's
+/// expanded run sequence must ascend in (a, b) — every Stream*PairRuns
+/// producer guarantees it — so hits can be restored to candidate order by
+/// an (a, b) sort. Counts one `path="stream"` call into the
+/// pprl_compare_* counters.
+StreamCompareResult StreamCompareShards(const DiceCutoffs& cutoffs,
+                                        const BitMatrix& a_matrix,
+                                        const BitMatrix& b_matrix,
+                                        const ParallelLinkageOptions& options,
+                                        const ShardProducer& produce);
+
+/// Same, for any measure under the exact contract of
+/// ComparisonEngine::CompareMatrices: a pair is kept iff its double score
+/// is >= min_score. A Dice run builds its DiceCutoffs once for the call.
 StreamCompareResult StreamCompareShards(SimilarityMeasure measure,
                                         const BitMatrix& a_matrix,
                                         const BitMatrix& b_matrix, double min_score,

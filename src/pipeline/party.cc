@@ -76,10 +76,22 @@ Status LinkageUnitService::Receive(const std::string& owner, EncodedDatabase enc
   if (encoded.ids.size() != encoded.filters.size()) {
     return Status::InvalidArgument("shipment ids/filters size mismatch");
   }
-  if (!databases_.empty() && !encoded.filters.empty() &&
-      !databases_[0].filters.empty() &&
-      encoded.filters[0].size() != databases_[0].filters[0].size()) {
-    return Status::InvalidArgument("shipment filter length differs from earlier owners");
+  // The first non-empty shipment fixes the filter length; every filter of
+  // every later shipment (and of that one) must match it, because Link()
+  // packs all of them into fixed-stride matrix rows.
+  const BitVector* fixed = encoded.filters.empty() ? nullptr : &encoded.filters[0];
+  for (const EncodedDatabase& db : databases_) {
+    if (!db.filters.empty()) {
+      fixed = &db.filters[0];
+      break;
+    }
+  }
+  for (const BitVector& filter : encoded.filters) {
+    if (filter.size() != fixed->size()) {
+      return Status::InvalidArgument(
+          "shipment has a " + std::to_string(filter.size()) +
+          "-bit filter; this linkage uses " + std::to_string(fixed->size()) + " bits");
+    }
   }
   for (const std::string& existing : owners_) {
     if (existing == owner) {
@@ -100,12 +112,15 @@ Result<size_t> LinkableFilterBits(const std::vector<EncodedDatabase>& databases,
   if (databases.size() < 2) {
     return Status::FailedPrecondition("linkage needs >= 2 shipped databases");
   }
-  if (databases[0].filters.empty() || databases[0].filters[0].size() == 0) {
+  if (databases[0].filters.empty()) {
     return Status::InvalidArgument("first shipment is empty");
   }
+  const size_t filter_bits = databases[0].filters[0].size();
+  PPRL_RETURN_IF_ERROR(ValidateFilterBits(filter_bits));
+  PPRL_RETURN_IF_ERROR(ValidateDiceThreshold(options.dice_threshold));
   PPRL_RETURN_IF_ERROR(
       ValidateLshGeometry(options.lsh_tables, options.lsh_bits_per_key));
-  return databases[0].filters[0].size();
+  return filter_bits;
 }
 
 /// Parallel runs either borrow the caller's scheduler (the daemon shares
@@ -158,11 +173,9 @@ PartitionLinkResult BlockAndCompare(const std::vector<EncodedDatabase>& database
   }
   block_span.Stop();
 
-  // The kernel's min_score sits 2e-12 under the acceptance test below, so
-  // cardinality pruning can never skip a pair that `dice + 1e-12 >=
-  // threshold` would have kept; the final filter reproduces the exact
-  // tolerance semantics of the scalar path.
-  const double min_score = options.dice_threshold - 2e-12;
+  // One table decides every pair of every database pair under the linkage
+  // unit's accept rule, so the kernels' hits are exactly the edges.
+  const DiceCutoffs cutoffs(options.dice_threshold, filter_bits, LinkageAccepts);
   const ComparisonEngine engine(SimilarityMeasure::kDice);
   PartitionLinkResult result;
   obs::StageTimer compare_span("compare");
@@ -178,7 +191,7 @@ PartitionLinkResult BlockAndCompare(const std::vector<EncodedDatabase>& database
         const size_t shard_size =
             ResolveParallelTuning(parallel_options, filter_bits).shard_size;
         StreamCompareResult streamed = StreamCompareShards(
-            SimilarityMeasure::kDice, a_rows, b_rows, min_score, parallel_options,
+            cutoffs, a_rows, b_rows, parallel_options,
             [&](const CandidateShardFn& emit) {
               StreamLshPairRuns(indexes[d1], indexes[d2], partitioner, worker,
                                 shard_size, emit);
@@ -190,14 +203,12 @@ PartitionLinkResult BlockAndCompare(const std::vector<EncodedDatabase>& database
       } else {
         const std::vector<CandidatePair> pairs = std::move(candidates[pair_index++]);
         result.candidate_pairs += pairs.size();
-        scored = engine.CompareMatrices(a_rows, b_rows, pairs, min_score);
+        scored = engine.CompareMatrices(a_rows, b_rows, pairs, cutoffs);
         result.comparisons += engine.last_comparison_count();
         result.pruned_comparisons += engine.last_pruned_count();
       }
       for (const ScoredPair& pair : scored) {
-        if (pair.score + 1e-12 >= options.dice_threshold) {
-          result.edges.push_back({{d1, pair.a}, {d2, pair.b}, pair.score});
-        }
+        result.edges.push_back({{d1, pair.a}, {d2, pair.b}, pair.score});
       }
     }
   }

@@ -192,6 +192,7 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
   }
   const BitMatrix& ma = lsh.empty() ? packed_a : lsh[0].rows();
   const BitMatrix& mb = lsh.empty() ? packed_b : lsh[1].rows();
+  const DiceCutoffs cutoffs(config_.match_threshold, ma.num_bits());
   std::vector<ScoredPair> scored;
   if (streaming) {
     ParallelLinkageOptions parallel_options;
@@ -202,8 +203,7 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
     const ResolvedParallelTuning tuning =
         ResolveParallelTuning(parallel_options, ma.num_bits());
     StreamCompareResult streamed = StreamCompareShards(
-        SimilarityMeasure::kDice, ma, mb, config_.match_threshold, parallel_options,
-        [&](const CandidateShardFn& emit) {
+        cutoffs, ma, mb, parallel_options, [&](const CandidateShardFn& emit) {
           switch (config_.blocking) {
             case BlockingScheme::kNone:
               StreamFullPairRuns(a.records.size(), b.records.size(),
@@ -223,7 +223,7 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
     out.candidate_pairs = streamed.comparisons;
   } else {
     const ComparisonEngine engine(SimilarityMeasure::kDice);
-    scored = engine.CompareMatrices(ma, mb, candidates, config_.match_threshold);
+    scored = engine.CompareMatrices(ma, mb, candidates, cutoffs);
     out.comparisons = engine.last_comparison_count();
     out.pruned_comparisons = engine.last_pruned_count();
     out.candidate_pairs = candidates.size();

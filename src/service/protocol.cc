@@ -330,8 +330,9 @@ Result<AssignPartitionMessage> DecodeAssignPartition(
         "assign-partition: worker index " + std::to_string(msg.worker_index) +
         " outside ring of " + std::to_string(msg.num_workers));
   }
-  if (!(msg.dice_threshold > 0.0 && msg.dice_threshold <= 1.0)) {
-    return Status::ProtocolViolation("assign-partition: threshold outside (0, 1]");
+  const Status threshold = ValidateDiceThreshold(msg.dice_threshold);
+  if (!threshold.ok()) {
+    return Status::ProtocolViolation("assign-partition: " + threshold.message());
   }
   const Status geometry = ValidateLshGeometry(msg.lsh_tables, msg.lsh_bits_per_key);
   if (!geometry.ok()) {

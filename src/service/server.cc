@@ -116,6 +116,7 @@ Status LinkageUnitServer::Start() {
   }
   PPRL_RETURN_IF_ERROR(ValidateLshGeometry(config_.link_options.lsh_tables,
                                            config_.link_options.lsh_bits_per_key));
+  PPRL_RETURN_IF_ERROR(ValidateDiceThreshold(config_.link_options.dice_threshold));
   if (!config_.wal_dir.empty() && !config_.online_mode) {
     return Status::InvalidArgument(
         "--wal-dir is an online-serving knob; batch runs persist shipments "
@@ -499,8 +500,9 @@ void LinkageUnitServer::HandleSession(std::shared_ptr<TcpConnection> conn,
       finish();
       return;
     }
-    if (hello->filter_bits == 0) {
-      FailSession(mfc, Status::ProtocolViolation("hello declared zero filter bits"));
+    const Status filter_bits = ValidateFilterBits(hello->filter_bits);
+    if (!filter_bits.ok()) {
+      FailSession(mfc, Status::ProtocolViolation("hello: " + filter_bits.message()));
       finish();
       return;
     }

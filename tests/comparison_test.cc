@@ -46,22 +46,6 @@ TEST(ComparisonEngineTest, EmptyCandidates) {
   EXPECT_EQ(engine.last_comparison_count(), 0u);
 }
 
-TEST(ComparisonEngineTest, ParallelMatchesSequential) {
-  const auto fa = Encode({"smith", "jones", "brown", "garcia", "miller"});
-  const auto fb = Encode({"smyth", "jonas", "browne", "garza", "millar"});
-  std::vector<CandidatePair> candidates;
-  for (uint32_t i = 0; i < 5; ++i) {
-    for (uint32_t j = 0; j < 5; ++j) candidates.push_back({i, j});
-  }
-  const ComparisonEngine engine(Dice());
-  const auto sequential = engine.Compare(fa, fb, candidates, 0.3);
-  const auto parallel = engine.CompareParallel(fa, fb, candidates, 0.3, 4);
-  ASSERT_EQ(sequential.size(), parallel.size());
-  for (size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(sequential[i], parallel[i]);
-  }
-}
-
 TEST(CompareFieldwiseTest, PerFieldScores) {
   // Two fields, two records each.
   const auto first_a = Encode({"mary", "john"});

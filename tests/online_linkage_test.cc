@@ -449,5 +449,42 @@ TEST(OnlineServiceTest, BatchDaemonRejectsQueryOnlyHello) {
   server.Stop();
 }
 
+/// The first hello fixes the online engine's filter width, and the engine
+/// sizes its Dice cutoff table from it: a hello declaring more than
+/// kMaxFilterBits is a protocol violation, fixes nothing, and the daemon
+/// keeps serving well-formed sessions afterwards.
+TEST(OnlineServiceTest, OversizedHelloIsRejectedAndTheDaemonKeepsServing) {
+  LinkageUnitServerConfig config;
+  config.name = "online-lu";
+  config.online_mode = true;
+  config.expected_owners = 2;
+  config.io_timeout_ms = 10000;
+  LinkageUnitServer server(config);
+  ASSERT_TRUE(server.Start().ok());
+
+  OnlineLinkClientConfig client_config;
+  client_config.port = server.port();
+  client_config.retry.max_attempts = 1;
+  for (const uint32_t bits : {static_cast<uint32_t>(kMaxFilterBits + 1), UINT32_MAX}) {
+    OnlineLinkClient probe(client_config);
+    const Status rejected = probe.Connect("probe", bits);
+    EXPECT_EQ(rejected.code(), StatusCode::kProtocolViolation)
+        << bits << ": " << rejected.ToString();
+  }
+
+  const auto dbs = MakeDatabases(2, 20, /*seed=*/47);
+  const EncodedShard shard = ShardFromEncodedDatabase(dbs[0]);
+  OnlineLinkClient client(client_config);
+  ASSERT_TRUE(client.Connect("db-0", kFilterBits).ok());
+  auto appended = client.AppendRows(shard, 0, shard.size());
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  EXPECT_EQ(*appended, shard.size());
+  auto queried = client.QueryRows(shard, 0, 1, /*want_clusters=*/false, 0);
+  ASSERT_TRUE(queried.ok()) << queried.status().ToString();
+  EXPECT_EQ(queried->index_size, shard.size());
+  client.Close();
+  server.Stop();
+}
+
 }  // namespace
 }  // namespace pprl

@@ -13,9 +13,9 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "datagen/generator.h"
-#include "linkage/classifier.h"
 #include "linkage/clustering.h"
 #include "linkage/parallel_linkage.h"
+#include "obs/metrics.h"
 #include "pipeline/party.h"
 #include "pipeline/pipeline.h"
 
@@ -263,6 +263,52 @@ TEST(ParallelPipelineTest, TiledExecutionDeterministicAcrossThreadsAndTiles) {
   }
 }
 
+/// The threaded path reports its work: one `path="stream"` call, and the
+/// pair and prune counters advance by exactly the run's own totals.
+TEST(ParallelPipelineTest, StreamedCompareAdvancesTheCompareCounters) {
+  Rng rng(101);
+  const size_t kBits = 500;
+  std::vector<BitVector> rows;
+  for (size_t i = 0; i < 400; ++i) {
+    BitVector v(kBits);
+    const double density = 0.05 + 0.5 * rng.NextDouble();
+    for (size_t bit = 0; bit < kBits; ++bit) {
+      if (rng.NextDouble() < density) v.Set(bit);
+    }
+    rows.push_back(std::move(v));
+  }
+  const BitMatrix ma = BitMatrix::FromVectors(rows);
+  const BitMatrix mb = ma;
+
+  obs::MetricsRegistry& registry = obs::GlobalMetrics();
+  const char* kCallsHelp = "Compare*() dispatches by execution path";
+  obs::Counter& pairs = registry.GetCounter(
+      "pprl_compare_pairs_total",
+      "Candidate pairs evaluated by ComparisonEngine (word loop or bound)");
+  obs::Counter& pruned = registry.GetCounter(
+      "pprl_compare_pairs_pruned_total",
+      "Pairs the cardinality bound rejected without running the word loop");
+  obs::Counter& stream_calls =
+      registry.GetCounter("pprl_compare_calls_total", kCallsHelp, {{"path", "stream"}});
+  const uint64_t pairs_before = pairs.value();
+  const uint64_t pruned_before = pruned.value();
+  const uint64_t calls_before = stream_calls.value();
+
+  ParallelLinkageOptions options;
+  options.num_threads = 4;
+  options.shard_size = 1024;
+  const size_t shard_size = ResolveParallelTuning(options, kBits).shard_size;
+  const StreamCompareResult result = StreamCompareShards(
+      SimilarityMeasure::kDice, ma, mb, 0.7, options, [&](const CandidateShardFn& emit) {
+        StreamFullPairRuns(ma.num_rows(), mb.num_rows(), shard_size, emit);
+      });
+  ASSERT_EQ(result.comparisons, ma.num_rows() * mb.num_rows());
+  ASSERT_GT(result.pruned, 0u);
+  EXPECT_EQ(pairs.value() - pairs_before, result.comparisons);
+  EXPECT_EQ(pruned.value() - pruned_before, result.pruned);
+  EXPECT_EQ(stream_calls.value() - calls_before, 1u);
+}
+
 /// Out-of-range tuning must clamp, not crash or silently misbehave — and
 /// auto (0) knobs must resolve to something sane for the filter width.
 TEST(ParallelPipelineTest, TuningValidationClampsAbsurdValues) {
@@ -307,26 +353,6 @@ TEST(ParallelClusteringTest, ConnectedComponentsParity) {
     ASSERT_EQ(serial.size(), parallel.size()) << threads << " threads";
     for (size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(serial[i], parallel[i]) << threads << " threads, cluster " << i;
-    }
-  }
-}
-
-TEST(ParallelClassifierTest, SelectMatchesParity) {
-  Rng rng(43);
-  std::vector<ScoredPair> scored;
-  scored.reserve(300000);
-  for (uint32_t i = 0; i < 300000; ++i) {
-    scored.push_back({i % 997, i % 991, rng.NextDouble()});
-  }
-  const ThresholdClassifier classifier(0.8, 0.8);
-  const auto serial = classifier.SelectMatches(scored);
-  ASSERT_FALSE(serial.empty());
-  for (const size_t threads : {size_t{2}, size_t{8}}) {
-    WorkStealingScheduler scheduler(threads);
-    const auto parallel = classifier.ParallelSelectMatches(scored, scheduler);
-    ASSERT_EQ(serial.size(), parallel.size()) << threads << " threads";
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i], parallel[i]) << threads << " threads, pair " << i;
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <sys/stat.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "blocking/lsh_blocking.h"
 #include "common/random.h"
 #include "encoding/clk_io.h"
 #include "io/checkpoint.h"
@@ -189,6 +191,32 @@ TEST(CheckpointTest, OutOfRangeGeometryFailsRecovery) {
     const Status status = durability.Recover(&recovered, &report);
     EXPECT_EQ(status.code(), StatusCode::kProtocolViolation)
         << tables << " x " << bits << ": " << status.ToString();
+    EXPECT_EQ(recovered, nullptr);
+  }
+}
+
+/// The same for a header whose Dice threshold or filter width no entry
+/// point accepts: the engine would size its cutoff table from them.
+TEST(CheckpointTest, OutOfRangeThresholdOrFilterWidthFailsRecovery) {
+  const auto dbs = MakeDatabases(12, /*seed=*/8);
+  auto reference = BuildReference(dbs);
+  const auto cases = {std::pair<double, uint32_t>{0.0, kFilterBits},
+                      {1.5, kFilterBits},
+                      {std::nan(""), kFilterBits},
+                      {0.8, static_cast<uint32_t>(kMaxFilterBits + 1)}};
+  for (const auto& [threshold, bits] : cases) {
+    const std::string dir = FreshDir("ckpt_threshold");
+    io::OnlineSnapshot snapshot = reference->ExportSnapshot(1);
+    snapshot.dice_threshold = threshold;
+    snapshot.filter_bits = bits;
+    ASSERT_TRUE(io::WriteCheckpointFile(dir, snapshot, nullptr).ok());
+
+    OnlineDurability durability(Config(dir));
+    std::unique_ptr<OnlineLinkageEngine> recovered;
+    RecoveryReport report;
+    const Status status = durability.Recover(&recovered, &report);
+    EXPECT_EQ(status.code(), StatusCode::kProtocolViolation)
+        << threshold << " at " << bits << " bits: " << status.ToString();
     EXPECT_EQ(recovered, nullptr);
   }
 }

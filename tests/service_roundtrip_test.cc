@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -306,6 +307,20 @@ TEST(ServiceRoundtripTest, OutOfRangeLshGeometryFailsStart) {
     LinkageUnitServer server(config);
     EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument)
         << tables << " x " << bits;
+  }
+}
+
+TEST(ServiceRoundtripTest, OutOfRangeDiceThresholdFailsStart) {
+  for (const double threshold : {0.0, -0.1, 1.5, std::nan(""), double{INFINITY}}) {
+    for (const bool online : {false, true}) {
+      LinkageUnitServerConfig config;
+      config.expected_owners = 2;
+      config.online_mode = online;
+      config.link_options.dice_threshold = threshold;
+      LinkageUnitServer server(config);
+      EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument)
+          << threshold << (online ? " online" : " batch");
+    }
   }
 }
 

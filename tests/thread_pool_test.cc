@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -44,31 +43,6 @@ TEST(ThreadPoolTest, ReusableAcrossWaves) {
     pool.Wait();
   }
   EXPECT_EQ(counter.load(), 30);
-}
-
-TEST(ParallelForTest, CoversExactRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(pool, 0, 1000, [&hits](size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForTest, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  int touched = 0;
-  ParallelFor(pool, 5, 5, [&touched](size_t) { ++touched; });
-  ParallelFor(pool, 7, 3, [&touched](size_t) { ++touched; });
-  EXPECT_EQ(touched, 0);
-}
-
-TEST(ParallelForTest, SumMatchesSequential) {
-  ThreadPool pool(4);
-  std::vector<int64_t> values(5000);
-  std::iota(values.begin(), values.end(), 0);
-  std::atomic<int64_t> sum{0};
-  ParallelFor(pool, 0, values.size(),
-              [&](size_t i) { sum.fetch_add(values[i]); });
-  EXPECT_EQ(sum.load(), 5000LL * 4999 / 2);
 }
 
 TEST(WorkStealingSchedulerTest, RunsAllSubmittedShards) {

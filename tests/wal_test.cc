@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "blocking/lsh_blocking.h"
 #include "common/bitvector.h"
 #include "common/random.h"
 #include "encoding/clk_io.h"
@@ -165,6 +166,20 @@ TEST(WalTest, BitFlipFuzzAlwaysTypedError) {
           << segment.status().ToString();
     }
   }
+}
+
+/// A segment header with intact checksums but a filter width no entry
+/// point accepts fails the read with a typed error; recovery would size
+/// the online engine from it.
+TEST(WalTest, OutOfRangeFilterWidthIsRejected) {
+  const std::string path = ::testing::TempDir() + "/wal_wide.pwal";
+  {
+    auto writer = WalWriter::Create(path, kMaxFilterBits + 1, 1, {});
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  }
+  auto segment = ReadWalFile(path);
+  ASSERT_FALSE(segment.ok());
+  EXPECT_EQ(segment.status().code(), StatusCode::kProtocolViolation);
 }
 
 TEST(WalTest, SequenceGapIsCorruption) {
