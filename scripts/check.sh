@@ -39,15 +39,18 @@ ctest --test-dir "${TSAN_BUILD_DIR}" --output-on-failure -j "$(nproc)" \
   -R '^(comparison_test|compare_kernels_test|thread_pool_test|parallel_pipeline_test|metrics_test|online_linkage_test|wal_test|recovery_test)$'
 echo "check.sh: concurrency tests passed under TSan"
 
-# Chaos gate: the fault-tolerant linkage service under TSan. Seeded fault
+# Service gate: the daemon's session threads under TSan. Seeded fault
 # injection forces connection loss, resumes and shedding across the
-# daemon's accept/session/sweeper threads — exactly the interleavings
-# TSan exists to check. Budgeted at 60 s so a deadlock in the resume or
-# quorum path fails the gate instead of hanging it.
-cmake --build "${TSAN_BUILD_DIR}" -j "$(nproc)" --target service_chaos_test
+# accept/session/sweeper threads, the round-trip suite runs concurrent
+# owners through one daemon, and the coordinator suite drives worker
+# daemons from parallel scatter threads — exactly the interleavings TSan
+# exists to check. Budgeted at 60 s per suite so a deadlock in the
+# resume, quorum or shutdown path fails the gate instead of hanging it.
+cmake --build "${TSAN_BUILD_DIR}" -j "$(nproc)" \
+  --target service_chaos_test service_roundtrip_test coordinator_test
 ctest --test-dir "${TSAN_BUILD_DIR}" --output-on-failure --timeout 60 \
-  -R '^service_chaos_test$'
-echo "check.sh: chaos suite passed under TSan"
+  -R '^(service_chaos_test|service_roundtrip_test|coordinator_test)$'
+echo "check.sh: service suites passed under TSan"
 
 # Scaling gate: the streaming parallel path must actually scale, and the
 # gate prints the measured numbers so a failure is diagnosable from the

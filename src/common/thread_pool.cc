@@ -10,20 +10,6 @@ namespace pprl {
 
 namespace {
 
-/// Pool metrics aggregate over every ThreadPool in the process (pools are
-/// short-lived in the comparison paths, long-lived in the daemon).
-struct PoolMetrics {
-  obs::Counter& tasks = obs::GlobalMetrics().GetCounter(
-      "pprl_threadpool_tasks_total", "Tasks executed by thread pool workers");
-  obs::Gauge& queue_depth = obs::GlobalMetrics().GetGauge(
-      "pprl_threadpool_queue_depth", "Tasks submitted but not yet started");
-};
-
-PoolMetrics& Metrics() {
-  static PoolMetrics* m = new PoolMetrics();
-  return *m;
-}
-
 /// Scheduler metrics aggregate over every WorkStealingScheduler in the
 /// process (per-call schedulers in benches, one long-lived instance in the
 /// daemon).
@@ -43,59 +29,6 @@ SchedulerMetrics& SchedMetrics() {
 }
 
 }  // namespace
-
-ThreadPool::ThreadPool(size_t num_threads) {
-  const size_t n = std::max<size_t>(1, num_threads);
-  threads_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
-  task_available_.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  Metrics().queue_depth.Add(1);
-  task_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void ThreadPool::WorkerLoop() {
-  while (true) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      task_available_.wait(lock, [this] { return shutdown_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // shutdown_ with no work left
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    Metrics().queue_depth.Sub(1);
-    task();
-    Metrics().tasks.Increment();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
-  }
-}
 
 WorkStealingScheduler::WorkStealingScheduler(Options options)
     : max_pending_(options.max_pending) {

@@ -9,7 +9,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -19,45 +18,10 @@ namespace obs {
 class Counter;
 }  // namespace obs
 
-/// A fixed-size worker pool for the parallel/distributed complexity-reduction
-/// branch of the taxonomy (survey §3.4 "Parallel/distributed processing").
-///
-/// The daemon runs its session handlers on one.
-class ThreadPool {
- public:
-  /// Starts `num_threads` workers (at least 1).
-  explicit ThreadPool(size_t num_threads);
-
-  /// Drains outstanding work and joins all workers.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues `task` for execution on some worker.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished.
-  void Wait();
-
-  size_t num_threads() const { return threads_.size(); }
-
- private:
-  void WorkerLoop();
-
-  std::vector<std::thread> threads_;
-  std::queue<std::function<void()>> tasks_;
-  std::mutex mutex_;
-  std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  size_t in_flight_ = 0;
-  bool shutdown_ = false;
-};
-
 /// The sharded execution layer of the parallel linkage path (survey §3.4,
 /// "Parallel/distributed processing").
 ///
-/// Differences from `ThreadPool` that matter for streaming linkage runs:
+/// What matters for streaming linkage runs:
 ///
 ///   * **Per-worker deques.** Each worker owns a deque; `Submit` deals
 ///     shards round-robin (or to an explicit worker via `SubmitTo`), so

@@ -192,6 +192,13 @@ std::vector<Cluster> StarClustering(const std::vector<MatchEdge>& edges) {
   return out;
 }
 
+std::vector<Cluster> ClusterEdges(const std::vector<MatchEdge>& edges, bool star,
+                                  WorkStealingScheduler* scheduler) {
+  if (star) return StarClustering(edges);
+  if (scheduler != nullptr) return ParallelConnectedComponents(edges, *scheduler);
+  return ConnectedComponents(edges);
+}
+
 IncrementalClusterer::IncrementalClusterer(double threshold,
                                            PairSimilarityFunction similarity)
     : threshold_(threshold), similarity_(std::move(similarity)) {}

@@ -51,6 +51,13 @@ std::vector<Cluster> ParallelConnectedComponents(const std::vector<MatchEdge>& e
 /// neighbours to it. Avoids the chain-merging of connected components.
 std::vector<Cluster> StarClustering(const std::vector<MatchEdge>& edges);
 
+/// The linkage unit's clustering step, shared by the single daemon and the
+/// coordinator's merge: StarClustering() when `star`, else connected
+/// components — sharded over `scheduler` when one is given, serial
+/// otherwise (the two produce identical clusters).
+std::vector<Cluster> ClusterEdges(const std::vector<MatchEdge>& edges, bool star,
+                                  WorkStealingScheduler* scheduler);
+
 /// Incremental clustering for multi-party PPRL [43]: records arrive one at a
 /// time (velocity!) and are compared against existing cluster
 /// representatives only; a record joins the best cluster above `threshold`

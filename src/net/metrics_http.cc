@@ -73,7 +73,9 @@ void MetricsHttpServer::Stop() {
 
 void MetricsHttpServer::ServeLoop() {
   while (!stopping_.load()) {
-    auto conn = listener_.Accept(config_.accept_poll_ms);
+    // Stop() closing the listener wakes the poll at once; the timeout only
+    // bounds how long a missed wake-up can go unnoticed.
+    auto conn = listener_.Accept(/*timeout_ms=*/100);
     if (!conn.ok()) {
       // kNotFound is a poll timeout — keep polling. kFailedPrecondition is
       // the listener being torn down (Stop() from another thread) — leave

@@ -18,8 +18,6 @@ struct MetricsHttpServerConfig {
   uint16_t port = 0;
   /// Loopback-only by default, like the linkage daemon itself.
   bool loopback_only = true;
-  /// How often the accept loop wakes to check for Stop().
-  int accept_poll_ms = 100;
   /// Per-connection read/write timeout; scrapers are expected to be fast.
   int io_timeout_ms = 2000;
 };

@@ -1,10 +1,11 @@
 #ifndef PPRL_NET_RETRY_H_
 #define PPRL_NET_RETRY_H_
 
-#include <chrono>
 #include <cstdint>
+#include <functional>
+#include <string>
 
-#include "common/random.h"
+#include "common/status.h"
 
 namespace pprl {
 
@@ -12,7 +13,7 @@ namespace pprl {
 /// before giving up. Connection loss, timeouts, corrupted frames and BUSY
 /// shedding are all retried (resuming server-side state where it left
 /// off); errors that retrying cannot fix end the delivery at once. Shared
-/// by the owner -> unit client (service/client.h) and every
+/// by the owner -> unit clients (service/client.h) and every
 /// coordinator -> worker link (service/coordinator.h).
 struct RetryPolicy {
   int max_attempts = 10;
@@ -28,26 +29,27 @@ struct RetryPolicy {
   int deadline_ms = 180000;
 };
 
-/// The per-delivery backoff state a retry loop carries across attempts:
-/// one jitter stream, one deadline. NextDelayMs() computes the sleep
-/// before attempt `attempt + 1`; a non-negative `server_hint_ms` (from a
-/// BUSY frame) replaces the exponential schedule with the server's own
-/// hint (jitter still applies).
-class RetryBackoff {
- public:
-  explicit RetryBackoff(const RetryPolicy& policy);
+/// One attempt of a retried exchange: OK once the exchange is done, else
+/// the error that ended this attempt. An attempt that ended on a BUSY
+/// frame stores the server's retry-after hint in `*busy_hint_ms` (it
+/// starts at -1 on every attempt).
+using RetryAttempt = std::function<Status(int attempt, int* busy_hint_ms)>;
 
-  int NextDelayMs(int attempt, int server_hint_ms);
+/// The caller's retry accounting, called once per retry actually made,
+/// before its backoff sleep: `busy` says the server shed the attempt,
+/// `delay_ms` is the sleep that follows.
+using RetryHook = std::function<void(bool busy, int delay_ms)>;
 
-  /// True when sleeping `delay_ms` would cross the delivery deadline —
-  /// the loop should return the last error instead of retrying.
-  bool DeadlineExceededAfter(int delay_ms) const;
-
- private:
-  RetryPolicy policy_;
-  Rng jitter_rng_;
-  std::chrono::steady_clock::time_point deadline_;
-};
+/// The one retry loop of every client-side exchange. Runs `attempt`
+/// until it succeeds, then returns OK. Ends early, returning the error
+/// unchanged, on a code retrying cannot fix: the peer rejected the
+/// request itself (kInvalidArgument, kAlreadyExists, kFailedPrecondition,
+/// kInternal). Between attempts it sleeps the exponential backoff with
+/// jitter, or the BUSY hint in its place. When `policy.max_attempts` or
+/// `policy.deadline_ms` runs out it returns an IoError naming `what` and
+/// carrying the last error's text.
+Status RunWithRetry(const RetryPolicy& policy, const std::string& what,
+                    const RetryAttempt& attempt, const RetryHook& on_retry);
 
 }  // namespace pprl
 

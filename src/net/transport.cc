@@ -155,11 +155,17 @@ Status TcpConnection::Write(const uint8_t* buf, size_t len) {
 }
 
 void TcpConnection::Close() {
+  std::lock_guard<std::mutex> lock(fd_mutex_);
   if (fd_ >= 0) {
     shutdown(fd_, SHUT_RDWR);
     close(fd_);
     fd_ = -1;
   }
+}
+
+void TcpConnection::ShutdownRead() {
+  std::lock_guard<std::mutex> lock(fd_mutex_);
+  if (fd_ >= 0) shutdown(fd_, SHUT_RD);
 }
 
 TcpListener::~TcpListener() { Close(); }

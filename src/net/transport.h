@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/status.h"
@@ -81,6 +82,13 @@ class TcpConnection : public Connection {
   /// Shuts down and closes the socket (idempotent).
   void Close() override;
 
+  /// Shuts the read side down (`shutdown(SHUT_RD)`): a read parked on the
+  /// socket returns end of stream, and so does every later read once the
+  /// bytes already received are consumed; writes still go out. Safe from
+  /// any thread, also against a concurrent Close(): a closed connection is
+  /// left alone, so a reused descriptor number is never touched.
+  void ShutdownRead();
+
   bool closed() const override { return fd_ < 0; }
 
   /// Raw wire bytes, including frame headers — the basis of the
@@ -89,6 +97,9 @@ class TcpConnection : public Connection {
   size_t wire_bytes_received() const override { return wire_bytes_received_.load(); }
 
  private:
+  /// Guards closing fd_ against ShutdownRead() from another thread. Reads
+  /// and writes run on the owning thread and need no lock.
+  std::mutex fd_mutex_;
   int fd_ = -1;
   std::atomic<size_t> wire_bytes_sent_{0};
   std::atomic<size_t> wire_bytes_received_{0};

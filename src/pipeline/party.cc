@@ -238,13 +238,7 @@ Result<MultiPartyLinkageResult> LinkageUnitService::Link(
   result.candidate_pairs = linked.candidate_pairs;
   result.pruned_comparisons = linked.pruned_comparisons;
   obs::StageTimer cluster_span("cluster");
-  if (options.use_star_clustering) {
-    result.clusters = StarClustering(result.edges);
-  } else if (scheduler != nullptr) {
-    result.clusters = ParallelConnectedComponents(result.edges, *scheduler);
-  } else {
-    result.clusters = ConnectedComponents(result.edges);
-  }
+  result.clusters = ClusterEdges(result.edges, options.use_star_clustering, scheduler);
   cluster_span.Stop();
   return result;
 }

@@ -1,8 +1,6 @@
 #include "service/client.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "common/logging.h"
 #include "net/frame.h"
@@ -13,32 +11,95 @@ namespace pprl {
 
 namespace {
 
-void CountRetry(const char* reason) {
+void CountRetry(bool busy) {
   obs::GlobalMetrics()
-      .GetCounter("pprl_retries_total",
-                  "Client session retries, by trigger", {{"reason", reason}})
+      .GetCounter("pprl_retries_total", "Client session retries, by trigger",
+                  {{"reason", busy ? "busy" : "io"}})
       .Increment();
 }
 
-/// Errors retrying cannot fix: the server rejected the request itself,
-/// not this attempt at delivering it.
-bool Terminal(const Status& status) {
-  switch (status.code()) {
-    case StatusCode::kInvalidArgument:
-    case StatusCode::kAlreadyExists:
-    case StatusCode::kFailedPrecondition:
-    case StatusCode::kInternal:
-      return true;
-    default:
-      return false;
+/// What a hello or resume told the owner about its server-side session.
+struct OpenedSession {
+  uint64_t session_id = 0;
+  /// Hello only: the largest chunk the server accepts.
+  uint32_t max_chunk_bytes = 0;
+  /// Resume only: the server's acked shipment cursor and whether the
+  /// shipment is already registered.
+  uint64_t acked_bytes = 0;
+  bool shipment_complete = false;
+};
+
+/// The owner side of the handshake, shared by both clients: a hello
+/// declaring `filter_bits` x `record_count` when `session_id` is 0, else a
+/// resume of that session. A hello names the server as `mfc`'s peer and
+/// stores its name in `*server_name`.
+Result<OpenedSession> OpenSession(MeteredFrameConnection& mfc, const std::string& party,
+                                  uint64_t session_id, uint32_t filter_bits,
+                                  uint32_t record_count, std::string* server_name,
+                                  int* busy_hint_ms) {
+  OpenedSession opened;
+  if (session_id == 0) {
+    HelloMessage hello;
+    hello.protocol_version = kWireProtocolVersion;
+    hello.party = party;
+    hello.filter_bits = filter_bits;
+    hello.record_count = record_count;
+    PPRL_RETURN_IF_ERROR(
+        mfc.Send(static_cast<uint8_t>(MessageType::kHello), EncodeHello(hello),
+                 MessageTypeTag(static_cast<uint8_t>(MessageType::kHello))));
+    auto ack_payload =
+        ExpectFrame(mfc.Receive(MessageTypeTag), MessageType::kHelloAck, busy_hint_ms);
+    if (!ack_payload.ok()) return ack_payload.status();
+    auto ack = DecodeHelloAck(*ack_payload);
+    if (!ack.ok()) return ack.status();
+    if (ack->protocol_version != kWireProtocolVersion) {
+      return Status::ProtocolViolation("server speaks protocol version " +
+                                       std::to_string(ack->protocol_version) +
+                                       ", client speaks " +
+                                       std::to_string(kWireProtocolVersion));
+    }
+    *server_name = ack->server;
+    mfc.set_peer(ack->server);
+    opened.session_id = ack->session_id;
+    opened.max_chunk_bytes = ack->max_chunk_bytes;
+    return opened;
   }
+  ResumeMessage resume;
+  resume.protocol_version = kWireProtocolVersion;
+  resume.party = party;
+  resume.session_id = session_id;
+  PPRL_RETURN_IF_ERROR(
+      mfc.Send(static_cast<uint8_t>(MessageType::kResume), EncodeResume(resume),
+               MessageTypeTag(static_cast<uint8_t>(MessageType::kResume))));
+  auto rack_payload =
+      ExpectFrame(mfc.Receive(MessageTypeTag), MessageType::kResumeAck, busy_hint_ms);
+  if (!rack_payload.ok()) return rack_payload.status();
+  auto rack = DecodeResumeAck(*rack_payload);
+  if (!rack.ok()) return rack.status();
+  if (rack->session_id != session_id) {
+    return Status::ProtocolViolation("resume-ack does not match the session");
+  }
+  opened.session_id = session_id;
+  opened.acked_bytes = rack->acked_bytes;
+  opened.shipment_complete = rack->shipment_complete;
+  return opened;
 }
 
-/// Turns a received frame into the expected type's payload, translating
-/// kError frames into their transported status and kBusy frames into a
-/// retryable kIoError carrying the server's retry-after hint.
+/// The owner-side cursor of one delivery, carried across attempts.
+struct SessionCursor {
+  uint64_t session_id = 0;
+  uint64_t acked = 0;
+  bool shipment_complete = false;
+  /// Shipment bytes already metered into the channel; retransmissions
+  /// below this cursor are not metered again.
+  uint64_t metered_up_to = 0;
+  size_t max_chunk = 0;
+};
+
+}  // namespace
+
 Result<std::vector<uint8_t>> ExpectFrame(Result<Frame> frame, MessageType expected,
-                                         int* busy_retry_after_ms) {
+                                         int* busy_hint_ms) {
   if (!frame.ok()) {
     // The frame reader's kNotFound is a *clean EOF between frames* — the
     // peer hung up mid-session, which is an ordinary connection loss. It
@@ -54,9 +115,7 @@ Result<std::vector<uint8_t>> ExpectFrame(Result<Frame> frame, MessageType expect
   if (frame->type == static_cast<uint8_t>(MessageType::kBusy)) {
     auto busy = DecodeBusy(frame->payload);
     if (!busy.ok()) return busy.status();
-    if (busy_retry_after_ms != nullptr) {
-      *busy_retry_after_ms = static_cast<int>(busy->retry_after_ms);
-    }
+    *busy_hint_ms = static_cast<int>(busy->retry_after_ms);
     return Status::IoError("server busy: " + busy->reason);
   }
   if (frame->type == static_cast<uint8_t>(MessageType::kError)) {
@@ -82,19 +141,6 @@ Result<std::vector<uint8_t>> ExpectFrame(Result<Frame> frame, MessageType expect
   }
   return std::move(frame->payload);
 }
-
-/// The owner-side cursor of one delivery, carried across attempts.
-struct SessionCursor {
-  uint64_t session_id = 0;
-  uint64_t acked = 0;
-  bool shipment_complete = false;
-  /// Shipment bytes already metered into the channel; retransmissions
-  /// below this cursor are not metered again.
-  uint64_t metered_up_to = 0;
-  size_t max_chunk = 0;
-};
-
-}  // namespace
 
 RemoteOwnerClient::RemoteOwnerClient(RemoteOwnerClientConfig config, Channel* meter)
     : config_(std::move(config)), meter_(meter) {}
@@ -138,17 +184,12 @@ Result<OwnerLinkageSummary> RemoteOwnerClient::DeliverPayload(
 
   SessionCursor cursor;
   cursor.max_chunk = std::max<size_t>(config_.chunk_bytes, 1);
-  RetryBackoff backoff(config_.retry);
-
-  // Set (>= 0) when an attempt ended on a kBusy frame: the server's
-  // retry-after hint, which replaces the exponential backoff.
-  int busy_hint_ms = -1;
 
   // One attempt = one connection lifetime: handshake (hello or resume),
   // chunk loop from the acked cursor, then the results wait. Returns the
   // summary or the error that ended the connection.
-  const auto attempt_session =
-      [&](int attempt) -> Result<OwnerLinkageSummary> {
+  const auto attempt_session = [&](int attempt,
+                                   int* busy_hint_ms) -> Result<OwnerLinkageSummary> {
     auto conn = TcpConnection::Connect(config_.host, config_.port, config_.connect);
     if (!conn.ok()) return conn.status();
     TcpConnection& socket = **conn;
@@ -175,50 +216,19 @@ Result<OwnerLinkageSummary> RemoteOwnerClient::DeliverPayload(
     } tally{socket, wire_bytes_sent_, wire_bytes_received_};
 
     // 1. Handshake: a fresh hello, or a resume of the server-side session.
+    auto opened = OpenSession(mfc, owner, cursor.session_id, filter_bits, record_count,
+                              &server_name_, busy_hint_ms);
+    if (!opened.ok()) return opened.status();
     if (cursor.session_id == 0) {
-      HelloMessage hello;
-      hello.protocol_version = kWireProtocolVersion;
-      hello.party = owner;
-      hello.filter_bits = filter_bits;
-      hello.record_count = record_count;
-      PPRL_RETURN_IF_ERROR(mfc.Send(static_cast<uint8_t>(MessageType::kHello),
-                                    EncodeHello(hello),
-                                    MessageTypeTag(static_cast<uint8_t>(MessageType::kHello))));
-      auto ack_payload = ExpectFrame(mfc.Receive(MessageTypeTag),
-                                     MessageType::kHelloAck, &busy_hint_ms);
-      if (!ack_payload.ok()) return ack_payload.status();
-      auto ack = DecodeHelloAck(*ack_payload);
-      if (!ack.ok()) return ack.status();
-      if (ack->protocol_version != kWireProtocolVersion) {
-        return Status::ProtocolViolation("server speaks protocol version " +
-                                         std::to_string(ack->protocol_version) +
-                                         ", client speaks " +
-                                         std::to_string(kWireProtocolVersion));
-      }
-      server_name_ = ack->server;
-      mfc.set_peer(ack->server);
-      cursor.session_id = ack->session_id;
+      cursor.session_id = opened->session_id;
       cursor.max_chunk = std::min<size_t>(std::max<size_t>(config_.chunk_bytes, 1),
-                                          ack->max_chunk_bytes);
+                                          opened->max_chunk_bytes);
     } else {
-      ResumeMessage resume;
-      resume.protocol_version = kWireProtocolVersion;
-      resume.party = owner;
-      resume.session_id = cursor.session_id;
-      PPRL_RETURN_IF_ERROR(
-          mfc.Send(static_cast<uint8_t>(MessageType::kResume), EncodeResume(resume),
-                   MessageTypeTag(static_cast<uint8_t>(MessageType::kResume))));
-      auto rack_payload = ExpectFrame(mfc.Receive(MessageTypeTag),
-                                      MessageType::kResumeAck, &busy_hint_ms);
-      if (!rack_payload.ok()) return rack_payload.status();
-      auto rack = DecodeResumeAck(*rack_payload);
-      if (!rack.ok()) return rack.status();
-      if (rack->session_id != cursor.session_id ||
-          rack->acked_bytes > shipment.size()) {
+      if (opened->acked_bytes > shipment.size()) {
         return Status::ProtocolViolation("resume-ack does not match the session");
       }
-      cursor.acked = rack->acked_bytes;
-      cursor.shipment_complete = rack->shipment_complete;
+      cursor.acked = opened->acked_bytes;
+      cursor.shipment_complete = opened->shipment_complete;
       PPRL_LOG(kDebug) << "owner '" << owner << "' resumed session "
                        << cursor.session_id << " at byte " << cursor.acked;
     }
@@ -249,7 +259,7 @@ Result<OwnerLinkageSummary> RemoteOwnerClient::DeliverPayload(
                    fresh));
       cursor.metered_up_to = std::max<uint64_t>(cursor.metered_up_to, end);
       auto ack_payload = ExpectFrame(mfc.Receive(MessageTypeTag),
-                                     MessageType::kShipmentAck, &busy_hint_ms);
+                                     MessageType::kShipmentAck, busy_hint_ms);
       if (!ack_payload.ok()) return ack_payload.status();
       auto ack = DecodeShipmentAck(*ack_payload);
       if (!ack.ok()) return ack.status();
@@ -276,48 +286,33 @@ Result<OwnerLinkageSummary> RemoteOwnerClient::DeliverPayload(
     if (!config_.wait_for_results) return OwnerLinkageSummary{};
     wire->SetIoTimeout(config_.result_wait_timeout_ms);
     auto results_payload = ExpectFrame(mfc.Receive(MessageTypeTag),
-                                       MessageType::kResults, &busy_hint_ms);
+                                       MessageType::kResults, busy_hint_ms);
     if (!results_payload.ok()) return results_payload.status();
     return DecodeResults(*results_payload);
   };
 
-  Status last_error = Status::IoError("no delivery attempt made");
-  for (int attempt = 0; attempt < std::max(config_.retry.max_attempts, 1);
-       ++attempt) {
-    busy_hint_ms = -1;
-    {
-      auto outcome = attempt_session(attempt);
-      if (outcome.ok()) return outcome;
-      last_error = outcome.status();
-    }
-    if (Terminal(last_error)) return last_error;
-    if (last_error.code() == StatusCode::kNotFound) {
-      // The server no longer knows the session (swept, or restarted):
-      // start over with a fresh hello and re-meter from scratch.
-      PPRL_LOG(kWarning) << "owner '" << owner << "' session "
-                         << cursor.session_id << " lost on the server ("
-                         << last_error.message() << "); starting over";
-      cursor = SessionCursor{};
-      cursor.max_chunk = std::max<size_t>(config_.chunk_bytes, 1);
-    }
-    const bool busy = busy_hint_ms >= 0;
-    // Exponential backoff with multiplicative jitter (net/retry.h); kBusy
-    // replaces the backoff with the server's own hint.
-    const int delay_ms = backoff.NextDelayMs(attempt, busy_hint_ms);
-    CountRetry(busy ? "busy" : "io");
-    ++retries_;
-    if (backoff.DeadlineExceededAfter(delay_ms)) {
-      return Status::IoError("delivery deadline exceeded after " +
-                             std::to_string(attempt + 1) +
-                             " attempts; last error: " + last_error.message());
-    }
-    PPRL_LOG(kDebug) << "owner '" << owner << "' retrying in " << delay_ms
-                     << " ms: " << last_error.ToString();
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-  }
-  return Status::IoError("delivery failed after " +
-                         std::to_string(config_.retry.max_attempts) +
-                         " attempts; last error: " + last_error.message());
+  Result<OwnerLinkageSummary> summary = Status::IoError("no delivery attempt made");
+  const Status delivered = RunWithRetry(
+      config_.retry, "delivery of owner '" + owner + "'",
+      [&](int attempt, int* busy_hint_ms) {
+        summary = attempt_session(attempt, busy_hint_ms);
+        if (summary.status().code() == StatusCode::kNotFound) {
+          // The server no longer knows the session (swept, or restarted):
+          // start over with a fresh hello and meter the shipment anew.
+          PPRL_LOG(kWarning) << "owner '" << owner << "' session " << cursor.session_id
+                             << " lost on the server (" << summary.status().message()
+                             << "); starting over";
+          cursor = SessionCursor{};
+          cursor.max_chunk = std::max<size_t>(config_.chunk_bytes, 1);
+        }
+        return summary.status();
+      },
+      [this](bool busy, int) {
+        CountRetry(busy);
+        ++retries_;
+      });
+  if (!delivered.ok()) return delivered;
+  return summary;
 }
 
 Status RemoteOwnerClient::Deliver(const std::string& owner,
@@ -347,10 +342,11 @@ Status OnlineLinkClient::Connect(const std::string& party, uint32_t filter_bits)
   filter_bits_ = filter_bits;
   session_id_ = 0;
   appended_ = 0;
-  return EnsureConnected();
+  int busy_hint_ms = -1;
+  return EnsureConnected(&busy_hint_ms);
 }
 
-Status OnlineLinkClient::EnsureConnected() {
+Status OnlineLinkClient::EnsureConnected(int* busy_hint_ms) {
   if (mfc_) return Status::OK();
   if (party_.empty()) return Status::FailedPrecondition("Connect() first");
   auto conn = TcpConnection::Connect(config_.host, config_.port, config_.connect);
@@ -361,78 +357,21 @@ Status OnlineLinkClient::EnsureConnected() {
                                                   config_.max_frame_payload);
   mfc_->set_peer(server_name_.empty() ? config_.server_label : server_name_);
 
-  int busy_hint = -1;
-  if (session_id_ == 0) {
-    // Fresh session: the online query-only handshake (zero records —
-    // appends are still allowed, cursored by the engine).
-    HelloMessage hello;
-    hello.protocol_version = kWireProtocolVersion;
-    hello.party = party_;
-    hello.filter_bits = filter_bits_;
-    hello.record_count = 0;
-    Status sent =
-        mfc_->Send(static_cast<uint8_t>(MessageType::kHello), EncodeHello(hello),
-                   MessageTypeTag(static_cast<uint8_t>(MessageType::kHello)));
-    if (!sent.ok()) {
-      Close();
-      return sent;
-    }
-    auto ack_payload = ExpectFrame(mfc_->Receive(MessageTypeTag),
-                                   MessageType::kHelloAck, &busy_hint);
-    if (!ack_payload.ok()) {
-      Close();
-      return ack_payload.status();
-    }
-    auto ack = DecodeHelloAck(*ack_payload);
-    if (!ack.ok()) {
-      Close();
-      return ack.status();
-    }
-    if (ack->protocol_version != kWireProtocolVersion) {
-      Close();
-      return Status::ProtocolViolation(
-          "server speaks protocol version " + std::to_string(ack->protocol_version) +
-          ", client speaks " + std::to_string(kWireProtocolVersion));
-    }
-    server_name_ = ack->server;
-    mfc_->set_peer(ack->server);
-    session_id_ = ack->session_id;
-    return Status::OK();
-  }
-
-  // Re-attach the server-side session after a connection loss.
-  ResumeMessage resume;
-  resume.protocol_version = kWireProtocolVersion;
-  resume.party = party_;
-  resume.session_id = session_id_;
-  Status sent =
-      mfc_->Send(static_cast<uint8_t>(MessageType::kResume), EncodeResume(resume),
-                 MessageTypeTag(static_cast<uint8_t>(MessageType::kResume)));
-  if (!sent.ok()) {
+  // A fresh session is the online query-only hello (zero records — appends
+  // are still allowed, cursored by the engine); an existing one resumes.
+  auto opened = OpenSession(*mfc_, party_, session_id_, filter_bits_,
+                            /*record_count=*/0, &server_name_, busy_hint_ms);
+  if (!opened.ok()) {
     Close();
-    return sent;
-  }
-  auto rack_payload = ExpectFrame(mfc_->Receive(MessageTypeTag),
-                                  MessageType::kResumeAck, &busy_hint);
-  if (!rack_payload.ok()) {
-    Close();
-    if (rack_payload.status().code() == StatusCode::kNotFound) {
+    if (session_id_ != 0 && opened.status().code() == StatusCode::kNotFound) {
       // Swept on the server: start a fresh session. The record cursor
       // lives in the engine, not the session, so appends stay idempotent.
       session_id_ = 0;
-      return EnsureConnected();
+      return EnsureConnected(busy_hint_ms);
     }
-    return rack_payload.status();
+    return opened.status();
   }
-  auto rack = DecodeResumeAck(*rack_payload);
-  if (!rack.ok()) {
-    Close();
-    return rack.status();
-  }
-  if (rack->session_id != session_id_) {
-    Close();
-    return Status::ProtocolViolation("resume-ack does not match the session");
-  }
+  session_id_ = opened->session_id;
   return Status::OK();
 }
 
@@ -440,43 +379,33 @@ Result<std::vector<uint8_t>> OnlineLinkClient::Roundtrip(
     MessageType send_type,
     const std::function<std::vector<uint8_t>()>& make_payload,
     MessageType expected) {
-  RetryBackoff backoff(config_.retry);
-  Status last_error = Status::IoError("no attempt made");
-  for (int attempt = 0; attempt < std::max(config_.retry.max_attempts, 1);
-       ++attempt) {
-    int busy_hint = -1;
-    Status ready = EnsureConnected();
-    if (ready.ok()) {
-      Status sent =
-          mfc_->Send(static_cast<uint8_t>(send_type), make_payload(),
-                     MessageTypeTag(static_cast<uint8_t>(send_type)));
-      if (sent.ok()) {
-        auto reply =
-            ExpectFrame(mfc_->Receive(MessageTypeTag), expected, &busy_hint);
-        if (reply.ok()) return reply;
-        last_error = reply.status();
-      } else {
-        last_error = sent;
-      }
-      // Failed mid-exchange: drop the connection, redial next attempt.
-      Close();
-    } else {
-      last_error = ready;
-    }
-    if (Terminal(last_error)) return last_error;
-    if (last_error.code() == StatusCode::kNotFound) {
-      session_id_ = 0;  // swept on the server: fresh hello next attempt
-    }
-    const bool busy = busy_hint >= 0;
-    const int delay_ms = backoff.NextDelayMs(attempt, busy_hint);
-    CountRetry(busy ? "busy" : "io");
-    ++retries_;
-    if (backoff.DeadlineExceededAfter(delay_ms)) break;
-    PPRL_LOG(kDebug) << "owner '" << party_ << "' retrying online round trip in "
-                     << delay_ms << " ms: " << last_error.ToString();
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-  }
-  return Status::IoError("online round trip failed: " + last_error.message());
+  Result<std::vector<uint8_t>> reply = Status::IoError("no attempt made");
+  const Status done = RunWithRetry(
+      config_.retry, "online round trip of owner '" + party_ + "'",
+      [&](int, int* busy_hint_ms) {
+        Status status = EnsureConnected(busy_hint_ms);
+        if (!status.ok()) return status;
+        status = mfc_->Send(static_cast<uint8_t>(send_type), make_payload(),
+                            MessageTypeTag(static_cast<uint8_t>(send_type)));
+        if (status.ok()) {
+          reply = ExpectFrame(mfc_->Receive(MessageTypeTag), expected, busy_hint_ms);
+          status = reply.status();
+        }
+        if (!status.ok()) {
+          // Failed mid-exchange: drop the connection, redial next attempt.
+          Close();
+          if (status.code() == StatusCode::kNotFound) {
+            session_id_ = 0;  // swept on the server: fresh hello next attempt
+          }
+        }
+        return status;
+      },
+      [this](bool busy, int) {
+        CountRetry(busy);
+        ++retries_;
+      });
+  if (!done.ok()) return done;
+  return reply;
 }
 
 Result<uint64_t> OnlineLinkClient::AppendRows(const EncodedShard& shard,

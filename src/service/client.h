@@ -22,9 +22,18 @@ namespace pprl {
 /// all retried (resuming the server-side session where it left off);
 /// errors that retrying cannot fix — kInvalidArgument, kAlreadyExists,
 /// kFailedPrecondition, kInternal — end the delivery at once. The policy
-/// itself (attempts, backoff, jitter, deadline) lives in net/retry.h so
-/// the coordinator's worker links share it.
+/// and the loop that runs it (attempts, backoff, jitter, deadline) live
+/// in net/retry.h so the coordinator's worker links share them.
 using SessionRetryPolicy = RetryPolicy;
+
+/// The one reply decoder of every client-side exchange: turns a received
+/// frame into the `expected` type's payload. A kError frame becomes its
+/// transported status (by code), a kBusy frame a retryable kIoError whose
+/// retry-after hint lands in `*busy_hint_ms`, and a clean end of stream a
+/// kIoError — a lost connection, never the server's "unknown session"
+/// kNotFound.
+Result<std::vector<uint8_t>> ExpectFrame(Result<Frame> frame, MessageType expected,
+                                         int* busy_hint_ms);
 
 /// How a database owner reaches a linkage-unit daemon.
 struct RemoteOwnerClientConfig {
@@ -136,13 +145,16 @@ struct OnlineLinkClientConfig {
 ///
 /// Fault tolerance mirrors RemoteOwnerClient: a lost connection is
 /// redialled and the server-side session resumed (fresh hello if it was
-/// swept). Appends are idempotent by the session's record cursor, queries
+/// swept). Appends are idempotent by the party's record cursor, queries
 /// are stateless, so every operation is safe to retry.
 ///
-/// AppendRows assumes this client is its party's only writer and that it
-/// appends from the party's current server-side cursor (record 0 on a
-/// fresh daemon): batches the server has already applied are skipped
-/// idempotently, which is exactly what makes retries safe.
+/// AppendRows sends its rows at this client's view of the party's cursor
+/// (record 0 on a fresh daemon). The server applies every append of a
+/// party — from any number of sessions, bulk shipments included — under
+/// one lock, from the cursor read through the apply: rows below the
+/// cursor are skipped, so concurrent writers re-sending the same rows
+/// index each one exactly once, and a base beyond the cursor is rejected
+/// as a gap.
 class OnlineLinkClient {
  public:
   explicit OnlineLinkClient(OnlineLinkClientConfig config, Channel* meter = nullptr);
@@ -182,8 +194,9 @@ class OnlineLinkClient {
   size_t retries() const { return retries_; }
 
  private:
-  /// Dials and handshakes (resume when a session exists, else hello).
-  Status EnsureConnected();
+  /// Dials and handshakes (resume when a session exists, else hello); a
+  /// BUSY reply leaves its retry-after hint in `*busy_hint_ms`.
+  Status EnsureConnected(int* busy_hint_ms);
   /// Sends `make_payload()` and awaits `expected`, redialling per the
   /// retry policy on connection loss or kBusy. The payload is rebuilt per
   /// attempt so it names the session id in effect after any re-handshake.

@@ -1,6 +1,6 @@
 #include "service/coordinator.h"
 
-#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -51,34 +51,6 @@ CoordinatorMetrics& Metrics() {
   return *m;
 }
 
-/// Rebuilds a Status of the given code (the factories are the only public
-/// constructors).
-Status StatusWithCode(StatusCode code, const std::string& msg) {
-  switch (code) {
-    case StatusCode::kInvalidArgument: return Status::InvalidArgument(msg);
-    case StatusCode::kOutOfRange: return Status::OutOfRange(msg);
-    case StatusCode::kNotFound: return Status::NotFound(msg);
-    case StatusCode::kAlreadyExists: return Status::AlreadyExists(msg);
-    case StatusCode::kFailedPrecondition: return Status::FailedPrecondition(msg);
-    case StatusCode::kProtocolViolation: return Status::ProtocolViolation(msg);
-    case StatusCode::kIoError: return Status::IoError(msg);
-    default: return Status::Internal(msg);
-  }
-}
-
-/// Errors retrying cannot fix (mirrors the owner client's list).
-bool Terminal(const Status& status) {
-  switch (status.code()) {
-    case StatusCode::kInvalidArgument:
-    case StatusCode::kAlreadyExists:
-    case StatusCode::kFailedPrecondition:
-    case StatusCode::kInternal:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 Result<std::vector<WorkerEndpoint>> ParseWorkerList(const std::string& spec) {
@@ -102,12 +74,15 @@ Result<std::vector<WorkerEndpoint>> ParseWorkerList(const std::string& spec) {
       }
       worker.host = entry.substr(0, colon);
     }
-    if (port_text.empty() ||
-        port_text.find_first_not_of("0123456789") != std::string::npos) {
+    // std::from_chars reports an over-long digit string as out of range
+    // instead of throwing.
+    uint64_t port = 0;
+    const char* port_end = port_text.data() + port_text.size();
+    const auto [parsed_end, error] = std::from_chars(port_text.data(), port_end, port);
+    if (port_text.empty() || parsed_end != port_end) {
       return Status::InvalidArgument("bad port in worker entry '" + entry + "'");
     }
-    const unsigned long port = std::stoul(port_text);
-    if (port == 0 || port > 65535) {
+    if (error != std::errc() || port == 0 || port > 65535) {
       return Status::InvalidArgument("port out of range in worker entry '" + entry +
                                      "'");
     }
@@ -241,14 +216,8 @@ Result<DistributedLinkOutcome> CoordinatorServer::ScatterGatherLink(
   outcome.result.pruned_comparisons = merged.pruned_comparisons;
   // Clustering stays global at the coordinator, over the merged edges —
   // identical inputs to the single-daemon path, so identical clusters.
-  if (options.use_star_clustering) {
-    outcome.result.clusters = StarClustering(outcome.result.edges);
-  } else if (options.scheduler != nullptr) {
-    outcome.result.clusters =
-        ParallelConnectedComponents(outcome.result.edges, *options.scheduler);
-  } else {
-    outcome.result.clusters = ConnectedComponents(outcome.result.edges);
-  }
+  outcome.result.clusters = ClusterEdges(
+      outcome.result.edges, options.use_star_clustering, options.scheduler);
   return outcome;
 }
 
@@ -290,12 +259,11 @@ Result<PartitionResultMessage> CoordinatorServer::DriveWorker(
     if (!shipped.ok()) {
       // A worker that already holds this shipment from an earlier
       // (retried) drive answers kAlreadyExists — that is success, not
-      // failure: the bytes are registered.
+      // failure: the bytes are registered. Any other failure only reaches
+      // the run's outcome as text, so its code rides in the message.
       if (shipped.status().code() != StatusCode::kAlreadyExists) {
-        return StatusWithCode(shipped.status().code(),
-                              "shipping '" + unit.owners()[d] + "' to worker " +
-                                  worker.Label() + ": " +
-                                  shipped.status().message());
+        return Status::IoError("shipping '" + unit.owners()[d] + "' to worker " +
+                               worker.Label() + ": " + shipped.status().ToString());
       }
     }
   }
@@ -318,9 +286,6 @@ Result<PartitionResultMessage> CoordinatorServer::DriveWorker(
 Result<PartitionResultMessage> CoordinatorServer::AssignWithRetry(
     size_t worker_index, const AssignPartitionMessage& assign) {
   const WorkerEndpoint& worker = coordinator_.workers[worker_index];
-  RetryBackoff backoff(coordinator_.retry);
-  Status last_error = Status::IoError("no assignment attempt made");
-
   const auto attempt_assignment = [&](int attempt,
                                       int* busy_hint_ms) -> Result<PartitionResultMessage> {
     auto conn =
@@ -357,29 +322,10 @@ Result<PartitionResultMessage> CoordinatorServer::AssignWithRetry(
         MessageTypeTag(static_cast<uint8_t>(MessageType::kAssignPartition))));
     // The worker computes its whole partition before replying.
     wire->SetIoTimeout(coordinator_.assign_timeout_ms);
-    auto frame = mfc.Receive(MessageTypeTag);
-    if (!frame.ok()) {
-      if (frame.status().code() == StatusCode::kNotFound) {
-        return Status::IoError("worker closed before answering the assignment");
-      }
-      return frame.status();
-    }
-    if (frame->type == static_cast<uint8_t>(MessageType::kBusy)) {
-      auto busy = DecodeBusy(frame->payload);
-      if (!busy.ok()) return busy.status();
-      *busy_hint_ms = static_cast<int>(busy->retry_after_ms);
-      return Status::IoError("worker busy: " + busy->reason);
-    }
-    if (frame->type == static_cast<uint8_t>(MessageType::kError)) {
-      auto err = DecodeError(frame->payload);
-      if (!err.ok()) return err.status();
-      return StatusWithCode(err->code, "worker: " + err->message);
-    }
-    if (frame->type != static_cast<uint8_t>(MessageType::kPartitionResult)) {
-      return Status::ProtocolViolation("expected partition-result, got frame type " +
-                                       std::to_string(frame->type));
-    }
-    auto result = DecodePartitionResult(frame->payload);
+    auto payload = ExpectFrame(mfc.Receive(MessageTypeTag),
+                               MessageType::kPartitionResult, busy_hint_ms);
+    if (!payload.ok()) return payload.status();
+    auto result = DecodePartitionResult(*payload);
     if (!result.ok()) return result.status();
     if (result->worker_index != assign.worker_index) {
       return Status::ProtocolViolation("partition-result names worker " +
@@ -390,28 +336,19 @@ Result<PartitionResultMessage> CoordinatorServer::AssignWithRetry(
     return result;
   };
 
-  for (int attempt = 0; attempt < std::max(coordinator_.retry.max_attempts, 1);
-       ++attempt) {
-    int busy_hint_ms = -1;
-    auto outcome = attempt_assignment(attempt, &busy_hint_ms);
-    if (outcome.ok()) return outcome;
-    last_error = outcome.status();
-    if (Terminal(last_error)) return last_error;
-    const int delay_ms = backoff.NextDelayMs(attempt, busy_hint_ms);
-    Metrics().WorkerRetries().Increment();
-    worker_retries_.fetch_add(1);
-    if (backoff.DeadlineExceededAfter(delay_ms)) {
-      return Status::IoError("assignment deadline exceeded after " +
-                             std::to_string(attempt + 1) +
-                             " attempts; last error: " + last_error.message());
-    }
-    PPRL_LOG(kDebug) << "retrying assignment to " << worker.Label() << " in "
-                     << delay_ms << " ms: " << last_error.ToString();
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-  }
-  return Status::IoError("assignment to " + worker.Label() + " failed after " +
-                         std::to_string(coordinator_.retry.max_attempts) +
-                         " attempts; last error: " + last_error.message());
+  Result<PartitionResultMessage> result = Status::IoError("no assignment attempt made");
+  const Status assigned = RunWithRetry(
+      coordinator_.retry, "assignment to " + worker.Label(),
+      [&](int attempt, int* busy_hint_ms) {
+        result = attempt_assignment(attempt, busy_hint_ms);
+        return result.status();
+      },
+      [this](bool, int) {
+        Metrics().WorkerRetries().Increment();
+        worker_retries_.fetch_add(1);
+      });
+  if (!assigned.ok()) return assigned;
+  return result;
 }
 
 }  // namespace pprl

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
+#include <system_error>
 
 #include "blocking/lsh_blocking.h"
 #include "common/logging.h"
@@ -80,6 +82,26 @@ void CountMessage(uint8_t type, const char* direction) {
                   {{"type", MessageTypeTag(type)}, {"direction", direction}})
       .Increment();
 }
+
+/// Runs `fn` once: at Run(), or when the guard leaves scope.
+template <typename Fn>
+class RunOnce {
+ public:
+  explicit RunOnce(Fn fn) : fn_(std::move(fn)) {}
+  ~RunOnce() { Run(); }
+  RunOnce(const RunOnce&) = delete;
+  RunOnce& operator=(const RunOnce&) = delete;
+
+  void Run() {
+    if (done_) return;
+    done_ = true;
+    fn_();
+  }
+
+ private:
+  Fn fn_;
+  bool done_ = false;
+};
 
 uint64_t ExpectedShipmentBytes(uint32_t filter_bits, uint32_t record_count) {
   return static_cast<uint64_t>(record_count) *
@@ -183,9 +205,6 @@ Status LinkageUnitServer::Start() {
       return metrics_started;
     }
   }
-  // One thread per admitted connection: shedding happens before Submit,
-  // so a full pool can never starve a resumed session of a handler.
-  pool_ = std::make_unique<ThreadPool>(max_sessions() + config_.extra_threads);
   if (config_.link_threads > 1) {
     WorkStealingScheduler::Options sched_options;
     sched_options.num_threads = config_.link_threads;
@@ -213,13 +232,24 @@ void LinkageUnitServer::Stop() {
   listener_.Close();
   linkage_done_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
-  // Draining the pool joins every in-flight session handler; only then is
-  // no linkage left to submit shards, so the scheduler can drain too.
-  pool_.reset();
+  // Nothing is admitted any more. End every pending read — a handler
+  // parked between requests sees end of stream at once instead of sitting
+  // out io_timeout_ms, one mid-request still finishes and acks it — and
+  // join every session thread. Handlers only mark their own entry, never
+  // add or erase one, so the joins need no lock.
+  {
+    std::lock_guard<std::mutex> lock(threads_mutex_);
+    for (auto& [index, session] : session_threads_) {
+      if (!session.done) session.conn->ShutdownRead();
+    }
+  }
+  for (auto& [index, session] : session_threads_) session.thread.join();
+  session_threads_.clear();
+  // No handler is left to submit shards, so the scheduler can drain too.
   link_scheduler_.reset();
-  // Every session handler has drained, so the engine is quiescent: write
-  // the final checkpoint and truncate the WAL. A failure here loses
-  // nothing — the WAL still holds everything — so log and keep stopping.
+  // Every session has ended, so the engine is quiescent: write the final
+  // checkpoint and truncate the WAL. A failure here loses nothing — the
+  // WAL still holds everything — so log and keep stopping.
   if (durability_ && online_) {
     const Status final_checkpoint = durability_->Checkpoint(*online_);
     if (final_checkpoint.ok()) {
@@ -234,10 +264,42 @@ void LinkageUnitServer::Stop() {
   metrics_server_.reset();
 }
 
+bool LinkageUnitServer::QuorumArmed() const {
+  // Workers never self-trigger a linkage — their coordinator owns that
+  // decision (and its own straggler quorum) — and an online unit never
+  // runs one.
+  return !config_.worker_mode && !config_.online_mode && config_.min_owners >= 2 &&
+         config_.min_owners < config_.expected_owners;
+}
+
+void LinkageUnitServer::JoinFinishedSessions() {
+  std::vector<SessionThread> finished;
+  {
+    std::lock_guard<std::mutex> lock(threads_mutex_);
+    for (auto it = session_threads_.begin(); it != session_threads_.end();) {
+      if (it->second.done) {
+        finished.push_back(std::move(it->second));
+        it = session_threads_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  for (SessionThread& session : finished) session.thread.join();
+}
+
 void LinkageUnitServer::AcceptLoop() {
+  // Wake often enough for the shortest timer the loop drives: a quarter of
+  // the session TTL, or of the armed quorum wait, within 10-100 ms.
+  int shortest_timer_ms = config_.session_ttl_ms;
+  if (QuorumArmed()) {
+    shortest_timer_ms = std::min(shortest_timer_ms, config_.quorum_wait_ms);
+  }
+  const int wake_ms = std::clamp(shortest_timer_ms / 4, 10, 100);
   while (!stopping_.load()) {
     SweepSessions();
-    auto conn = listener_.Accept(config_.accept_poll_ms);
+    auto conn = listener_.Accept(wake_ms);
+    JoinFinishedSessions();
     if (!conn.ok()) {
       // kNotFound is the poll timing out; kFailedPrecondition is the
       // listener being torn down by Stop().
@@ -248,14 +310,23 @@ void LinkageUnitServer::AcceptLoop() {
       continue;
     }
     const uint64_t conn_index = accepted_connections_.fetch_add(1) + 1;
-    if (active_connections_.load() >= max_sessions()) {
-      ShedOnAccept(**conn, "sessions");
-      continue;
+    std::unique_lock<std::mutex> lock(threads_mutex_);
+    if (session_threads_.size() < max_sessions()) {
+      SessionThread& session = session_threads_[conn_index];
+      session.conn = std::move(*conn);
+      try {
+        session.thread = std::thread(&LinkageUnitServer::HandleSession, this,
+                                     session.conn.get(), conn_index);
+        continue;
+      } catch (const std::system_error& e) {
+        // The process is out of threads: shed like a full table.
+        PPRL_LOG(kWarning) << "cannot start a session thread: " << e.what();
+        *conn = std::move(session.conn);
+        session_threads_.erase(conn_index);
+      }
     }
-    active_connections_.fetch_add(1);
-    // shared_ptr because ThreadPool tasks are copyable std::functions.
-    std::shared_ptr<TcpConnection> shared(std::move(*conn));
-    pool_->Submit([this, shared, conn_index] { HandleSession(shared, conn_index); });
+    lock.unlock();
+    ShedOnAccept(**conn, "sessions");
   }
 }
 
@@ -334,11 +405,7 @@ void LinkageUnitServer::SweepSessions() {
     Metrics().session_open.Set(static_cast<int64_t>(sessions_.size()));
     Metrics().session_buffered_bytes.Set(static_cast<int64_t>(buffered_bytes_));
     // Quorum option: enough owners registered, the rest silent too long.
-    // Workers never self-trigger a linkage — their coordinator owns that
-    // decision (and its own straggler quorum).
-    if (!config_.worker_mode && !config_.online_mode && !linkage_ran_ &&
-        config_.min_owners >= 2 &&
-        config_.min_owners < config_.expected_owners &&
+    if (QuorumArmed() && !linkage_ran_ &&
         owner_order_.size() >= config_.min_owners &&
         owner_order_.size() < config_.expected_owners &&
         last_registration_ != std::chrono::steady_clock::time_point{} &&
@@ -428,14 +495,13 @@ void LinkageUnitServer::RunLinkage(bool allow_partial) {
   linkage_done_.notify_all();
 }
 
-void LinkageUnitServer::HandleSession(std::shared_ptr<TcpConnection> conn,
-                                      uint64_t conn_index) {
+void LinkageUnitServer::HandleSession(TcpConnection* conn, uint64_t conn_index) {
   conn->SetIoTimeout(config_.io_timeout_ms);
   // Chaos mode wraps the socket so every byte this handler moves can be
   // dropped, delayed, truncated or corrupted — deterministically per
   // connection, so failing runs replay.
   std::unique_ptr<FaultInjectingConnection> chaos;
-  Connection* wire = conn.get();
+  Connection* wire = conn;
   if (config_.chaos.enabled()) {
     chaos = std::make_unique<FaultInjectingConnection>(
         *conn, config_.chaos.WithSeed(config_.chaos.seed +
@@ -447,12 +513,16 @@ void LinkageUnitServer::HandleSession(std::shared_ptr<TcpConnection> conn,
   Metrics().sessions.Increment();
   Metrics().active_sessions.Add(1);
   const auto session_start = std::chrono::steady_clock::now();
-  uint64_t attached_sid = 0;
+  // The session this connection is attached to, once the handshake opened
+  // or resumed one.
+  uint64_t sid = 0;
 
-  const auto finish = [&] {
-    if (attached_sid != 0) {
+  // The one exit path: every return below detaches the session, accounts
+  // the connection's wire bytes, closes it and marks this thread joinable.
+  RunOnce close_session([&] {
+    if (sid != 0) {
       std::lock_guard<std::mutex> lock(mutex_);
-      auto it = sessions_.find(attached_sid);
+      auto it = sessions_.find(sid);
       if (it != sessions_.end()) {
         it->second.attached = false;
         it->second.last_activity = std::chrono::steady_clock::now();
@@ -461,12 +531,15 @@ void LinkageUnitServer::HandleSession(std::shared_ptr<TcpConnection> conn,
     wire_bytes_received_ += conn->wire_bytes_received();
     wire_bytes_sent_ += conn->wire_bytes_sent();
     conn->Close();
+    {
+      std::lock_guard<std::mutex> lock(threads_mutex_);
+      session_threads_.at(conn_index).done = true;
+    }
     Metrics().active_sessions.Sub(1);
-    active_connections_.fetch_sub(1);
     Metrics().session_seconds.Observe(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - session_start)
             .count());
-  };
+  });
 
   // 1. Handshake: a new session (hello) or a re-attachment (resume). The
   // first frame is metered only after it names the sender, so it lands on
@@ -475,18 +548,15 @@ void LinkageUnitServer::HandleSession(std::shared_ptr<TcpConnection> conn,
   if (!first.ok()) {
     PPRL_LOG(kWarning) << "dropping connection before handshake: "
                        << first.status().ToString();
-    finish();
     return;
   }
 
-  uint64_t sid = 0;
   bool shipment_complete = false;
 
   if (first->type == static_cast<uint8_t>(MessageType::kHello)) {
     auto hello = DecodeHello(first->payload);
     if (!hello.ok()) {
       FailSession(mfc, hello.status());
-      finish();
       return;
     }
     mfc.set_peer(hello->party);
@@ -497,20 +567,17 @@ void LinkageUnitServer::HandleSession(std::shared_ptr<TcpConnection> conn,
                            "protocol version mismatch: server speaks " +
                            std::to_string(kWireProtocolVersion) + ", owner sent " +
                            std::to_string(hello->protocol_version)));
-      finish();
       return;
     }
     const Status filter_bits = ValidateFilterBits(hello->filter_bits);
     if (!filter_bits.ok()) {
       FailSession(mfc, Status::ProtocolViolation("hello: " + filter_bits.message()));
-      finish();
       return;
     }
     if (hello->record_count == 0 && !config_.online_mode) {
       // Query-only sessions are an online-mode feature; a batch linkage
       // unit has nothing to offer an owner without a shipment.
       FailSession(mfc, Status::ProtocolViolation("hello declared zero records"));
-      finish();
       return;
     }
     {
@@ -519,7 +586,6 @@ void LinkageUnitServer::HandleSession(std::shared_ptr<TcpConnection> conn,
         const Status late = Status::FailedPrecondition(
             "linkage already ran; owner '" + hello->party + "' is too late to join");
         FailSession(mfc, late);
-        finish();
         return;
       }
       // First owner fixes the filter length for the whole run.
@@ -530,7 +596,6 @@ void LinkageUnitServer::HandleSession(std::shared_ptr<TcpConnection> conn,
             std::to_string(hello->filter_bits) + "-bit filters; this linkage uses " +
             std::to_string(expected_filter_bits_));
         FailSession(mfc, mismatch);
-        finish();
         return;
       }
       // The first hello fixes the filter length, so the online engine can
@@ -548,7 +613,6 @@ void LinkageUnitServer::HandleSession(std::shared_ptr<TcpConnection> conn,
           ExpectedShipmentBytes(hello->filter_bits, hello->record_count);
       if (buffered_bytes_ + expected_bytes > config_.max_buffered_bytes) {
         SendBusy(mfc, "buffer");
-        finish();
         return;
       }
       sid = next_session_id_++;
@@ -568,7 +632,6 @@ void LinkageUnitServer::HandleSession(std::shared_ptr<TcpConnection> conn,
       Metrics().session_open.Set(static_cast<int64_t>(sessions_.size()));
       Metrics().session_buffered_bytes.Set(static_cast<int64_t>(buffered_bytes_));
     }
-    attached_sid = sid;
     // A zero-record hello in online mode opens a query-only session:
     // there is no shipment phase to run.
     shipment_complete = config_.online_mode && hello->record_count == 0;
@@ -582,14 +645,12 @@ void LinkageUnitServer::HandleSession(std::shared_ptr<TcpConnection> conn,
     if (!mfc.Send(static_cast<uint8_t>(MessageType::kHelloAck), EncodeHelloAck(ack),
                   MessageTypeTag(static_cast<uint8_t>(MessageType::kHelloAck)))
              .ok()) {
-      finish();
       return;
     }
   } else if (first->type == static_cast<uint8_t>(MessageType::kResume)) {
     auto resume = DecodeResume(first->payload);
     if (!resume.ok()) {
       FailSession(mfc, resume.status());
-      finish();
       return;
     }
     mfc.set_peer(resume->party);
@@ -598,7 +659,6 @@ void LinkageUnitServer::HandleSession(std::shared_ptr<TcpConnection> conn,
     if (resume->protocol_version != kWireProtocolVersion) {
       FailSession(mfc, Status::ProtocolViolation(
                            "protocol version mismatch on resume"));
-      finish();
       return;
     }
     ResumeAckMessage rack;
@@ -611,14 +671,12 @@ void LinkageUnitServer::HandleSession(std::shared_ptr<TcpConnection> conn,
             "unknown session " + std::to_string(resume->session_id) +
             " (expired or never opened); start a new hello");
         FailSession(mfc, unknown);
-        finish();
         return;
       }
       if (it->second.party != resume->party) {
         FailSession(mfc, Status::InvalidArgument(
                              "session " + std::to_string(resume->session_id) +
                              " belongs to another party"));
-        finish();
         return;
       }
       if (it->second.attached) {
@@ -626,7 +684,6 @@ void LinkageUnitServer::HandleSession(std::shared_ptr<TcpConnection> conn,
         // owner retries shortly instead of us closing sockets across
         // threads.
         SendBusy(mfc, "attached");
-        finish();
         return;
       }
       it->second.attached = true;
@@ -639,57 +696,46 @@ void LinkageUnitServer::HandleSession(std::shared_ptr<TcpConnection> conn,
       rack.shipment_complete = shipment_complete;
       Metrics().session_resumed.Increment();
     }
-    attached_sid = sid;
     CountMessage(static_cast<uint8_t>(MessageType::kResumeAck), "out");
     if (!mfc.Send(static_cast<uint8_t>(MessageType::kResumeAck), EncodeResumeAck(rack),
                   MessageTypeTag(static_cast<uint8_t>(MessageType::kResumeAck)))
              .ok()) {
-      finish();
       return;
     }
   } else if (first->type == static_cast<uint8_t>(MessageType::kAssignPartition)) {
     // A coordinator's control connection, not an owner session: answer
     // the partition assignment and close.
     HandleAssignPartition(mfc, *first);
-    finish();
     return;
   } else {
     FailSession(mfc, Status::ProtocolViolation(
                          "expected hello, resume or assign-partition, got frame type " +
                          std::to_string(first->type)));
-    finish();
     return;
   }
 
   // 2. Shipment (chunked, resumable, idempotent).
-  if (!shipment_complete && !ReceiveShipment(mfc, sid)) {
-    finish();
-    return;
-  }
+  if (!shipment_complete && !ReceiveShipment(mfc, sid)) return;
 
   // 3. Online role: the session now serves kAppendRecords / kQuery frames
   // on this connection until the owner leaves. There is no batch linkage
   // run and no results frame.
   if (config_.online_mode) {
     ServeOnline(mfc, sid);
-    finish();
     return;
   }
 
   // 4. Worker role ends here: the shipment is registered and acked, and
   // results (if any) belong to the coordinator's owners, not to the
   // coordinator's re-shipment session.
-  if (config_.worker_mode) {
-    finish();
-    return;
-  }
+  if (config_.worker_mode) return;
 
   // 5. Link once the last owner shipped, then answer everyone.
   RunLinkage(/*allow_partial=*/false);
   const bool delivered = DeliverResults(mfc, sid);
   // Account the session's wire bytes before announcing delivery, so that
   // once WaitUntilDone() returns the cost counters are final.
-  finish();
+  close_session.Run();
   if (delivered) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = sessions_.find(sid);
@@ -736,10 +782,20 @@ bool LinkageUnitServer::ReceiveShipment(MeteredFrameConnection& mfc,
     }
 
     ShipmentAckMessage ack;
+    const auto fill_ack = [&](const ServerSession& session) {
+      ack.session_id = session_id;
+      ack.acked_bytes = session.assembler.acked_bytes();
+      ack.complete = session.registered;
+      ack.owners_shipped = static_cast<uint32_t>(owner_order_.size());
+      ack.expected_owners = static_cast<uint32_t>(config_.expected_owners);
+    };
     Status failure = Status::OK();
-    bool absorb_pending = false;
-    EncodedDatabase absorb;
-    std::string absorb_party;
+    // An online shipment's append is per-record indexed work (LSH probe +
+    // kernel compare each) that runs for seconds on a large shipment; it is
+    // deferred until mutex_ is released so hellos, resumes, acks and the
+    // sweeper keep flowing. The session registers once it succeeded.
+    std::optional<EncodedDatabase> online_shipment;
+    std::string party;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       auto it = sessions_.find(session_id);
@@ -771,100 +827,45 @@ bool LinkageUnitServer::ReceiveShipment(MeteredFrameConnection& mfc,
             if (linkage_ran_) {
               failure = Status::FailedPrecondition(
                   "linkage already ran without owner '" + session.party + "'");
-              EraseSessionLocked(session_id);
             } else {
               auto encoded = session.assembler.Finish();
               if (encoded.ok() && !config_.spool_dir.empty()) {
                 SpoolShipment(session.party, *encoded);
               }
-              Status stored = encoded.status();
-              if (encoded.ok() && config_.online_mode) {
-                // The engine absorb is per-record indexed work (LSH probe
-                // + kernel compare each) that runs for seconds on a large
-                // shipment; defer it until mutex_ is released so hellos,
-                // resumes, acks and the sweeper keep flowing. The session
-                // registers below, once the absorb succeeded.
-                absorb = std::move(*encoded);
-                absorb_party = session.party;
-                absorb_pending = true;
-              } else if (encoded.ok()) {
-                stored = unit_.Receive(session.party, std::move(*encoded));
-              }
-              if (!stored.ok()) {
-                failure = stored;
-                EraseSessionLocked(session_id);
-              } else if (!absorb_pending) {
-                owner_order_.push_back(session.party);
-                session.database_index =
-                    static_cast<uint32_t>(owner_order_.size() - 1);
-                session.registered = true;
-                const uint64_t reserved = ExpectedShipmentBytes(
-                    session.filter_bits, session.record_count);
-                buffered_bytes_ -= std::min<uint64_t>(buffered_bytes_, reserved);
-                session.assembler.Discard();
-                last_registration_ = std::chrono::steady_clock::now();
-                Metrics().session_completed.Increment();
-                Metrics().session_buffered_bytes.Set(
-                    static_cast<int64_t>(buffered_bytes_));
-                // Registration order IS the database index order the
-                // canonical cluster ids depend on; log it so operators
-                // (and the check.sh parity gates) can sequence on it.
-                PPRL_LOG(kInfo) << "registered shipment of owner '"
-                                << session.party << "' ("
-                                << owner_order_.size() << "/"
-                                << config_.expected_owners << ")";
+              if (!encoded.ok()) {
+                failure = encoded.status();
+              } else if (config_.online_mode) {
+                online_shipment = std::move(*encoded);
+                party = session.party;
+              } else {
+                const uint32_t database_index =
+                    static_cast<uint32_t>(owner_order_.size());
+                failure = unit_.Receive(session.party, std::move(*encoded));
+                if (failure.ok()) RegisterShipmentLocked(session, database_index);
               }
             }
+            if (!failure.ok()) EraseSessionLocked(session_id);
           }
-          if (failure.ok() && !absorb_pending) {
-            ack.session_id = session_id;
-            ack.acked_bytes = session.assembler.acked_bytes();
-            ack.complete = session.registered;
-            ack.owners_shipped = static_cast<uint32_t>(owner_order_.size());
-            ack.expected_owners = static_cast<uint32_t>(config_.expected_owners);
-          }
+          if (failure.ok() && !online_shipment) fill_ack(session);
         }
       }
     }
-    if (failure.ok() && absorb_pending) {
-      // Engine work runs lock-free with respect to mutex_; only the
-      // registration bookkeeping below re-acquires it.
+    if (failure.ok() && online_shipment) {
       uint32_t database_index = 0;
-      const Status stored =
-          AbsorbShipmentOnline(absorb_party, absorb, &database_index);
+      const Result<uint64_t> appended =
+          AppendOnline(party, *online_shipment, /*base_index=*/0, &database_index);
       std::lock_guard<std::mutex> lock(mutex_);
       auto it = sessions_.find(session_id);
       if (it == sessions_.end()) {
-        // Swept mid-absorb (TTL or deadline). The absorbed records stay —
+        // Swept mid-append (TTL or deadline). The appended records stay —
         // a retry re-ships them as a prefix and skips them idempotently.
         failure = Status::NotFound("session swept while absorbing; start over");
-      } else if (!stored.ok()) {
-        failure = stored;
+      } else if (!appended.ok()) {
+        failure = appended.status();
         EraseSessionLocked(session_id);
       } else {
-        ServerSession& session = it->second;
-        session.database_index = database_index;
-        // A repeat shipment of one party registers only once.
-        if (std::find(owner_order_.begin(), owner_order_.end(), session.party) ==
-            owner_order_.end()) {
-          owner_order_.push_back(session.party);
-        }
-        session.registered = true;
-        const uint64_t reserved =
-            ExpectedShipmentBytes(session.filter_bits, session.record_count);
-        buffered_bytes_ -= std::min<uint64_t>(buffered_bytes_, reserved);
-        session.assembler.Discard();
-        last_registration_ = std::chrono::steady_clock::now();
-        Metrics().session_completed.Increment();
-        Metrics().session_buffered_bytes.Set(static_cast<int64_t>(buffered_bytes_));
-        PPRL_LOG(kInfo) << "registered shipment of owner '" << session.party
-                        << "' (" << owner_order_.size() << "/"
-                        << config_.expected_owners << ")";
-        ack.session_id = session_id;
-        ack.acked_bytes = session.assembler.acked_bytes();
-        ack.complete = true;
-        ack.owners_shipped = static_cast<uint32_t>(owner_order_.size());
-        ack.expected_owners = static_cast<uint32_t>(config_.expected_owners);
+        RegisterShipmentLocked(it->second, database_index);
+        fill_ack(it->second);
       }
     }
     if (!failure.ok()) {
@@ -882,51 +883,67 @@ bool LinkageUnitServer::ReceiveShipment(MeteredFrameConnection& mfc,
   }
 }
 
-Status LinkageUnitServer::AbsorbShipmentOnline(const std::string& party,
-                                               const EncodedDatabase& encoded,
-                                               uint32_t* database_index) {
-  // One bulk absorb at a time: the cursor rule below reads the party's
-  // record count and then appends, which must not interleave with another
-  // shipment of the same party. Queries and v4 appends are not held up —
-  // they go straight to the internally thread-safe engine.
-  std::lock_guard<std::mutex> absorb_lock(absorb_mutex_);
-  // A re-shipment from an already-indexed party arrives on a fresh hello
-  // session, so chunk idempotency cannot see the earlier delivery. Treat
-  // it as a retransmit of the party's prefix — the shipment-granular twin
-  // of the kAppendRecords record cursor: skip what the index already
-  // holds and append only the tail, so re-running an append is
-  // idempotent. In durable mode the cursor is read without registering:
-  // registration is journaled state, owned by DurableAppend.
-  size_t skip = 0;
-  uint32_t db = OnlineLinkageEngine::kNoDatabase;
-  if (auto existing = online_->FindDatabase(party)) {
-    db = *existing;
-    skip = std::min(online_->record_count(db), encoded.size());
+void LinkageUnitServer::RegisterShipmentLocked(ServerSession& session,
+                                               uint32_t database_index) {
+  // An online party that ships again registers only once.
+  if (std::find(owner_order_.begin(), owner_order_.end(), session.party) ==
+      owner_order_.end()) {
+    owner_order_.push_back(session.party);
   }
+  session.database_index = database_index;
+  session.registered = true;
+  const uint64_t reserved = ExpectedShipmentBytes(session.filter_bits, session.record_count);
+  buffered_bytes_ -= std::min<uint64_t>(buffered_bytes_, reserved);
+  session.assembler.Discard();
+  last_registration_ = std::chrono::steady_clock::now();
+  Metrics().session_completed.Increment();
+  Metrics().session_buffered_bytes.Set(static_cast<int64_t>(buffered_bytes_));
+  // Registration order IS the database index order the canonical cluster
+  // ids depend on; log it so operators (and the check.sh parity gates) can
+  // sequence on it.
+  PPRL_LOG(kInfo) << "registered shipment of owner '" << session.party << "' ("
+                  << owner_order_.size() << "/" << config_.expected_owners << ")";
+}
+
+Result<uint64_t> LinkageUnitServer::AppendOnline(const std::string& party,
+                                                 const EncodedDatabase& records,
+                                                 uint64_t base_index,
+                                                 uint32_t* database_index) {
+  std::lock_guard<std::mutex> lock(append_mutex_);
+  OnlineLinkageEngine& engine = *online_;
+  // In durable mode registration is journaled state, so the cursor is read
+  // without registering; DurableAppend journals the party's hello on its
+  // first append (a zero-record probe registers too, like in memory).
+  uint32_t db = OnlineLinkageEngine::kNoDatabase;
+  uint64_t cursor = 0;
+  if (auto existing = engine.FindDatabase(party)) {
+    db = *existing;
+    cursor = engine.record_count(db);
+  }
+  if (base_index > cursor) {
+    return Status::ProtocolViolation("append gap: base index " +
+                                     std::to_string(base_index) +
+                                     " is beyond the record cursor " +
+                                     std::to_string(cursor));
+  }
+  // Records below the cursor are retransmits — an ack was lost, or another
+  // session of the party sent them first: skip them, apply only the tail.
+  const size_t skip = static_cast<size_t>(
+      std::min<uint64_t>(cursor - base_index, records.size()));
+  if (skip > 0) Metrics().session_duplicate_chunks.Increment();
   if (durability_) {
-    auto cursor = durability_->DurableAppend(*online_, party, encoded, skip,
-                                             encoded.size(), &db);
-    if (!cursor.ok()) return cursor.status();
+    auto appended =
+        durability_->DurableAppend(engine, party, records, skip, records.size(), &db);
+    if (!appended.ok()) return appended.status();
   } else {
-    if (db == OnlineLinkageEngine::kNoDatabase) {
-      db = online_->RegisterDatabase(party);
-    }
-    for (size_t i = skip; i < encoded.size(); ++i) {
-      auto appended = online_->Append(db, encoded.ids[i], encoded.filters[i]);
+    if (db == OnlineLinkageEngine::kNoDatabase) db = engine.RegisterDatabase(party);
+    for (size_t i = skip; i < records.size(); ++i) {
+      auto appended = engine.Append(db, records.ids[i], records.filters[i]);
       if (!appended.ok()) return appended.status();
     }
   }
   *database_index = db;
-  if (skip > 0) {
-    Metrics().session_duplicate_chunks.Increment();
-    PPRL_LOG(kInfo) << "online: skipped " << skip
-                    << " already-indexed records re-shipped by owner '" << party
-                    << "'";
-  }
-  PPRL_LOG(kInfo) << "online: absorbed " << (encoded.size() - skip)
-                  << " records of owner '" << party << "' (database " << db
-                  << ", " << online_->record_count(db) << " indexed)";
-  return Status::OK();
+  return static_cast<uint64_t>(engine.record_count(db));
 }
 
 void LinkageUnitServer::ServeOnline(MeteredFrameConnection& mfc,
@@ -935,6 +952,21 @@ void LinkageUnitServer::ServeOnline(MeteredFrameConnection& mfc,
   // session it resumed) created it, and the pointer never changes until
   // the daemon stops.
   OnlineLinkageEngine& engine = *online_;
+  // The rows an append or a query carries, checked against this session
+  // and the index's filter width.
+  const auto decode_rows = [&](const std::string& what, uint64_t named_session,
+                               uint32_t filter_bits,
+                               const std::vector<uint8_t>& data) -> Result<EncodedDatabase> {
+    if (named_session != session_id) {
+      return Status::ProtocolViolation(what + " names a different session");
+    }
+    if (filter_bits != engine.filter_bits()) {
+      return Status::InvalidArgument(what + " declared " + std::to_string(filter_bits) +
+                                     "-bit filters; this index uses " +
+                                     std::to_string(engine.filter_bits()));
+    }
+    return DecodeShipment(data, filter_bits);
+  };
   for (;;) {
     auto frame = mfc.ReceiveUnmetered();
     if (!frame.ok()) {
@@ -974,74 +1006,24 @@ void LinkageUnitServer::ServeOnline(MeteredFrameConnection& mfc,
         FailSession(mfc, append.status());
         return;
       }
-      if (append->session_id != session_id) {
-        FailSession(mfc,
-                    Status::ProtocolViolation("append names a different session"));
-        return;
-      }
-      if (append->filter_bits != engine.filter_bits()) {
-        FailSession(mfc, Status::InvalidArgument(
-                             "append declared " + std::to_string(append->filter_bits) +
-                             "-bit filters; this index uses " +
-                             std::to_string(engine.filter_bits())));
-        return;
-      }
-      auto decoded = DecodeShipment(append->data, append->filter_bits);
+      auto decoded =
+          decode_rows("append", append->session_id, append->filter_bits, append->data);
       if (!decoded.ok()) {
         FailSession(mfc, decoded.status());
         return;
       }
-      // In durable mode registration is journaled state, so the cursor is
-      // read without registering; DurableAppend journals the hello on a
-      // party's first append (a zero-record probe registers too, matching
-      // the in-memory path's RegisterDatabase-on-append).
-      uint32_t db = OnlineLinkageEngine::kNoDatabase;
-      uint64_t have = 0;
-      if (auto existing = engine.FindDatabase(party)) {
-        db = *existing;
-        have = engine.record_count(db);
-      } else if (!durability_) {
-        db = engine.RegisterDatabase(party);
-      }
-      if (append->base_index > have) {
-        FailSession(mfc, Status::ProtocolViolation(
-                             "append gap: base index " +
-                             std::to_string(append->base_index) +
-                             " is beyond the record cursor " + std::to_string(have)));
+      uint32_t db = 0;
+      const Result<uint64_t> cursor =
+          AppendOnline(party, *decoded, append->base_index, &db);
+      if (!cursor.ok()) {
+        FailSession(mfc, cursor.status());
         return;
-      }
-      // Records at or below the cursor are retransmits (the ack for an
-      // earlier delivery was lost): skip them, append only the tail. This
-      // is the record-granular twin of the shipment chunk idempotency.
-      const uint64_t skip = have - append->base_index;
-      bool applied_fresh = false;
-      if (durability_) {
-        auto cursor = durability_->DurableAppend(
-            engine, party, *decoded, std::min<size_t>(skip, decoded->size()),
-            decoded->size(), &db);
-        if (!cursor.ok()) {
-          FailSession(mfc, cursor.status());
-          return;
-        }
-        applied_fresh = skip < decoded->size();
-      } else {
-        for (size_t i = skip; i < decoded->size(); ++i) {
-          auto appended = engine.Append(db, decoded->ids[i], decoded->filters[i]);
-          if (!appended.ok()) {
-            FailSession(mfc, appended.status());
-            return;
-          }
-          applied_fresh = true;
-        }
-      }
-      if (!applied_fresh && decoded->size() != 0) {
-        Metrics().session_duplicate_chunks.Increment();
       }
       ShipmentAckMessage ack;
       ack.session_id = session_id;
       // In online mode the ack cursor counts RECORDS, not bytes: the
       // owner's next base_index.
-      ack.acked_bytes = engine.record_count(db);
+      ack.acked_bytes = *cursor;
       ack.complete = true;
       ack.owners_shipped = static_cast<uint32_t>(engine.database_count());
       ack.expected_owners = static_cast<uint32_t>(config_.expected_owners);
@@ -1058,19 +1040,8 @@ void LinkageUnitServer::ServeOnline(MeteredFrameConnection& mfc,
         FailSession(mfc, query.status());
         return;
       }
-      if (query->session_id != session_id) {
-        FailSession(mfc,
-                    Status::ProtocolViolation("query names a different session"));
-        return;
-      }
-      if (query->filter_bits != engine.filter_bits()) {
-        FailSession(mfc, Status::InvalidArgument(
-                             "query declared " + std::to_string(query->filter_bits) +
-                             "-bit filters; this index uses " +
-                             std::to_string(engine.filter_bits())));
-        return;
-      }
-      auto decoded = DecodeShipment(query->data, query->filter_bits);
+      auto decoded =
+          decode_rows("query", query->session_id, query->filter_bits, query->data);
       if (!decoded.ok()) {
         FailSession(mfc, decoded.status());
         return;

@@ -55,20 +55,15 @@ struct LinkageUnitServerConfig {
   /// (unless the quorum option below kicks in first).
   size_t expected_owners = 2;
   MultiPartyLinkageOptions link_options;
-  /// Extra pool threads beyond the session limit (each session holds its
-  /// thread while waiting for the linkage to finish).
-  size_t extra_threads = 1;
   /// Workers in the daemon's shared work-stealing scheduler. >1 runs every
   /// linkage's comparison/clustering stages on it (overriding
   /// link_options.num_threads/scheduler); concurrent linkage runs share the
   /// same workers, each tracking its own completion. 1 keeps linkage
   /// serial.
   size_t link_threads = 1;
-  /// Per-socket read/write timeout while a session is active.
+  /// Per-socket read/write timeout while a session is active. It does not
+  /// bound shutdown: Stop() ends every idle read at once.
   int io_timeout_ms = 30000;
-  /// How often the accept loop wakes to check for Stop(), sweep expired
-  /// sessions and evaluate the quorum option.
-  int accept_poll_ms = 100;
   size_t max_frame_payload = kDefaultMaxFramePayload;
   /// Port of the Prometheus /metrics side endpoint: -1 disables it, 0
   /// binds an ephemeral port (read back via metrics_port()), anything else
@@ -77,13 +72,17 @@ struct LinkageUnitServerConfig {
 
   // --- Robustness (session resume + overload shedding) ---
 
-  /// Concurrent connections the daemon will serve; arrivals beyond this
-  /// are shed with a kBusy frame. 0 derives 2 * expected_owners + 2,
-  /// which leaves room for every owner plus a resumed straggler each.
+  /// Concurrent connections the daemon will serve, each on its own
+  /// thread; arrivals beyond this are shed with a kBusy frame from the
+  /// accept thread, before any thread starts. 0 derives
+  /// 2 * expected_owners + 2, which leaves room for every owner plus a
+  /// resumed straggler each.
   size_t max_sessions = 0;
   /// An unattached session that has not registered its shipment is swept
   /// after this much idle time — its partial buffer is freed and a later
-  /// kResume is answered with kNotFound (the owner starts over).
+  /// kResume is answered with kNotFound (the owner starts over). The
+  /// accept loop wakes every quarter of this (or of quorum_wait_ms when
+  /// the quorum option is armed, whichever is smaller), 10-100 ms.
   int session_ttl_ms = 60000;
   /// Hard wall-clock bound from a session's creation to its shipment
   /// completing, across any number of resumes.
@@ -104,10 +103,11 @@ struct LinkageUnitServerConfig {
   std::string spool_dir;
   /// On-disk format of spooled shipments (kAuto means kPclk).
   io::ShardFileFormat spool_format = io::ShardFileFormat::kPclk;
-  /// Quorum option: when 2 <= min_owners < expected_owners, the unit
-  /// links with the owners it has once quorum_wait_ms passes with no new
-  /// registration — a degraded run, flagged in every result summary.
-  /// 0 (or >= expected_owners) disables the option: all owners required.
+  /// Quorum option: when 2 <= min_owners < expected_owners (batch role
+  /// only), the unit links with the owners it has once quorum_wait_ms
+  /// passes with no new registration — a degraded run, flagged in every
+  /// result summary. 0 (or >= expected_owners) disables the option: all
+  /// owners required.
   size_t min_owners = 0;
   int quorum_wait_ms = 5000;
   /// Chaos mode: when enabled(), every accepted connection is wrapped in
@@ -189,9 +189,13 @@ class LinkageUnitServer {
   /// Binds, listens and starts the accept loop. Non-blocking.
   Status Start();
 
-  /// Stops accepting, closes the listener and joins all workers. Sessions
-  /// already past their shipment still receive results if the linkage can
-  /// run; waiting sessions are failed. Idempotent.
+  /// Stops accepting, ends every session's pending read (a request already
+  /// in flight still finishes and is acked; the next read sees end of
+  /// stream) and joins every session thread — so the wire-byte counters
+  /// are final when it returns — then writes the final checkpoint of a
+  /// durable online engine. Sessions already past their shipment still
+  /// receive results if the linkage can run; waiting sessions are failed.
+  /// Idempotent.
   void Stop();
 
   /// Blocks until the linkage has run and every *linked* owner got its
@@ -259,12 +263,31 @@ class LinkageUnitServer {
     std::chrono::steady_clock::time_point deadline;
   };
 
+  /// One admitted connection and the thread serving it, from admission
+  /// until the accept loop or Stop() joins the thread.
+  struct SessionThread {
+    std::unique_ptr<TcpConnection> conn;
+    std::thread thread;
+    /// The handler has closed `conn` and is returning. Guarded by
+    /// threads_mutex_.
+    bool done = false;
+  };
+
   void AcceptLoop();
-  void HandleSession(std::shared_ptr<TcpConnection> conn, uint64_t conn_index);
+  /// True when the batch quorum option can fire.
+  bool QuorumArmed() const;
+  /// Joins the threads whose handlers have returned.
+  void JoinFinishedSessions();
+  /// The session thread's body. Every exit closes `conn` and accounts it
+  /// exactly once.
+  void HandleSession(TcpConnection* conn, uint64_t conn_index);
   /// Receives shipment chunks for `session_id` until the shipment is
   /// registered. Returns false if the session cannot proceed (fault,
   /// protocol error, deadline) — the caller just closes the connection.
   bool ReceiveShipment(MeteredFrameConnection& mfc, uint64_t session_id);
+  /// Marks `session`'s shipment registered as database `database_index`:
+  /// owner order, buffer reservation, metrics. mutex_ held.
+  void RegisterShipmentLocked(ServerSession& session, uint32_t database_index);
   /// Waits for the linkage and delivers this session's results. Returns
   /// true once the results frame reached the wire.
   bool DeliverResults(MeteredFrameConnection& mfc, uint64_t session_id);
@@ -276,18 +299,16 @@ class LinkageUnitServer {
   /// session until the connection closes (session stays resumable) or a
   /// protocol error fails it.
   void ServeOnline(MeteredFrameConnection& mfc, uint64_t session_id);
-  /// Online role: registers `party` with the engine and appends the tail
-  /// of `encoded` past the party's record cursor — a re-shipment from an
-  /// already-indexed party is a retransmit of its prefix, so re-running a
-  /// bulk append is idempotent (the shipment-granular twin of the
-  /// kAppendRecords cursor rule). Called WITHOUT mutex_ held: the absorb
-  /// is per-record indexed work that can run for seconds on a large
-  /// shipment, and the engine is internally thread-safe. absorb_mutex_
-  /// serializes bulk absorbs so the cursor rule stays exact when one
-  /// party re-ships concurrently.
-  Status AbsorbShipmentOnline(const std::string& party,
-                              const EncodedDatabase& encoded,
-                              uint32_t* database_index);
+  /// Online role: the one append rule, for kAppendRecords batches and
+  /// bulk shipments (base 0) alike. Under append_mutex_ it reads `party`'s
+  /// record cursor, rejects a gap (`base_index` beyond the cursor), skips
+  /// the retransmitted prefix and applies the tail — journaled through
+  /// DurableAppend, or RegisterDatabase plus Append in memory. Returns the
+  /// party's cursor after the append and sets `*database_index`. Called
+  /// WITHOUT mutex_ held: a bulk append is per-record indexed work that
+  /// can run for seconds.
+  Result<uint64_t> AppendOnline(const std::string& party, const EncodedDatabase& records,
+                                uint64_t base_index, uint32_t* database_index);
   /// Sends an error frame (best effort) and records the session failure.
   void FailSession(MeteredFrameConnection& mfc, const Status& status);
   /// Sends a kBusy frame (best effort) and counts the shed.
@@ -307,7 +328,11 @@ class LinkageUnitServer {
   LinkageUnitServerConfig config_;
   TcpListener listener_;
   std::thread accept_thread_;
-  std::unique_ptr<ThreadPool> pool_;
+  /// Admitted connections by accept index; at most max_sessions() entries.
+  /// Handlers only set their own entry's `done`; the accept loop adds and
+  /// erases entries, and Stop() joins them once the accept loop is gone.
+  std::mutex threads_mutex_;
+  std::map<uint64_t, SessionThread> session_threads_;
   /// Shared shard scheduler for parallel linkage (set when link_threads > 1).
   std::unique_ptr<WorkStealingScheduler> link_scheduler_;
   std::unique_ptr<MetricsHttpServer> metrics_server_;
@@ -319,18 +344,18 @@ class LinkageUnitServer {
   /// Online role only; created at the first hello (which fixes the filter
   /// length). Thread-safe internally — ServeOnline calls it WITHOUT
   /// holding mutex_, so queries from concurrent sessions never serialize
-  /// behind each other.
+  /// behind each other or behind appends.
   std::unique_ptr<OnlineLinkageEngine> online_;
   /// Online durability layer (set iff config_.wal_dir is non-empty).
   /// Serializes journal+apply internally; never held together with mutex_.
   std::unique_ptr<OnlineDurability> durability_;
   /// Recovery outcome of the last Start() (valid when durability_ is set).
   RecoveryReport recovery_report_;
-  /// Serializes bulk shipment absorbs into online_ (NOT v4 appends or
-  /// queries) so AbsorbShipmentOnline's read-cursor-then-append sequence
-  /// cannot interleave for a party that ships twice at once. Never held
-  /// together with mutex_.
-  std::mutex absorb_mutex_;
+  /// Serializes every append into online_ — v4 batches and bulk
+  /// shipments — from the cursor read through the apply, so each record
+  /// is applied exactly once however many sessions of a party send it.
+  /// Queries never take it. Never held together with mutex_.
+  std::mutex append_mutex_;
   std::map<uint64_t, ServerSession> sessions_;
   uint64_t next_session_id_ = 1;
   /// Bytes reserved by in-flight shipment buffers (admission control).
@@ -351,7 +376,6 @@ class LinkageUnitServer {
 
   std::atomic<bool> stopping_{false};
   std::atomic<bool> started_{false};
-  std::atomic<size_t> active_connections_{0};
   std::atomic<uint64_t> accepted_connections_{0};
   std::atomic<size_t> wire_bytes_received_{0};
   std::atomic<size_t> wire_bytes_sent_{0};

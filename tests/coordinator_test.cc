@@ -329,5 +329,31 @@ TEST(CoordinatorTest, BelowQuorumFailsTheRun) {
   coordinator.Stop();
 }
 
+/// The --workers flag parser: host:port entries or bare ports, every
+/// malformed entry an InvalidArgument — never an exception, whatever the
+/// digit count.
+TEST(ParseWorkerListTest, AcceptsEndpointsAndRejectsMalformedEntries) {
+  auto workers = ParseWorkerList("10.0.0.7:7811,7812");
+  ASSERT_TRUE(workers.ok()) << workers.status().ToString();
+  ASSERT_EQ(workers->size(), 2u);
+  EXPECT_EQ((*workers)[0].host, "10.0.0.7");
+  EXPECT_EQ((*workers)[0].port, 7811);
+  EXPECT_EQ((*workers)[1].host, "127.0.0.1");
+  EXPECT_EQ((*workers)[1].port, 7812);
+
+  auto bare = ParseWorkerList("65535");
+  ASSERT_TRUE(bare.ok()) << bare.status().ToString();
+  ASSERT_EQ(bare->size(), 1u);
+  EXPECT_EQ((*bare)[0].port, 65535);
+
+  for (const char* spec :
+       {"7811,,7812", "7811,", ":7811", "127.0.0.1:78a1", "127.0.0.1:", "127.0.0.1:+80",
+        "127.0.0.1:-80", "127.0.0.1:0", "127.0.0.1:65536",
+        "127.0.0.1:99999999999999999999999"}) {
+    EXPECT_EQ(ParseWorkerList(spec).status().code(), StatusCode::kInvalidArgument)
+        << spec;
+  }
+}
+
 }  // namespace
 }  // namespace pprl

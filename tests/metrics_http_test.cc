@@ -38,7 +38,6 @@ std::string Get(uint16_t port, const std::string& path) {
 TEST(MetricsHttpTest, ServesScrapesUntilStopped) {
   MetricsHttpServerConfig config;
   config.port = 0;
-  config.accept_poll_ms = 50;
   MetricsHttpServer server(config, [] { return std::string("pprl_up 1\n"); });
   ASSERT_TRUE(server.Start().ok());
 
@@ -66,7 +65,6 @@ TEST(MetricsHttpTest, ServesScrapesUntilStopped) {
 TEST(MetricsHttpTest, StopReturnsPromptlyWithStalledScrapeInFlight) {
   MetricsHttpServerConfig config;
   config.port = 0;
-  config.accept_poll_ms = 50;
   config.io_timeout_ms = 200;  // bound the stalled read below
   MetricsHttpServer server(config, [] { return std::string("pprl_up 1\n"); });
   ASSERT_TRUE(server.Start().ok());

@@ -7,6 +7,7 @@
 
 #include "common/random.h"
 #include "net/fault_injection.h"
+#include "net/retry.h"
 #include "net/transport.h"
 #include "net/wire.h"
 #include "service/protocol.h"
@@ -557,6 +558,118 @@ TEST(ProtocolFuzzTest, AssemblerIsIdempotentUnderDuplicatesGapsAndCorruption) {
     EXPECT_TRUE(assembler.complete());
     EXPECT_EQ(assembler.acked_bytes(), total);
   }
+}
+
+/// RunWithRetry against a scripted attempt function: attempt i
+/// returns script[i] (and the BUSY hint hints[i] when >= 0).
+struct ScriptedExchange {
+  std::vector<Status> script;
+  std::vector<int> hints;
+  int attempts = 0;
+  std::vector<bool> busy_retries;
+  std::vector<int> delays;
+
+  Status Run(const RetryPolicy& policy) {
+    return RunWithRetry(
+        policy, "scripted exchange",
+        [this](int attempt, int* busy_hint_ms) {
+          EXPECT_EQ(attempt, attempts);
+          EXPECT_EQ(*busy_hint_ms, -1);
+          ++attempts;
+          const size_t i = static_cast<size_t>(attempt);
+          if (i < hints.size()) *busy_hint_ms = hints[i];
+          return i < script.size() ? script[i] : Status::IoError("script ran out");
+        },
+        [this](bool busy, int delay_ms) {
+          busy_retries.push_back(busy);
+          delays.push_back(delay_ms);
+        });
+  }
+};
+
+RetryPolicy FastPolicy() {
+  RetryPolicy policy;
+  policy.max_attempts = 5;
+  policy.backoff_initial_ms = 1;
+  policy.backoff_max_ms = 4;
+  policy.jitter = 0;
+  return policy;
+}
+
+TEST(RunWithRetryTest, StopsAtTheFirstSuccess) {
+  ScriptedExchange exchange;
+  exchange.script = {Status::IoError("reset"), Status::ProtocolViolation("garbled"),
+                     Status::IoError("timed out"), Status::OutOfRange("torn"),
+                     Status::OK(), Status::IoError("never reached")};
+  EXPECT_TRUE(exchange.Run(FastPolicy()).ok());
+  EXPECT_EQ(exchange.attempts, 5);
+  // Exponential, capped at backoff_max_ms; no BUSY involved.
+  EXPECT_EQ(exchange.delays, (std::vector<int>{1, 2, 4, 4}));
+  EXPECT_EQ(exchange.busy_retries, (std::vector<bool>(4, false)));
+}
+
+TEST(RunWithRetryTest, TerminalCodesEndAfterOneAttempt) {
+  for (const Status& terminal :
+       {Status::InvalidArgument("bad"), Status::AlreadyExists("dup"),
+        Status::FailedPrecondition("late"), Status::Internal("bug")}) {
+    ScriptedExchange exchange;
+    exchange.script = {terminal, Status::OK()};
+    const Status result = exchange.Run(FastPolicy());
+    EXPECT_EQ(result.code(), terminal.code());
+    EXPECT_EQ(result.message(), terminal.message());
+    EXPECT_EQ(exchange.attempts, 1);
+    EXPECT_TRUE(exchange.delays.empty());
+  }
+  // kNotFound is the caller's cue to start over, so it is retried.
+  ScriptedExchange swept;
+  swept.script = {Status::NotFound("unknown session"), Status::OK()};
+  EXPECT_TRUE(swept.Run(FastPolicy()).ok());
+  EXPECT_EQ(swept.attempts, 2);
+}
+
+TEST(RunWithRetryTest, BusyHintReplacesTheExponentialDelay) {
+  RetryPolicy policy = FastPolicy();
+  policy.backoff_initial_ms = 1000;  // a backoff sleep would stall the test
+  policy.backoff_max_ms = 1000;
+  ScriptedExchange exchange;
+  exchange.script = {Status::IoError("server busy: sessions"),
+                     Status::IoError("server busy: buffer"), Status::OK()};
+  exchange.hints = {7, 0};
+  EXPECT_TRUE(exchange.Run(policy).ok());
+  // A zero hint still waits the 1 ms floor.
+  EXPECT_EQ(exchange.delays, (std::vector<int>{7, 1}));
+  EXPECT_EQ(exchange.busy_retries, (std::vector<bool>{true, true}));
+}
+
+TEST(RunWithRetryTest, AttemptsAndDeadlineBoundTheLoopAndKeepTheLastError) {
+  ScriptedExchange exhausted;
+  exhausted.script = std::vector<Status>(5, Status::IoError("server busy: sessions"));
+  const Status out_of_attempts = exhausted.Run(FastPolicy());
+  EXPECT_EQ(out_of_attempts.code(), StatusCode::kIoError);
+  EXPECT_EQ(exhausted.attempts, 5);
+  EXPECT_EQ(exhausted.delays.size(), 4u) << "no sleep after the last attempt";
+  EXPECT_NE(out_of_attempts.message().find("scripted exchange failed after 5 attempts"),
+            std::string::npos)
+      << out_of_attempts.ToString();
+  EXPECT_NE(out_of_attempts.message().find("busy"), std::string::npos)
+      << out_of_attempts.ToString();
+
+  RetryPolicy policy = FastPolicy();
+  policy.max_attempts = 100;
+  policy.backoff_initial_ms = 40;
+  policy.backoff_max_ms = 40;
+  policy.deadline_ms = 60;
+  ScriptedExchange late;
+  late.script = std::vector<Status>(100, Status::IoError("connection reset"));
+  const auto start = std::chrono::steady_clock::now();
+  const Status past_deadline = late.Run(policy);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_EQ(past_deadline.code(), StatusCode::kIoError);
+  EXPECT_LT(late.attempts, 100);
+  EXPECT_NE(past_deadline.message().find("deadline exceeded"), std::string::npos)
+      << past_deadline.ToString();
+  EXPECT_NE(past_deadline.message().find("connection reset"), std::string::npos)
+      << past_deadline.ToString();
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 #include "linkage/online_linkage.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <numeric>
 #include <random>
 #include <thread>
@@ -12,9 +17,14 @@
 #include "blocking/lsh_index.h"
 #include "common/random.h"
 #include "encoding/clk_io.h"
+#include "io/checkpoint.h"
+#include "io/wal.h"
 #include "linkage/clustering.h"
+#include "net/frame.h"
+#include "net/transport.h"
 #include "pipeline/party.h"
 #include "service/client.h"
+#include "service/durability.h"
 #include "service/server.h"
 #include "similarity/similarity.h"
 
@@ -484,6 +494,201 @@ TEST(OnlineServiceTest, OversizedHelloIsRejectedAndTheDaemonKeepsServing) {
   EXPECT_EQ(queried->index_size, shard.size());
   client.Close();
   server.Stop();
+}
+
+/// An empty durable-state directory under the test's temp dir.
+std::string FreshWalDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  ::mkdir(dir.c_str(), 0755);
+  if (auto segments = io::ListWalSegments(dir); segments.ok()) {
+    for (const auto& [seq, path] : *segments) std::remove(path.c_str());
+  }
+  if (auto checkpoints = io::ListCheckpoints(dir); checkpoints.ok()) {
+    for (const auto& [seq, path] : *checkpoints) std::remove(path.c_str());
+  }
+  return dir;
+}
+
+/// Two writers of party "db-0" send the same 2,000 rows from base 0 at the
+/// same moment: two v4 sessions, or (`bulk_writer`) a bulk shipment beside
+/// a v4 session. The server's one append rule must apply every record
+/// exactly once: both acks and the final cursor equal the row count, the
+/// served partition equals a single-writer engine's, and a durable
+/// daemon's journal replays exactly the rows.
+void ExpectConcurrentWritersApplyEachRecordOnce(bool bulk_writer,
+                                                const std::string& wal_dir) {
+  const EncodedDatabase rows = MakeDatabases(1, 2500, /*seed=*/53)[0];
+  const EncodedShard shard = ShardFromEncodedDatabase(rows);
+  ASSERT_EQ(rows.size(), 2000u);
+
+  LinkageUnitServerConfig config;
+  config.name = "online-lu";
+  config.online_mode = true;
+  config.io_timeout_ms = 30000;
+  config.wal_dir = wal_dir;
+  config.wal_sync_ms = 0;
+  LinkageUnitServer server(config);
+  ASSERT_TRUE(server.Start().ok());
+
+  OnlineLinkClientConfig client_config;
+  client_config.port = server.port();
+  OnlineLinkClient writer(client_config);
+  ASSERT_TRUE(writer.Connect("db-0", kFilterBits).ok());
+  OnlineLinkClient second_writer(client_config);
+  if (!bulk_writer) {
+    ASSERT_TRUE(second_writer.Connect("db-0", kFilterBits).ok());
+  }
+  RemoteOwnerClientConfig owner_config;
+  owner_config.port = server.port();
+  owner_config.wait_for_results = false;
+  RemoteOwnerClient bulk(owner_config);
+
+  std::atomic<bool> go{false};
+  Result<uint64_t> first = Status::Internal("not run");
+  Status second = Status::Internal("not run");
+  std::thread a([&] {
+    while (!go.load()) std::this_thread::yield();
+    first = writer.AppendRows(shard, 0, shard.size());
+  });
+  std::thread b([&] {
+    while (!go.load()) std::this_thread::yield();
+    if (bulk_writer) {
+      second = bulk.ShipAndAwait("db-0", rows).status();
+    } else {
+      auto appended = second_writer.AppendRows(shard, 0, shard.size());
+      second = appended.status();
+      if (appended.ok()) {
+        EXPECT_EQ(*appended, rows.size());
+      }
+    }
+  });
+  go.store(true);
+  a.join();
+  b.join();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(*first, rows.size());
+  ASSERT_TRUE(second.ok()) << second.ToString();
+  auto cursor = writer.ServerCursor();
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  EXPECT_EQ(*cursor, rows.size());
+
+  OnlineLinkageEngine reference(kFilterBits);
+  const uint32_t ref_db = reference.RegisterDatabase("db-0");
+  for (size_t r = 0; r < rows.size(); ++r) {
+    ASSERT_TRUE(reference.Append(ref_db, rows.ids[r], rows.filters[r]).ok());
+  }
+  // A second party's queries see every db-0 record: the served partition
+  // must be the single writer's, record for record.
+  OnlineLinkClient probe(client_config);
+  ASSERT_TRUE(probe.Connect("probe", kFilterBits).ok());
+  auto served = probe.QueryRows(shard, 0, shard.size(), /*want_clusters=*/true, 0);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->index_size, rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    auto expected = reference.Query(rows.filters[r], OnlineLinkageEngine::kNoDatabase,
+                                    /*want_clusters=*/true, /*top_k=*/0);
+    ASSERT_TRUE(expected.ok());
+    const QueryRecordResult& got = served->records[r];
+    EXPECT_EQ(got.cluster_id, expected->cluster_id) << "row " << r;
+    EXPECT_EQ(got.cluster_size, expected->cluster_size) << "row " << r;
+    ASSERT_EQ(got.matches.size(), expected->matches.size()) << "row " << r;
+  }
+
+  if (!wal_dir.empty()) {
+    // What a restart would rebuild from the journal, read while the daemon
+    // still runs (recovery only reads).
+    DurabilityConfig durability;
+    durability.wal_dir = wal_dir;
+    std::unique_ptr<OnlineLinkageEngine> recovered;
+    RecoveryReport report;
+    ASSERT_TRUE(OnlineDurability(durability).Recover(&recovered, &report).ok());
+    ASSERT_NE(recovered, nullptr);
+    EXPECT_EQ(report.replayed_records, rows.size());
+    EXPECT_EQ(recovered->record_count(0), rows.size());
+    EXPECT_EQ(recovered->Clusters(), reference.Clusters());
+  }
+  writer.Close();
+  second_writer.Close();
+  probe.Close();
+  server.Stop();
+}
+
+TEST(OnlineServiceTest, ConcurrentWritersOfOnePartyApplyEachRecordOnce) {
+  for (const bool durable : {false, true}) {
+    for (const bool bulk_writer : {false, true}) {
+      SCOPED_TRACE(std::string(durable ? "durable" : "in memory") +
+                   (bulk_writer ? ", bulk + v4" : ", v4 + v4"));
+      ExpectConcurrentWritersApplyEachRecordOnce(
+          bulk_writer, durable ? FreshWalDir("concurrent_writers") : "");
+    }
+  }
+}
+
+/// Stop() ends idle sessions at once instead of waiting out their 30 s read
+/// timeout: an attached online client between requests and a bulk owner
+/// stalled mid-shipment both see end of stream. A durable daemon still
+/// writes its final checkpoint and truncates the WAL.
+TEST(OnlineServiceTest, StopEndsIdleSessionsPromptly) {
+  const EncodedDatabase rows = MakeDatabases(1, 50, /*seed=*/59)[0];
+  const EncodedShard shard = ShardFromEncodedDatabase(rows);
+  for (const bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "durable" : "in memory");
+    const std::string dir = durable ? FreshWalDir("prompt_stop") : "";
+    LinkageUnitServerConfig config;
+    config.name = "online-lu";
+    config.online_mode = true;
+    config.io_timeout_ms = 30000;
+    config.wal_dir = dir;
+    config.wal_sync_ms = 0;
+    LinkageUnitServer server(config);
+    ASSERT_TRUE(server.Start().ok());
+
+    OnlineLinkClientConfig client_config;
+    client_config.port = server.port();
+    OnlineLinkClient idle(client_config);
+    ASSERT_TRUE(idle.Connect("db-0", kFilterBits).ok());
+    auto appended = idle.AppendRows(shard, 0, shard.size());
+    ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+
+    // A bulk owner that ships its first chunk, gets it acked and stalls.
+    ConnectOptions options;
+    options.io_timeout_ms = 30000;
+    auto stalled = TcpConnection::Connect("127.0.0.1", server.port(), options);
+    ASSERT_TRUE(stalled.ok());
+    FrameWriter out(**stalled);
+    FrameReader in(**stalled);
+    HelloMessage hello;
+    hello.protocol_version = kWireProtocolVersion;
+    hello.party = "db-1";
+    hello.filter_bits = kFilterBits;
+    hello.record_count = static_cast<uint32_t>(rows.size());
+    ASSERT_TRUE(out.WriteFrame(static_cast<uint8_t>(MessageType::kHello),
+                               EncodeHello(hello))
+                    .ok());
+    auto hello_ack = in.ReadFrame();
+    ASSERT_TRUE(hello_ack.ok());
+    auto session = DecodeHelloAck(hello_ack->payload);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto shipment = EncodeShipment(rows);
+    ASSERT_TRUE(shipment.ok());
+    ShipmentChunkMessage chunk;
+    chunk.session_id = session->session_id;
+    chunk.data.assign(shipment->begin(), shipment->begin() + shipment->size() / 2);
+    ASSERT_TRUE(out.WriteFrame(static_cast<uint8_t>(MessageType::kShipmentChunk),
+                               EncodeShipmentChunk(chunk))
+                    .ok());
+    auto chunk_ack = in.ReadFrame();
+    ASSERT_TRUE(chunk_ack.ok());
+    ASSERT_EQ(chunk_ack->type, static_cast<uint8_t>(MessageType::kShipmentAck));
+
+    const auto start = std::chrono::steady_clock::now();
+    server.Stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+    if (durable) {
+      EXPECT_FALSE(io::ListCheckpoints(dir)->empty());
+      EXPECT_TRUE(io::ListWalSegments(dir)->empty()) << "WAL not truncated";
+    }
+  }
 }
 
 }  // namespace

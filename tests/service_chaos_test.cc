@@ -112,7 +112,6 @@ TEST(ServiceChaosTest, ChaosResumeMatchesCleanRun) {
   server_config.expected_owners = 3;
   server_config.link_options = options;
   server_config.io_timeout_ms = 5000;
-  server_config.accept_poll_ms = 20;
   server_config.chaos.seed = 42;
   server_config.chaos.close_rate = 0.02;
   server_config.chaos.delay_rate = 0.05;
@@ -214,7 +213,6 @@ TEST(ServiceChaosTest, QuorumProceedsWithoutStraggler) {
   server_config.expected_owners = 3;
   server_config.min_owners = 2;
   server_config.quorum_wait_ms = 300;
-  server_config.accept_poll_ms = 50;
   server_config.link_options = options;
   server_config.io_timeout_ms = 5000;
   LinkageUnitServer server(server_config);
@@ -267,7 +265,6 @@ TEST(ServiceChaosTest, OverloadShedsWithBusy) {
   server_config.expected_owners = 2;
   server_config.max_sessions = 1;
   server_config.busy_retry_after_ms = 20;
-  server_config.accept_poll_ms = 20;
   server_config.io_timeout_ms = 10000;  // the stalled slot stays held
   LinkageUnitServer server(server_config);
   ASSERT_TRUE(server.Start().ok());
@@ -312,7 +309,6 @@ TEST(ServiceChaosTest, TtlSweepExpiresAbandonedSessions) {
   server_config.name = "lu";
   server_config.expected_owners = 2;
   server_config.session_ttl_ms = 150;
-  server_config.accept_poll_ms = 30;
   server_config.io_timeout_ms = 5000;
   LinkageUnitServer server(server_config);
   ASSERT_TRUE(server.Start().ok());

@@ -10,41 +10,6 @@
 namespace pprl {
 namespace {
 
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitWithNoTasksReturns) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPoolTest, ReusableAcrossWaves) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int wave = 0; wave < 3; ++wave) {
-    for (int i = 0; i < 10; ++i) pool.Submit([&counter] { counter.fetch_add(1); });
-    pool.Wait();
-  }
-  EXPECT_EQ(counter.load(), 30);
-}
-
 TEST(WorkStealingSchedulerTest, RunsAllSubmittedShards) {
   WorkStealingScheduler scheduler(4);
   std::atomic<int> counter{0};
