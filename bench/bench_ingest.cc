@@ -9,12 +9,16 @@
 ///     the records/s of the legacy text reader);
 ///   * a QID CSV of `rows/10` synthetic person records — the encode-path
 ///     benchmark (whole-file CsvTable -> Database -> per-record filters
-///     versus the fused CsvCursor -> ClkEncoder -> BitMatrix pass).
+///     versus the fused CsvCursor -> ClkEncoder -> BitMatrix pass), plus
+///     the fused pass under the keyed HMAC scheme of the README's
+///     shared-secret flow.
 ///
 /// usage: bench_ingest [rows] [filter_bits] [out.json]
 ///   defaults: 1000000 rows, 1024 bits, BENCH_ingest.json
 ///
-/// The JSON written to out.json is the committed BENCH_ingest.json.
+/// The JSON written to out.json is the committed BENCH_ingest.json; it
+/// records the host (cores, CPU, cache sizes) and the commit it ran on, so
+/// run it from the repository root.
 
 #include <chrono>
 #include <cstdio>
@@ -203,6 +207,18 @@ int main(int argc, char** argv) {
     if (!shard.ok() || shard->size() != qid_rows) return 1;
     results.push_back(m);
   }
+  {
+    BloomFilterParams keyed_params = params;
+    keyed_params.scheme = BloomHashScheme::kKeyedHmac;
+    keyed_params.secret_key = "shared-secret";
+    const ClkEncoder keyed(keyed_params, fields);
+    Measurement m{"encode-qid-csv-keyed", qid_rows, FileBytes(qid_csv)};
+    const double t0 = Now();
+    auto shard = io::EncodeCsvToShard(qid_csv, keyed);
+    m.seconds = Now() - t0;
+    if (!shard.ok() || shard->size() != qid_rows) return 1;
+    results.push_back(m);
+  }
 
   // ---- report ------------------------------------------------------------
   bench::PrintHeader({"config", "records", "seconds", "records/s", "MB/s"});
@@ -226,9 +242,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(out,
-               "{\n  \"bench\": \"bench_ingest\",\n  \"rows\": %zu,\n"
-               "  \"filter_bits\": %zu,\n  \"measurements\": [\n",
-               rows, bits);
+               "{\n  \"bench\": \"bench_ingest\",\n  \"host\": {%s},\n"
+               "  \"rows\": %zu,\n  \"filter_bits\": %zu,\n  \"measurements\": [\n",
+               bench::ProvenanceJsonMembers().c_str(), rows, bits);
   for (size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];
     std::fprintf(out,

@@ -2,9 +2,12 @@
 #define PPRL_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/cache_info.h"
 #include "datagen/generator.h"
 #include "obs/export.h"
 #include "pipeline/channel.h"
@@ -53,6 +56,40 @@ inline void PrintChannelCosts(const Channel& channel, const std::string& label) 
     PrintRow({tag, Fmt(it == messages.end() ? size_t{0} : it->second),
               Fmt(static_cast<double>(bytes) / 1024.0, 1)});
   }
+}
+
+/// The host and source a committed BENCH_*.json was measured on, as JSON
+/// object members (no braces): cores, CPU model, L1d/L2/LLC bytes
+/// (DetectCacheInfo) and the commit from `git describe --always --dirty`
+/// run in the current directory ("unknown" outside a checkout).
+inline std::string ProvenanceJsonMembers() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0 && line.find(':') != std::string::npos) {
+      cpu = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  std::string commit;
+  const char* describe = "git describe --always --dirty --abbrev=12 2>/dev/null";
+  if (std::FILE* git = popen(describe, "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), git) != nullptr) commit += buf;
+    pclose(git);
+  }
+  while (!commit.empty() && (commit.back() == '\n' || commit.back() == '\r')) {
+    commit.pop_back();
+  }
+  if (commit.empty()) commit = "unknown";
+  const CacheInfo& cache = DetectCacheInfo();
+  char out[512];
+  std::snprintf(out, sizeof(out),
+                "\"cores\": %u, \"cpu_model\": \"%s\", \"l1d_bytes\": %zu, "
+                "\"l2_bytes\": %zu, \"llc_bytes\": %zu, \"commit\": \"%s\"",
+                std::thread::hardware_concurrency(), cpu.c_str(), cache.l1d_bytes,
+                cache.l2_bytes, cache.llc_bytes, commit.c_str());
+  return out;
 }
 
 /// Dumps the global metrics registry as JSON when PPRL_METRICS_JSON is

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstring>
-#include <vector>
 
 #include "common/random.h"
 
@@ -13,21 +12,6 @@ namespace {
 uint32_t RotL32(uint32_t x, int n) { return std::rotl(x, n); }
 uint32_t RotR32(uint32_t x, int n) { return std::rotr(x, n); }
 
-/// Appends the 0x80 byte, zero padding, and the 64-bit message-length field
-/// shared by the MD5/SHA-1/SHA-256 Merkle-Damgard constructions.
-std::vector<uint8_t> PadMessage(std::string_view data, bool big_endian_length) {
-  std::vector<uint8_t> msg(data.begin(), data.end());
-  const uint64_t bit_len = static_cast<uint64_t>(data.size()) * 8;
-  msg.push_back(0x80);
-  while (msg.size() % 64 != 56) msg.push_back(0);
-  if (big_endian_length) {
-    for (int i = 7; i >= 0; --i) msg.push_back(static_cast<uint8_t>(bit_len >> (8 * i)));
-  } else {
-    for (int i = 0; i < 8; ++i) msg.push_back(static_cast<uint8_t>(bit_len >> (8 * i)));
-  }
-  return msg;
-}
-
 uint32_t LoadLe32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
          (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
@@ -36,6 +20,44 @@ uint32_t LoadLe32(const uint8_t* p) {
 uint32_t LoadBe32(const uint8_t* p) {
   return (static_cast<uint32_t>(p[0]) << 24) | (static_cast<uint32_t>(p[1]) << 16) |
          (static_cast<uint32_t>(p[2]) << 8) | static_cast<uint32_t>(p[3]);
+}
+
+/// Big-endian serialisation of a SHA-1/SHA-256 state into its digest.
+template <size_t N>
+std::array<uint8_t, 4 * N> StoreBe(const uint32_t (&h)[N]) {
+  std::array<uint8_t, 4 * N> digest;
+  for (size_t r = 0; r < N; ++r) {
+    for (size_t i = 0; i < 4; ++i) {
+      digest[4 * r + i] = static_cast<uint8_t>(h[r] >> (8 * (3 - i)));
+    }
+  }
+  return digest;
+}
+
+/// The Merkle-Damgard tail shared by MD5, SHA-1 and SHA-256: `compress`
+/// runs on every full 64-byte block of `data` straight from the caller's
+/// bytes; only the last partial block, the 0x80 byte and the 64-bit bit
+/// length go through a zeroed stack buffer (one block, or two when fewer
+/// than 9 bytes of the last one are free). `prefix_bytes` counts message
+/// bytes already compressed into the state, so HMAC can resume from a
+/// precomputed key-pad midstate.
+template <typename Compress>
+void MerkleDamgard(std::string_view data, uint64_t prefix_bytes, bool big_endian_length,
+                   Compress compress) {
+  const auto* p = reinterpret_cast<const uint8_t*>(data.data());
+  size_t n = data.size();
+  for (; n >= 64; n -= 64, p += 64) compress(p);
+  uint8_t tail[128] = {};
+  if (n > 0) std::memcpy(tail, p, n);
+  tail[n] = 0x80;
+  const size_t tail_len = n < 56 ? 64 : 128;
+  const uint64_t bit_len = (prefix_bytes + data.size()) * 8;
+  for (size_t i = 0; i < 8; ++i) {
+    const size_t at = big_endian_length ? tail_len - 1 - i : tail_len - 8 + i;
+    tail[at] = static_cast<uint8_t>(bit_len >> (8 * i));
+  }
+  compress(tail);
+  if (tail_len == 128) compress(tail + 64);
 }
 
 constexpr uint32_t kMd5K[64] = {
@@ -67,166 +89,187 @@ constexpr uint32_t kSha256K[64] = {
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
     0xc67178f2};
 
+constexpr uint32_t kSha256Init[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                     0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+void Md5Compress(uint32_t (&state)[4], const uint8_t* block) {
+  uint32_t m[16];
+  for (int i = 0; i < 16; ++i) m[i] = LoadLe32(block + 4 * i);
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  for (int i = 0; i < 64; ++i) {
+    uint32_t f;
+    int g;
+    if (i < 16) {
+      f = (b & c) | (~b & d);
+      g = i;
+    } else if (i < 32) {
+      f = (d & b) | (~d & c);
+      g = (5 * i + 1) % 16;
+    } else if (i < 48) {
+      f = b ^ c ^ d;
+      g = (3 * i + 5) % 16;
+    } else {
+      f = c ^ (b | ~d);
+      g = (7 * i) % 16;
+    }
+    f = f + a + kMd5K[i] + m[g];
+    a = d;
+    d = c;
+    c = b;
+    b = b + RotL32(f, kMd5Shift[i]);
+  }
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+}
+
+void Sha1Compress(uint32_t (&state)[5], const uint8_t* block) {
+  uint32_t w[80];
+  for (int i = 0; i < 16; ++i) w[i] = LoadBe32(block + 4 * i);
+  for (int i = 16; i < 80; ++i) {
+    w[i] = RotL32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
+  }
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3], e = state[4];
+  for (int i = 0; i < 80; ++i) {
+    uint32_t f, k;
+    if (i < 20) {
+      f = (b & c) | (~b & d);
+      k = 0x5a827999;
+    } else if (i < 40) {
+      f = b ^ c ^ d;
+      k = 0x6ed9eba1;
+    } else if (i < 60) {
+      f = (b & c) | (b & d) | (c & d);
+      k = 0x8f1bbcdc;
+    } else {
+      f = b ^ c ^ d;
+      k = 0xca62c1d6;
+    }
+    const uint32_t temp = RotL32(a, 5) + f + e + k + w[i];
+    e = d;
+    d = c;
+    c = RotL32(b, 30);
+    b = a;
+    a = temp;
+  }
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+}
+
+/// One SHA-256 round. Instead of shifting all eight working variables down
+/// by one, the caller rotates which variable plays which role: only `d`
+/// (which becomes the next round's e) and `h` (the next round's a) change.
+inline void Sha256Round(uint32_t a, uint32_t b, uint32_t c, uint32_t& d, uint32_t e,
+                        uint32_t f, uint32_t g, uint32_t& h, uint32_t k_plus_w) {
+  const uint32_t t1 = h + (RotR32(e, 6) ^ RotR32(e, 11) ^ RotR32(e, 25)) +
+                      (g ^ (e & (f ^ g))) + k_plus_w;
+  const uint32_t t2 =
+      (RotR32(a, 2) ^ RotR32(a, 13) ^ RotR32(a, 22)) + ((a & b) | (c & (a | b)));
+  d += t1;
+  h = t1 + t2;
+}
+
+/// The SHA-256 compression function (FIPS 180-4 §6.2.2), unrolled by eight
+/// rounds so the role rotation comes back to the start every iteration.
+void Sha256Compress(uint32_t (&state)[8], const uint8_t* block) {
+  uint32_t w[64];
+  for (int i = 0; i < 16; ++i) w[i] = LoadBe32(block + 4 * i);
+  for (int i = 16; i < 64; ++i) {
+    const uint32_t s0 = RotR32(w[i - 15], 7) ^ RotR32(w[i - 15], 18) ^ (w[i - 15] >> 3);
+    const uint32_t s1 = RotR32(w[i - 2], 17) ^ RotR32(w[i - 2], 19) ^ (w[i - 2] >> 10);
+    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+  }
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+  for (int i = 0; i < 64; i += 8) {
+    Sha256Round(a, b, c, d, e, f, g, h, kSha256K[i] + w[i]);
+    Sha256Round(h, a, b, c, d, e, f, g, kSha256K[i + 1] + w[i + 1]);
+    Sha256Round(g, h, a, b, c, d, e, f, kSha256K[i + 2] + w[i + 2]);
+    Sha256Round(f, g, h, a, b, c, d, e, kSha256K[i + 3] + w[i + 3]);
+    Sha256Round(e, f, g, h, a, b, c, d, kSha256K[i + 4] + w[i + 4]);
+    Sha256Round(d, e, f, g, h, a, b, c, kSha256K[i + 5] + w[i + 5]);
+    Sha256Round(c, d, e, f, g, h, a, b, kSha256K[i + 6] + w[i + 6]);
+    Sha256Round(b, c, d, e, f, g, h, a, kSha256K[i + 7] + w[i + 7]);
+  }
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+/// SHA-256 resumed from `state`, which has absorbed `prefix_bytes` bytes.
+std::array<uint8_t, 32> Sha256From(uint32_t (&state)[8], std::string_view data,
+                                   uint64_t prefix_bytes) {
+  MerkleDamgard(data, prefix_bytes, /*big_endian_length=*/true,
+                [&state](const uint8_t* block) { Sha256Compress(state, block); });
+  return StoreBe(state);
+}
+
 }  // namespace
 
 std::array<uint8_t, 16> Md5(std::string_view data) {
-  uint32_t a0 = 0x67452301, b0 = 0xefcdab89, c0 = 0x98badcfe, d0 = 0x10325476;
-  const std::vector<uint8_t> msg = PadMessage(data, /*big_endian_length=*/false);
-  for (size_t chunk = 0; chunk < msg.size(); chunk += 64) {
-    uint32_t m[16];
-    for (int i = 0; i < 16; ++i) m[i] = LoadLe32(&msg[chunk + 4 * static_cast<size_t>(i)]);
-    uint32_t a = a0, b = b0, c = c0, d = d0;
-    for (int i = 0; i < 64; ++i) {
-      uint32_t f;
-      int g;
-      if (i < 16) {
-        f = (b & c) | (~b & d);
-        g = i;
-      } else if (i < 32) {
-        f = (d & b) | (~d & c);
-        g = (5 * i + 1) % 16;
-      } else if (i < 48) {
-        f = b ^ c ^ d;
-        g = (3 * i + 5) % 16;
-      } else {
-        f = c ^ (b | ~d);
-        g = (7 * i) % 16;
-      }
-      f = f + a + kMd5K[i] + m[g];
-      a = d;
-      d = c;
-      c = b;
-      b = b + RotL32(f, kMd5Shift[i]);
-    }
-    a0 += a;
-    b0 += b;
-    c0 += c;
-    d0 += d;
-  }
+  uint32_t state[4] = {0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476};
+  MerkleDamgard(data, 0, /*big_endian_length=*/false,
+                [&state](const uint8_t* block) { Md5Compress(state, block); });
   std::array<uint8_t, 16> digest;
-  const uint32_t regs[4] = {a0, b0, c0, d0};
-  for (int r = 0; r < 4; ++r) {
-    for (int i = 0; i < 4; ++i) {
-      digest[static_cast<size_t>(4 * r + i)] = static_cast<uint8_t>(regs[r] >> (8 * i));
+  for (size_t r = 0; r < 4; ++r) {
+    for (size_t i = 0; i < 4; ++i) {
+      digest[4 * r + i] = static_cast<uint8_t>(state[r] >> (8 * i));
     }
   }
   return digest;
 }
 
 std::array<uint8_t, 20> Sha1(std::string_view data) {
-  uint32_t h[5] = {0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0};
-  const std::vector<uint8_t> msg = PadMessage(data, /*big_endian_length=*/true);
-  for (size_t chunk = 0; chunk < msg.size(); chunk += 64) {
-    uint32_t w[80];
-    for (int i = 0; i < 16; ++i) w[i] = LoadBe32(&msg[chunk + 4 * static_cast<size_t>(i)]);
-    for (int i = 16; i < 80; ++i) {
-      w[i] = RotL32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-    }
-    uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
-    for (int i = 0; i < 80; ++i) {
-      uint32_t f, k;
-      if (i < 20) {
-        f = (b & c) | (~b & d);
-        k = 0x5a827999;
-      } else if (i < 40) {
-        f = b ^ c ^ d;
-        k = 0x6ed9eba1;
-      } else if (i < 60) {
-        f = (b & c) | (b & d) | (c & d);
-        k = 0x8f1bbcdc;
-      } else {
-        f = b ^ c ^ d;
-        k = 0xca62c1d6;
-      }
-      const uint32_t temp = RotL32(a, 5) + f + e + k + w[i];
-      e = d;
-      d = c;
-      c = RotL32(b, 30);
-      b = a;
-      a = temp;
-    }
-    h[0] += a;
-    h[1] += b;
-    h[2] += c;
-    h[3] += d;
-    h[4] += e;
-  }
-  std::array<uint8_t, 20> digest;
-  for (int r = 0; r < 5; ++r) {
-    for (int i = 0; i < 4; ++i) {
-      digest[static_cast<size_t>(4 * r + i)] = static_cast<uint8_t>(h[r] >> (8 * (3 - i)));
-    }
-  }
-  return digest;
+  uint32_t state[5] = {0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0};
+  MerkleDamgard(data, 0, /*big_endian_length=*/true,
+                [&state](const uint8_t* block) { Sha1Compress(state, block); });
+  return StoreBe(state);
 }
 
 std::array<uint8_t, 32> Sha256(std::string_view data) {
-  uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-                   0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-  const std::vector<uint8_t> msg = PadMessage(data, /*big_endian_length=*/true);
-  for (size_t chunk = 0; chunk < msg.size(); chunk += 64) {
-    uint32_t w[64];
-    for (int i = 0; i < 16; ++i) w[i] = LoadBe32(&msg[chunk + 4 * static_cast<size_t>(i)]);
-    for (int i = 16; i < 64; ++i) {
-      const uint32_t s0 = RotR32(w[i - 15], 7) ^ RotR32(w[i - 15], 18) ^ (w[i - 15] >> 3);
-      const uint32_t s1 = RotR32(w[i - 2], 17) ^ RotR32(w[i - 2], 19) ^ (w[i - 2] >> 10);
-      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-    uint32_t a = h[0], b = h[1], c = h[2], d = h[3];
-    uint32_t e = h[4], f = h[5], g = h[6], hh = h[7];
-    for (int i = 0; i < 64; ++i) {
-      const uint32_t s1 = RotR32(e, 6) ^ RotR32(e, 11) ^ RotR32(e, 25);
-      const uint32_t ch = (e & f) ^ (~e & g);
-      const uint32_t temp1 = hh + s1 + ch + kSha256K[i] + w[i];
-      const uint32_t s0 = RotR32(a, 2) ^ RotR32(a, 13) ^ RotR32(a, 22);
-      const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-      const uint32_t temp2 = s0 + maj;
-      hh = g;
-      g = f;
-      f = e;
-      e = d + temp1;
-      d = c;
-      c = b;
-      b = a;
-      a = temp1 + temp2;
-    }
-    h[0] += a;
-    h[1] += b;
-    h[2] += c;
-    h[3] += d;
-    h[4] += e;
-    h[5] += f;
-    h[6] += g;
-    h[7] += hh;
+  uint32_t state[8];
+  std::memcpy(state, kSha256Init, sizeof(state));
+  return Sha256From(state, data, 0);
+}
+
+HmacSha256Key::HmacSha256Key(std::string_view key) {
+  uint8_t key_block[64] = {};
+  if (key.size() > sizeof(key_block)) {
+    const auto hashed = Sha256(key);
+    std::memcpy(key_block, hashed.data(), hashed.size());
+  } else if (!key.empty()) {
+    std::memcpy(key_block, key.data(), key.size());
   }
-  std::array<uint8_t, 32> digest;
-  for (int r = 0; r < 8; ++r) {
-    for (int i = 0; i < 4; ++i) {
-      digest[static_cast<size_t>(4 * r + i)] = static_cast<uint8_t>(h[r] >> (8 * (3 - i)));
-    }
-  }
-  return digest;
+  uint8_t pad[64];
+  for (size_t i = 0; i < 64; ++i) pad[i] = key_block[i] ^ 0x36;
+  std::memcpy(inner_, kSha256Init, sizeof(inner_));
+  Sha256Compress(inner_, pad);
+  for (size_t i = 0; i < 64; ++i) pad[i] = key_block[i] ^ 0x5c;
+  std::memcpy(outer_, kSha256Init, sizeof(outer_));
+  Sha256Compress(outer_, pad);
+}
+
+std::array<uint8_t, 32> HmacSha256Key::Mac(std::string_view data) const {
+  uint32_t state[8];
+  std::memcpy(state, inner_, sizeof(state));
+  const auto inner = Sha256From(state, data, 64);
+  const std::string_view inner_bytes(reinterpret_cast<const char*>(inner.data()),
+                                     inner.size());
+  std::memcpy(state, outer_, sizeof(state));
+  return Sha256From(state, inner_bytes, 64);
 }
 
 std::array<uint8_t, 32> HmacSha256(std::string_view key, std::string_view data) {
-  constexpr size_t kBlockSize = 64;
-  std::array<uint8_t, kBlockSize> key_block{};
-  if (key.size() > kBlockSize) {
-    const auto hashed = Sha256(key);
-    std::memcpy(key_block.data(), hashed.data(), hashed.size());
-  } else {
-    std::memcpy(key_block.data(), key.data(), key.size());
-  }
-  std::string inner;
-  inner.reserve(kBlockSize + data.size());
-  for (uint8_t b : key_block) inner += static_cast<char>(b ^ 0x36);
-  inner.append(data);
-  const auto inner_digest = Sha256(inner);
-  std::string outer;
-  outer.reserve(kBlockSize + inner_digest.size());
-  for (uint8_t b : key_block) outer += static_cast<char>(b ^ 0x5c);
-  outer.append(reinterpret_cast<const char*>(inner_digest.data()), inner_digest.size());
-  return Sha256(outer);
+  return HmacSha256Key(key).Mac(data);
 }
 
 TabulationHash::TabulationHash(uint64_t seed) {

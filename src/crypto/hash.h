@@ -18,8 +18,27 @@ std::array<uint8_t, 20> Sha1(std::string_view data);
 /// SHA-256 digest (32 bytes).
 std::array<uint8_t, 32> Sha256(std::string_view data);
 
-/// HMAC-SHA-256. Keyed hashing is the survey's standard defence that keeps a
-/// dictionary-equipped adversary from hashing candidate QID values itself.
+/// HMAC-SHA-256 under one fixed key (RFC 2104). Keyed hashing is the
+/// survey's standard defence that keeps a dictionary-equipped adversary
+/// from hashing candidate QID values itself.
+///
+/// The constructor compresses the key's ipad and opad blocks once; each
+/// `Mac` then resumes from those midstates, so a message of up to 55 bytes
+/// costs one inner and one outer SHA-256 compression. `Mac` works on stack
+/// buffers only, so one key object may be shared across threads.
+class HmacSha256Key {
+ public:
+  /// A key longer than the 64-byte block is hashed first, per RFC 2104.
+  explicit HmacSha256Key(std::string_view key);
+
+  std::array<uint8_t, 32> Mac(std::string_view data) const;
+
+ private:
+  uint32_t inner_[8];  ///< SHA-256 state after the (key ^ ipad) block
+  uint32_t outer_[8];  ///< SHA-256 state after the (key ^ opad) block
+};
+
+/// One-shot HMAC-SHA-256: `HmacSha256Key(key).Mac(data)`.
 std::array<uint8_t, 32> HmacSha256(std::string_view key, std::string_view data);
 
 /// First 8 bytes of a digest as a little-endian integer, for use as a hash

@@ -1,8 +1,5 @@
 #include "datagen/io.h"
 
-#include <cstdlib>
-
-#include "common/strings.h"
 #include "io/ingest.h"
 
 namespace pprl {
@@ -26,13 +23,13 @@ Result<Database> DatabaseFromCsv(const CsvTable& table) {
     const auto& row = table.rows[r];
     Record record;
     record.id = r;
-    if (id_col >= 0 && IsInteger(row[static_cast<size_t>(id_col)])) {
-      record.id = static_cast<uint64_t>(
-          std::strtoull(row[static_cast<size_t>(id_col)].c_str(), nullptr, 10));
+    if (id_col >= 0) {
+      PPRL_RETURN_IF_ERROR(io::ParseCsvRecordId(row[static_cast<size_t>(id_col)], "id",
+                                                r + 1, record.id));
     }
-    if (entity_col >= 0 && IsInteger(row[static_cast<size_t>(entity_col)])) {
-      record.entity_id = static_cast<uint64_t>(
-          std::strtoull(row[static_cast<size_t>(entity_col)].c_str(), nullptr, 10));
+    if (entity_col >= 0) {
+      PPRL_RETURN_IF_ERROR(io::ParseCsvRecordId(row[static_cast<size_t>(entity_col)],
+                                                "entity_id", r + 1, record.entity_id));
     }
     record.values.reserve(db.schema.size());
     for (size_t c = 0; c < table.header.size(); ++c) {

@@ -1,6 +1,9 @@
 #include "encoding/bloom_filter.h"
 
-#include "crypto/hash.h"
+#include <charconv>
+#include <cstring>
+#include <limits>
+
 #include "encoding/numeric_encoding.h"
 
 namespace pprl {
@@ -15,36 +18,59 @@ Status BloomFilterParams::Validate() const {
 }
 
 BloomFilterEncoder::BloomFilterEncoder(BloomFilterParams params)
-    : params_(std::move(params)) {}
+    : params_(std::move(params)) {
+  if (params_.scheme == BloomHashScheme::kKeyedHmac) key_.emplace(params_.secret_key);
+}
 
-std::vector<uint32_t> BloomFilterEncoder::TokenPositions(const std::string& token) const {
-  std::vector<uint32_t> positions;
-  positions.reserve(params_.num_hashes);
+template <typename Emit>
+void BloomFilterEncoder::ForEachPosition(std::string_view token, Emit emit) const {
   const uint64_t l = params_.num_bits;
   switch (params_.scheme) {
     case BloomHashScheme::kDoubleHashing: {
       const uint64_t h1 = DigestToUint64(Md5(token));
       const uint64_t h2 = DigestToUint64(Sha1(token));
       for (size_t j = 0; j < params_.num_hashes; ++j) {
-        positions.push_back(static_cast<uint32_t>((h1 + j * h2) % l));
+        emit(static_cast<uint32_t>((h1 + j * h2) % l));
       }
       break;
     }
     case BloomHashScheme::kKeyedHmac: {
+      // Position j is HMAC(key, token || 0x1f || decimal j). The message is
+      // laid out once per token; only the digits change per position. A
+      // token too long for the stack buffer (a field name over ~100 bytes)
+      // gets one heap buffer per token.
+      constexpr size_t kMaxDigits = std::numeric_limits<size_t>::digits10 + 1;
+      char stack_buf[128];
+      std::string heap_buf;
+      char* msg = stack_buf;
+      const size_t head = token.size() + 1;
+      if (head + kMaxDigits > sizeof(stack_buf)) {
+        heap_buf.resize(head + kMaxDigits);
+        msg = heap_buf.data();
+      }
+      std::memcpy(msg, token.data(), token.size());
+      msg[token.size()] = '\x1f';
       for (size_t j = 0; j < params_.num_hashes; ++j) {
-        const auto mac = HmacSha256(params_.secret_key, token + "\x1f" + std::to_string(j));
-        positions.push_back(static_cast<uint32_t>(DigestToUint64(mac) % l));
+        const char* end = std::to_chars(msg + head, msg + head + kMaxDigits, j).ptr;
+        const auto mac = key_->Mac(std::string_view(msg, static_cast<size_t>(end - msg)));
+        emit(static_cast<uint32_t>(DigestToUint64(mac) % l));
       }
       break;
     }
   }
+}
+
+std::vector<uint32_t> BloomFilterEncoder::TokenPositions(const std::string& token) const {
+  std::vector<uint32_t> positions;
+  positions.reserve(params_.num_hashes);
+  ForEachPosition(token, [&positions](uint32_t pos) { positions.push_back(pos); });
   return positions;
 }
 
 BitVector BloomFilterEncoder::EncodeTokens(const std::vector<std::string>& tokens) const {
   BitVector filter(params_.num_bits);
   for (const std::string& token : tokens) {
-    for (uint32_t pos : TokenPositions(token)) filter.Set(pos);
+    ForEachPosition(token, [&filter](uint32_t pos) { filter.Set(pos); });
   }
   return filter;
 }
@@ -55,12 +81,20 @@ BitVector BloomFilterEncoder::EncodeString(const std::string& value,
 }
 
 ClkEncoder::ClkEncoder(BloomFilterParams params, std::vector<ClkFieldConfig> fields)
-    : params_(std::move(params)), fields_(std::move(fields)) {}
+    : params_(std::move(params)), fields_(std::move(fields)) {
+  encoders_.reserve(fields_.size());
+  for (const ClkFieldConfig& field : fields_) {
+    BloomFilterParams field_params = params_;
+    field_params.num_hashes = field.num_hashes;
+    encoders_.emplace_back(std::move(field_params));
+  }
+}
 
 Result<BitVector> ClkEncoder::Encode(const Schema& schema, const Record& record) const {
   PPRL_RETURN_IF_ERROR(params_.Validate());
   BitVector clk(params_.num_bits);
-  for (const ClkFieldConfig& field : fields_) {
+  for (size_t f = 0; f < fields_.size(); ++f) {
+    const ClkFieldConfig& field = fields_[f];
     const int idx = schema.FieldIndex(field.field_name);
     if (idx < 0) {
       return Status::InvalidArgument("CLK field '" + field.field_name +
@@ -84,11 +118,8 @@ Result<BitVector> ClkEncoder::Encode(const Schema& schema, const Record& record)
     }
     // Field-distinct tokens: prefix with the field name so "jo" in a first
     // name and "jo" in a surname map to different positions.
-    BloomFilterParams field_params = params_;
-    field_params.num_hashes = field.num_hashes;
-    const BloomFilterEncoder encoder(field_params);
     for (std::string& token : tokens) token = field.field_name + "\x1e" + token;
-    clk |= encoder.EncodeTokens(tokens);
+    clk |= encoders_[f].EncodeTokens(tokens);
   }
   return clk;
 }

@@ -1,13 +1,17 @@
 #ifndef PPRL_ENCODING_BLOOM_FILTER_H_
 #define PPRL_ENCODING_BLOOM_FILTER_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bitvector.h"
 #include "common/record.h"
 #include "common/status.h"
 #include "common/strings.h"
+#include "crypto/hash.h"
 
 namespace pprl {
 
@@ -38,6 +42,10 @@ struct BloomFilterParams {
 /// Figure 2 left): the q-gram set of a string QID is hash-mapped into a bit
 /// array, and Dice similarity on the bit arrays approximates Dice similarity
 /// on the q-gram sets.
+///
+/// Under kKeyedHmac the key's HMAC midstates are computed once, here, so
+/// each bit position costs two SHA-256 compressions. An encoder holds no
+/// mutable state: one const instance may encode on many threads.
 class BloomFilterEncoder {
  public:
   explicit BloomFilterEncoder(BloomFilterParams params);
@@ -56,7 +64,13 @@ class BloomFilterEncoder {
   const BloomFilterParams& params() const { return params_; }
 
  private:
+  /// Calls `emit(position)` for each of `token`'s num_hashes positions;
+  /// the one mapping behind both EncodeTokens and TokenPositions.
+  template <typename Emit>
+  void ForEachPosition(std::string_view token, Emit emit) const;
+
   BloomFilterParams params_;
+  std::optional<HmacSha256Key> key_;  ///< engaged for kKeyedHmac
 };
 
 /// Per-field configuration of a record-level encoding.
@@ -78,6 +92,7 @@ struct ClkFieldConfig {
 class ClkEncoder {
  public:
   /// `params.num_hashes` is ignored; per-field counts come from `fields`.
+  /// Builds one BloomFilterEncoder per field, once.
   ClkEncoder(BloomFilterParams params, std::vector<ClkFieldConfig> fields);
 
   /// Encodes the configured fields of `record` under `schema` into one CLK.
@@ -93,6 +108,7 @@ class ClkEncoder {
  private:
   BloomFilterParams params_;
   std::vector<ClkFieldConfig> fields_;
+  std::vector<BloomFilterEncoder> encoders_;  ///< encoders_[i] hashes fields_[i]
 };
 
 }  // namespace pprl

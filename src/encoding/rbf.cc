@@ -55,7 +55,13 @@ RbfEncoder::RbfEncoder(RbfParams params, std::vector<RbfFieldConfig> fields,
                        std::vector<SampledBit> layout)
     : params_(std::move(params)),
       fields_(std::move(fields)),
-      layout_(std::move(layout)) {}
+      layout_(std::move(layout)) {
+  encoders_.reserve(fields_.size());
+  for (const RbfFieldConfig& field : fields_) {
+    encoders_.emplace_back(BloomFilterParams{field.field_bits, field.num_hashes,
+                                             params_.scheme, params_.secret_key});
+  }
+}
 
 size_t RbfEncoder::BitsSampledFrom(size_t field_index) const {
   size_t count = 0;
@@ -69,7 +75,8 @@ Result<BitVector> RbfEncoder::Encode(const Schema& schema, const Record& record)
   // Field-level filters first.
   std::vector<BitVector> field_filters;
   field_filters.reserve(fields_.size());
-  for (const RbfFieldConfig& field : fields_) {
+  for (size_t f = 0; f < fields_.size(); ++f) {
+    const RbfFieldConfig& field = fields_[f];
     const int idx = schema.FieldIndex(field.field_name);
     if (idx < 0) {
       return Status::InvalidArgument("RBF field '" + field.field_name +
@@ -79,18 +86,12 @@ Result<BitVector> RbfEncoder::Encode(const Schema& schema, const Record& record)
       return Status::InvalidArgument("record has no value for '" + field.field_name +
                                      "'");
     }
-    BloomFilterParams bf;
-    bf.num_bits = field.field_bits;
-    bf.num_hashes = field.num_hashes;
-    bf.scheme = params_.scheme;
-    bf.secret_key = params_.secret_key;
-    const BloomFilterEncoder encoder(bf);
     QGramOptions opts;
     opts.q = field.q;
     std::vector<std::string> tokens =
         QGrams(NormalizeQid(record.values[static_cast<size_t>(idx)]), opts);
     for (std::string& token : tokens) token = field.field_name + "\x1e" + token;
-    field_filters.push_back(encoder.EncodeTokens(tokens));
+    field_filters.push_back(encoders_[f].EncodeTokens(tokens));
   }
 
   // Assemble the record filter from the sampling layout.

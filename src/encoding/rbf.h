@@ -73,6 +73,8 @@ class RbfEncoder {
 
   RbfParams params_;
   std::vector<RbfFieldConfig> fields_;
+  /// encoders_[i] builds fields_[i]'s field-level filter.
+  std::vector<BloomFilterEncoder> encoders_;
   /// layout_[i] tells which (field, bit) feeds output bit i.
   std::vector<SampledBit> layout_;
 };

@@ -1,6 +1,7 @@
 #include "io/ingest.h"
 
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -39,15 +40,6 @@ void ReportIngest(const char* format, const IngestStats& stats) {
       .GetHistogram("pprl_ingest_seconds", "Wall time of one ingest call",
                     obs::DefaultLatencyBuckets(), labels)
       .Observe(stats.seconds);
-}
-
-uint64_t ParseU64(std::string_view text) {
-  uint64_t v = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') break;
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
-  return v;
 }
 
 uint64_t FileSizeBytes(const std::string& path) {
@@ -106,6 +98,21 @@ Status ParseQidHeader(CsvCursor& cursor, QidHeader& out) {
 }
 
 }  // namespace
+
+Status ParseCsvRecordId(std::string_view text, std::string_view column, uint64_t row,
+                        uint64_t& out) {
+  if (!IsInteger(text)) return Status::OK();
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument("CSV row " + std::to_string(row) + ": " +
+                                   std::string(column) + " '" + std::string(text) +
+                                   "' is not an unsigned 64-bit integer");
+  }
+  out = value;
+  return Status::OK();
+}
 
 const char* ShardFileFormatName(ShardFileFormat format) {
   switch (format) {
@@ -193,9 +200,8 @@ Result<EncodedShard> EncodeCsvToShard(const std::string& path,
     }
     record.id = row;
     if (header.id_col >= 0) {
-      const std::string_view id_text =
-          cursor->field(static_cast<size_t>(header.id_col));
-      if (IsInteger(id_text)) record.id = ParseU64(id_text);
+      PPRL_RETURN_IF_ERROR(ParseCsvRecordId(
+          cursor->field(static_cast<size_t>(header.id_col)), "id", row + 1, record.id));
     }
     for (size_t k = 0; k < header.qid_cols.size(); ++k) {
       const std::string_view v = cursor->field(header.qid_cols[k]);
@@ -248,14 +254,13 @@ Result<Database> ReadDatabaseCsvStream(const std::string& path,
     Record record;
     record.id = row;
     if (header.id_col >= 0) {
-      const std::string_view id_text =
-          cursor->field(static_cast<size_t>(header.id_col));
-      if (IsInteger(id_text)) record.id = ParseU64(id_text);
+      PPRL_RETURN_IF_ERROR(ParseCsvRecordId(
+          cursor->field(static_cast<size_t>(header.id_col)), "id", row + 1, record.id));
     }
     if (header.entity_col >= 0) {
-      const std::string_view entity_text =
-          cursor->field(static_cast<size_t>(header.entity_col));
-      if (IsInteger(entity_text)) record.entity_id = ParseU64(entity_text);
+      PPRL_RETURN_IF_ERROR(
+          ParseCsvRecordId(cursor->field(static_cast<size_t>(header.entity_col)),
+                           "entity_id", row + 1, record.entity_id));
     }
     record.values.reserve(header.qid_cols.size());
     for (size_t qid_col : header.qid_cols) {
@@ -316,7 +321,10 @@ Result<EncodedShard> ReadCsvShard(const std::string& path,
     if (!IsInteger(id_text) || !IsInteger(bits_text)) {
       return Status::InvalidArgument("bad id/bits in row " + std::to_string(row));
     }
-    const uint64_t bits = ParseU64(bits_text);
+    uint64_t id = 0;
+    uint64_t bits = 0;
+    PPRL_RETURN_IF_ERROR(ParseCsvRecordId(id_text, "id", row + 1, id));
+    PPRL_RETURN_IF_ERROR(ParseCsvRecordId(bits_text, "bits", row + 1, bits));
     if (!saw_row) {
       builder = ShardBuilder(bits);
       saw_row = true;
@@ -327,8 +335,7 @@ Result<EncodedShard> ReadCsvShard(const std::string& path,
     clk_text.assign(clk_view.data(), clk_view.size());
     auto bytes = Base64Decode(clk_text);
     if (!bytes.ok()) return bytes.status();
-    PPRL_RETURN_IF_ERROR(
-        builder.AppendBytes(ParseU64(id_text), bytes->data(), bytes->size()));
+    PPRL_RETURN_IF_ERROR(builder.AppendBytes(id, bytes->data(), bytes->size()));
     ++row;
   }
   if (!cursor->status().ok()) return cursor->status();

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/hash.h"
 #include "datagen/generator.h"
+#include "encoding/clk_io.h"
+#include "pipeline/pipeline.h"
 #include "similarity/similarity.h"
 
 namespace pprl {
@@ -62,6 +65,29 @@ TEST(BloomFilterEncoderTest, KeyedSchemeDiffersByKey) {
   p2.secret_key = "key-two";
   const BloomFilterEncoder e1(p1), e2(p2);
   EXPECT_NE(e1.EncodeString("smith"), e2.EncodeString("smith"));
+}
+
+/// The keyed mapping spelled out: position j of a token is the first 8
+/// bytes (little-endian) of HMAC-SHA-256(key, token || 0x1f || decimal j)
+/// modulo the filter length, for short tokens and for tokens too long for
+/// the encoder's stack buffer (over 107 bytes) alike.
+TEST(BloomFilterEncoderTest, KeyedPositionsFollowTheHmacDefinition) {
+  BloomFilterParams params = SmallParams();
+  params.scheme = BloomHashScheme::kKeyedHmac;
+  params.secret_key = "key-one";
+  params.num_hashes = 12;  // j = 10 and 11 take two digits
+  const BloomFilterEncoder encoder(params);
+  for (size_t len : {0, 2, 60, 107, 108, 300}) {
+    std::string token;
+    for (size_t i = 0; i < len; ++i) token += static_cast<char>('a' + i % 26);
+    const std::vector<uint32_t> positions = encoder.TokenPositions(token);
+    ASSERT_EQ(positions.size(), params.num_hashes);
+    for (size_t j = 0; j < params.num_hashes; ++j) {
+      const auto mac = HmacSha256(params.secret_key, token + "\x1f" + std::to_string(j));
+      EXPECT_EQ(positions[j], DigestToUint64(mac) % params.num_bits)
+          << "token of " << len << " bytes, j = " << j;
+    }
+  }
 }
 
 TEST(BloomFilterEncoderTest, NormalizationBeforeEncoding) {
@@ -188,6 +214,166 @@ TEST(ClkEncoderTest, EncodeDatabaseMatchesPerRecord) {
   for (size_t i = 0; i < db.records.size(); ++i) {
     EXPECT_EQ((*all)[i], encoder.Encode(db.schema, db.records[i]).value());
   }
+}
+
+// --- Golden CLK bytes -------------------------------------------------------
+// CLKs written by earlier builds must keep linking with new ones, so the
+// encoder's output is pinned byte for byte. Each digest is the SHA-256 of the
+// concatenated BitVectorToBytes of every literal record below; the expected
+// values were captured once and must never change.
+
+// 50 characters: "name\x1e" + bigram + "\x1f" + j is 55 bytes for j < 10 and
+// 56 bytes from j = 10 on, the last length whose padding fits one block and
+// the first that needs a second one.
+constexpr char kName50[] = "maiden_name_as_recorded_at_the_registration_office";
+// 60 characters: every HMAC message is longer than one SHA-256 block's
+// worth of tail, so the inner hash compresses a full message block.
+constexpr char kName60[] = "patient_registry_surname_recorded_at_first_registration_unit";
+static_assert(sizeof(kName50) - 1 == 50 && sizeof(kName60) - 1 == 60);
+
+Schema GoldenSchema() {
+  return Schema{{
+      {"first_name", FieldType::kString},
+      {"last_name", FieldType::kString},
+      {"sex", FieldType::kCategorical},
+      {"dob", FieldType::kDate},
+      {"city", FieldType::kString},
+      {"street", FieldType::kString},
+      {"age", FieldType::kNumeric},
+      {kName50, FieldType::kString},
+      {kName60, FieldType::kString},
+  }};
+}
+
+std::vector<Record> GoldenRecords() {
+  const std::vector<std::vector<std::string>> rows = {
+      {"mary", "smith", "f", "1980-02-29", "springfield", "12 main st", "44", "jones",
+       "registry value"},
+      {"  JOHN ", "O'Brien-Smythe", "m", "1975-11-03", "New  York", "1 broadway",
+       "61.5", "", "x"},
+      {"", "", "", "", "", "", "0", "", ""},
+      {"zo\xc3\xab", "m\xc3\xbcller", "f", "2001-01-01", "z\xc3\xbcrich",
+       "bahnhofstrasse 1", "-3", "ab", "a considerably longer free-text value"},
+      {"maximilian-alexander", "von der heydt-kuenstler", "m", "1999-12-31",
+       "llanfairpwllgwyngyll", "flat 3b, 221 baker street", "107", "smyth",
+       "q"},
+  };
+  std::vector<Record> records;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    Record r;
+    r.id = i;
+    r.values = rows[i];
+    records.push_back(std::move(r));
+  }
+  return records;
+}
+
+/// DefaultFieldConfigs plus a q = 3 field, a numeric-neighbourhood field and
+/// the two long-named fields.
+std::vector<ClkFieldConfig> ExtendedFieldConfigs() {
+  std::vector<ClkFieldConfig> fields = PprlPipeline::DefaultFieldConfigs();
+  ClkFieldConfig street;
+  street.field_name = "street";
+  street.num_hashes = 15;
+  street.q = 3;
+  fields.push_back(street);
+  ClkFieldConfig age;
+  age.field_name = "age";
+  age.num_hashes = 12;
+  age.numeric_step = 1.0;
+  age.numeric_neighbors = 3;
+  fields.push_back(age);
+  ClkFieldConfig name50;
+  name50.field_name = kName50;
+  name50.num_hashes = 12;
+  fields.push_back(name50);
+  ClkFieldConfig name60;
+  name60.field_name = kName60;
+  name60.num_hashes = 25;
+  fields.push_back(name60);
+  return fields;
+}
+
+std::string GoldenClkDigest(BloomHashScheme scheme, const std::string& key,
+                            std::vector<ClkFieldConfig> fields) {
+  BloomFilterParams params;
+  params.num_bits = 1000;
+  params.scheme = scheme;
+  params.secret_key = key;
+  const ClkEncoder encoder(params, std::move(fields));
+  const Schema schema = GoldenSchema();
+  std::string bytes;
+  for (const Record& record : GoldenRecords()) {
+    auto clk = encoder.Encode(schema, record);
+    EXPECT_TRUE(clk.ok()) << clk.status().ToString();
+    if (!clk.ok()) return "";
+    const std::vector<uint8_t> row = BitVectorToBytes(clk.value());
+    bytes.append(reinterpret_cast<const char*>(row.data()), row.size());
+  }
+  return DigestToHex(Sha256(bytes));
+}
+
+constexpr char kKey13[] = "shared-secret";
+const std::string kKey64(64, '\x5a');
+constexpr char kKey100[] =
+    "a hundred-byte secret key, longer than one SHA-256 block, so HMAC "
+    "hashes it down to 32 bytes first..";
+static_assert(sizeof(kKey13) - 1 == 13 && sizeof(kKey100) - 1 == 100);
+
+TEST(ClkGoldenTest, DoubleHashingDefaultFields) {
+  EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kDoubleHashing, "",
+                            PprlPipeline::DefaultFieldConfigs()),
+            "6d176ec6f60411d9da6f9f35f1be592867f0fa6c2325bf54ce244aedad199077");
+}
+
+TEST(ClkGoldenTest, DoubleHashingExtendedFields) {
+  EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kDoubleHashing, "", ExtendedFieldConfigs()),
+            "9cf879233ae168bf45d5dfa5fb78061a4baac23be41901b7432c625af706a5c2");
+}
+
+TEST(ClkGoldenTest, KeyedDefaultFields) {
+  EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey13,
+                            PprlPipeline::DefaultFieldConfigs()),
+            "75d14d4ad847f107d1d2daa8d355b5bcb0e659abb8d1fb659ff48884342d33f9");
+  EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey64,
+                            PprlPipeline::DefaultFieldConfigs()),
+            "f5f5996aa41188c4409dbed2cb8487630ebfdcea2ffbf225d1a357e7c78104e3");
+  EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey100,
+                            PprlPipeline::DefaultFieldConfigs()),
+            "b5340d07626c623ea4117505ce22c959608fa8a474e2e710320218dc343a3b15");
+}
+
+TEST(ClkGoldenTest, KeyedExtendedFields) {
+  EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey13, ExtendedFieldConfigs()),
+            "11cf961a0e1a1c032269c4c97eb573020e16bad127332829e0d5fb8c9cfb7efc");
+  EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey64, ExtendedFieldConfigs()),
+            "ec0327270e9625f8b3996b0398d202de10e91e1328c88036cb403e9d041e4088");
+  EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey100, ExtendedFieldConfigs()),
+            "9c1436b69a914fd15c88f5dec3d5ae71be024831f39c979ef333274fdd12b03c");
+}
+
+/// The attack module reads positions through TokenPositions; pin them too.
+TEST(ClkGoldenTest, TokenPositions) {
+  std::string listing;
+  for (BloomHashScheme scheme :
+       {BloomHashScheme::kDoubleHashing, BloomHashScheme::kKeyedHmac}) {
+    BloomFilterParams params;
+    params.num_bits = 1000;
+    params.num_hashes = 30;
+    params.scheme = scheme;
+    params.secret_key = kKey13;
+    const BloomFilterEncoder encoder(params);
+    for (const std::string& token :
+         {std::string(), std::string("ab"), std::string("first_name\x1e_m"),
+          std::string(kName60) + "\x1e" + "xy"}) {
+      for (uint32_t pos : encoder.TokenPositions(token)) {
+        listing += std::to_string(pos) + ",";
+      }
+      listing += ";";
+    }
+  }
+  EXPECT_EQ(DigestToHex(Sha256(listing)),
+            "06fe54327b90b04fbaf7b94d91cd57539314c7f9db5f7d7b5dfc47a1d06ca575");
 }
 
 class BloomLengthSweep : public ::testing::TestWithParam<size_t> {};

@@ -240,5 +240,91 @@ TEST_F(IngestParityTest, SchemaPeekMatchesFullIngest) {
   EXPECT_NE(schema->FieldIndex("first_name"), -1);
 }
 
+/// The status every QID reader returns for `body`: the fused encoder, the
+/// streaming database reader (and ReadDatabaseCsv on top of it), and the
+/// legacy whole-file DatabaseFromCsv. Entity ids are evaluation-only, so
+/// only the database readers look at them.
+struct ReaderStatuses {
+  Status encode, stream, read, legacy;
+};
+
+ReaderStatuses ReadAllWays(const std::string& path, const ClkEncoder& encoder) {
+  ReaderStatuses out;
+  out.encode = io::EncodeCsvToShard(path, encoder).status();
+  out.stream = io::ReadDatabaseCsvStream(path).status();
+  out.read = ReadDatabaseCsv(path).status();
+  auto table = ReadCsvFile(path);
+  out.legacy = table.ok() ? DatabaseFromCsv(*table).status() : table.status();
+  return out;
+}
+
+/// Integer-looking ids that are negative or past 2^64 - 1 used to wrap
+/// silently: -5 and -6 both became 0 in the streaming readers, and
+/// 18446744073709551621 became 5, colliding with a real id 5, while
+/// DatabaseFromCsv produced different values again. Every reader must now
+/// refuse them with one error that names the row.
+TEST_F(IngestParityTest, NegativeAndOverflowingIdsFailAlikeInEveryReader) {
+  const ClkEncoder encoder = MakeEncoder();
+  const std::string header = "id,first_name,last_name,city\n";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {header + "5,ann,lee,york\n-5,bob,kay,leeds\n-6,cat,ray,hull\n",
+       "CSV row 2: id '-5' is not an unsigned 64-bit integer"},
+      {header + "5,ann,lee,york\n18446744073709551621,bob,kay,leeds\n",
+       "CSV row 2: id '18446744073709551621' is not an unsigned 64-bit integer"},
+      {header + "1,ann,lee,york\n2,bob,kay,leeds\n-0,cat,ray,hull\n",
+       "CSV row 3: id '-0' is not an unsigned 64-bit integer"},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const std::string path =
+        Track(WriteTempFile("bad_ids_" + std::to_string(i) + ".csv", cases[i].first));
+    const ReaderStatuses got = ReadAllWays(path, encoder);
+    for (const Status* status : {&got.encode, &got.stream, &got.read, &got.legacy}) {
+      EXPECT_EQ(status->code(), StatusCode::kInvalidArgument) << status->ToString();
+      EXPECT_EQ(status->message(), cases[i].second);
+    }
+  }
+
+  const std::string entity_path = Track(WriteTempFile(
+      "bad_entity_ids.csv",
+      "id,entity_id,first_name,last_name,city\n1,7,ann,lee,york\n"
+      "2,99999999999999999999,bob,kay,leeds\n"));
+  const ReaderStatuses got = ReadAllWays(entity_path, encoder);
+  EXPECT_TRUE(got.encode.ok()) << got.encode.ToString();
+  for (const Status* status : {&got.stream, &got.read, &got.legacy}) {
+    EXPECT_EQ(status->message(),
+              "CSV row 2: entity_id '99999999999999999999' is not an unsigned 64-bit "
+              "integer");
+  }
+}
+
+/// The largest id still parses exactly, and non-integer text keeps the
+/// row-index fallback, identically in every reader.
+TEST_F(IngestParityTest, IdEdgesParseAlikeInEveryReader) {
+  const std::string path = Track(WriteTempFile(
+      "id_edges.csv",
+      "id,entity_id,first_name,last_name,city\n"
+      "18446744073709551615,18446744073709551615,ann,lee,york\n"
+      "x7,+3,bob,kay,leeds\n"
+      "0,,cat,ray,hull\n"));
+  const std::vector<uint64_t> ids = {18446744073709551615ull, 1, 0};
+  const std::vector<uint64_t> entity_ids = {18446744073709551615ull, 0, 0};
+
+  auto shard = io::EncodeCsvToShard(path, MakeEncoder());
+  ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+  EXPECT_EQ(shard->ids, ids);
+  auto table = ReadCsvFile(path);
+  ASSERT_TRUE(table.ok());
+  auto legacy = DatabaseFromCsv(*table);
+  auto streamed = io::ReadDatabaseCsvStream(path);
+  for (const Result<Database>* db : {&legacy, &streamed}) {
+    ASSERT_TRUE(db->ok()) << db->status().ToString();
+    ASSERT_EQ((*db)->size(), ids.size());
+    for (size_t r = 0; r < ids.size(); ++r) {
+      EXPECT_EQ((*db)->records[r].id, ids[r]) << "row " << r;
+      EXPECT_EQ((*db)->records[r].entity_id, entity_ids[r]) << "row " << r;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pprl

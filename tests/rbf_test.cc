@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/hash.h"
 #include "datagen/generator.h"
+#include "encoding/clk_io.h"
 #include "similarity/similarity.h"
 
 namespace pprl {
@@ -114,6 +116,42 @@ TEST(RbfEncoderTest, EncodeDatabase) {
   ASSERT_TRUE(filters.ok());
   EXPECT_EQ(filters->size(), 10u);
   for (const auto& f : *filters) EXPECT_EQ(f.size(), params.output_bits);
+}
+
+/// Golden RBF bytes for both hash schemes: SHA-256 of the concatenated
+/// BitVectorToBytes of literal records, captured once and never changed, so
+/// filters written by earlier builds keep linking.
+std::string GoldenRbfDigest(BloomHashScheme scheme) {
+  RbfParams params;
+  params.scheme = scheme;
+  params.secret_key = "shared-secret";
+  std::vector<RbfFieldConfig> fields = TwoFields(2, 1);
+  RbfFieldConfig city;
+  city.field_name = "city";
+  city.field_bits = 300;
+  city.num_hashes = 10;
+  city.q = 3;
+  fields.push_back(city);
+  auto encoder = RbfEncoder::Create(params, fields);
+  EXPECT_TRUE(encoder.ok());
+  if (!encoder.ok()) return "";
+  const Schema schema = DataGenerator::StandardSchema();
+  std::string bytes;
+  for (const auto& [first, last] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"mary", "smith"}, {"JOHN", "o'brien"}, {"", ""}, {"zo\xc3\xab", "nguyen"}}) {
+    const std::vector<uint8_t> row =
+        BitVectorToBytes(encoder->Encode(schema, MakeRecord(first, last)).value());
+    bytes.append(reinterpret_cast<const char*>(row.data()), row.size());
+  }
+  return DigestToHex(Sha256(bytes));
+}
+
+TEST(RbfEncoderTest, GoldenBytes) {
+  EXPECT_EQ(GoldenRbfDigest(BloomHashScheme::kDoubleHashing),
+            "b7e7fa09563d25e00bfc412ad401b700151b7ea95d52c3460bac1a520e2958d7");
+  EXPECT_EQ(GoldenRbfDigest(BloomHashScheme::kKeyedHmac),
+            "8f88a7b565a1332be37759277619d88cdb1ddff2965cd141928392731ecfc3e8");
 }
 
 }  // namespace
