@@ -7,9 +7,9 @@
 // PRs can track the trajectory.
 //
 // A second, larger sweep drives the threaded path: 10k x 10k candidates
-// streamed in run shards straight into the work-stealing scheduler
+// streamed in run shards straight into the shard pool
 // (linkage/parallel_linkage.h) at 1/2/4/8 workers. BENCH_parallel.json is
-// its committed baseline.
+// its committed baseline and records the host it ran on.
 //
 // usage: bench_compare_kernels [out.json [parallel_out.json]]
 
@@ -249,10 +249,10 @@ int Main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(f, "{\n  \"bench\": \"bench_compare_kernels_parallel\",\n");
+    std::fprintf(f, "  \"host\": {%s},\n", ProvenanceJsonMembers().c_str());
     std::fprintf(f, "  \"records_per_side\": %zu,\n  \"candidate_pairs\": %zu,\n",
                  kParallelRecordsPerSide, parallel_pairs);
-    std::fprintf(f, "  \"prune_threshold\": %.2f,\n  \"cores\": %zu,\n",
-                 kParallelThreshold, cores);
+    std::fprintf(f, "  \"prune_threshold\": %.2f,\n", kParallelThreshold);
     std::fprintf(f, "  \"measurements\": [\n");
     for (size_t i = 0; i < parallel_all.size(); ++i) {
       const ParallelMeasurement& m = parallel_all[i];

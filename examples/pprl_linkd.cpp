@@ -25,7 +25,7 @@
 /// With --metrics, a Prometheus text endpoint (GET /metrics) is served on
 /// the given port (0 picks an ephemeral one; the bound port is printed).
 /// With --threads > 1, linkage runs stream candidate shards through a
-/// shared work-stealing scheduler; results are identical to serial runs.
+/// shared shard pool; results are identical to serial runs.
 ///
 /// Robustness knobs: --io-timeout-ms bounds every socket read/write;
 /// --max-sessions caps concurrent connections (excess is shed with a BUSY
@@ -116,7 +116,7 @@ int Usage(FILE* out) {
       "options:\n"
       "  --all-interfaces           bind 0.0.0.0 instead of loopback\n"
       "  --metrics <port>           serve Prometheus text at /metrics\n"
-      "  --threads <n>              parallel compare/cluster workers\n"
+      "  --threads <n>              parallel compare workers (shard pool)\n"
       "  --io-timeout-ms <ms>       per-socket read/write timeout\n"
       "  --max-sessions <n>         concurrent connection cap (excess shed)\n"
       "  --session-ttl-ms <ms>      idle partial-shipment sweep age\n"
@@ -167,7 +167,7 @@ void PrintParallelTuning(const LinkageUnitServerConfig& config) {
         "pprl_linkd:   @%zu bits: shard %zu pairs, tiles %zu x %zu rows, "
         "window %zu shards\n",
         bits, tuning.shard_size, tuning.tile_a_rows, tuning.tile_b_rows,
-        tuning.max_pending_shards);
+        ShardScheduler::PendingWindow(tuning.num_threads));
   }
 }
 

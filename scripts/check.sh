@@ -20,9 +20,10 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" "$@"
 echo "check.sh: all tests passed under ASan+UBSan"
 
 # ThreadSanitizer gate for the concurrent paths: the threaded run-shard
-# compare (StreamCompareShards) and the kernels it runs on the
-# scheduler, the work-stealing scheduler itself, the streaming parallel
-# pipeline, and the lock-free metrics registry they all report into.
+# compare (StreamCompareShards) and the kernels it runs on the shard
+# pool, the shard pool and its TaskGroup handoff themselves, the
+# streaming parallel pipeline, and the lock-free metrics registry they
+# all report into.
 # Scoped to those tests — TSan slows everything ~10x and the rest of the
 # suite is single-threaded.
 TSAN_BUILD_DIR=build-tsan

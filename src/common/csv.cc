@@ -1,7 +1,10 @@
 #include "common/csv.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
+
+#include "common/strings.h"
 
 namespace pprl {
 
@@ -127,6 +130,21 @@ Status WriteCsvFile(const std::string& path, const CsvTable& table) {
   if (!out) return Status::IoError("cannot open " + path + " for writing");
   out << WriteCsv(table);
   if (!out) return Status::IoError("write to " + path + " failed");
+  return Status::OK();
+}
+
+Status ParseCsvRecordId(std::string_view text, std::string_view column, uint64_t row,
+                        uint64_t& out) {
+  if (!IsInteger(text)) return Status::OK();
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument("CSV row " + std::to_string(row) + ": " +
+                                   std::string(column) + " '" + std::string(text) +
+                                   "' is not an unsigned 64-bit integer");
+  }
+  out = value;
   return Status::OK();
 }
 

@@ -1,7 +1,9 @@
 #ifndef PPRL_COMMON_CSV_H_
 #define PPRL_COMMON_CSV_H_
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -34,6 +36,14 @@ Result<CsvTable> ReadCsvFile(const std::string& path);
 
 /// Writes `table` to `path`, replacing any existing file.
 Status WriteCsvFile(const std::string& path, const CsvTable& table);
+
+/// Parses the integer bookkeeping cell `column` ("id", "entity_id", "bits")
+/// of 1-based CSV data row `row` into `out`, with the rule every CSV reader
+/// shares: text that is not an integer leaves `out` untouched (the caller's
+/// row-index fallback); an integer that is negative or does not fit in 64
+/// bits is an InvalidArgument naming the row, never a wrapped value.
+Status ParseCsvRecordId(std::string_view text, std::string_view column, uint64_t row,
+                        uint64_t& out);
 
 }  // namespace pprl
 

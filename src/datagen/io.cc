@@ -24,12 +24,12 @@ Result<Database> DatabaseFromCsv(const CsvTable& table) {
     Record record;
     record.id = r;
     if (id_col >= 0) {
-      PPRL_RETURN_IF_ERROR(io::ParseCsvRecordId(row[static_cast<size_t>(id_col)], "id",
-                                                r + 1, record.id));
+      PPRL_RETURN_IF_ERROR(
+          ParseCsvRecordId(row[static_cast<size_t>(id_col)], "id", r + 1, record.id));
     }
     if (entity_col >= 0) {
-      PPRL_RETURN_IF_ERROR(io::ParseCsvRecordId(row[static_cast<size_t>(entity_col)],
-                                                "entity_id", r + 1, record.entity_id));
+      PPRL_RETURN_IF_ERROR(ParseCsvRecordId(row[static_cast<size_t>(entity_col)],
+                                            "entity_id", r + 1, record.entity_id));
     }
     record.values.reserve(db.schema.size());
     for (size_t c = 0; c < table.header.size(); ++c) {

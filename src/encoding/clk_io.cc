@@ -1,7 +1,5 @@
 #include "encoding/clk_io.h"
 
-#include <cstdlib>
-
 #include "common/base64.h"
 #include "common/csv.h"
 #include "common/strings.h"
@@ -79,17 +77,20 @@ Result<EncodedDatabase> ReadEncodedDatabase(const std::string& path) {
         !IsInteger(row[static_cast<size_t>(bits_col)])) {
       return Status::InvalidArgument("bad id/bits in row " + std::to_string(r));
     }
+    uint64_t id = 0;
+    uint64_t bits = 0;
+    PPRL_RETURN_IF_ERROR(
+        ParseCsvRecordId(row[static_cast<size_t>(id_col)], "id", r + 1, id));
+    PPRL_RETURN_IF_ERROR(
+        ParseCsvRecordId(row[static_cast<size_t>(bits_col)], "bits", r + 1, bits));
     auto bytes = Base64Decode(row[static_cast<size_t>(clk_col)]);
     if (!bytes.ok()) return bytes.status();
-    const size_t bits = static_cast<size_t>(
-        std::strtoull(row[static_cast<size_t>(bits_col)].c_str(), nullptr, 10));
     auto filter = BitVectorFromBytes(bytes.value(), bits);
     if (!filter.ok()) return filter.status();
     if (!out.filters.empty() && filter->size() != out.filters[0].size()) {
       return Status::InvalidArgument("inconsistent filter lengths in encoded file");
     }
-    out.ids.push_back(static_cast<uint64_t>(
-        std::strtoull(row[static_cast<size_t>(id_col)].c_str(), nullptr, 10)));
+    out.ids.push_back(id);
     out.filters.push_back(std::move(filter).value());
   }
   return out;

@@ -1,12 +1,12 @@
 #include "io/ingest.h"
 
 #include <bit>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 
 #include "common/base64.h"
+#include "common/csv.h"
 #include "common/record.h"
 #include "common/strings.h"
 #include "io/pclk.h"
@@ -98,21 +98,6 @@ Status ParseQidHeader(CsvCursor& cursor, QidHeader& out) {
 }
 
 }  // namespace
-
-Status ParseCsvRecordId(std::string_view text, std::string_view column, uint64_t row,
-                        uint64_t& out) {
-  if (!IsInteger(text)) return Status::OK();
-  uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end) {
-    return Status::InvalidArgument("CSV row " + std::to_string(row) + ": " +
-                                   std::string(column) + " '" + std::string(text) +
-                                   "' is not an unsigned 64-bit integer");
-  }
-  out = value;
-  return Status::OK();
-}
 
 const char* ShardFileFormatName(ShardFileFormat format) {
   switch (format) {

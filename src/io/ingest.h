@@ -83,14 +83,6 @@ class ShardBuilder {
   BitMatrix bits_;  ///< grows geometrically via BitMatrix::AppendRow
 };
 
-/// Parses the integer bookkeeping cell `column` ("id", "entity_id", "bits")
-/// of 1-based CSV data row `row` into `out`, with the rule every CSV reader
-/// here shares: text that is not an integer leaves `out` untouched (the
-/// caller's row-index fallback); an integer that is negative or does not fit
-/// in 64 bits is an InvalidArgument naming the row, never a wrapped value.
-Status ParseCsvRecordId(std::string_view text, std::string_view column, uint64_t row,
-                        uint64_t& out);
-
 /// Reads only the header row of a QID CSV and returns the schema the
 /// streaming ingest would use (bookkeeping columns excluded, types by
 /// GuessFieldTypeFromName). Lets a caller configure an encoder before the

@@ -1,13 +1,9 @@
 #include "linkage/clustering.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
-#include <memory>
 #include <set>
 #include <unordered_map>
-
-#include "common/thread_pool.h"
 
 namespace pprl {
 
@@ -42,48 +38,6 @@ class UnionFind {
   std::vector<size_t> rank_;
 };
 
-/// Wait-free-for-readers concurrent union-find: parents are atomics, Find
-/// compresses with benign CAS path-halving, Union links the higher root
-/// under the lower by CAS on the higher's own parent slot. A lost race
-/// means some root moved, so retrying with fresh roots always makes
-/// progress, and roots only ever decrease — no ABA, no locks.
-class AtomicUnionFind {
- public:
-  explicit AtomicUnionFind(size_t n)
-      : parent_(std::make_unique<std::atomic<size_t>[]>(n)) {
-    for (size_t i = 0; i < n; ++i) parent_[i].store(i, std::memory_order_relaxed);
-  }
-
-  size_t Find(size_t x) {
-    while (true) {
-      size_t p = parent_[x].load(std::memory_order_acquire);
-      if (p == x) return x;
-      const size_t gp = parent_[p].load(std::memory_order_acquire);
-      // Halving: point x at its grandparent. Failure just means another
-      // thread compressed first; either way the chain shortened.
-      parent_[x].compare_exchange_weak(p, gp, std::memory_order_acq_rel);
-      x = gp;
-    }
-  }
-
-  void Union(size_t x, size_t y) {
-    while (true) {
-      x = Find(x);
-      y = Find(y);
-      if (x == y) return;
-      if (x < y) std::swap(x, y);  // link the higher root x under y
-      size_t expected = x;
-      if (parent_[x].compare_exchange_strong(expected, y,
-                                             std::memory_order_acq_rel)) {
-        return;
-      }
-    }
-  }
-
- private:
-  std::unique_ptr<std::atomic<size_t>[]> parent_;
-};
-
 }  // namespace
 
 std::vector<Cluster> ConnectedComponents(const std::vector<MatchEdge>& edges) {
@@ -97,48 +51,6 @@ std::vector<Cluster> ConnectedComponents(const std::vector<MatchEdge>& edges) {
   UnionFind uf(rev.size());
   for (const MatchEdge& e : edges) uf.Union(ids[e.x], ids[e.y]);
 
-  std::unordered_map<size_t, Cluster> components;
-  for (size_t i = 0; i < rev.size(); ++i) components[uf.Find(i)].push_back(rev[i]);
-  std::vector<Cluster> out;
-  out.reserve(components.size());
-  for (auto& [root, cluster] : components) {
-    std::sort(cluster.begin(), cluster.end());
-    out.push_back(std::move(cluster));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<Cluster> ParallelConnectedComponents(const std::vector<MatchEdge>& edges,
-                                                 WorkStealingScheduler& scheduler) {
-  // Id assignment stays serial (it orders the nodes deterministically and
-  // is a fraction of the union work); the unions are what shard.
-  std::map<RecordRef, size_t> ids;
-  std::vector<RecordRef> rev;
-  for (const MatchEdge& e : edges) {
-    for (const RecordRef& r : {e.x, e.y}) {
-      if (ids.emplace(r, rev.size()).second) rev.push_back(r);
-    }
-  }
-
-  AtomicUnionFind uf(rev.size());
-  constexpr size_t kMinChunkEdges = 4096;
-  const size_t n = edges.size();
-  const size_t target_chunks = std::max<size_t>(1, scheduler.num_threads() * 4);
-  const size_t chunk = std::max(kMinChunkEdges, (n + target_chunks - 1) / target_chunks);
-  TaskGroup group(scheduler);
-  for (size_t begin = 0; begin < n; begin += chunk) {
-    const size_t end = std::min(n, begin + chunk);
-    group.Submit([&edges, &ids, &uf, begin, end] {
-      for (size_t i = begin; i < end; ++i) {
-        uf.Union(ids.find(edges[i].x)->second, ids.find(edges[i].y)->second);
-      }
-    });
-  }
-  group.Wait();
-
-  // Grouping plus the two full sorts make the output independent of union
-  // order, hence identical to ConnectedComponents().
   std::unordered_map<size_t, Cluster> components;
   for (size_t i = 0; i < rev.size(); ++i) components[uf.Find(i)].push_back(rev[i]);
   std::vector<Cluster> out;
@@ -192,10 +104,8 @@ std::vector<Cluster> StarClustering(const std::vector<MatchEdge>& edges) {
   return out;
 }
 
-std::vector<Cluster> ClusterEdges(const std::vector<MatchEdge>& edges, bool star,
-                                  WorkStealingScheduler* scheduler) {
+std::vector<Cluster> ClusterEdges(const std::vector<MatchEdge>& edges, bool star) {
   if (star) return StarClustering(edges);
-  if (scheduler != nullptr) return ParallelConnectedComponents(edges, *scheduler);
   return ConnectedComponents(edges);
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/bitvector.h"
-#include "common/thread_pool.h"
 #include "linkage/comparison.h"
 
 namespace pprl {
@@ -37,26 +36,15 @@ struct MatchEdge {
 /// of pairwise matches. Fast but merges over-eagerly on chains.
 std::vector<Cluster> ConnectedComponents(const std::vector<MatchEdge>& edges);
 
-/// ConnectedComponents() with the union phase sharded over `scheduler`:
-/// edge chunks union concurrently into a lock-free union-find (parents are
-/// atomics linked by CAS, always higher root onto lower, so linking is
-/// ABA-free and termination is guaranteed). Components and their members
-/// are fully sorted before returning, so the clustering is identical to the
-/// serial function regardless of worker count or union order.
-std::vector<Cluster> ParallelConnectedComponents(const std::vector<MatchEdge>& edges,
-                                                 WorkStealingScheduler& scheduler);
-
 /// Star clustering: sorts records by how strongly they are connected, makes
 /// the strongest unassigned record a cluster centre, assigns its unassigned
 /// neighbours to it. Avoids the chain-merging of connected components.
 std::vector<Cluster> StarClustering(const std::vector<MatchEdge>& edges);
 
 /// The linkage unit's clustering step, shared by the single daemon and the
-/// coordinator's merge: StarClustering() when `star`, else connected
-/// components — sharded over `scheduler` when one is given, serial
-/// otherwise (the two produce identical clusters).
-std::vector<Cluster> ClusterEdges(const std::vector<MatchEdge>& edges, bool star,
-                                  WorkStealingScheduler* scheduler);
+/// coordinator's merge: StarClustering() when `star`, else
+/// ConnectedComponents().
+std::vector<Cluster> ClusterEdges(const std::vector<MatchEdge>& edges, bool star);
 
 /// Incremental clustering for multi-party PPRL [43]: records arrive one at a
 /// time (velocity!) and are compared against existing cluster

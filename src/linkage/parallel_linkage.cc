@@ -39,8 +39,8 @@ TileMetrics& Metrics() {
 size_t Clamp(size_t v, size_t lo, size_t hi) { return std::min(std::max(v, lo), hi); }
 
 /// Clamps an explicitly configured knob into [lo, hi], warning when the
-/// configured value was out of range (silently accepting shard_size=0 or
-/// max_pending=10^9 is how misconfigurations used to ship).
+/// configured value was out of range (silently accepting shard_size=0 is
+/// how misconfigurations used to ship).
 size_t ClampConfigured(const char* name, size_t v, size_t lo, size_t hi) {
   const size_t clamped = Clamp(v, lo, hi);
   if (clamped != v) {
@@ -199,18 +199,12 @@ StreamCompareResult StreamCompare(const BitMatrix& a_matrix,
   const ResolvedParallelTuning tuning =
       ResolveParallelTuning(options, a_matrix.num_bits());
 
-  // Either borrow the caller's long-lived scheduler or spin one up for this
-  // call. The owned scheduler's queue bound is what turns `emit` into
-  // backpressure on the blocking thread.
-  std::optional<WorkStealingScheduler> owned;
-  WorkStealingScheduler* scheduler = options.scheduler;
-  if (scheduler == nullptr) {
-    WorkStealingScheduler::Options sched_options;
-    sched_options.num_threads = tuning.num_threads;
-    sched_options.max_pending = tuning.max_pending_shards;
-    owned.emplace(sched_options);
-    scheduler = &*owned;
-  }
+  // Either borrow the caller's long-lived pool or spin one up for this
+  // call. The pool's shard window is what turns `emit` into backpressure
+  // on the blocking thread.
+  std::optional<ShardScheduler> owned;
+  ShardScheduler* scheduler = options.scheduler;
+  if (scheduler == nullptr) scheduler = &owned.emplace(tuning.num_threads);
 
   TaskGroup group(*scheduler);
   std::deque<ShardSlot> slots;
@@ -218,7 +212,7 @@ StreamCompareResult StreamCompare(const BitMatrix& a_matrix,
     slots.emplace_back();
     ShardSlot* slot = &slots.back();
     // The shard moves into the closure, so the candidates alive at once
-    // are bounded by the scheduler's max_pending plus one per worker.
+    // are bounded by the pool's window plus one per worker.
     group.Submit([&b_matrix, &score, slot, tuning, shard = std::move(shard)] {
       RunTiledShard(b_matrix, tuning, shard, score, slot);
     });
@@ -276,20 +270,13 @@ ResolvedParallelTuning ResolveParallelTuning(const ParallelLinkageOptions& optio
   // (capped at 16 MiB) worth of B rows per shard — big enough that a shard
   // spans many A rows (so tiles actually reuse B rows; the old fixed 8192
   // pairs spanned at most two A rows against a 10k B side, making reuse
-  // impossible), small enough that thousands of shards exist for stealing
-  // to balance.
+  // impossible), small enough that hundreds of shards exist for the
+  // workers to share.
   t.shard_size =
       options.shard_size != 0
           ? ClampConfigured("shard_size", options.shard_size, 1024, size_t{1} << 22)
           : Clamp(std::min<size_t>(cache.llc_bytes / 4, 16u << 20) / t.row_bytes,
                   16384, 524288);
-
-  // Window: a few shards per worker keeps everyone fed without letting
-  // the producer run away.
-  t.max_pending_shards =
-      options.max_pending_shards != 0
-          ? ClampConfigured("max_pending_shards", options.max_pending_shards, 2, 1024)
-          : Clamp(4 * t.num_threads, 8, 64);
 
   t.b_copy_min_reuse = options.b_copy_min_reuse;
   return t;

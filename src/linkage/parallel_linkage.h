@@ -14,7 +14,7 @@ namespace pprl {
 
 /// The end-to-end parallel execution path (survey §3.4 "Parallel/distributed
 /// processing"): blocking streams candidate shards into a bounded window, a
-/// work-stealing scheduler scores them on every core, and per-shard result
+/// shard pool scores them on every core, and per-shard result
 /// buffers merge back in shard order — so the output is byte-identical to
 /// the serial pipeline at any thread count while peak memory stays
 /// O(window), not O(candidates).
@@ -28,19 +28,14 @@ namespace pprl {
 /// (common/cache_info.h); ResolveParallelTuning() is the single place the
 /// defaults, validation and clamping live.
 struct ParallelLinkageOptions {
-  /// Workers in the scheduler this call spins up. Ignored when `scheduler`
-  /// is set.
+  /// Workers in the shard pool this call spins up. Ignored when
+  /// `scheduler` is set.
   size_t num_threads = 1;
 
   /// Candidate pairs per shard — the scheduling unit. 0 auto-sizes so a
   /// shard amortizes dispatch and spans enough A rows for B-tile reuse
-  /// while staying numerous enough for stealing to balance skewed blocks.
+  /// while staying numerous enough to balance skewed blocks across workers.
   size_t shard_size = 0;
-
-  /// Max shards submitted but not yet started before the producing
-  /// (blocking) thread blocks — the streaming memory bound. 0 auto-sizes
-  /// to a few shards per worker.
-  size_t max_pending_shards = 0;
 
   /// B rows per cache tile inside a shard. 0 auto-sizes the tile's rows
   /// to half of L2.
@@ -54,10 +49,10 @@ struct ParallelLinkageOptions {
   /// than one worker is running). 0 disables copies.
   size_t b_copy_min_reuse = 8;
 
-  /// Borrowed long-lived scheduler (e.g. the daemon's). When set, shards
+  /// Borrowed long-lived shard pool (e.g. the daemon's). When set, shards
   /// run on its workers and completion is tracked per call with a
   /// TaskGroup, so concurrent sessions can share it safely.
-  WorkStealingScheduler* scheduler = nullptr;
+  ShardScheduler* scheduler = nullptr;
 };
 
 /// The effective (validated, clamped, auto-sized) tuning a streaming run
@@ -66,7 +61,6 @@ struct ParallelLinkageOptions {
 struct ResolvedParallelTuning {
   size_t num_threads = 1;
   size_t shard_size = 0;
-  size_t max_pending_shards = 0;
   size_t tile_b_rows = 0;
   size_t tile_a_rows = 0;
   size_t b_copy_min_reuse = 0;
@@ -77,8 +71,8 @@ struct ResolvedParallelTuning {
 /// Validates `options` against the filter width and fills every auto (0)
 /// knob from the detected cache sizes. Out-of-range explicit values are
 /// clamped with a logged warning rather than silently accepted — a
-/// shard_size of 3 would drown the scheduler in dispatch, a
-/// max_pending_shards of 10^9 would defeat the streaming memory bound.
+/// shard_size of 3 would drown the pool in dispatch. The shard window is
+/// the pool's own (ShardScheduler::PendingWindow).
 ResolvedParallelTuning ResolveParallelTuning(const ParallelLinkageOptions& options,
                                              size_t bits_per_row);
 
@@ -101,7 +95,7 @@ struct StreamCompareResult {
 using ShardProducer = std::function<void(const CandidateShardFn& emit)>;
 
 /// Runs `produce`'s candidate stream through the Dice kernels on a
-/// work-stealing scheduler, deciding every pair with `cutoffs`. Shards run
+/// shard pool, deciding every pair with `cutoffs`. Shards run
 /// cache-blocked and land in per-shard buffers that are concatenated in
 /// shard order after the last shard finishes, so `hits` is deterministic
 /// for every (options.num_threads, scheduler) choice. Each shard's

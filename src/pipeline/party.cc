@@ -1,11 +1,9 @@
 #include "pipeline/party.h"
 
 #include <deque>
-#include <optional>
 
 #include "blocking/lsh_index.h"
 #include "common/bit_matrix.h"
-#include "common/thread_pool.h"
 #include "linkage/comparison.h"
 #include "linkage/parallel_linkage.h"
 #include "obs/metrics.h"
@@ -123,19 +121,6 @@ Result<size_t> LinkableFilterBits(const std::vector<EncodedDatabase>& databases,
   return filter_bits;
 }
 
-/// Parallel runs either borrow the caller's scheduler (the daemon shares
-/// one across sessions) or spin one up in `owned`; nullptr means serial.
-WorkStealingScheduler* LinkScheduler(const MultiPartyLinkageOptions& options,
-                                     std::optional<WorkStealingScheduler>& owned) {
-  if (options.scheduler != nullptr || options.num_threads <= 1) {
-    return options.scheduler;
-  }
-  WorkStealingScheduler::Options sched_options;
-  sched_options.num_threads = options.num_threads;
-  sched_options.max_pending = 64;
-  return &owned.emplace(sched_options);
-}
-
 /// The block and compare stages Link() and LinkPartition() share: one
 /// LshBandIndex per database over the options' seeded geometry, then, for
 /// every database pair, the candidates `worker` owns under `partitioner`
@@ -146,16 +131,17 @@ WorkStealingScheduler* LinkScheduler(const MultiPartyLinkageOptions& options,
 ///
 /// Serially, the block stage ends once every pair's candidates exist, so
 /// pprl_stage_seconds{stage="block"} is index plus candidates and
-/// {stage="compare"} kernels plus threshold. With a scheduler the
-/// candidates stream as run shards into the tiled compare instead, so
-/// their production counts under compare. Both branches score the same
-/// pairs in the same order with the same kernel, so edges are identical
-/// at any worker count.
+/// {stage="compare"} kernels plus threshold. With more than one worker
+/// (or a borrowed pool) the candidates stream as run shards into the
+/// tiled compare instead, so their production counts under compare. Both
+/// branches score the same pairs in the same order with the same kernel,
+/// so edges are identical at any worker count.
 PartitionLinkResult BlockAndCompare(const std::vector<EncodedDatabase>& databases,
                                     size_t filter_bits,
                                     const MultiPartyLinkageOptions& options,
                                     const BlockPartitioner& partitioner,
-                                    uint32_t worker, WorkStealingScheduler* scheduler) {
+                                    uint32_t worker) {
+  const bool parallel = options.scheduler != nullptr || options.num_threads > 1;
   obs::StageTimer block_span("block");
   std::vector<const std::vector<BitVector>*> filters;
   for (const EncodedDatabase& db : databases) filters.push_back(&db.filters);
@@ -163,7 +149,7 @@ PartitionLinkResult BlockAndCompare(const std::vector<EncodedDatabase>& database
       BuildBandIndexes(filters, filter_bits, options.lsh_tables,
                        options.lsh_bits_per_key, options.lsh_seed);
   std::vector<std::vector<CandidatePair>> candidates;
-  if (scheduler == nullptr) {
+  if (!parallel) {
     for (uint32_t d1 = 0; d1 < databases.size(); ++d1) {
       for (uint32_t d2 = d1 + 1; d2 < databases.size(); ++d2) {
         candidates.push_back(
@@ -185,9 +171,10 @@ PartitionLinkResult BlockAndCompare(const std::vector<EncodedDatabase>& database
       const BitMatrix& a_rows = indexes[d1].rows();
       const BitMatrix& b_rows = indexes[d2].rows();
       std::vector<ScoredPair> scored;
-      if (scheduler != nullptr) {
+      if (parallel) {
         ParallelLinkageOptions parallel_options;
-        parallel_options.scheduler = scheduler;
+        parallel_options.num_threads = options.num_threads;
+        parallel_options.scheduler = options.scheduler;
         const size_t shard_size =
             ResolveParallelTuning(parallel_options, filter_bits).shard_size;
         StreamCompareResult streamed = StreamCompareShards(
@@ -227,10 +214,8 @@ Result<MultiPartyLinkageResult> LinkageUnitService::Link(
       .GetCounter("pprl_linkage_runs_total",
                   "Multi-party linkage runs at a linkage unit")
       .Increment();
-  std::optional<WorkStealingScheduler> owned_scheduler;
-  WorkStealingScheduler* scheduler = LinkScheduler(options, owned_scheduler);
-  PartitionLinkResult linked = BlockAndCompare(
-      databases_, *filter_bits, options, BlockPartitioner(1), 0, scheduler);
+  PartitionLinkResult linked =
+      BlockAndCompare(databases_, *filter_bits, options, BlockPartitioner(1), 0);
 
   MultiPartyLinkageResult result;
   result.edges = std::move(linked.edges);
@@ -238,7 +223,7 @@ Result<MultiPartyLinkageResult> LinkageUnitService::Link(
   result.candidate_pairs = linked.candidate_pairs;
   result.pruned_comparisons = linked.pruned_comparisons;
   obs::StageTimer cluster_span("cluster");
-  result.clusters = ClusterEdges(result.edges, options.use_star_clustering, scheduler);
+  result.clusters = ClusterEdges(result.edges, options.use_star_clustering);
   cluster_span.Stop();
   return result;
 }
@@ -257,10 +242,9 @@ Result<PartitionLinkResult> LinkageUnitService::LinkPartition(
       .GetCounter("pprl_partition_runs_total",
                   "Partition compare runs at a worker linkage unit")
       .Increment();
-  std::optional<WorkStealingScheduler> owned_scheduler;
   return BlockAndCompare(databases_, *filter_bits, options,
                          BlockPartitioner(spec.num_workers, spec.scheme),
-                         spec.worker_index, LinkScheduler(options, owned_scheduler));
+                         spec.worker_index);
 }
 
 Status LocalLinkageUnitSink::Deliver(const std::string& owner,

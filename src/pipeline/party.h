@@ -77,14 +77,14 @@ struct MultiPartyLinkageOptions {
   uint64_t lsh_seed = 42;
   /// If true, clusters come from star clustering; else connected components.
   bool use_star_clustering = true;
-  /// Workers for the comparison (and, for connected components, the union)
-  /// stages, in Link() and LinkPartition() alike. 1 keeps the serial path;
-  /// >1 streams each database pair's candidates through a work-stealing
-  /// scheduler. Results are identical at any worker count.
+  /// Workers for the comparison stage, in Link() and LinkPartition()
+  /// alike. 1 keeps the serial path; >1 streams each database pair's
+  /// candidates through a shard pool. Results are identical at any worker
+  /// count.
   size_t num_threads = 1;
-  /// Borrowed long-lived scheduler (e.g. the daemon's, shared across
+  /// Borrowed long-lived shard pool (e.g. the daemon's, shared across
   /// concurrent sessions). Overrides num_threads when set.
-  WorkStealingScheduler* scheduler = nullptr;
+  ShardScheduler* scheduler = nullptr;
 };
 
 /// Result of a multi-database linkage run at the linkage unit.

@@ -58,9 +58,9 @@ struct PipelineConfig {
 
   // --- execution ------------------------------------------------------------
   /// Workers for the comparison/classification stages. 1 keeps the serial
-  /// path; >1 streams candidate shards from blocking into a work-stealing
-  /// scheduler (linkage/parallel_linkage.h). Matches are identical at any
-  /// thread count.
+  /// path; >1 streams candidate shards from blocking into a shard pool
+  /// (linkage/parallel_linkage.h). Matches are identical at any thread
+  /// count.
   size_t num_threads = 1;
 
   // --- protocol ------------------------------------------------------------

@@ -216,8 +216,8 @@ Result<DistributedLinkOutcome> CoordinatorServer::ScatterGatherLink(
   outcome.result.pruned_comparisons = merged.pruned_comparisons;
   // Clustering stays global at the coordinator, over the merged edges —
   // identical inputs to the single-daemon path, so identical clusters.
-  outcome.result.clusters = ClusterEdges(
-      outcome.result.edges, options.use_star_clustering, options.scheduler);
+  outcome.result.clusters =
+      ClusterEdges(outcome.result.edges, options.use_star_clustering);
   return outcome;
 }
 

@@ -206,10 +206,7 @@ Status LinkageUnitServer::Start() {
     }
   }
   if (config_.link_threads > 1) {
-    WorkStealingScheduler::Options sched_options;
-    sched_options.num_threads = config_.link_threads;
-    sched_options.max_pending = 64;
-    link_scheduler_ = std::make_unique<WorkStealingScheduler>(sched_options);
+    link_scheduler_ = std::make_unique<ShardScheduler>(config_.link_threads);
   }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   PPRL_LOG(kInfo) << "linkage unit '" << config_.name << "' listening on port "

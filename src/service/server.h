@@ -55,11 +55,10 @@ struct LinkageUnitServerConfig {
   /// (unless the quorum option below kicks in first).
   size_t expected_owners = 2;
   MultiPartyLinkageOptions link_options;
-  /// Workers in the daemon's shared work-stealing scheduler. >1 runs every
-  /// linkage's comparison/clustering stages on it (overriding
-  /// link_options.num_threads/scheduler); concurrent linkage runs share the
-  /// same workers, each tracking its own completion. 1 keeps linkage
-  /// serial.
+  /// Workers in the daemon's shared shard pool. >1 runs every linkage's
+  /// comparison stage on it (overriding link_options.num_threads/scheduler);
+  /// concurrent linkage runs share the same workers, each tracking its own
+  /// completion. 1 keeps linkage serial.
   size_t link_threads = 1;
   /// Per-socket read/write timeout while a session is active. It does not
   /// bound shutdown: Stop() ends every idle read at once.
@@ -333,8 +332,8 @@ class LinkageUnitServer {
   /// erases entries, and Stop() joins them once the accept loop is gone.
   std::mutex threads_mutex_;
   std::map<uint64_t, SessionThread> session_threads_;
-  /// Shared shard scheduler for parallel linkage (set when link_threads > 1).
-  std::unique_ptr<WorkStealingScheduler> link_scheduler_;
+  /// Shared shard pool for parallel linkage (set when link_threads > 1).
+  std::unique_ptr<ShardScheduler> link_scheduler_;
   std::unique_ptr<MetricsHttpServer> metrics_server_;
   Channel channel_;
 

@@ -82,7 +82,7 @@ size_t BoundPrunedCount(SimilarityMeasure m, const std::vector<BitVector>& fa,
 /// into several shards.
 StreamCompareResult StreamAllPairs(SimilarityMeasure m, const BitMatrix& ma,
                                    const BitMatrix& mb, double min_score, size_t threads,
-                                   WorkStealingScheduler* scheduler = nullptr) {
+                                   ShardScheduler* scheduler = nullptr) {
   ParallelLinkageOptions options;
   options.num_threads = threads;
   options.scheduler = scheduler;
@@ -222,7 +222,7 @@ TEST(CompareKernelsTest, PruningFiresAtHighThresholds) {
   }
 }
 
-/// The threaded path — tiled run shards on the work-stealing scheduler —
+/// The threaded path — tiled run shards on the shard pool —
 /// against the serial engine, for every measure: same hits, same order,
 /// same accounting at every thread count.
 TEST(CompareKernelsTest, ParallelMatchesSequentialKernel) {
@@ -295,7 +295,7 @@ TEST(CompareKernelsTest, ConcurrentCallersShareScheduler) {
   const auto expected = kernel.CompareMatrices(ma, mb, candidates, 0.7);
   const size_t expected_pruned = kernel.last_pruned_count();
 
-  WorkStealingScheduler scheduler(4);
+  ShardScheduler scheduler(4);
   constexpr int kCallers = 4;
   std::vector<StreamCompareResult> results(kCallers);
   std::vector<std::thread> callers;

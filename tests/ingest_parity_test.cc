@@ -297,6 +297,32 @@ TEST_F(IngestParityTest, NegativeAndOverflowingIdsFailAlikeInEveryReader) {
   }
 }
 
+/// The encoded interchange CSV (id, bits, clk) has two readers, the
+/// streaming io::ReadCsvShard and the legacy ReadEncodedDatabase. The
+/// legacy one used to read id -5 as 18446744073709551611; both must refuse
+/// a negative or overflowing id or bits with the same error.
+TEST_F(IngestParityTest, EncodedCsvIdsFailAlikeInBothReaders) {
+  const std::string header = "id,bits,clk\n";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {header + "1,16,CAA=\n-5,16,CAA=\n",
+       "CSV row 2: id '-5' is not an unsigned 64-bit integer"},
+      {header + "18446744073709551616,16,CAA=\n",
+       "CSV row 1: id '18446744073709551616' is not an unsigned 64-bit integer"},
+      {header + "1,16,CAA=\n2,16,CAA=\n3,-16,CAA=\n",
+       "CSV row 3: bits '-16' is not an unsigned 64-bit integer"},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const std::string path = Track(
+        WriteTempFile("bad_encoded_ids_" + std::to_string(i) + ".csv", cases[i].first));
+    const Status streamed = io::ReadCsvShard(path).status();
+    const Status legacy = ReadEncodedDatabase(path).status();
+    for (const Status* status : {&streamed, &legacy}) {
+      EXPECT_EQ(status->code(), StatusCode::kInvalidArgument) << status->ToString();
+      EXPECT_EQ(status->message(), cases[i].second);
+    }
+  }
+}
+
 /// The largest id still parses exactly, and non-integer text keeps the
 /// row-index fallback, identically in every reader.
 TEST_F(IngestParityTest, IdEdgesParseAlikeInEveryReader) {

@@ -1,7 +1,7 @@
 // Determinism of the parallel linkage path: the same datasets linked at
 // 1, 2 and 8 worker threads must produce byte-identical matches, edges
-// and clusters. Shard boundaries, steal order and merge timing may vary
-// freely underneath — none of it may reach the output.
+// and clusters. Shard boundaries, which worker runs which shard and merge
+// timing may vary freely underneath — none of it may reach the output.
 
 #include <string>
 #include <vector>
@@ -133,7 +133,7 @@ TEST(ParallelPipelineTest, MultiPartyLinkIdenticalAcrossWorkerCounts) {
     expect_same(*parallel, std::to_string(threads) + " threads");
   }
 
-  WorkStealingScheduler shared(4);
+  ShardScheduler shared(4);
   MultiPartyLinkageOptions shared_options = options;
   shared_options.scheduler = &shared;
   const auto borrowed = unit.Link(shared_options);
@@ -315,12 +315,10 @@ TEST(ParallelPipelineTest, TuningValidationClampsAbsurdValues) {
   ParallelLinkageOptions absurd;
   absurd.num_threads = 0;
   absurd.shard_size = 3;
-  absurd.max_pending_shards = 1000000000;
   absurd.tile_b_rows = 2;
   const ResolvedParallelTuning clamped = ResolveParallelTuning(absurd, 500);
   EXPECT_EQ(clamped.num_threads, 1u);
   EXPECT_EQ(clamped.shard_size, 1024u);
-  EXPECT_EQ(clamped.max_pending_shards, 1024u);
   EXPECT_EQ(clamped.tile_b_rows, 8u);
 
   const ResolvedParallelTuning automatic =
@@ -329,32 +327,7 @@ TEST(ParallelPipelineTest, TuningValidationClampsAbsurdValues) {
   EXPECT_LE(automatic.shard_size, 524288u);
   EXPECT_GE(automatic.tile_b_rows, 64u);
   EXPECT_GE(automatic.tile_a_rows, 16u);
-  EXPECT_GE(automatic.max_pending_shards, 8u);
   EXPECT_EQ(automatic.row_bytes, 64u);  // 500 bits -> 8 words -> one line
-}
-
-TEST(ParallelClusteringTest, ConnectedComponentsParity) {
-  Rng rng(41);
-  std::vector<MatchEdge> edges;
-  for (int i = 0; i < 5000; ++i) {
-    MatchEdge e;
-    e.x = {static_cast<uint32_t>(rng.NextUint64(3)),
-           static_cast<uint32_t>(rng.NextUint64(800))};
-    e.y = {static_cast<uint32_t>(rng.NextUint64(3)),
-           static_cast<uint32_t>(rng.NextUint64(800))};
-    e.score = 0.8 + 0.2 * rng.NextDouble();
-    edges.push_back(e);
-  }
-  const auto serial = ConnectedComponents(edges);
-  ASSERT_FALSE(serial.empty());
-  for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    WorkStealingScheduler scheduler(threads);
-    const auto parallel = ParallelConnectedComponents(edges, scheduler);
-    ASSERT_EQ(serial.size(), parallel.size()) << threads << " threads";
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i], parallel[i]) << threads << " threads, cluster " << i;
-    }
-  }
 }
 
 }  // namespace

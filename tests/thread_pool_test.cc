@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,120 +11,121 @@
 namespace pprl {
 namespace {
 
-TEST(WorkStealingSchedulerTest, RunsAllSubmittedShards) {
-  WorkStealingScheduler scheduler(4);
+TEST(ShardSchedulerTest, RunsAllSubmittedShards) {
+  ShardScheduler scheduler(4);
+  TaskGroup group(scheduler);
   std::atomic<int> counter{0};
   for (int i = 0; i < 500; ++i) {
-    scheduler.Submit([&counter] { counter.fetch_add(1); });
+    group.Submit([&counter] { counter.fetch_add(1); });
   }
-  scheduler.Wait();
+  group.Wait();
   EXPECT_EQ(counter.load(), 500);
 }
 
-TEST(WorkStealingSchedulerTest, ReusableAcrossWaves) {
-  WorkStealingScheduler scheduler(3);
+TEST(ShardSchedulerTest, ReusableAcrossWaves) {
+  ShardScheduler scheduler(3);
+  TaskGroup group(scheduler);
   std::atomic<int> counter{0};
   for (int wave = 0; wave < 3; ++wave) {
     for (int i = 0; i < 50; ++i) {
-      scheduler.Submit([&counter] { counter.fetch_add(1); });
+      group.Submit([&counter] { counter.fetch_add(1); });
     }
-    scheduler.Wait();
+    group.Wait();
   }
   EXPECT_EQ(counter.load(), 150);
 }
 
-TEST(WorkStealingSchedulerTest, BackpressureBoundsPendingShards) {
-  WorkStealingScheduler::Options options;
-  options.num_threads = 2;
-  options.max_pending = 4;
-  WorkStealingScheduler scheduler(options);
+/// The window is derived from the worker count, clamp(4 × threads, 8, 64):
+/// with every worker parked, Submit() must queue exactly that many shards
+/// and then block the producer.
+TEST(ShardSchedulerTest, BackpressureBoundsPendingShards) {
+  for (const auto& [threads, window] :
+       std::vector<std::pair<size_t, size_t>>{{1, 8}, {4, 16}, {32, 64}}) {
+    ASSERT_EQ(ShardScheduler::PendingWindow(threads), window);
+    ShardScheduler scheduler(threads);
+    TaskGroup group(scheduler);
 
-  // Park both workers so submissions pile up against the cap.
-  std::atomic<bool> release{false};
-  std::atomic<int> parked{0};
-  for (int i = 0; i < 2; ++i) {
-    scheduler.Submit([&] {
-      parked.fetch_add(1);
-      while (!release.load()) std::this_thread::yield();
-    });
-  }
-  while (parked.load() < 2) std::this_thread::yield();
-
-  // The producer must block on the shard after the cap. Run it on a side
-  // thread and verify it cannot finish until the workers are released.
-  std::atomic<int> submitted{0};
-  std::thread producer([&] {
-    for (int i = 0; i < 20; ++i) {
-      scheduler.Submit([] {});
-      submitted.fetch_add(1);
+    // Park every worker so submissions pile up against the window.
+    std::atomic<bool> release{false};
+    std::atomic<size_t> parked{0};
+    for (size_t i = 0; i < threads; ++i) {
+      group.Submit([&] {
+        parked.fetch_add(1);
+        while (!release.load()) std::this_thread::yield();
+      });
     }
-  });
-  // Give the producer ample time to overshoot if backpressure were broken.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_LE(submitted.load(), 5);  // max_pending, +1 for the one in Submit()
-  EXPECT_LE(scheduler.pending(), 4u);
+    while (parked.load() < threads) std::this_thread::yield();
 
-  release.store(true);
-  producer.join();
-  scheduler.Wait();
-  EXPECT_EQ(submitted.load(), 20);
+    // The producer must fill the window and then block on the next shard.
+    // Run it on a side thread and verify it cannot finish until the
+    // workers are released.
+    std::atomic<size_t> submitted{0};
+    const size_t total = window + 20;
+    std::thread producer([&] {
+      for (size_t i = 0; i < total; ++i) {
+        group.Submit([] {});
+        submitted.fetch_add(1);
+      }
+    });
+    while (scheduler.pending() < window) std::this_thread::yield();
+    // Give the producer ample time to overshoot if backpressure were broken.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_EQ(submitted.load(), window) << threads << " workers";
+    EXPECT_EQ(scheduler.pending(), window) << threads << " workers";
+
+    release.store(true);
+    producer.join();
+    group.Wait();
+    EXPECT_EQ(submitted.load(), total);
+  }
 }
 
-TEST(WorkStealingSchedulerTest, IdleWorkersStealFromLoadedDeque) {
-  WorkStealingScheduler scheduler(4);
-  // Pin every shard to worker 0. Workers pop their own deque FIFO, so the
-  // gate shard parks worker 0 until another worker has finished one of the
-  // remaining shards — which, with everything pinned to deque 0, it can
-  // only have obtained by stealing.
+TEST(ShardSchedulerTest, ParkedShardDoesNotHoldBackTheQueue) {
+  ShardScheduler scheduler(4);
+  TaskGroup group(scheduler);
+  // The gate shard parks its worker until another worker has finished one
+  // of the shards queued behind it.
   std::atomic<int> done{0};
-  scheduler.SubmitTo(0, [&done] {
+  group.Submit([&done] {
     while (done.load() == 0) std::this_thread::yield();
   });
   for (int i = 0; i < 100; ++i) {
-    scheduler.SubmitTo(0, [&done] { done.fetch_add(1); });
+    group.Submit([&done] { done.fetch_add(1); });
   }
-  scheduler.Wait();
+  group.Wait();
   EXPECT_EQ(done.load(), 100);
-  EXPECT_GT(scheduler.steal_count(), 0u);
 }
 
-/// Heavy steal contention: one worker's deque holds all the work while
-/// seven thieves hammer it. Exercises the padded per-worker deque state
-/// and the approx_size probe (thieves skip empty victims without locking
-/// them); every shard must still run exactly once, and the failed-sweep
-/// counter must tick for workers that found nothing anywhere.
-TEST(WorkStealingSchedulerTest, StealStormRunsEveryShardOnce) {
-  WorkStealingScheduler scheduler(8);
+/// Eight workers contending for one queue: every shard must still run
+/// exactly once.
+TEST(ShardSchedulerTest, EachShardRunsExactlyOnceOnEightWorkers) {
+  ShardScheduler scheduler(8);
+  TaskGroup group(scheduler);
   constexpr int kShards = 4000;
   std::vector<std::atomic<int>> runs(kShards);
-  // Gate worker 0 until a thief has finished a shard (same trick as
-  // IdleWorkersStealFromLoadedDeque): on a box with fewer cores than
-  // workers, worker 0 could otherwise drain all 4000 shards before any
-  // thief thread is ever scheduled, and the storm would steal nothing.
+  // Gate one worker until another has finished a shard (same trick as
+  // ParkedShardDoesNotHoldBackTheQueue), so at least two workers share
+  // the queue even on a box with fewer cores than workers.
   std::atomic<int> done{0};
-  scheduler.SubmitTo(0, [&done] {
+  group.Submit([&done] {
     while (done.load() == 0) std::this_thread::yield();
   });
   for (int i = 0; i < kShards; ++i) {
-    scheduler.SubmitTo(0, [&runs, &done, i] {
+    group.Submit([&runs, &done, i] {
       runs[i].fetch_add(1);
       done.fetch_add(1);
     });
   }
-  scheduler.Wait();
+  group.Wait();
   for (int i = 0; i < kShards; ++i) {
     ASSERT_EQ(runs[i].load(), 1) << "shard " << i;
   }
-  EXPECT_GT(scheduler.steal_count(), 0u);
-  // With 8 workers and one loaded deque, some sweep must have come up dry
-  // (workers park only after a full failed sweep).
-  EXPECT_GT(scheduler.steal_fail_count(), 0u);
 }
 
-TEST(WorkStealingSchedulerTest, DestructorDrainsInFlightShards) {
+TEST(ShardSchedulerTest, DestructorDrainsInFlightShards) {
   std::atomic<int> counter{0};
   {
-    WorkStealingScheduler scheduler(3);
+    ShardScheduler scheduler(3);
     for (int i = 0; i < 100; ++i) {
       scheduler.Submit([&counter] {
         std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -136,12 +138,13 @@ TEST(WorkStealingSchedulerTest, DestructorDrainsInFlightShards) {
 }
 
 TEST(TaskGroupTest, WaitsOnlyForOwnTasks) {
-  WorkStealingScheduler scheduler(2);
+  ShardScheduler scheduler(2);
   // A slow shard from another "session" sharing the scheduler must not
   // block this group's Wait().
   std::atomic<bool> release{false};
   std::atomic<bool> slow_done{false};
-  scheduler.Submit([&] {
+  TaskGroup slow(scheduler);
+  slow.Submit([&] {
     while (!release.load()) std::this_thread::yield();
     slow_done.store(true);
   });
@@ -156,12 +159,12 @@ TEST(TaskGroupTest, WaitsOnlyForOwnTasks) {
   EXPECT_FALSE(slow_done.load());
 
   release.store(true);
-  scheduler.Wait();
+  slow.Wait();
   EXPECT_TRUE(slow_done.load());
 }
 
 TEST(TaskGroupTest, GroupsOnSharedSchedulerAreIndependent) {
-  WorkStealingScheduler scheduler(4);
+  ShardScheduler scheduler(4);
   TaskGroup first(scheduler);
   TaskGroup second(scheduler);
   std::atomic<int> first_count{0};
@@ -174,6 +177,22 @@ TEST(TaskGroupTest, GroupsOnSharedSchedulerAreIndependent) {
   EXPECT_EQ(first_count.load(), 100);
   second.Wait();
   EXPECT_EQ(second_count.load(), 100);
+}
+
+/// Every StreamCompareShards call waits on a stack TaskGroup and drops it
+/// at once. Wait() must not return while the worker that ran the last task
+/// can still touch the group; under ThreadSanitizer, a group that is
+/// signalled after its count reaches zero is reported as a use after its
+/// scope within this many short-lived groups.
+TEST(TaskGroupTest, ShortLivedGroupsNeverOutliveTheirTasks) {
+  ShardScheduler scheduler(2);
+  int ran = 0;
+  for (int i = 0; i < 100000; ++i) {
+    TaskGroup group(scheduler);
+    group.Submit([&ran] { ++ran; });
+    group.Wait();
+  }
+  EXPECT_EQ(ran, 100000);
 }
 
 }  // namespace
