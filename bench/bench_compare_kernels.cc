@@ -9,10 +9,16 @@
 // A second, larger sweep drives the threaded path: 10k x 10k candidates
 // streamed in run shards straight into the shard pool
 // (linkage/parallel_linkage.h) at 1/2/4/8 workers. BENCH_parallel.json is
-// its committed baseline and records the host it ran on.
+// its committed baseline.
+//
+// Every row is the median of kReps timed runs, with the quartiles beside
+// it: on a shared host one run can read half or double the next, so a
+// best-of-N figure cannot tell two builds apart. Both JSON files record the
+// host and commit they ran on.
 //
 // usage: bench_compare_kernels [out.json [parallel_out.json]]
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -35,30 +41,43 @@ constexpr double kPruneThreshold = 0.7;
 /// of the dense 500-bit cross product scores as a hit and the bench would
 /// time result materialization instead of the comparison path.
 constexpr double kParallelThreshold = 0.85;
-constexpr int kReps = 3;
+constexpr int kReps = 7;
+
+/// Pairs/sec over kReps timed runs: the median and the quartiles (the
+/// medians of the runs below and above it).
+struct Rate {
+  double median = 0;
+  double p25 = 0;
+  double p75 = 0;
+};
+
+/// Times `run` (which returns the pairs it pruned) kReps times over
+/// `num_pairs` pairs; the last run's prune count lands in `pruned`.
+template <typename Run>
+Rate TimeRuns(size_t num_pairs, Run run, size_t& pruned) {
+  std::vector<double> rates;
+  for (int rep = 0; rep < kReps; ++rep) {
+    Timer timer;
+    pruned = run();
+    rates.push_back(static_cast<double>(num_pairs) / timer.ElapsedSeconds());
+  }
+  std::sort(rates.begin(), rates.end());
+  return {rates[kReps / 2], rates[kReps / 4], rates[kReps - 1 - kReps / 4]};
+}
 
 struct Measurement {
   std::string name;
   size_t bits = 0;
-  double pairs_per_sec = 0;
+  Rate rate;
   size_t pruned = 0;
 };
 
-/// Best-of-kReps pairs/sec for one configuration.
 template <typename Run>
-Measurement Measure(const std::string& name, size_t bits, size_t num_pairs, Run run,
-                    size_t* pruned_out = nullptr) {
+Measurement Measure(const std::string& name, size_t bits, size_t num_pairs, Run run) {
   Measurement m;
   m.name = name;
   m.bits = bits;
-  for (int rep = 0; rep < kReps; ++rep) {
-    Timer timer;
-    const size_t pruned = run();
-    const double rate = static_cast<double>(num_pairs) / timer.ElapsedSeconds();
-    if (rate > m.pairs_per_sec) m.pairs_per_sec = rate;
-    m.pruned = pruned;
-  }
-  if (pruned_out != nullptr) *pruned_out = m.pruned;
+  m.rate = TimeRuns(num_pairs, run, m.pruned);
   return m;
 }
 
@@ -105,9 +124,9 @@ std::vector<Measurement> BenchAtWidth(size_t bits, const Database& a, const Data
 struct ParallelMeasurement {
   size_t threads = 0;
   size_t bits = 0;
-  double pairs_per_sec = 0;
+  Rate rate;
   size_t pruned = 0;
-  /// pairs_per_sec / (t1 rate x threads) at the same width: 1.0 is perfect
+  /// Median rate / (t1 median x threads) at the same width: 1.0 is perfect
   /// scaling, and anything flat across thread counts means a serial stage
   /// or shared bottleneck is capping the path.
   double scaling_efficiency = 0;
@@ -133,6 +152,7 @@ std::vector<ParallelMeasurement> BenchParallelAtWidth(size_t bits, const Databas
   const BitMatrix ma = BitMatrix::FromVectors(fa);
   const BitMatrix mb = BitMatrix::FromVectors(fb);
   const size_t n = fa.size() * fb.size();
+  const DiceCutoffs cutoffs(kParallelThreshold, bits);
 
   std::vector<ParallelMeasurement> out;
   double t1_rate = 0;
@@ -146,22 +166,21 @@ std::vector<ParallelMeasurement> BenchParallelAtWidth(size_t bits, const Databas
     m.shard_size = tuning.shard_size;
     m.tile_a_rows = tuning.tile_a_rows;
     m.tile_b_rows = tuning.tile_b_rows;
-    for (int rep = 0; rep < kReps; ++rep) {
-      Timer timer;
-      const StreamCompareResult result = StreamCompareShards(
-          SimilarityMeasure::kDice, ma, mb, kParallelThreshold, options,
-          [&](const CandidateShardFn& emit) {
-            StreamFullPairRuns(fa.size(), fb.size(), tuning.shard_size, emit);
-          });
-      const double rate = static_cast<double>(n) / timer.ElapsedSeconds();
-      if (rate > m.pairs_per_sec) m.pairs_per_sec = rate;
-      m.pruned = result.pruned;
-    }
-    if (threads == 1) t1_rate = m.pairs_per_sec;
+    m.rate = TimeRuns(
+        n,
+        [&] {
+          return StreamCompareShards(cutoffs, ma, mb, options,
+                                     [&](const CandidateShardFn& emit) {
+                                       StreamFullPairRuns(fa.size(), fb.size(),
+                                                          tuning.shard_size, emit);
+                                     })
+              .pruned;
+        },
+        m.pruned);
+    if (threads == 1) t1_rate = m.rate.median;
     // Fraction of perfect scaling: 1.0 means N threads deliver N x the
-    // single-thread rate; the committed baseline's t8 sat at ~0.14.
-    m.scaling_efficiency =
-        m.pairs_per_sec / (t1_rate * static_cast<double>(threads));
+    // single-thread rate.
+    m.scaling_efficiency = m.rate.median / (t1_rate * static_cast<double>(threads));
     out.push_back(m);
   }
   return out;
@@ -180,12 +199,13 @@ int Main(int argc, char** argv) {
     all.insert(all.end(), rows.begin(), rows.end());
   }
 
-  PrintHeader({"config", "bits", "Mpairs/s", "pruned", "vs scalar"});
+  PrintHeader({"config", "bits", "Mpairs/s", "p25", "p75", "pruned", "vs scalar"});
   double scalar_rate = 0;
   for (const Measurement& m : all) {
-    if (m.name == "scalar") scalar_rate = m.pairs_per_sec;
-    PrintRow({m.name, Fmt(m.bits), Fmt(m.pairs_per_sec / 1e6, 2), Fmt(m.pruned),
-              Fmt(m.pairs_per_sec / scalar_rate, 2) + "x"});
+    if (m.name == "scalar") scalar_rate = m.rate.median;
+    PrintRow({m.name, Fmt(m.bits), Fmt(m.rate.median / 1e6, 2),
+              Fmt(m.rate.p25 / 1e6, 2), Fmt(m.rate.p75 / 1e6, 2), Fmt(m.pruned),
+              Fmt(m.rate.median / scalar_rate, 2) + "x"});
   }
 
   const size_t cores = std::thread::hardware_concurrency();
@@ -196,18 +216,19 @@ int Main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(f, "{\n  \"bench\": \"bench_compare_kernels\",\n");
+    std::fprintf(f, "  \"host\": {%s},\n", ProvenanceJsonMembers().c_str());
     std::fprintf(f, "  \"records_per_side\": %zu,\n  \"candidate_pairs\": %zu,\n",
                  kRecordsPerSide, num_pairs);
-    std::fprintf(f, "  \"prune_threshold\": %.2f,\n  \"cores\": %zu,\n",
-                 kPruneThreshold, cores);
+    std::fprintf(f, "  \"prune_threshold\": %.2f,\n  \"timed_runs\": %d,\n",
+                 kPruneThreshold, kReps);
     std::fprintf(f, "  \"measurements\": [\n");
     for (size_t i = 0; i < all.size(); ++i) {
       const Measurement& m = all[i];
       std::fprintf(f,
                    "    {\"config\": \"%s\", \"bits\": %zu, \"pairs_per_sec\": %.0f, "
-                   "\"pruned\": %zu}%s\n",
-                   m.name.c_str(), m.bits, m.pairs_per_sec, m.pruned,
-                   i + 1 < all.size() ? "," : "");
+                   "\"p25\": %.0f, \"p75\": %.0f, \"pruned\": %zu}%s\n",
+                   m.name.c_str(), m.bits, m.rate.median, m.rate.p25, m.rate.p75,
+                   m.pruned, i + 1 < all.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
@@ -232,14 +253,15 @@ int Main(int argc, char** argv) {
     parallel_all.insert(parallel_all.end(), rows.begin(), rows.end());
   }
 
-  PrintHeader({"config", "bits", "Mpairs/s", "pruned", "vs t1", "efficiency"});
+  PrintHeader({"config", "bits", "Mpairs/s", "p25", "p75", "pruned", "vs t1",
+               "efficiency"});
   double t1_rate = 0;
   for (const ParallelMeasurement& m : parallel_all) {
-    if (m.threads == 1) t1_rate = m.pairs_per_sec;
+    if (m.threads == 1) t1_rate = m.rate.median;
     PrintRow({"stream-t" + std::to_string(m.threads), Fmt(m.bits),
-              Fmt(m.pairs_per_sec / 1e6, 2), Fmt(m.pruned),
-              Fmt(m.pairs_per_sec / t1_rate, 2) + "x",
-              Fmt(m.scaling_efficiency, 2)});
+              Fmt(m.rate.median / 1e6, 2), Fmt(m.rate.p25 / 1e6, 2),
+              Fmt(m.rate.p75 / 1e6, 2), Fmt(m.pruned),
+              Fmt(m.rate.median / t1_rate, 2) + "x", Fmt(m.scaling_efficiency, 2)});
   }
 
   if (argc > 2) {
@@ -252,20 +274,22 @@ int Main(int argc, char** argv) {
     std::fprintf(f, "  \"host\": {%s},\n", ProvenanceJsonMembers().c_str());
     std::fprintf(f, "  \"records_per_side\": %zu,\n  \"candidate_pairs\": %zu,\n",
                  kParallelRecordsPerSide, parallel_pairs);
-    std::fprintf(f, "  \"prune_threshold\": %.2f,\n", kParallelThreshold);
+    std::fprintf(f, "  \"prune_threshold\": %.2f,\n  \"timed_runs\": %d,\n",
+                 kParallelThreshold, kReps);
     std::fprintf(f, "  \"measurements\": [\n");
     for (size_t i = 0; i < parallel_all.size(); ++i) {
       const ParallelMeasurement& m = parallel_all[i];
-      if (m.threads == 1) t1_rate = m.pairs_per_sec;
+      if (m.threads == 1) t1_rate = m.rate.median;
       std::fprintf(f,
                    "    {\"config\": \"stream-t%zu\", \"bits\": %zu, \"threads\": %zu, "
-                   "\"pairs_per_sec\": %.0f, \"pruned\": %zu, "
+                   "\"pairs_per_sec\": %.0f, \"p25\": %.0f, \"p75\": %.0f, "
+                   "\"pruned\": %zu, "
                    "\"speedup_vs_t1\": %.2f, \"scaling_efficiency\": %.3f, "
                    "\"shard_size\": %zu, \"tile_a_rows\": %zu, "
                    "\"tile_b_rows\": %zu}%s\n",
-                   m.threads, m.bits, m.threads, m.pairs_per_sec, m.pruned,
-                   m.pairs_per_sec / t1_rate, m.scaling_efficiency, m.shard_size,
-                   m.tile_a_rows, m.tile_b_rows,
+                   m.threads, m.bits, m.threads, m.rate.median, m.rate.p25, m.rate.p75,
+                   m.pruned, m.rate.median / t1_rate, m.scaling_efficiency,
+                   m.shard_size, m.tile_a_rows, m.tile_b_rows,
                    i + 1 < parallel_all.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

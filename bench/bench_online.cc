@@ -188,11 +188,11 @@ int Main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(f, "{\n  \"bench\": \"bench_online\",\n");
+    std::fprintf(f, "  \"host\": {%s},\n", ProvenanceJsonMembers().c_str());
     std::fprintf(f, "  \"records\": %zu,\n  \"filter_bits\": %zu,\n", records,
                  kFilterBits);
     std::fprintf(f, "  \"lsh_tables\": %zu,\n  \"lsh_bits_per_key\": %zu,\n",
                  lsh.lsh_tables, lsh.lsh_bits_per_key);
-    std::fprintf(f, "  \"cores\": %zu,\n", cores);
     std::fprintf(f, "  \"append_records_per_sec\": %.0f,\n", appends_per_sec);
     std::fprintf(f, "  \"avg_candidates_per_query\": %.1f,\n",
                  static_cast<double>(candidate_sum) / kLatencyQueries);

@@ -219,6 +219,7 @@ int Main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(f, "{\n  \"bench\": \"bench_recovery\",\n");
+    std::fprintf(f, "  \"host\": {%s},\n", ProvenanceJsonMembers().c_str());
     std::fprintf(f, "  \"records\": %zu,\n  \"filter_bits\": %zu,\n", records,
                  kFilterBits);
     std::fprintf(f, "  \"wal_sync_ms\": %d,\n", config.wal_sync_ms);

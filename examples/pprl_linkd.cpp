@@ -45,6 +45,7 @@
 ///   ./build/examples/pprl_cli ship /tmp/a_clks.csv hospital-a 127.0.0.1:7001
 ///   ./build/examples/pprl_cli ship /tmp/b_clks.csv hospital-b 127.0.0.1:7001
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -306,7 +307,17 @@ int main(int argc, char** argv) {
       config.metrics_port = std::atoi(argv[++i]);
     }
     if (arg == "--threads" && i + 1 < argc) {
-      config.link_threads = static_cast<size_t>(std::atoll(argv[++i]));
+      const char* value = argv[++i];
+      const char* value_end = value + std::strlen(value);
+      size_t threads = 0;
+      const auto [end, error] = std::from_chars(value, value_end, threads);
+      if (error != std::errc() || end != value_end || threads < 1 ||
+          threads > ShardScheduler::kMaxThreads) {
+        std::fprintf(stderr, "--threads must be an integer in [1, %zu], got '%s'\n",
+                     ShardScheduler::kMaxThreads, value);
+        return 2;
+      }
+      config.link_threads = threads;
     }
     if (arg == "--io-timeout-ms" && i + 1 < argc) {
       config.io_timeout_ms = std::atoi(argv[++i]);

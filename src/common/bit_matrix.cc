@@ -97,27 +97,6 @@ std::vector<BitVector> BitMatrix::ToVectors() const {
   return out;
 }
 
-void BitMatrix::AssignRowSlice(const BitMatrix& src, size_t row_begin,
-                               size_t row_end) {
-  assert(row_begin <= row_end && row_end <= src.num_rows_);
-  const size_t rows = row_end - row_begin;
-  const size_t needed = rows * src.stride_words_;
-  if (capacity_words_ < needed) {
-    data_ = Allocate(needed);
-    capacity_words_ = needed;
-  }
-  num_rows_ = rows;
-  num_bits_ = src.num_bits_;
-  words_per_row_ = src.words_per_row_;
-  stride_words_ = src.stride_words_;
-  if (rows > 0) {
-    std::memcpy(data_.get(), src.row(row_begin),
-                rows * stride_words_ * sizeof(uint64_t));
-  }
-  counts_.assign(src.counts_.begin() + static_cast<ptrdiff_t>(row_begin),
-                 src.counts_.begin() + static_cast<ptrdiff_t>(row_end));
-}
-
 void BitMatrix::RecountRow(size_t i) {
   assert(i < num_rows_);
   const uint64_t* r = row(i);

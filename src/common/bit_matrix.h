@@ -96,14 +96,6 @@ class BitMatrix {
   /// the vector's cached count, so the append is O(words_per_row()).
   size_t AppendRow(const BitVector& row);
 
-  /// Makes this matrix a copy of rows [row_begin, row_end) of `src` —
-  /// same num_bits, row i holds src row row_begin + i, counts copied, not
-  /// recomputed. Reuses the existing allocation when it is large enough
-  /// and the stride matches, so a worker can refill one scratch tile per
-  /// b-range without churning the allocator. Rows are contiguous at a
-  /// fixed stride, so the refill is a single memcpy.
-  void AssignRowSlice(const BitMatrix& src, size_t row_begin, size_t row_end);
-
  private:
   struct AlignedFree {
     void operator()(uint64_t* p) const;
@@ -117,8 +109,8 @@ class BitMatrix {
   size_t words_per_row_ = 0;
   size_t stride_words_ = 0;
   AlignedWords data_;
-  /// Words actually allocated behind data_ — can exceed
-  /// num_rows_ * stride_words_ after AssignRowSlice() shrank the view.
+  /// Words actually allocated behind data_ — exceeds
+  /// num_rows_ * stride_words_ after ReserveRows() or AppendRow() growth.
   size_t capacity_words_ = 0;
   std::vector<size_t> counts_;
 };

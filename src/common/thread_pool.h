@@ -32,7 +32,13 @@ class TaskGroup;
 /// aggregated over every pool in the process.
 class ShardScheduler {
  public:
-  /// Starts max(1, num_threads) workers.
+  /// The most workers one pool runs. ResolveParallelTuning clamps a
+  /// configured thread count to it, and the daemon refuses a larger
+  /// `--threads` (LinkageUnitServer::Start).
+  static constexpr size_t kMaxThreads = 256;
+
+  /// Starts max(1, num_threads) workers; callers keep num_threads <=
+  /// kMaxThreads.
   explicit ShardScheduler(size_t num_threads);
 
   /// Drains every submitted shard and joins all workers.

@@ -5,7 +5,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <type_traits>
+#include <cstddef>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -81,18 +81,6 @@ inline double BoundImpl(size_t ca, size_t cb, size_t num_bits) {
   }
 }
 
-/// Appends one hit in whatever shape this instantiation emits: KernelPair
-/// carries an explicit output slot (tiled execution order != candidate
-/// order), a CandidatePair becomes a finished ScoredPair.
-template <typename Pair, typename Out>
-inline void EmitScore(const Pair& pair, double score, std::vector<Out>& out) {
-  if constexpr (std::is_same_v<Out, ScoredPair>) {
-    out.push_back({pair.a, pair.b, score});
-  } else {
-    out.push_back({pair.slot, score});
-  }
-}
-
 /// Prefetch lead, in pairs. The fused AND-popcount of one pair costs a
 /// few dozen cycles, so ~8 pairs of lead hides a fresh row's
 /// main-memory latency; rows already resident just retire the hint.
@@ -104,9 +92,8 @@ constexpr size_t kPrefetchPairs = 8;
 /// the kernel itself knows every future address — classic binding of
 /// irregular-but-known access. Hint locality 1: into L2, not L1 — the
 /// current pair's words own L1.
-template <typename Pair>
 inline void PrefetchPairRows(const BitMatrix& a, const BitMatrix& b,
-                             const Pair* pairs, size_t i, size_t num_pairs) {
+                             const CandidatePair* pairs, size_t i, size_t num_pairs) {
 #if defined(__GNUC__) && !defined(PPRL_NO_PREFETCH)
   const size_t j = i + kPrefetchPairs;
   if (j < num_pairs) {
@@ -122,15 +109,14 @@ inline void PrefetchPairRows(const BitMatrix& a, const BitMatrix& b,
 #endif
 }
 
-/// One kernel body serves both pair layouts and both output shapes (see
-/// EmitScore). `min_score <= 0` hoists the bound check out of the loop —
-/// every score lands in [0, 1], so nothing can prune and the bound's
-/// division would be pure overhead. Thresholded Dice never gets here: it
-/// runs DiceThresholdLoopBody over its cutoff table.
-template <SimilarityMeasure M, typename Pair, typename Out>
-inline void KernelLoopBody(const BitMatrix& a, const BitMatrix& b, const Pair* pairs,
-                           size_t num_pairs, double min_score, std::vector<Out>& out,
-                           CompareKernelStats& stats) {
+/// The per-measure kernel body. `min_score <= 0` hoists the bound check
+/// out of the loop — every score lands in [0, 1], so nothing can prune and
+/// the bound's division would be pure overhead. Thresholded Dice never
+/// gets here: it runs DiceThresholdLoopBody over its cutoff table.
+template <SimilarityMeasure M>
+inline void KernelLoopBody(const BitMatrix& a, const BitMatrix& b,
+                           const CandidatePair* pairs, size_t num_pairs, double min_score,
+                           std::vector<ScoredPair>& out, CompareKernelStats& stats) {
   assert(a.num_bits() == b.num_bits());
   const size_t words = a.words_per_row();
   const size_t num_bits = a.num_bits();
@@ -139,7 +125,7 @@ inline void KernelLoopBody(const BitMatrix& a, const BitMatrix& b, const Pair* p
   const bool use_bound = min_score > 0;
   for (size_t i = 0; i < num_pairs; ++i) {
     PrefetchPairRows(a, b, pairs, i, num_pairs);
-    const Pair pair = pairs[i];
+    const CandidatePair pair = pairs[i];
     const size_t ca = a_counts[pair.a];
     const size_t cb = b_counts[pair.b];
     if (use_bound && BoundImpl<M>(ca, cb, num_bits) < min_score) {
@@ -149,17 +135,16 @@ inline void KernelLoopBody(const BitMatrix& a, const BitMatrix& b, const Pair* p
     const size_t c = AndCountWords(a.row(pair.a), b.row(pair.b), words);
     ++stats.scored;
     const double score = ScoreImpl<M>(ca, cb, c, num_bits);
-    if (score >= min_score) EmitScore(pair, score, out);
+    if (score >= min_score) out.push_back({pair.a, pair.b, score});
   }
 }
 
 /// The Dice threshold loop (the comparison path every linkage run takes):
 /// the cutoff table decides every prune and accept in integers, and only
 /// accepted pairs divide, to emit their score.
-template <typename Pair, typename Out>
 inline void DiceThresholdLoopBody(const DiceCutoffs& cutoffs, const BitMatrix& a,
-                                  const BitMatrix& b, const Pair* pairs,
-                                  size_t num_pairs, std::vector<Out>& out,
+                                  const BitMatrix& b, const CandidatePair* pairs,
+                                  size_t num_pairs, std::vector<ScoredPair>& out,
                                   CompareKernelStats& stats) {
   const size_t words = a.words_per_row();
   const size_t num_bits = a.num_bits();
@@ -168,7 +153,7 @@ inline void DiceThresholdLoopBody(const DiceCutoffs& cutoffs, const BitMatrix& a
   const uint32_t* c_min = cutoffs.data();
   for (size_t i = 0; i < num_pairs; ++i) {
     PrefetchPairRows(a, b, pairs, i, num_pairs);
-    const Pair pair = pairs[i];
+    const CandidatePair pair = pairs[i];
     const size_t ca = a_counts[pair.a];
     const size_t cb = b_counts[pair.b];
     const size_t need = c_min[ca + cb];
@@ -179,7 +164,8 @@ inline void DiceThresholdLoopBody(const DiceCutoffs& cutoffs, const BitMatrix& a
     const size_t c = AndCountWords(a.row(pair.a), b.row(pair.b), words);
     ++stats.scored;
     if (c >= need) {
-      EmitScore(pair, ScoreImpl<SimilarityMeasure::kDice>(ca, cb, c, num_bits), out);
+      out.push_back(
+          {pair.a, pair.b, ScoreImpl<SimilarityMeasure::kDice>(ca, cb, c, num_bits)});
     }
   }
 }
@@ -191,10 +177,10 @@ inline void DiceThresholdLoopBody(const DiceCutoffs& cutoffs, const BitMatrix& a
 /// zero-padded to their stride, so the loop rounds the word count up to
 /// whole 512-bit blocks, uses aligned loads, and never needs a scalar
 /// tail.
-template <SimilarityMeasure M, typename Pair, typename Out>
+template <SimilarityMeasure M>
 __attribute__((target("avx512f,avx512bw,avx512dq,avx512vpopcntdq"))) void
-KernelLoopAvx512(const BitMatrix& a, const BitMatrix& b, const Pair* pairs,
-                 size_t num_pairs, double min_score, std::vector<Out>& out,
+KernelLoopAvx512(const BitMatrix& a, const BitMatrix& b, const CandidatePair* pairs,
+                 size_t num_pairs, double min_score, std::vector<ScoredPair>& out,
                  CompareKernelStats& stats) {
   assert(a.num_bits() == b.num_bits());
   const size_t blocks = (a.words_per_row() + 7) / 8;
@@ -204,7 +190,7 @@ KernelLoopAvx512(const BitMatrix& a, const BitMatrix& b, const Pair* pairs,
   const bool use_bound = min_score > 0;
   for (size_t i = 0; i < num_pairs; ++i) {
     PrefetchPairRows(a, b, pairs, i, num_pairs);
-    const Pair pair = pairs[i];
+    const CandidatePair pair = pairs[i];
     const size_t ca = a_counts[pair.a];
     const size_t cb = b_counts[pair.b];
     if (use_bound && BoundImpl<M>(ca, cb, num_bits) < min_score) {
@@ -222,7 +208,7 @@ KernelLoopAvx512(const BitMatrix& a, const BitMatrix& b, const Pair* pairs,
     const size_t c = static_cast<size_t>(_mm512_reduce_add_epi64(acc));
     ++stats.scored;
     const double score = ScoreImpl<M>(ca, cb, c, num_bits);
-    if (score >= min_score) EmitScore(pair, score, out);
+    if (score >= min_score) out.push_back({pair.a, pair.b, score});
   }
 }
 
@@ -255,12 +241,11 @@ HorizontalSum8(__m512i v0, __m512i v1, __m512i v2, __m512i v3, __m512i v4,
 /// One pair of the Dice threshold loop, AVX-512 popcount. The batched loop
 /// below falls back to this for groups touched by pruning, and for the
 /// tail.
-template <typename Pair, typename Out>
 __attribute__((target("avx512f,avx512bw,avx512dq,avx512vpopcntdq"))) inline void
 DiceThresholdPairAvx512(const BitMatrix& a, const BitMatrix& b,
                         const size_t* a_counts, const size_t* b_counts,
                         const uint32_t* c_min, size_t blocks, size_t num_bits,
-                        const Pair& pair, std::vector<Out>& out,
+                        const CandidatePair& pair, std::vector<ScoredPair>& out,
                         CompareKernelStats& stats) {
   const size_t ca = a_counts[pair.a];
   const size_t cb = b_counts[pair.b];
@@ -280,7 +265,8 @@ DiceThresholdPairAvx512(const BitMatrix& a, const BitMatrix& b,
   const size_t c = static_cast<size_t>(_mm512_reduce_add_epi64(acc));
   ++stats.scored;
   if (c >= need) {
-    EmitScore(pair, ScoreImpl<SimilarityMeasure::kDice>(ca, cb, c, num_bits), out);
+    out.push_back(
+        {pair.a, pair.b, ScoreImpl<SimilarityMeasure::kDice>(ca, cb, c, num_bits)});
   }
 }
 
@@ -290,12 +276,11 @@ DiceThresholdPairAvx512(const BitMatrix& a, const BitMatrix& b,
 /// The a row and its count hoist out, the eight cutoffs load from the
 /// table at the eight sums, and the prune and accept tests run as 8-lane
 /// integer compares.
-template <typename Out>
 __attribute__((target("avx512f,avx512bw,avx512dq,avx512vpopcntdq"))) inline void
 DiceThresholdDense8(const BitMatrix& a, const BitMatrix& b, const size_t* a_counts,
                     const size_t* b_counts, const uint32_t* c_min, size_t blocks,
                     size_t num_bits, const CandidatePair* pairs,
-                    std::vector<Out>& out, CompareKernelStats& stats) {
+                    std::vector<ScoredPair>& out, CompareKernelStats& stats) {
   const uint32_t a0 = pairs[0].a;
   const uint32_t b0 = pairs[0].b;
   const size_t ca = a_counts[a0];
@@ -353,10 +338,9 @@ DiceThresholdDense8(const BitMatrix& a, const BitMatrix& b, const size_t* a_coun
     while (hits != 0) {
       const size_t k = static_cast<size_t>(__builtin_ctz(hits));
       hits = static_cast<__mmask8>(hits & (hits - 1));
-      EmitScore(pairs[k],
-                ScoreImpl<SimilarityMeasure::kDice>(ca, b_counts[b0 + k], counts[k],
-                                                    num_bits),
-                out);
+      out.push_back({a0, pairs[k].b,
+                     ScoreImpl<SimilarityMeasure::kDice>(ca, b_counts[b0 + k], counts[k],
+                                                         num_bits)});
     }
   }
 }
@@ -371,11 +355,10 @@ DiceThresholdDense8(const BitMatrix& a, const BitMatrix& b, const size_t* a_coun
 /// by pair through DiceThresholdPairAvx512 — counters and emissions stay
 /// in pair order either way, so stats and output are identical to the
 /// portable loop at every prune rate.
-template <typename Pair, typename Out>
 __attribute__((target("avx512f,avx512bw,avx512dq,avx512vpopcntdq"))) void
 DiceThresholdLoopAvx512(const DiceCutoffs& cutoffs, const BitMatrix& a,
-                        const BitMatrix& b, const Pair* pairs, size_t num_pairs,
-                        std::vector<Out>& out, CompareKernelStats& stats) {
+                        const BitMatrix& b, const CandidatePair* pairs, size_t num_pairs,
+                        std::vector<ScoredPair>& out, CompareKernelStats& stats) {
   const size_t blocks = (a.words_per_row() + 7) / 8;
   const size_t num_bits = a.num_bits();
   const size_t* a_counts = a.row_counts().data();
@@ -390,28 +373,25 @@ DiceThresholdLoopAvx512(const DiceCutoffs& cutoffs, const BitMatrix& a,
     PrefetchPairRows(a, b, pairs, i + 7, num_pairs);
     // Dense-run detection: eight pairs {a0, b0..b0+7} take the fully
     // vectorized path. One 64-byte compare of the pair array against the
-    // expected arithmetic run decides.
-    if constexpr (std::is_same_v<Pair, CandidatePair> &&
-                  sizeof(CandidatePair) == 8) {
-      uint64_t first = 0;
-      __builtin_memcpy(&first, pairs + i, sizeof(first));
-      const __m512i kStep = _mm512_setr_epi64(
-          0, 1LL << 32, 2LL << 32, 3LL << 32, 4LL << 32, 5LL << 32, 6LL << 32,
-          7LL << 32);
-      const __m512i expect = _mm512_add_epi64(
-          _mm512_set1_epi64(static_cast<long long>(first)), kStep);
-      const __m512i pvec =
-          _mm512_loadu_si512(reinterpret_cast<const void*>(pairs + i));
-      if (_mm512_cmpeq_epi64_mask(pvec, expect) == 0xFF) {
-        DiceThresholdDense8(a, b, a_counts, b_counts, c_min, blocks, num_bits,
-                            pairs + i, out, stats);
-        continue;
-      }
+    // expected arithmetic run decides (b is the high half of each 8-byte
+    // pair).
+    static_assert(sizeof(CandidatePair) == 8 && offsetof(CandidatePair, b) == 4);
+    uint64_t first = 0;
+    __builtin_memcpy(&first, pairs + i, sizeof(first));
+    const __m512i kStep = _mm512_setr_epi64(0, 1LL << 32, 2LL << 32, 3LL << 32,
+                                            4LL << 32, 5LL << 32, 6LL << 32, 7LL << 32);
+    const __m512i expect =
+        _mm512_add_epi64(_mm512_set1_epi64(static_cast<long long>(first)), kStep);
+    const __m512i pvec = _mm512_loadu_si512(reinterpret_cast<const void*>(pairs + i));
+    if (_mm512_cmpeq_epi64_mask(pvec, expect) == 0xFF) {
+      DiceThresholdDense8(a, b, a_counts, b_counts, c_min, blocks, num_bits, pairs + i,
+                          out, stats);
+      continue;
     }
     // Pass 1: the group's cutoffs and prune tests.
     bool pruned = false;
     for (size_t k = 0; k < 8; ++k) {
-      const Pair pair = pairs[i + k];
+      const CandidatePair pair = pairs[i + k];
       const size_t ca = a_counts[pair.a];
       const size_t cb = b_counts[pair.b];
       need8[k] = c_min[ca + cb];
@@ -433,14 +413,14 @@ DiceThresholdLoopAvx512(const DiceCutoffs& cutoffs, const BitMatrix& a,
     __m512i v[8];
     if (blocks == 1) {
       for (size_t k = 0; k < 8; ++k) {
-        const Pair pair = pairs[i + k];
+        const CandidatePair pair = pairs[i + k];
         v[k] = _mm512_popcnt_epi64(
             _mm512_and_si512(_mm512_load_si512(a.row(pair.a)),
                              _mm512_load_si512(b.row(pair.b))));
       }
     } else {
       for (size_t k = 0; k < 8; ++k) {
-        const Pair pair = pairs[i + k];
+        const CandidatePair pair = pairs[i + k];
         const uint64_t* ra = a.row(pair.a);
         const uint64_t* rb = b.row(pair.b);
         __m512i acc = _mm512_setzero_si512();
@@ -458,11 +438,10 @@ DiceThresholdLoopAvx512(const DiceCutoffs& cutoffs, const BitMatrix& a,
     stats.scored += 8;
     for (size_t k = 0; k < 8; ++k) {
       if (counts[k] < need8[k]) continue;
-      const Pair pair = pairs[i + k];
-      EmitScore(pair,
-                ScoreImpl<SimilarityMeasure::kDice>(a_counts[pair.a], b_counts[pair.b],
-                                                    counts[k], num_bits),
-                out);
+      const CandidatePair pair = pairs[i + k];
+      out.push_back({pair.a, pair.b,
+                     ScoreImpl<SimilarityMeasure::kDice>(
+                         a_counts[pair.a], b_counts[pair.b], counts[k], num_bits)});
     }
   }
   for (; i < num_pairs; ++i) {
@@ -474,17 +453,16 @@ DiceThresholdLoopAvx512(const DiceCutoffs& cutoffs, const BitMatrix& a,
 /// Copies of the portable loops compiled with the POPCNT ISA extension:
 /// std::popcount becomes one instruction instead of the portable SWAR
 /// sequence.
-template <SimilarityMeasure M, typename Pair, typename Out>
+template <SimilarityMeasure M>
 __attribute__((target("popcnt"))) void KernelLoopPopcnt(
-    const BitMatrix& a, const BitMatrix& b, const Pair* pairs, size_t num_pairs,
-    double min_score, std::vector<Out>& out, CompareKernelStats& stats) {
+    const BitMatrix& a, const BitMatrix& b, const CandidatePair* pairs, size_t num_pairs,
+    double min_score, std::vector<ScoredPair>& out, CompareKernelStats& stats) {
   KernelLoopBody<M>(a, b, pairs, num_pairs, min_score, out, stats);
 }
 
-template <typename Pair, typename Out>
 __attribute__((target("popcnt"))) void DiceThresholdLoopPopcnt(
     const DiceCutoffs& cutoffs, const BitMatrix& a, const BitMatrix& b,
-    const Pair* pairs, size_t num_pairs, std::vector<Out>& out,
+    const CandidatePair* pairs, size_t num_pairs, std::vector<ScoredPair>& out,
     CompareKernelStats& stats) {
   DiceThresholdLoopBody(cutoffs, a, b, pairs, num_pairs, out, stats);
 }
@@ -502,9 +480,9 @@ KernelClone ActiveClone() {
   return fastest;
 }
 
-template <SimilarityMeasure M, typename Pair, typename Out>
-void RunMeasureLoop(const BitMatrix& a, const BitMatrix& b, const Pair* pairs,
-                    size_t num_pairs, double min_score, std::vector<Out>& out,
+template <SimilarityMeasure M>
+void RunMeasureLoop(const BitMatrix& a, const BitMatrix& b, const CandidatePair* pairs,
+                    size_t num_pairs, double min_score, std::vector<ScoredPair>& out,
                     CompareKernelStats& stats) {
   switch (ActiveClone()) {
 #ifdef PPRL_HAVE_X86_CLONES
@@ -520,10 +498,9 @@ void RunMeasureLoop(const BitMatrix& a, const BitMatrix& b, const Pair* pairs,
   }
 }
 
-template <typename Pair, typename Out>
 void RunDiceLoop(const DiceCutoffs& cutoffs, const BitMatrix& a, const BitMatrix& b,
-                 const Pair* pairs, size_t num_pairs, std::vector<Out>& out,
-                 CompareKernelStats& stats) {
+                 const CandidatePair* pairs, size_t num_pairs,
+                 std::vector<ScoredPair>& out, CompareKernelStats& stats) {
   assert(a.num_bits() == b.num_bits() && cutoffs.num_bits() == a.num_bits());
   switch (ActiveClone()) {
 #ifdef PPRL_HAVE_X86_CLONES
@@ -536,39 +513,6 @@ void RunDiceLoop(const DiceCutoffs& cutoffs, const BitMatrix& a, const BitMatrix
 #endif
     default:
       DiceThresholdLoopBody(cutoffs, a, b, pairs, num_pairs, out, stats);
-  }
-}
-
-template <typename Pair, typename Out>
-void DispatchKernel(SimilarityMeasure measure, const BitMatrix& a, const BitMatrix& b,
-                    const Pair* pairs, size_t num_pairs, double min_score,
-                    std::vector<Out>& out, CompareKernelStats& stats) {
-  switch (measure) {
-    case SimilarityMeasure::kDice:
-      if (min_score > 0) {
-        RunDiceLoop(DiceCutoffs(min_score, a.num_bits()), a, b, pairs, num_pairs, out,
-                    stats);
-      } else {
-        RunMeasureLoop<SimilarityMeasure::kDice>(a, b, pairs, num_pairs, min_score,
-                                                 out, stats);
-      }
-      return;
-    case SimilarityMeasure::kJaccard:
-      RunMeasureLoop<SimilarityMeasure::kJaccard>(a, b, pairs, num_pairs, min_score,
-                                                  out, stats);
-      return;
-    case SimilarityMeasure::kHamming:
-      RunMeasureLoop<SimilarityMeasure::kHamming>(a, b, pairs, num_pairs, min_score,
-                                                  out, stats);
-      return;
-    case SimilarityMeasure::kOverlap:
-      RunMeasureLoop<SimilarityMeasure::kOverlap>(a, b, pairs, num_pairs, min_score,
-                                                  out, stats);
-      return;
-    case SimilarityMeasure::kCosine:
-      RunMeasureLoop<SimilarityMeasure::kCosine>(a, b, pairs, num_pairs, min_score,
-                                                 out, stats);
-      return;
   }
 }
 
@@ -666,21 +610,35 @@ DiceCutoffs::DiceCutoffs(double threshold, size_t num_bits, AcceptRule accept)
 }
 
 void CompareKernel(SimilarityMeasure measure, const BitMatrix& a, const BitMatrix& b,
-                   const KernelPair* pairs, size_t num_pairs, double min_score,
-                   std::vector<SlottedScore>& out, CompareKernelStats& stats) {
-  DispatchKernel(measure, a, b, pairs, num_pairs, min_score, out, stats);
-}
-
-void CompareKernel(SimilarityMeasure measure, const BitMatrix& a, const BitMatrix& b,
                    const CandidatePair* pairs, size_t num_pairs, double min_score,
                    std::vector<ScoredPair>& out, CompareKernelStats& stats) {
-  DispatchKernel(measure, a, b, pairs, num_pairs, min_score, out, stats);
-}
-
-void CompareKernel(const DiceCutoffs& cutoffs, const BitMatrix& a, const BitMatrix& b,
-                   const KernelPair* pairs, size_t num_pairs,
-                   std::vector<SlottedScore>& out, CompareKernelStats& stats) {
-  RunDiceLoop(cutoffs, a, b, pairs, num_pairs, out, stats);
+  switch (measure) {
+    case SimilarityMeasure::kDice:
+      if (min_score > 0) {
+        RunDiceLoop(DiceCutoffs(min_score, a.num_bits()), a, b, pairs, num_pairs, out,
+                    stats);
+      } else {
+        RunMeasureLoop<SimilarityMeasure::kDice>(a, b, pairs, num_pairs, min_score,
+                                                 out, stats);
+      }
+      return;
+    case SimilarityMeasure::kJaccard:
+      RunMeasureLoop<SimilarityMeasure::kJaccard>(a, b, pairs, num_pairs, min_score,
+                                                  out, stats);
+      return;
+    case SimilarityMeasure::kHamming:
+      RunMeasureLoop<SimilarityMeasure::kHamming>(a, b, pairs, num_pairs, min_score,
+                                                  out, stats);
+      return;
+    case SimilarityMeasure::kOverlap:
+      RunMeasureLoop<SimilarityMeasure::kOverlap>(a, b, pairs, num_pairs, min_score,
+                                                  out, stats);
+      return;
+    case SimilarityMeasure::kCosine:
+      RunMeasureLoop<SimilarityMeasure::kCosine>(a, b, pairs, num_pairs, min_score,
+                                                 out, stats);
+      return;
+  }
 }
 
 void CompareKernel(const DiceCutoffs& cutoffs, const BitMatrix& a, const BitMatrix& b,

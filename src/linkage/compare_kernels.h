@@ -116,44 +116,19 @@ struct ScoredPair {
   }
 };
 
-/// A candidate pair prepared for the kernel: row indices plus the slot in
-/// the caller's candidate order the result belongs to (the engine tiles
-/// pairs for cache locality, so kernel execution order is not output
-/// order).
-struct KernelPair {
-  uint32_t a = 0;
-  uint32_t b = 0;
-  uint32_t slot = 0;
-};
-
-/// A scored pair tagged with its output slot.
-struct SlottedScore {
-  uint32_t slot = 0;
-  double score = 0;
-};
-
 /// Scores `pairs` of rows drawn from `a` x `b`, appending one result per
 /// pair whose score is >= `min_score` to `out`, in pair order. Pairs whose
 /// cardinality bound is strictly below `min_score` are skipped and counted
 /// in `stats.pruned`; everything else runs the fused word loop and counts
 /// in `stats.scored`. A Dice run with `min_score > 0` builds its
 /// DiceCutoffs for this call; callers that score many chunks at one
-/// threshold build the table once and use the overloads below.
-///
-/// KernelPairs emit SlottedScores (callers sort by slot to recover
-/// candidate order); CandidatePairs emit finished ScoredPairs.
-void CompareKernel(SimilarityMeasure measure, const BitMatrix& a, const BitMatrix& b,
-                   const KernelPair* pairs, size_t num_pairs, double min_score,
-                   std::vector<SlottedScore>& out, CompareKernelStats& stats);
+/// threshold build the table once and use the overload below.
 void CompareKernel(SimilarityMeasure measure, const BitMatrix& a, const BitMatrix& b,
                    const CandidatePair* pairs, size_t num_pairs, double min_score,
                    std::vector<ScoredPair>& out, CompareKernelStats& stats);
 
 /// Dice with a prebuilt table: prunes and accepts exactly as `cutoffs`
 /// says. `cutoffs.num_bits()` must equal the matrices' filter width.
-void CompareKernel(const DiceCutoffs& cutoffs, const BitMatrix& a, const BitMatrix& b,
-                   const KernelPair* pairs, size_t num_pairs,
-                   std::vector<SlottedScore>& out, CompareKernelStats& stats);
 void CompareKernel(const DiceCutoffs& cutoffs, const BitMatrix& a, const BitMatrix& b,
                    const CandidatePair* pairs, size_t num_pairs,
                    std::vector<ScoredPair>& out, CompareKernelStats& stats);

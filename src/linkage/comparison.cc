@@ -1,7 +1,7 @@
 #include "linkage/comparison.h"
 
-#include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -34,58 +34,6 @@ CompareMetrics& Metrics() {
   return *m;
 }
 
-/// Rows per cache tile. Pairs are sorted by (a-tile, b-tile) so the kernel
-/// keeps revisiting the same few hundred rows of each matrix while they
-/// are hot: 256 rows of a 1000-bit filter are ~32 KiB per side, which sits
-/// in L2 with room to spare.
-constexpr uint32_t kTileRows = 256;
-
-/// Tiling trades two O(n log n) sorts over the pair list for row reuse
-/// while rows are hot, so it only pays once random row access actually
-/// misses cache. Below this combined matrix footprint (comfortably inside
-/// a desktop LLC) the engine scores pairs in candidate order instead —
-/// hits then come out pre-sorted by slot and the sorts vanish.
-constexpr size_t kTileBytesThreshold = 16u << 20;
-
-bool WorthTiling(const BitMatrix& a, const BitMatrix& b) {
-  const size_t bytes = (a.num_rows() + b.num_rows()) * a.stride_words() * 8;
-  return bytes > kTileBytesThreshold;
-}
-
-/// Tags every candidate with its output slot and sorts into tile order.
-/// Ties break on slot so the ordering is deterministic.
-std::vector<KernelPair> TiledPairs(const std::vector<CandidatePair>& candidates) {
-  std::vector<KernelPair> pairs(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    pairs[i] = {candidates[i].a, candidates[i].b, static_cast<uint32_t>(i)};
-  }
-  std::sort(pairs.begin(), pairs.end(), [](const KernelPair& x, const KernelPair& y) {
-    const uint32_t xa = x.a / kTileRows;
-    const uint32_t ya = y.a / kTileRows;
-    if (xa != ya) return xa < ya;
-    const uint32_t xb = x.b / kTileRows;
-    const uint32_t yb = y.b / kTileRows;
-    if (xb != yb) return xb < yb;
-    return x.slot < y.slot;
-  });
-  return pairs;
-}
-
-/// Restores candidate order: hits arrive in kernel execution order, each
-/// slot at most once, so sorting by slot recovers the caller's order.
-std::vector<ScoredPair> EmitInCandidateOrder(std::vector<SlottedScore> hits,
-                                             const std::vector<CandidatePair>& candidates) {
-  std::sort(hits.begin(), hits.end(),
-            [](const SlottedScore& x, const SlottedScore& y) { return x.slot < y.slot; });
-  std::vector<ScoredPair> out;
-  out.reserve(hits.size());
-  for (const SlottedScore& hit : hits) {
-    const CandidatePair& pair = candidates[hit.slot];
-    out.push_back({pair.a, pair.b, hit.score});
-  }
-  return out;
-}
-
 }  // namespace
 
 ComparisonEngine::ComparisonEngine(SimilarityMeasure measure) : measure_(measure) {}
@@ -114,19 +62,11 @@ std::vector<ScoredPair> ComparisonEngine::Compare(
 
 template <typename ScoreFn>
 std::vector<ScoredPair> ComparisonEngine::CompareWith(
-    const BitMatrix& a_matrix, const BitMatrix& b_matrix,
     const std::vector<CandidatePair>& candidates, const ScoreFn& score) const {
   CompareKernelStats stats;
   std::vector<ScoredPair> out;
-  if (WorthTiling(a_matrix, b_matrix)) {
-    const std::vector<KernelPair> pairs = TiledPairs(candidates);
-    std::vector<SlottedScore> hits;
-    score(pairs.data(), pairs.size(), hits, stats);
-    out = EmitInCandidateOrder(std::move(hits), candidates);
-  } else {
-    out.reserve(candidates.size());
-    score(candidates.data(), candidates.size(), out, stats);
-  }
+  out.reserve(candidates.size());
+  score(out, stats);
   last_comparisons_ = candidates.size();
   last_pruned_ = stats.pruned;
   RecordCompareCall(ComparePath::kKernel, candidates.size(), stats.pruned);
@@ -137,21 +77,22 @@ std::vector<ScoredPair> ComparisonEngine::CompareMatrices(
     const BitMatrix& a_matrix, const BitMatrix& b_matrix,
     const std::vector<CandidatePair>& candidates, double min_score) const {
   assert(measure_.has_value());
-  return CompareWith(a_matrix, b_matrix, candidates,
-                     [&](const auto* pairs, size_t n, auto& out, CompareKernelStats& stats) {
-                       CompareKernel(*measure_, a_matrix, b_matrix, pairs, n, min_score,
-                                     out, stats);
-                     });
+  return CompareWith(candidates, [&](std::vector<ScoredPair>& out,
+                                     CompareKernelStats& stats) {
+    CompareKernel(*measure_, a_matrix, b_matrix, candidates.data(), candidates.size(),
+                  min_score, out, stats);
+  });
 }
 
 std::vector<ScoredPair> ComparisonEngine::CompareMatrices(
     const BitMatrix& a_matrix, const BitMatrix& b_matrix,
     const std::vector<CandidatePair>& candidates, const DiceCutoffs& cutoffs) const {
   assert(measure_ == SimilarityMeasure::kDice);
-  return CompareWith(a_matrix, b_matrix, candidates,
-                     [&](const auto* pairs, size_t n, auto& out, CompareKernelStats& stats) {
-                       CompareKernel(cutoffs, a_matrix, b_matrix, pairs, n, out, stats);
-                     });
+  return CompareWith(candidates, [&](std::vector<ScoredPair>& out,
+                                     CompareKernelStats& stats) {
+    CompareKernel(cutoffs, a_matrix, b_matrix, candidates.data(), candidates.size(), out,
+                  stats);
+  });
 }
 
 void RecordCompareCall(ComparePath path, size_t pairs, size_t pruned) {

@@ -25,14 +25,18 @@ using PairSimilarityFunction = std::function<double(const BitVector&, const BitV
 /// exactly how many comparisons it performs.
 ///
 /// Constructed from a `SimilarityMeasure`, the engine runs the batch
-/// kernels of compare_kernels.h over contiguous `BitMatrix` storage:
-/// candidate pairs are tiled for cache locality, each pair costs one fused
-/// AND-popcount loop with no indirect call, and pairs whose cardinality
-/// upper bound falls below `min_score` skip the loop entirely (counted by
-/// last_pruned_count()). Scores are bitwise identical to the scalar
-/// functions in similarity/similarity.h and results stay in candidate
-/// order. The `std::function` constructor remains as the fully general
-/// fallback (custom measures, instrumented runs).
+/// kernels of compare_kernels.h over contiguous `BitMatrix` storage, one
+/// pass over the candidates in the caller's order: each pair costs one
+/// fused AND-popcount loop with no indirect call, and pairs whose
+/// cardinality upper bound falls below `min_score` skip the loop entirely
+/// (counted by last_pruned_count()). Scores are bitwise identical to the
+/// scalar functions in similarity/similarity.h and results stay in
+/// candidate order. The engine does no cache blocking of its own: its
+/// callers hand it the sparse candidate lists of blocking (LSH, online
+/// probes), and the dense cross products of the threaded path run on the
+/// shard executor's tiles (linkage/parallel_linkage.h). The
+/// `std::function` constructor remains as the fully general fallback
+/// (custom measures, instrumented runs).
 class ComparisonEngine {
  public:
   /// Fast path: devirtualized batch kernels for a named measure.
@@ -84,12 +88,10 @@ class ComparisonEngine {
   std::optional<SimilarityMeasure> measure() const { return measure_; }
 
  private:
-  /// The shared body of both CompareMatrices() forms; `score` runs the
-  /// kernel over one pair array.
+  /// The shared body of both CompareMatrices() forms; `score(out, stats)`
+  /// runs the kernel over `candidates`.
   template <typename ScoreFn>
-  std::vector<ScoredPair> CompareWith(const BitMatrix& a_matrix,
-                                      const BitMatrix& b_matrix,
-                                      const std::vector<CandidatePair>& candidates,
+  std::vector<ScoredPair> CompareWith(const std::vector<CandidatePair>& candidates,
                                       const ScoreFn& score) const;
 
   std::optional<SimilarityMeasure> measure_;

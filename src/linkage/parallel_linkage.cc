@@ -28,7 +28,7 @@ struct TileMetrics {
   obs::Counter& shard_bytes = obs::GlobalMetrics().GetCounter(
       "pprl_shard_bytes_touched_total",
       "Matrix bytes tiles pulled through the cache (distinct rows x row "
-      "stride, counting scratch copies twice)");
+      "stride)");
 };
 
 TileMetrics& Metrics() {
@@ -60,30 +60,21 @@ struct ShardSlot {
   size_t pruned = 0;
 };
 
-/// Per-thread scratch of the tiled path. The B-tile matrix keeps its
-/// allocation across shards (AssignRowSlice refills in place), and because
-/// the copy runs on the worker, first-touch policy places the pages on the
-/// worker's NUMA node — workers then stream a *local* copy of the shared
-/// B rows instead of hammering the producer's node.
-struct TileScratch {
-  BitMatrix b_tile;
-  std::vector<CandidatePair> pair_buf;
-};
-
-TileScratch& Scratch() {
-  static thread_local TileScratch scratch;
-  return scratch;
+/// Per-thread chunk buffer of the tiled path; keeps its allocation across
+/// shards.
+std::vector<CandidatePair>& PairBuffer() {
+  static thread_local std::vector<CandidatePair> pair_buf;
+  return pair_buf;
 }
 
 /// Executes one run shard cache-blocked: sub-runs bucketed by
 /// (a-row-tile, b-row-tile), buckets in ascending tile order, hits sorted
-/// back to candidate order at the end. Scores are computed per pair from
-/// the same rows regardless of tiling, so the result is bitwise identical
-/// to expanding the runs and scoring them in order. `score(b, pairs, n,
-/// hits, stats)` runs the kernel over one chunk of pairs against `b`.
-template <typename ScoreFn>
-void RunTiledShard(const BitMatrix& b_matrix, const ResolvedParallelTuning& tuning,
-                   const CandidateShard& shard, const ScoreFn& score, ShardSlot* slot) {
+/// back to candidate order at the end. Every pair is scored from the
+/// shared matrices whatever the tiling, so the result is bitwise identical
+/// to expanding the runs and scoring them in order.
+void RunTiledShard(const DiceCutoffs& cutoffs, const BitMatrix& a_matrix,
+                   const BitMatrix& b_matrix, const ResolvedParallelTuning& tuning,
+                   const CandidateShard& shard, ShardSlot* slot) {
   // Bucket the runs. Keys order buckets (a_tile, b_tile) ascending, so a
   // bucket's B rows stay hot while every A tile that needs them streams by.
   std::map<uint64_t, std::vector<PairRun>> buckets;
@@ -100,7 +91,7 @@ void RunTiledShard(const BitMatrix& b_matrix, const ResolvedParallelTuning& tuni
     }
   }
 
-  TileScratch& scratch = Scratch();
+  std::vector<CandidatePair>& pair_buf = PairBuffer();
   CompareKernelStats stats;
   slot->hits.reserve(total_pairs / 16);
   size_t bytes_touched = 0;
@@ -109,8 +100,8 @@ void RunTiledShard(const BitMatrix& b_matrix, const ResolvedParallelTuning& tuni
     (void)key;
     Timer tile_timer;
 
-    // The touched B span and the bucket's pair count decide whether a
-    // worker-local copy pays for itself.
+    // The bucket's pair count and the rows it touches (the latter for
+    // pprl_shard_bytes_touched_total).
     uint32_t b_min = runs.front().b_begin;
     uint32_t b_max = runs.front().b_end;
     size_t bucket_pairs = 0;
@@ -126,54 +117,40 @@ void RunTiledShard(const BitMatrix& b_matrix, const ResolvedParallelTuning& tuni
       }
     }
     const size_t b_span = b_max - b_min;
-    const bool copy_b = tuning.num_threads > 1 && tuning.b_copy_min_reuse > 0 &&
-                        bucket_pairs >= tuning.b_copy_min_reuse * b_span;
 
-    const BitMatrix* b_used = &b_matrix;
-    uint32_t b_offset = 0;
-    if (copy_b) {
-      scratch.b_tile.AssignRowSlice(b_matrix, b_min, b_max);
-      b_used = &scratch.b_tile;
-      b_offset = b_min;
-    }
-
-    // Expand the bucket's runs into kernel-ready pairs (b remapped into
-    // the scratch tile when copied) in small chunks: the chunk buffer
-    // stays L1/L2-resident instead of round-tripping a shard-sized pair
-    // vector through the cache the tiles are trying to keep for rows.
+    // Expand the bucket's runs into kernel-ready pairs in small chunks: the
+    // chunk buffer stays L1/L2-resident instead of round-tripping a
+    // shard-sized pair vector through the cache the tiles are trying to
+    // keep for rows.
     // Chunks split runs at arbitrary points, which is harmless — every
     // window of the expansion is still consecutive in b, so the dense-run
     // vector kernels keep detecting their shape, and expansion order (and
     // with it hit order before the final sort) is unchanged.
     constexpr size_t kChunkPairs = 16384;  // 128 KiB of CandidatePair
-    scratch.pair_buf.resize(std::min(bucket_pairs, kChunkPairs));
-    const size_t hits_before = slot->hits.size();
+    pair_buf.resize(std::min(bucket_pairs, kChunkPairs));
     size_t filled = 0;
     for (const PairRun& r : runs) {
       uint32_t b = r.b_begin;
       while (b < r.b_end) {
         const uint32_t take = static_cast<uint32_t>(
             std::min<size_t>(r.b_end - b, kChunkPairs - filled));
-        CandidatePair* p = scratch.pair_buf.data() + filled;
-        for (uint32_t k = 0; k < take; ++k) p[k] = CandidatePair{r.a, b + k - b_offset};
+        CandidatePair* p = pair_buf.data() + filled;
+        for (uint32_t k = 0; k < take; ++k) p[k] = CandidatePair{r.a, b + k};
         filled += take;
         b += take;
         if (filled == kChunkPairs) {
-          score(*b_used, scratch.pair_buf.data(), filled, slot->hits, stats);
+          CompareKernel(cutoffs, a_matrix, b_matrix, pair_buf.data(), filled, slot->hits,
+                        stats);
           filled = 0;
         }
       }
     }
     if (filled != 0) {
-      score(*b_used, scratch.pair_buf.data(), filled, slot->hits, stats);
-    }
-    if (b_offset != 0) {
-      for (size_t i = hits_before; i < slot->hits.size(); ++i) {
-        slot->hits[i].b += b_offset;
-      }
+      CompareKernel(cutoffs, a_matrix, b_matrix, pair_buf.data(), filled, slot->hits,
+                    stats);
     }
 
-    bytes_touched += (distinct_a + b_span + (copy_b ? b_span : 0)) * tuning.row_bytes;
+    bytes_touched += (distinct_a + b_span) * tuning.row_bytes;
     Metrics().tiles.Increment();
     Metrics().tile_seconds.Observe(tile_timer.ElapsedSeconds());
   }
@@ -189,13 +166,13 @@ void RunTiledShard(const BitMatrix& b_matrix, const ResolvedParallelTuning& tuni
   slot->pruned = stats.pruned;
 }
 
-/// The body both StreamCompareShards() forms share; `score` is the chunk
-/// kernel RunTiledShard calls.
-template <typename ScoreFn>
-StreamCompareResult StreamCompare(const BitMatrix& a_matrix,
-                                  const BitMatrix& b_matrix,
-                                  const ParallelLinkageOptions& options,
-                                  const ShardProducer& produce, const ScoreFn& score) {
+}  // namespace
+
+StreamCompareResult StreamCompareShards(const DiceCutoffs& cutoffs,
+                                        const BitMatrix& a_matrix,
+                                        const BitMatrix& b_matrix,
+                                        const ParallelLinkageOptions& options,
+                                        const ShardProducer& produce) {
   const ResolvedParallelTuning tuning =
       ResolveParallelTuning(options, a_matrix.num_bits());
 
@@ -213,8 +190,9 @@ StreamCompareResult StreamCompare(const BitMatrix& a_matrix,
     ShardSlot* slot = &slots.back();
     // The shard moves into the closure, so the candidates alive at once
     // are bounded by the pool's window plus one per worker.
-    group.Submit([&b_matrix, &score, slot, tuning, shard = std::move(shard)] {
-      RunTiledShard(b_matrix, tuning, shard, score, slot);
+    group.Submit([&cutoffs, &a_matrix, &b_matrix, slot, tuning,
+                  shard = std::move(shard)] {
+      RunTiledShard(cutoffs, a_matrix, b_matrix, tuning, shard, slot);
     });
   });
   group.Wait();
@@ -235,8 +213,6 @@ StreamCompareResult StreamCompare(const BitMatrix& a_matrix,
   return result;
 }
 
-}  // namespace
-
 ResolvedParallelTuning ResolveParallelTuning(const ParallelLinkageOptions& options,
                                              size_t bits_per_row) {
   const CacheInfo& cache = DetectCacheInfo();
@@ -244,7 +220,8 @@ ResolvedParallelTuning ResolveParallelTuning(const ParallelLinkageOptions& optio
 
   t.num_threads = options.scheduler != nullptr
                       ? options.scheduler->num_threads()
-                      : ClampConfigured("num_threads", options.num_threads, 1, 256);
+                      : ClampConfigured("num_threads", options.num_threads, 1,
+                                        ShardScheduler::kMaxThreads);
 
   // Row stride in bytes, matching BitMatrix: ceil(bits/64) words rounded
   // up to a 64-byte boundary. All the working-set math is in this unit.
@@ -277,38 +254,7 @@ ResolvedParallelTuning ResolveParallelTuning(const ParallelLinkageOptions& optio
           ? ClampConfigured("shard_size", options.shard_size, 1024, size_t{1} << 22)
           : Clamp(std::min<size_t>(cache.llc_bytes / 4, 16u << 20) / t.row_bytes,
                   16384, 524288);
-
-  t.b_copy_min_reuse = options.b_copy_min_reuse;
   return t;
-}
-
-StreamCompareResult StreamCompareShards(const DiceCutoffs& cutoffs,
-                                        const BitMatrix& a_matrix,
-                                        const BitMatrix& b_matrix,
-                                        const ParallelLinkageOptions& options,
-                                        const ShardProducer& produce) {
-  return StreamCompare(a_matrix, b_matrix, options, produce,
-                       [&](const BitMatrix& b, const CandidatePair* pairs, size_t n,
-                           std::vector<ScoredPair>& hits, CompareKernelStats& stats) {
-                         CompareKernel(cutoffs, a_matrix, b, pairs, n, hits, stats);
-                       });
-}
-
-StreamCompareResult StreamCompareShards(SimilarityMeasure measure,
-                                        const BitMatrix& a_matrix,
-                                        const BitMatrix& b_matrix, double min_score,
-                                        const ParallelLinkageOptions& options,
-                                        const ShardProducer& produce) {
-  if (measure == SimilarityMeasure::kDice && min_score > 0) {
-    return StreamCompareShards(DiceCutoffs(min_score, a_matrix.num_bits()), a_matrix,
-                               b_matrix, options, produce);
-  }
-  return StreamCompare(a_matrix, b_matrix, options, produce,
-                       [&](const BitMatrix& b, const CandidatePair* pairs, size_t n,
-                           std::vector<ScoredPair>& hits, CompareKernelStats& stats) {
-                         CompareKernel(measure, a_matrix, b, pairs, n, min_score, hits,
-                                       stats);
-                       });
 }
 
 }  // namespace pprl

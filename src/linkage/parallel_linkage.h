@@ -19,17 +19,17 @@ namespace pprl {
 /// the serial pipeline at any thread count while peak memory stays
 /// O(window), not O(candidates).
 ///
-/// Workers execute run shards cache-blocked: a shard's candidates are
-/// bucketed into (a-row-tile, b-row-tile) tiles sized so a tile's B rows
-/// fit in L2, each tile's B rows are optionally copied into a worker-local
-/// (first-touch NUMA-local) scratch matrix, and the tile's hits are sorted
+/// Workers execute run shards cache-blocked, the only cache blocking of the
+/// compare path: a shard's candidates are bucketed into (a-row-tile,
+/// b-row-tile) tiles sized so a tile's B rows fit in L2, every tile scores
+/// straight from the two shared matrices, and the shard's hits are sorted
 /// back into candidate order afterwards. Every tuning knob below defaults
 /// to 0 = auto-size from the filter width and the detected cache hierarchy
 /// (common/cache_info.h); ResolveParallelTuning() is the single place the
 /// defaults, validation and clamping live.
 struct ParallelLinkageOptions {
-  /// Workers in the shard pool this call spins up. Ignored when
-  /// `scheduler` is set.
+  /// Workers in the shard pool this call spins up, at most
+  /// ShardScheduler::kMaxThreads. Ignored when `scheduler` is set.
   size_t num_threads = 1;
 
   /// Candidate pairs per shard — the scheduling unit. 0 auto-sizes so a
@@ -43,11 +43,6 @@ struct ParallelLinkageOptions {
 
   /// A rows per tile bucket. 0 auto-sizes.
   size_t tile_a_rows = 0;
-
-  /// Copy a tile's B rows into the worker-local scratch matrix when the
-  /// tile touches each row at least this many times on average (and more
-  /// than one worker is running). 0 disables copies.
-  size_t b_copy_min_reuse = 8;
 
   /// Borrowed long-lived shard pool (e.g. the daemon's). When set, shards
   /// run on its workers and completion is tracked per call with a
@@ -63,7 +58,6 @@ struct ResolvedParallelTuning {
   size_t shard_size = 0;
   size_t tile_b_rows = 0;
   size_t tile_a_rows = 0;
-  size_t b_copy_min_reuse = 0;
   /// Bytes one matrix row occupies (stride), the unit of the sizing math.
   size_t row_bytes = 0;
 };
@@ -80,7 +74,7 @@ ResolvedParallelTuning ResolveParallelTuning(const ParallelLinkageOptions& optio
 struct StreamCompareResult {
   /// Kept pairs, in the global candidate order (identical to
   /// materializing the pairs and calling ComparisonEngine::CompareMatrices
-  /// with the same threshold).
+  /// with the same cutoffs).
   std::vector<ScoredPair> hits;
   /// Candidate pairs evaluated (word loop or cardinality bound).
   size_t comparisons = 0;
@@ -102,19 +96,11 @@ using ShardProducer = std::function<void(const CandidateShardFn& emit)>;
 /// expanded run sequence must ascend in (a, b) — every Stream*PairRuns
 /// producer guarantees it — so hits can be restored to candidate order by
 /// an (a, b) sort. Counts one `path="stream"` call into the
-/// pprl_compare_* counters.
+/// pprl_compare_* counters. Dice is the only measure linkage streams; the
+/// plain rule `score >= t` is `DiceCutoffs(t, bits)`.
 StreamCompareResult StreamCompareShards(const DiceCutoffs& cutoffs,
                                         const BitMatrix& a_matrix,
                                         const BitMatrix& b_matrix,
-                                        const ParallelLinkageOptions& options,
-                                        const ShardProducer& produce);
-
-/// Same, for any measure under the exact contract of
-/// ComparisonEngine::CompareMatrices: a pair is kept iff its double score
-/// is >= min_score. A Dice run builds its DiceCutoffs once for the call.
-StreamCompareResult StreamCompareShards(SimilarityMeasure measure,
-                                        const BitMatrix& a_matrix,
-                                        const BitMatrix& b_matrix, double min_score,
                                         const ParallelLinkageOptions& options,
                                         const ShardProducer& produce);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
+#include <string>
 #include <system_error>
 
 #include "blocking/lsh_blocking.h"
@@ -135,6 +136,12 @@ Status LinkageUnitServer::Start() {
   }
   if (config_.min_owners == 1) {
     return Status::InvalidArgument("quorum of 1 owner cannot produce a linkage");
+  }
+  if (config_.link_threads > ShardScheduler::kMaxThreads) {
+    return Status::InvalidArgument("link_threads " +
+                                   std::to_string(config_.link_threads) +
+                                   " exceeds the shard pool's limit of " +
+                                   std::to_string(ShardScheduler::kMaxThreads));
   }
   PPRL_RETURN_IF_ERROR(ValidateLshGeometry(config_.link_options.lsh_tables,
                                            config_.link_options.lsh_bits_per_key));

@@ -58,7 +58,8 @@ struct LinkageUnitServerConfig {
   /// Workers in the daemon's shared shard pool. >1 runs every linkage's
   /// comparison stage on it (overriding link_options.num_threads/scheduler);
   /// concurrent linkage runs share the same workers, each tracking its own
-  /// completion. 1 keeps linkage serial.
+  /// completion. 1 keeps linkage serial. Start() refuses more than
+  /// ShardScheduler::kMaxThreads.
   size_t link_threads = 1;
   /// Per-socket read/write timeout while a session is active. It does not
   /// bound shutdown: Stop() ends every idle read at once.

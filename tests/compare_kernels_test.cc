@@ -80,15 +80,15 @@ size_t BoundPrunedCount(SimilarityMeasure m, const std::vector<BitVector>& fa,
 /// StreamFullPairRuns, tiled on `threads` workers, or on `scheduler` when
 /// given. The smallest legal shard size splits even these small matrices
 /// into several shards.
-StreamCompareResult StreamAllPairs(SimilarityMeasure m, const BitMatrix& ma,
-                                   const BitMatrix& mb, double min_score, size_t threads,
+StreamCompareResult StreamAllPairs(const DiceCutoffs& cutoffs, const BitMatrix& ma,
+                                   const BitMatrix& mb, size_t threads,
                                    ShardScheduler* scheduler = nullptr) {
   ParallelLinkageOptions options;
   options.num_threads = threads;
   options.scheduler = scheduler;
   options.shard_size = 1024;
   const size_t shard_size = ResolveParallelTuning(options, ma.num_bits()).shard_size;
-  return StreamCompareShards(m, ma, mb, min_score, options,
+  return StreamCompareShards(cutoffs, ma, mb, options,
                              [&](const CandidateShardFn& emit) {
                                StreamFullPairRuns(ma.num_rows(), mb.num_rows(),
                                                   shard_size, emit);
@@ -222,9 +222,10 @@ TEST(CompareKernelsTest, PruningFiresAtHighThresholds) {
   }
 }
 
-/// The threaded path — tiled run shards on the shard pool —
-/// against the serial engine, for every measure: same hits, same order,
-/// same accounting at every thread count.
+/// The threaded path — tiled run shards on the shard pool — against the
+/// serial engine: same hits, same order, same accounting at every thread
+/// count. Dice is the only measure the threaded path runs; the serial
+/// kernels of every measure are checked in KernelMatchesReferenceBitwise.
 TEST(CompareKernelsTest, ParallelMatchesSequentialKernel) {
   Rng rng(23);
   const auto fa = RandomFilters(50, 127, rng);
@@ -232,18 +233,16 @@ TEST(CompareKernelsTest, ParallelMatchesSequentialKernel) {
   const auto candidates = AllPairs(fa.size(), fb.size());
   const BitMatrix ma = BitMatrix::FromVectors(fa);
   const BitMatrix mb = BitMatrix::FromVectors(fb);
-  for (const SimilarityMeasure m : kAllMeasures) {
-    const ComparisonEngine kernel(m);
-    const auto sequential = kernel.Compare(fa, fb, candidates, 0.6);
-    const size_t sequential_pruned = kernel.last_pruned_count();
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      const std::string label = std::string(SimilarityMeasureName(m)) +
-                                " threads=" + std::to_string(threads);
-      const StreamCompareResult streamed = StreamAllPairs(m, ma, mb, 0.6, threads);
-      ExpectSameHits(sequential, streamed.hits, label);
-      EXPECT_EQ(streamed.comparisons, candidates.size()) << label;
-      EXPECT_EQ(streamed.pruned, sequential_pruned) << label;
-    }
+  const ComparisonEngine kernel(SimilarityMeasure::kDice);
+  const auto sequential = kernel.Compare(fa, fb, candidates, 0.6);
+  const size_t sequential_pruned = kernel.last_pruned_count();
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    const StreamCompareResult streamed =
+        StreamAllPairs(DiceCutoffs(0.6, ma.num_bits()), ma, mb, threads);
+    ExpectSameHits(sequential, streamed.hits, label);
+    EXPECT_EQ(streamed.comparisons, candidates.size()) << label;
+    EXPECT_EQ(streamed.pruned, sequential_pruned) << label;
   }
 }
 
@@ -270,8 +269,8 @@ TEST(CompareKernelsTest, ThresholdedParallelAccountingMatchesSequential) {
                                     " bits=" + std::to_string(bits) +
                                     " min=" + std::to_string(min_score) +
                                     " threads=" + std::to_string(threads);
-          const StreamCompareResult streamed = StreamAllPairs(
-              SimilarityMeasure::kDice, ma, mb, min_score, threads);
+          const StreamCompareResult streamed =
+              StreamAllPairs(DiceCutoffs(min_score, bits), ma, mb, threads);
           ExpectSameHits(sequential, streamed.hits, label);
           EXPECT_EQ(streamed.comparisons, candidates.size()) << label;
           EXPECT_EQ(streamed.pruned, sequential_pruned) << label;
@@ -295,6 +294,7 @@ TEST(CompareKernelsTest, ConcurrentCallersShareScheduler) {
   const auto expected = kernel.CompareMatrices(ma, mb, candidates, 0.7);
   const size_t expected_pruned = kernel.last_pruned_count();
 
+  const DiceCutoffs cutoffs(0.7, ma.num_bits());
   ShardScheduler scheduler(4);
   constexpr int kCallers = 4;
   std::vector<StreamCompareResult> results(kCallers);
@@ -302,7 +302,7 @@ TEST(CompareKernelsTest, ConcurrentCallersShareScheduler) {
   callers.reserve(kCallers);
   for (int t = 0; t < kCallers; ++t) {
     callers.emplace_back([&, t] {
-      results[t] = StreamAllPairs(SimilarityMeasure::kDice, ma, mb, 0.7, 1, &scheduler);
+      results[t] = StreamAllPairs(cutoffs, ma, mb, 1, &scheduler);
     });
   }
   for (auto& c : callers) c.join();

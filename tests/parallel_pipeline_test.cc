@@ -14,6 +14,7 @@
 #include "common/thread_pool.h"
 #include "datagen/generator.h"
 #include "linkage/clustering.h"
+#include "linkage/comparison.h"
 #include "linkage/parallel_linkage.h"
 #include "obs/metrics.h"
 #include "pipeline/party.h"
@@ -159,11 +160,12 @@ TEST(ParallelPipelineTest, MultiPartyLinkIdenticalAcrossWorkerCounts) {
   }
 }
 
-/// The tiled compare path re-orders kernel execution by (a-tile, b-tile)
-/// and optionally scores against worker-local B-row copies. None of that
-/// may reach the output: hits (values, order, scores — bitwise), counters
-/// and the clusters derived from the hits must be identical for every
-/// thread count and every tile geometry, including degenerate ones.
+/// The tiled compare path re-orders kernel execution by (a-tile, b-tile).
+/// None of that may reach the output: hits (values, order, scores —
+/// bitwise), counters and the clusters derived from the hits must be
+/// identical for every thread count and every tile geometry, including
+/// degenerate ones, and the one-thread stream must equal the serial engine
+/// over the materialized candidate list.
 TEST(ParallelPipelineTest, TiledExecutionDeterministicAcrossThreadsAndTiles) {
   Rng rng(97);
   const size_t kBits = 600;
@@ -183,8 +185,8 @@ TEST(ParallelPipelineTest, TiledExecutionDeterministicAcrossThreadsAndTiles) {
   const BitMatrix mb = BitMatrix::FromVectors(random_filters(300));
 
   // Skewed blocks: key k holds every record with i % 13 == k plus, for
-  // k == 0, a giant block of half of each side — the shape stealing and
-  // tiling have to keep balanced without reordering output.
+  // k == 0, a giant block of half of each side — the shape the shard pool
+  // and tiling have to keep balanced without reordering output.
   BlockIndex index_a;
   BlockIndex index_b;
   for (uint32_t i = 0; i < ma.num_rows(); ++i) {
@@ -198,9 +200,10 @@ TEST(ParallelPipelineTest, TiledExecutionDeterministicAcrossThreadsAndTiles) {
 
   // Streams the blocked candidates through the tiled compare at the
   // options' effective shard size.
+  const DiceCutoffs cutoffs(0.40, ma.num_bits());
   auto stream_blocked = [&](const ParallelLinkageOptions& options) {
     const size_t shard_size = ResolveParallelTuning(options, ma.num_bits()).shard_size;
-    return StreamCompareShards(SimilarityMeasure::kDice, ma, mb, 0.40, options,
+    return StreamCompareShards(cutoffs, ma, mb, options,
                                [&](const CandidateShardFn& emit) {
                                  StreamBlockedPairRuns(index_a, index_b, shard_size,
                                                        emit);
@@ -214,6 +217,18 @@ TEST(ParallelPipelineTest, TiledExecutionDeterministicAcrossThreadsAndTiles) {
   // rare enough that the prune and threshold paths stay exercised.
   const StreamCompareResult reference = stream_blocked(reference_options);
   ASSERT_FALSE(reference.hits.empty());
+
+  // The independent reference: the serial engine, untiled, over the
+  // materialized candidate list the stream expands to.
+  const ComparisonEngine serial(SimilarityMeasure::kDice);
+  const std::vector<ScoredPair> serial_hits = serial.CompareMatrices(
+      ma, mb, StandardBlocker::CandidatePairs(index_a, index_b), 0.40);
+  ASSERT_EQ(serial_hits.size(), reference.hits.size());
+  for (size_t i = 0; i < serial_hits.size(); ++i) {
+    EXPECT_EQ(serial_hits[i], reference.hits[i]) << "serial engine, hit " << i;
+  }
+  EXPECT_EQ(serial.last_comparison_count(), reference.comparisons);
+  EXPECT_EQ(serial.last_pruned_count(), reference.pruned);
   const auto reference_clusters = ConnectedComponents([&] {
     std::vector<MatchEdge> edges;
     for (const ScoredPair& hit : reference.hits) {
@@ -240,7 +255,6 @@ TEST(ParallelPipelineTest, TiledExecutionDeterministicAcrossThreadsAndTiles) {
       options.tile_a_rows = geometry.tile_a_rows;
       options.tile_b_rows = geometry.tile_b_rows;
       options.shard_size = geometry.shard_size;
-      options.b_copy_min_reuse = 1;  // force the copy path wherever legal
       const StreamCompareResult actual = stream_blocked(options);
       const std::string label =
           std::string(geometry.label) + " tiles, " + std::to_string(threads) + " threads";
@@ -299,7 +313,7 @@ TEST(ParallelPipelineTest, StreamedCompareAdvancesTheCompareCounters) {
   options.shard_size = 1024;
   const size_t shard_size = ResolveParallelTuning(options, kBits).shard_size;
   const StreamCompareResult result = StreamCompareShards(
-      SimilarityMeasure::kDice, ma, mb, 0.7, options, [&](const CandidateShardFn& emit) {
+      DiceCutoffs(0.7, kBits), ma, mb, options, [&](const CandidateShardFn& emit) {
         StreamFullPairRuns(ma.num_rows(), mb.num_rows(), shard_size, emit);
       });
   ASSERT_EQ(result.comparisons, ma.num_rows() * mb.num_rows());

@@ -1,7 +1,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -321,6 +324,30 @@ TEST(ServiceRoundtripTest, OutOfRangeDiceThresholdFailsStart) {
       EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument)
           << threshold << (online ? " online" : " batch");
     }
+  }
+}
+
+/// Threads of this process (Linux: one /proc/self/task entry each).
+size_t ProcessThreadCount() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+/// A shard pool larger than ShardScheduler::kMaxThreads is refused before
+/// Start() binds or builds anything, so no thread starts. SIZE_MAX runs
+/// first: without the check it throws std::length_error from the pool's
+/// reserve (how `pprl_linkd --threads -1` aborted) before the 257 case
+/// could start a real pool.
+TEST(ServiceRoundtripTest, OutOfRangeLinkThreadsFailsStart) {
+  for (const size_t threads : {SIZE_MAX, ShardScheduler::kMaxThreads + 1}) {
+    LinkageUnitServerConfig config;
+    config.expected_owners = 2;
+    config.link_threads = threads;
+    LinkageUnitServer server(config);
+    const size_t threads_before = ProcessThreadCount();
+    EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument) << threads;
+    EXPECT_EQ(ProcessThreadCount(), threads_before) << threads;
+    EXPECT_EQ(server.port(), 0) << threads;
   }
 }
 
