@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "common/bitvector.h"
 #include "common/random.h"
 #include "crypto/hash.h"
@@ -16,14 +18,29 @@
 namespace pprl {
 namespace {
 
+/// The SHA-256 and keyed-encoding benchmarks' second argument picks the
+/// compression clone through the test seam: 0 portable, 1 the SHA
+/// extensions. A clone the CPU lacks is reported as skipped.
+bool Sha256CloneSupported(benchmark::State& state) {
+  const auto clones = SupportedSha256Clones();
+  if (std::find(clones.begin(), clones.end(), static_cast<Sha256Clone>(state.range(1))) !=
+      clones.end()) {
+    return true;
+  }
+  state.SkipWithError("this CPU lacks the SHA-256 clone");
+  return false;
+}
+
 void BM_Sha256(benchmark::State& state) {
+  if (!Sha256CloneSupported(state)) return;
+  const ScopedSha256Clone clone(static_cast<Sha256Clone>(state.range(1)));
   const std::string data(static_cast<size_t>(state.range(0)), 'x');
   for (auto _ : state) {
     benchmark::DoNotOptimize(Sha256(data));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(16)->Arg(256)->Arg(4096);
+BENCHMARK(BM_Sha256)->ArgsProduct({{16, 256, 4096}, {0, 1}});
 
 void BM_HmacSha256(benchmark::State& state) {
   const std::string data(64, 'x');
@@ -33,16 +50,19 @@ void BM_HmacSha256(benchmark::State& state) {
 }
 BENCHMARK(BM_HmacSha256);
 
-/// The keyed encoders' per-position cost: the key's pads were hashed once,
-/// so each Mac is one inner and one outer compression.
+/// One MAC under a prebuilt key: the key's pads were hashed once, so a
+/// 16-byte message is one inner and one outer compression, the cost of a
+/// keyed Bloom position.
 void BM_HmacSha256Key(benchmark::State& state) {
+  if (!Sha256CloneSupported(state)) return;
+  const ScopedSha256Clone clone(static_cast<Sha256Clone>(state.range(1)));
   const HmacSha256Key key("key");
   const std::string data(static_cast<size_t>(state.range(0)), 'x');
   for (auto _ : state) {
     benchmark::DoNotOptimize(key.Mac(data));
   }
 }
-BENCHMARK(BM_HmacSha256Key)->Arg(16)->Arg(64);
+BENCHMARK(BM_HmacSha256Key)->ArgsProduct({{16, 64}, {0, 1}});
 
 void BM_Md5(benchmark::State& state) {
   const std::string data(64, 'x');
@@ -62,13 +82,15 @@ void BM_BloomEncodeString(benchmark::State& state) {
 BENCHMARK(BM_BloomEncodeString)->Arg(10)->Arg(30)->Arg(50);
 
 void BM_BloomEncodeKeyed(benchmark::State& state) {
+  if (!Sha256CloneSupported(state)) return;
+  const ScopedSha256Clone clone(static_cast<Sha256Clone>(state.range(1)));
   const BloomFilterEncoder encoder(
       {1000, static_cast<size_t>(state.range(0)), BloomHashScheme::kKeyedHmac, "key"});
   for (auto _ : state) {
     benchmark::DoNotOptimize(encoder.EncodeString("katherine anderson"));
   }
 }
-BENCHMARK(BM_BloomEncodeKeyed)->Arg(10)->Arg(30);
+BENCHMARK(BM_BloomEncodeKeyed)->ArgsProduct({{10, 30}, {0, 1}});
 
 BitVector RandomFilter(size_t bits, double density, uint64_t seed) {
   Rng rng(seed);

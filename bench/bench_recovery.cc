@@ -19,6 +19,8 @@
 #include <sys/stat.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,19 +64,30 @@ EncodedDatabase MakeRecords(size_t n, uint64_t seed) {
   return db;
 }
 
-std::string FreshDir(const char* name) {
-  const std::string dir = std::string("/tmp/") + name;
-  ::mkdir(dir.c_str(), 0755);
-  auto segments = io::ListWalSegments(dir);
-  if (segments.ok()) {
-    for (const auto& [seq, path] : *segments) std::remove(path.c_str());
+/// The run's WAL and checkpoint directory: a fresh one under $TMPDIR (or
+/// /tmp when it is unset), removed with everything in it when the bench
+/// returns, on every path. `path()` is empty if it could not be created.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    const char* tmp = std::getenv("TMPDIR");
+    std::string pattern = std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
+                          "/pprl_bench_recovery-XXXXXX";
+    if (::mkdtemp(pattern.data()) != nullptr) path_ = pattern;
   }
-  auto checkpoints = io::ListCheckpoints(dir);
-  if (checkpoints.ok()) {
-    for (const auto& [seq, path] : *checkpoints) std::remove(path.c_str());
+  ~ScratchDir() {
+    std::error_code ignored;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ignored);
   }
-  return dir;
-}
+
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 uint64_t DirBytes(const std::string& dir) {
   uint64_t total = 0;
@@ -123,7 +136,12 @@ int Main(int argc, char** argv) {
   }
 
   // --- 2. Durable ingest: journal + group-commit fsync + apply.
-  const std::string dir = FreshDir("pprl_bench_recovery");
+  const ScratchDir scratch;
+  if (scratch.path().empty()) {
+    std::fprintf(stderr, "cannot create a scratch directory under TMPDIR\n");
+    return 1;
+  }
+  const std::string& dir = scratch.path();
   DurabilityConfig config;
   config.wal_dir = dir;
   config.checkpoint_every_n = 0;  // the bench times the checkpoint itself

@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "common/cache_info.h"
+#include "crypto/hash.h"
 #include "datagen/generator.h"
+#include "linkage/compare_kernels.h"
 #include "obs/export.h"
 #include "pipeline/channel.h"
 
@@ -60,8 +62,10 @@ inline void PrintChannelCosts(const Channel& channel, const std::string& label) 
 
 /// The host and source a committed BENCH_*.json was measured on, as JSON
 /// object members (no braces): cores, CPU model, L1d/L2/LLC bytes
-/// (DetectCacheInfo) and the commit from `git describe --always --dirty`
-/// run in the current directory ("unknown" outside a checkout).
+/// (DetectCacheInfo), the ISA the code dispatches on (the CPU flags the
+/// clones test, and the compare-kernel and SHA-256 clone this process
+/// runs) and the commit from `git describe --always --dirty` run in the
+/// current directory ("unknown" outside a checkout).
 inline std::string ProvenanceJsonMembers() {
   std::string cpu = "unknown";
   std::ifstream cpuinfo("/proc/cpuinfo");
@@ -82,13 +86,39 @@ inline std::string ProvenanceJsonMembers() {
     commit.pop_back();
   }
   if (commit.empty()) commit = "unknown";
+  bool popcnt = false, avx2 = false, avx512vpopcntdq = false, sha = false;
+#if defined(__x86_64__) && defined(__GNUC__)
+  __builtin_cpu_init();
+  popcnt = __builtin_cpu_supports("popcnt");
+  avx2 = __builtin_cpu_supports("avx2");
+  avx512vpopcntdq = __builtin_cpu_supports("avx512vpopcntdq");
+  sha = __builtin_cpu_supports("sha");
+#endif
+  const auto flag = [](bool on) { return on ? "true" : "false"; };
+  const char* kernel_clone = "portable";
+  switch (SupportedKernelClones().back()) {
+    case KernelClone::kPopcnt:
+      kernel_clone = "popcnt";
+      break;
+    case KernelClone::kAvx512:
+      kernel_clone = "avx512";
+      break;
+    case KernelClone::kPortable:
+      break;
+  }
+  const char* sha256_clone =
+      SupportedSha256Clones().back() == Sha256Clone::kShaNi ? "sha-ni" : "portable";
   const CacheInfo& cache = DetectCacheInfo();
-  char out[512];
+  char out[768];
   std::snprintf(out, sizeof(out),
                 "\"cores\": %u, \"cpu_model\": \"%s\", \"l1d_bytes\": %zu, "
-                "\"l2_bytes\": %zu, \"llc_bytes\": %zu, \"commit\": \"%s\"",
+                "\"l2_bytes\": %zu, \"llc_bytes\": %zu, \"isa\": {\"popcnt\": %s, "
+                "\"avx2\": %s, \"avx512vpopcntdq\": %s, \"sha\": %s}, "
+                "\"kernel_clone\": \"%s\", \"sha256_clone\": \"%s\", \"commit\": \"%s\"",
                 std::thread::hardware_concurrency(), cpu.c_str(), cache.l1d_bytes,
-                cache.l2_bytes, cache.llc_bytes, commit.c_str());
+                cache.l2_bytes, cache.llc_bytes, flag(popcnt), flag(avx2),
+                flag(avx512vpopcntdq), flag(sha), kernel_clone, sha256_clone,
+                commit.c_str());
   return out;
 }
 

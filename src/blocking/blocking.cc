@@ -38,7 +38,7 @@ std::vector<CandidatePair> StandardBlocker::CandidatePairs(const BlockIndex& a,
 }
 
 BlockingKeyFunction SoundexNameKey(const std::string& secret_key) {
-  return [secret_key](const Schema& schema, const Record& record) {
+  return [key = HmacSha256Key(secret_key)](const Schema& schema, const Record& record) {
     std::vector<std::string> keys;
     const int last_idx = schema.FieldIndex("last_name");
     const int first_idx = schema.FieldIndex("first_name");
@@ -51,20 +51,21 @@ BlockingKeyFunction SoundexNameKey(const std::string& secret_key) {
         !record.values[static_cast<size_t>(first_idx)].empty()) {
       material += ToLower(record.values[static_cast<size_t>(first_idx)].substr(0, 1));
     }
-    keys.push_back(DigestToHex(HmacSha256(secret_key, material)).substr(0, 16));
+    keys.push_back(DigestToHex(key.Mac(material)).substr(0, 16));
     return keys;
   };
 }
 
 BlockingKeyFunction ExactAttributeKey(const std::string& field_name,
                                       const std::string& secret_key) {
-  return [field_name, secret_key](const Schema& schema, const Record& record) {
+  return [field_name, key = HmacSha256Key(secret_key)](const Schema& schema,
+                                                       const Record& record) {
     std::vector<std::string> keys;
     const int idx = schema.FieldIndex(field_name);
     if (idx >= 0 && static_cast<size_t>(idx) < record.values.size()) {
       const std::string material = "eak\x1f" + field_name + "\x1f" +
                                    NormalizeQid(record.values[static_cast<size_t>(idx)]);
-      keys.push_back(DigestToHex(HmacSha256(secret_key, material)).substr(0, 16));
+      keys.push_back(DigestToHex(key.Mac(material)).substr(0, 16));
     }
     return keys;
   };

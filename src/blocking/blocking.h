@@ -54,10 +54,11 @@ class StandardBlocker {
 
 /// A ready-made privacy-aware key function: HMAC(secret, Soundex(last_name)
 /// + first letter of first_name). Requires the standard generator schema
-/// field names.
+/// field names. The HMAC key is built once, here, not per record.
 BlockingKeyFunction SoundexNameKey(const std::string& secret_key);
 
-/// Keyed blocking on an exact attribute value (e.g. postcode).
+/// Keyed blocking on an exact attribute value (e.g. postcode); the HMAC
+/// key is built once, as in SoundexNameKey.
 BlockingKeyFunction ExactAttributeKey(const std::string& field_name,
                                       const std::string& secret_key);
 

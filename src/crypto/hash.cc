@@ -1,7 +1,12 @@
 #include "crypto/hash.h"
 
+#include <atomic>
 #include <bit>
 #include <cstring>
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
 
 #include "common/random.h"
 
@@ -22,42 +27,54 @@ uint32_t LoadBe32(const uint8_t* p) {
          (static_cast<uint32_t>(p[2]) << 8) | static_cast<uint32_t>(p[3]);
 }
 
+uint32_t ByteSwap32(uint32_t x) {
+  return (x >> 24) | ((x >> 8) & 0xff00) | ((x << 8) & 0xff0000) | (x << 24);
+}
+
+void StoreBe32(uint8_t* p, uint32_t x) {
+  if constexpr (std::endian::native == std::endian::little) x = ByteSwap32(x);
+  std::memcpy(p, &x, sizeof(x));
+}
+
 /// Big-endian serialisation of a SHA-1/SHA-256 state into its digest.
 template <size_t N>
 std::array<uint8_t, 4 * N> StoreBe(const uint32_t (&h)[N]) {
   std::array<uint8_t, 4 * N> digest;
-  for (size_t r = 0; r < N; ++r) {
-    for (size_t i = 0; i < 4; ++i) {
-      digest[4 * r + i] = static_cast<uint8_t>(h[r] >> (8 * (3 - i)));
-    }
-  }
+  for (size_t r = 0; r < N; ++r) StoreBe32(digest.data() + 4 * r, h[r]);
   return digest;
+}
+
+/// Pads the `n` (< 64) message bytes at the front of `buf` with 0x80,
+/// zeros and the 64-bit bit length `bit_len`, then compresses the block
+/// that makes, or two blocks when fewer than 9 bytes of the first are
+/// free. The 63 zero bytes after 0x80 reach the length field in both
+/// cases and stay inside the buffer.
+template <typename Compress>
+void PadAndCompress(uint8_t (&buf)[128], size_t n, uint64_t bit_len, bool big_endian_length,
+                    Compress compress) {
+  const size_t end = n < 56 ? 64 : 128;
+  buf[n] = 0x80;
+  std::memset(buf + n + 1, 0, 63);
+  for (size_t i = 0; i < 8; ++i) {
+    const size_t at = big_endian_length ? end - 1 - i : end - 8 + i;
+    buf[at] = static_cast<uint8_t>(bit_len >> (8 * i));
+  }
+  compress(buf);
+  if (end == 128) compress(buf + 64);
 }
 
 /// The Merkle-Damgard tail shared by MD5, SHA-1 and SHA-256: `compress`
 /// runs on every full 64-byte block of `data` straight from the caller's
-/// bytes; only the last partial block, the 0x80 byte and the 64-bit bit
-/// length go through a zeroed stack buffer (one block, or two when fewer
-/// than 9 bytes of the last one are free). `prefix_bytes` counts message
-/// bytes already compressed into the state, so HMAC can resume from a
-/// precomputed key-pad midstate.
+/// bytes; only the last partial block and its padding go through a stack
+/// buffer.
 template <typename Compress>
-void MerkleDamgard(std::string_view data, uint64_t prefix_bytes, bool big_endian_length,
-                   Compress compress) {
+void MerkleDamgard(std::string_view data, bool big_endian_length, Compress compress) {
   const auto* p = reinterpret_cast<const uint8_t*>(data.data());
   size_t n = data.size();
   for (; n >= 64; n -= 64, p += 64) compress(p);
-  uint8_t tail[128] = {};
+  uint8_t tail[128];
   if (n > 0) std::memcpy(tail, p, n);
-  tail[n] = 0x80;
-  const size_t tail_len = n < 56 ? 64 : 128;
-  const uint64_t bit_len = (prefix_bytes + data.size()) * 8;
-  for (size_t i = 0; i < 8; ++i) {
-    const size_t at = big_endian_length ? tail_len - 1 - i : tail_len - 8 + i;
-    tail[at] = static_cast<uint8_t>(bit_len >> (8 * i));
-  }
-  compress(tail);
-  if (tail_len == 128) compress(tail + 64);
+  PadAndCompress(tail, n, uint64_t{data.size()} * 8, big_endian_length, compress);
 }
 
 constexpr uint32_t kMd5K[64] = {
@@ -175,7 +192,7 @@ inline void Sha256Round(uint32_t a, uint32_t b, uint32_t c, uint32_t& d, uint32_
 
 /// The SHA-256 compression function (FIPS 180-4 §6.2.2), unrolled by eight
 /// rounds so the role rotation comes back to the start every iteration.
-void Sha256Compress(uint32_t (&state)[8], const uint8_t* block) {
+void Sha256CompressPortable(uint32_t (&state)[8], const uint8_t* block) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) w[i] = LoadBe32(block + 4 * i);
   for (int i = 16; i < 64; ++i) {
@@ -205,19 +222,77 @@ void Sha256Compress(uint32_t (&state)[8], const uint8_t* block) {
   state[7] += h;
 }
 
-/// SHA-256 resumed from `state`, which has absorbed `prefix_bytes` bytes.
-std::array<uint8_t, 32> Sha256From(uint32_t (&state)[8], std::string_view data,
-                                   uint64_t prefix_bytes) {
-  MerkleDamgard(data, prefix_bytes, /*big_endian_length=*/true,
-                [&state](const uint8_t* block) { Sha256Compress(state, block); });
-  return StoreBe(state);
+#if defined(__x86_64__) && defined(__GNUC__)
+#define PPRL_HAVE_SHA_NI 1
+/// The same compression on the x86 SHA extensions. SHA256RNDS2 runs two
+/// rounds on the state split as the instruction wants it: A, B, E, F in
+/// one register and C, D, G, H in the other (lane 3 first). Two rounds
+/// turn the old ABEF into the new CDGH, so the registers swap roles every
+/// call. SHA256MSG1 and SHA256MSG2 extend the schedule four words at a
+/// time; w[g % 4] holds W[4g .. 4g+3] for rounds 4g .. 4g+3.
+__attribute__((target("sha,sse4.1"))) void Sha256CompressShaNi(uint32_t (&state)[8],
+                                                                const uint8_t* block) {
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i badc = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  const __m128i abef_in = _mm_alignr_epi8(badc, efgh, 8);
+  const __m128i cdgh_in = _mm_blend_epi16(efgh, badc, 0xF0);
+  __m128i abef = abef_in;
+  __m128i cdgh = cdgh_in;
+  __m128i w[4];
+  for (int i = 0; i < 4; ++i) {
+    w[i] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)), bswap);
+  }
+#pragma GCC unroll 16
+  for (int g = 0; g < 16; ++g) {
+    if (g >= 4) {
+      // W[t..t+3] = σ1(W[t-2..]) + W[t-7..] + σ0(W[t-15..]) + W[t-16..], t = 4g.
+      w[g & 3] = _mm_sha256msg2_epu32(
+          _mm_add_epi32(_mm_sha256msg1_epu32(w[g & 3], w[(g + 1) & 3]),
+                        _mm_alignr_epi8(w[(g + 3) & 3], w[(g + 2) & 3], 4)),
+          w[(g + 3) & 3]);
+    }
+    const __m128i wk = _mm_add_epi32(
+        w[g & 3], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kSha256K + 4 * g)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+  }
+  const __m128i feba = _mm_shuffle_epi32(_mm_add_epi32(abef, abef_in), 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(_mm_add_epi32(cdgh, cdgh_in), 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+/// The clone a ScopedSha256Clone forces, or -1 for the fastest supported.
+std::atomic<int> forced_sha256_clone{-1};
+
+using Sha256CompressFn = void (*)(uint32_t (&)[8], const uint8_t*);
+
+/// The compression this call runs. The fastest clone is picked once per
+/// process, in a function-local static because keys may be built during
+/// static initialisation.
+Sha256CompressFn ActiveSha256Compress() {
+  static const Sha256Clone fastest = SupportedSha256Clones().back();
+  const int forced = forced_sha256_clone.load(std::memory_order_relaxed);
+  switch (forced >= 0 ? static_cast<Sha256Clone>(forced) : fastest) {
+#ifdef PPRL_HAVE_SHA_NI
+    case Sha256Clone::kShaNi:
+      return Sha256CompressShaNi;
+#endif
+    default:
+      return Sha256CompressPortable;
+  }
 }
 
 }  // namespace
 
 std::array<uint8_t, 16> Md5(std::string_view data) {
   uint32_t state[4] = {0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476};
-  MerkleDamgard(data, 0, /*big_endian_length=*/false,
+  MerkleDamgard(data, /*big_endian_length=*/false,
                 [&state](const uint8_t* block) { Md5Compress(state, block); });
   std::array<uint8_t, 16> digest;
   for (size_t r = 0; r < 4; ++r) {
@@ -230,7 +305,7 @@ std::array<uint8_t, 16> Md5(std::string_view data) {
 
 std::array<uint8_t, 20> Sha1(std::string_view data) {
   uint32_t state[5] = {0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0};
-  MerkleDamgard(data, 0, /*big_endian_length=*/true,
+  MerkleDamgard(data, /*big_endian_length=*/true,
                 [&state](const uint8_t* block) { Sha1Compress(state, block); });
   return StoreBe(state);
 }
@@ -238,8 +313,29 @@ std::array<uint8_t, 20> Sha1(std::string_view data) {
 std::array<uint8_t, 32> Sha256(std::string_view data) {
   uint32_t state[8];
   std::memcpy(state, kSha256Init, sizeof(state));
-  return Sha256From(state, data, 0);
+  const Sha256CompressFn compress = ActiveSha256Compress();
+  MerkleDamgard(data, /*big_endian_length=*/true,
+                [&state, compress](const uint8_t* block) { compress(state, block); });
+  return StoreBe(state);
 }
+
+std::vector<Sha256Clone> SupportedSha256Clones() {
+  std::vector<Sha256Clone> clones = {Sha256Clone::kPortable};
+#ifdef PPRL_HAVE_SHA_NI
+  // The CPU model may not be read yet when a key is built during static
+  // initialisation.
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")) {
+    clones.push_back(Sha256Clone::kShaNi);
+  }
+#endif
+  return clones;
+}
+
+ScopedSha256Clone::ScopedSha256Clone(Sha256Clone clone)
+    : previous_(forced_sha256_clone.exchange(static_cast<int>(clone))) {}
+
+ScopedSha256Clone::~ScopedSha256Clone() { forced_sha256_clone.store(previous_); }
 
 HmacSha256Key::HmacSha256Key(std::string_view key) {
   uint8_t key_block[64] = {};
@@ -249,23 +345,72 @@ HmacSha256Key::HmacSha256Key(std::string_view key) {
   } else if (!key.empty()) {
     std::memcpy(key_block, key.data(), key.size());
   }
+  const Sha256CompressFn compress = ActiveSha256Compress();
   uint8_t pad[64];
   for (size_t i = 0; i < 64; ++i) pad[i] = key_block[i] ^ 0x36;
   std::memcpy(inner_, kSha256Init, sizeof(inner_));
-  Sha256Compress(inner_, pad);
+  compress(inner_, pad);
   for (size_t i = 0; i < 64; ++i) pad[i] = key_block[i] ^ 0x5c;
   std::memcpy(outer_, kSha256Init, sizeof(outer_));
-  Sha256Compress(outer_, pad);
+  compress(outer_, pad);
+}
+
+HmacSha256Key::Midstate HmacSha256Key::Absorb(std::string_view prefix) const {
+  Midstate mid;
+  std::memcpy(mid.state, inner_, sizeof(mid.state));
+  std::memset(mid.tail, 0, sizeof(mid.tail));
+  mid.length = 64 + uint64_t{prefix.size()};
+  const Sha256CompressFn compress = ActiveSha256Compress();
+  const auto* p = reinterpret_cast<const uint8_t*>(prefix.data());
+  size_t n = prefix.size();
+  for (; n >= 64; n -= 64, p += 64) compress(mid.state, p);
+  if (n > 0) std::memcpy(mid.tail, p, n);
+  return mid;
+}
+
+void HmacSha256Key::Finish(const Midstate& midstate, std::string_view suffix,
+                           uint32_t (&outer)[8]) const {
+  const Sha256CompressFn compress = ActiveSha256Compress();
+  uint32_t inner[8];
+  std::memcpy(inner, midstate.state, sizeof(inner));
+  // The prefix's tail and the suffix, laid out in one stack block; a
+  // suffix that fills it is compressed block by block first.
+  uint8_t block[128];
+  size_t n = static_cast<size_t>(midstate.length % 64);
+  std::memcpy(block, midstate.tail, sizeof(midstate.tail));
+  const auto* s = reinterpret_cast<const uint8_t*>(suffix.data());
+  size_t left = suffix.size();
+  while (n + left >= 64) {
+    std::memcpy(block + n, s, 64 - n);
+    compress(inner, block);
+    s += 64 - n;
+    left -= 64 - n;
+    n = 0;
+  }
+  if (left > 0) std::memcpy(block + n, s, left);
+  PadAndCompress(block, n + left, (midstate.length + suffix.size()) * 8,
+                 /*big_endian_length=*/true,
+                 [&inner, compress](const uint8_t* b) { compress(inner, b); });
+  // The outer hash resumes after the opad block with the 32-byte inner
+  // digest: one more block.
+  for (size_t r = 0; r < 8; ++r) StoreBe32(block + 4 * r, inner[r]);
+  std::memcpy(outer, outer_, sizeof(outer_));
+  PadAndCompress(block, 32, (64 + 32) * 8, /*big_endian_length=*/true,
+                 [&outer, compress](const uint8_t* b) { compress(outer, b); });
+}
+
+uint64_t HmacSha256Key::Mac64(const Midstate& midstate, std::string_view suffix) const {
+  uint32_t outer[8];
+  Finish(midstate, suffix, outer);
+  // DigestToUint64 reads digest bytes 0..7 little-endian: the big-endian
+  // state words 0 and 1, byte-swapped.
+  return (uint64_t{ByteSwap32(outer[1])} << 32) | ByteSwap32(outer[0]);
 }
 
 std::array<uint8_t, 32> HmacSha256Key::Mac(std::string_view data) const {
-  uint32_t state[8];
-  std::memcpy(state, inner_, sizeof(state));
-  const auto inner = Sha256From(state, data, 64);
-  const std::string_view inner_bytes(reinterpret_cast<const char*>(inner.data()),
-                                     inner.size());
-  std::memcpy(state, outer_, sizeof(state));
-  return Sha256From(state, inner_bytes, 64);
+  uint32_t outer[8];
+  Finish(Absorb(data), {}, outer);
+  return StoreBe(outer);
 }
 
 std::array<uint8_t, 32> HmacSha256(std::string_view key, std::string_view data) {

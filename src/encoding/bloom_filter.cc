@@ -1,7 +1,7 @@
 #include "encoding/bloom_filter.h"
 
 #include <charconv>
-#include <cstring>
+#include <iterator>
 #include <limits>
 
 #include "encoding/numeric_encoding.h"
@@ -35,25 +35,16 @@ void BloomFilterEncoder::ForEachPosition(std::string_view token, Emit emit) cons
       break;
     }
     case BloomHashScheme::kKeyedHmac: {
-      // Position j is HMAC(key, token || 0x1f || decimal j). The message is
-      // laid out once per token; only the digits change per position. A
-      // token too long for the stack buffer (a field name over ~100 bytes)
-      // gets one heap buffer per token.
-      constexpr size_t kMaxDigits = std::numeric_limits<size_t>::digits10 + 1;
-      char stack_buf[128];
-      std::string heap_buf;
-      char* msg = stack_buf;
-      const size_t head = token.size() + 1;
-      if (head + kMaxDigits > sizeof(stack_buf)) {
-        heap_buf.resize(head + kMaxDigits);
-        msg = heap_buf.data();
-      }
-      std::memcpy(msg, token.data(), token.size());
-      msg[token.size()] = '\x1f';
+      // Position j is HMAC(key, token || 0x1f || decimal j). The token is
+      // absorbed once; each position finishes from that midstate with its
+      // own suffix, 0x1f and at most 20 digits.
+      const HmacSha256Key::Midstate token_state = key_->Absorb(token);
+      char suffix[1 + std::numeric_limits<size_t>::digits10 + 1];
+      suffix[0] = '\x1f';
       for (size_t j = 0; j < params_.num_hashes; ++j) {
-        const char* end = std::to_chars(msg + head, msg + head + kMaxDigits, j).ptr;
-        const auto mac = key_->Mac(std::string_view(msg, static_cast<size_t>(end - msg)));
-        emit(static_cast<uint32_t>(DigestToUint64(mac) % l));
+        const char* end = std::to_chars(suffix + 1, std::end(suffix), j).ptr;
+        const std::string_view message(suffix, static_cast<size_t>(end - suffix));
+        emit(static_cast<uint32_t>(key_->Mac64(token_state, message) % l));
       }
       break;
     }

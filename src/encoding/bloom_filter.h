@@ -43,9 +43,11 @@ struct BloomFilterParams {
 /// array, and Dice similarity on the bit arrays approximates Dice similarity
 /// on the q-gram sets.
 ///
-/// Under kKeyedHmac the key's HMAC midstates are computed once, here, so
-/// each bit position costs two SHA-256 compressions. An encoder holds no
-/// mutable state: one const instance may encode on many threads.
+/// Under kKeyedHmac the key's HMAC midstates are computed once, here, and
+/// each token is absorbed once (HmacSha256Key::Absorb); each bit position
+/// then costs two SHA-256 compressions (Mac64), on the SHA extensions when
+/// the CPU has them. An encoder holds no mutable state: one const instance
+/// may encode on many threads.
 class BloomFilterEncoder {
  public:
   explicit BloomFilterEncoder(BloomFilterParams params);

@@ -46,6 +46,18 @@ TEST(StandardBlockerTest, KeyedBlockingDiffersByKey) {
   EXPECT_NE(i1.begin()->first, i2.begin()->first);
 }
 
+/// One key per function, pinned: the first 16 hex digits of
+/// HMAC-SHA-256("k", material), whatever way the HMAC is computed.
+TEST(StandardBlockerTest, KeyedKeysAreGolden) {
+  Database db = MakeDb({{"Mary", "Smith"}});
+  db.records[0].values[6] = " 2000 ";
+  const Record& record = db.records[0];
+  EXPECT_EQ(SoundexNameKey("k")(db.schema, record),
+            std::vector<std::string>{"bd7873fa5cbfdfc5"});  // "snk\x1fS530\x1fm"
+  EXPECT_EQ(ExactAttributeKey("postcode", "k")(db.schema, record),
+            std::vector<std::string>{"54e3f6218b5ec757"});  // "eak\x1fpostcode\x1f2000"
+}
+
 TEST(StandardBlockerTest, CandidatePairsDeduplicated) {
   // Key function emitting two identical keys must not duplicate pairs.
   const BlockingKeyFunction multi = [](const Schema&, const Record&) {

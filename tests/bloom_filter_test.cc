@@ -67,25 +67,35 @@ TEST(BloomFilterEncoderTest, KeyedSchemeDiffersByKey) {
   EXPECT_NE(e1.EncodeString("smith"), e2.EncodeString("smith"));
 }
 
+std::string CloneLabel(Sha256Clone clone) {
+  return clone == Sha256Clone::kShaNi ? "sha-ni" : "portable";
+}
+
 /// The keyed mapping spelled out: position j of a token is the first 8
 /// bytes (little-endian) of HMAC-SHA-256(key, token || 0x1f || decimal j)
-/// modulo the filter length, for short tokens and for tokens too long for
-/// the encoder's stack buffer (over 107 bytes) alike.
+/// modulo the filter length, under every SHA-256 clone. The token lengths
+/// put the token's partial block, the suffix and the padding in one block
+/// (0, 2), at the one/two-block edge (53), in two blocks (54, 60), across
+/// a block boundary (62, 63), or after whole token blocks (64, 107, 108,
+/// 119, 128, 300).
 TEST(BloomFilterEncoderTest, KeyedPositionsFollowTheHmacDefinition) {
   BloomFilterParams params = SmallParams();
   params.scheme = BloomHashScheme::kKeyedHmac;
   params.secret_key = "key-one";
   params.num_hashes = 12;  // j = 10 and 11 take two digits
-  const BloomFilterEncoder encoder(params);
-  for (size_t len : {0, 2, 60, 107, 108, 300}) {
-    std::string token;
-    for (size_t i = 0; i < len; ++i) token += static_cast<char>('a' + i % 26);
-    const std::vector<uint32_t> positions = encoder.TokenPositions(token);
-    ASSERT_EQ(positions.size(), params.num_hashes);
-    for (size_t j = 0; j < params.num_hashes; ++j) {
-      const auto mac = HmacSha256(params.secret_key, token + "\x1f" + std::to_string(j));
-      EXPECT_EQ(positions[j], DigestToUint64(mac) % params.num_bits)
-          << "token of " << len << " bytes, j = " << j;
+  for (const Sha256Clone clone : SupportedSha256Clones()) {
+    const ScopedSha256Clone scope(clone);
+    const BloomFilterEncoder encoder(params);
+    for (size_t len : {0, 2, 53, 54, 60, 62, 63, 64, 107, 108, 119, 128, 300}) {
+      std::string token;
+      for (size_t i = 0; i < len; ++i) token += static_cast<char>('a' + i % 26);
+      const std::vector<uint32_t> positions = encoder.TokenPositions(token);
+      ASSERT_EQ(positions.size(), params.num_hashes);
+      for (size_t j = 0; j < params.num_hashes; ++j) {
+        const auto mac = HmacSha256(params.secret_key, token + "\x1f" + std::to_string(j));
+        EXPECT_EQ(positions[j], DigestToUint64(mac) % params.num_bits)
+            << CloneLabel(clone) << ", token of " << len << " bytes, j = " << j;
+      }
     }
   }
 }
@@ -320,60 +330,83 @@ constexpr char kKey100[] =
     "hashes it down to 32 bytes first..";
 static_assert(sizeof(kKey13) - 1 == 13 && sizeof(kKey100) - 1 == 100);
 
+// Every golden test runs under each SHA-256 clone the CPU supports, with
+// the encoders (and so their keys) built inside the clone's scope.
+
 TEST(ClkGoldenTest, DoubleHashingDefaultFields) {
-  EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kDoubleHashing, "",
-                            PprlPipeline::DefaultFieldConfigs()),
-            "6d176ec6f60411d9da6f9f35f1be592867f0fa6c2325bf54ce244aedad199077");
+  for (const Sha256Clone clone : SupportedSha256Clones()) {
+    const ScopedSha256Clone scope(clone);
+    EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kDoubleHashing, "",
+                              PprlPipeline::DefaultFieldConfigs()),
+              "6d176ec6f60411d9da6f9f35f1be592867f0fa6c2325bf54ce244aedad199077")
+        << CloneLabel(clone);
+  }
 }
 
 TEST(ClkGoldenTest, DoubleHashingExtendedFields) {
-  EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kDoubleHashing, "", ExtendedFieldConfigs()),
-            "9cf879233ae168bf45d5dfa5fb78061a4baac23be41901b7432c625af706a5c2");
+  for (const Sha256Clone clone : SupportedSha256Clones()) {
+    const ScopedSha256Clone scope(clone);
+    EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kDoubleHashing, "", ExtendedFieldConfigs()),
+              "9cf879233ae168bf45d5dfa5fb78061a4baac23be41901b7432c625af706a5c2")
+        << CloneLabel(clone);
+  }
 }
 
 TEST(ClkGoldenTest, KeyedDefaultFields) {
-  EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey13,
-                            PprlPipeline::DefaultFieldConfigs()),
-            "75d14d4ad847f107d1d2daa8d355b5bcb0e659abb8d1fb659ff48884342d33f9");
-  EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey64,
-                            PprlPipeline::DefaultFieldConfigs()),
-            "f5f5996aa41188c4409dbed2cb8487630ebfdcea2ffbf225d1a357e7c78104e3");
-  EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey100,
-                            PprlPipeline::DefaultFieldConfigs()),
-            "b5340d07626c623ea4117505ce22c959608fa8a474e2e710320218dc343a3b15");
+  for (const Sha256Clone clone : SupportedSha256Clones()) {
+    const ScopedSha256Clone scope(clone);
+    SCOPED_TRACE(CloneLabel(clone));
+    EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey13,
+                              PprlPipeline::DefaultFieldConfigs()),
+              "75d14d4ad847f107d1d2daa8d355b5bcb0e659abb8d1fb659ff48884342d33f9");
+    EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey64,
+                              PprlPipeline::DefaultFieldConfigs()),
+              "f5f5996aa41188c4409dbed2cb8487630ebfdcea2ffbf225d1a357e7c78104e3");
+    EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey100,
+                              PprlPipeline::DefaultFieldConfigs()),
+              "b5340d07626c623ea4117505ce22c959608fa8a474e2e710320218dc343a3b15");
+  }
 }
 
 TEST(ClkGoldenTest, KeyedExtendedFields) {
-  EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey13, ExtendedFieldConfigs()),
-            "11cf961a0e1a1c032269c4c97eb573020e16bad127332829e0d5fb8c9cfb7efc");
-  EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey64, ExtendedFieldConfigs()),
-            "ec0327270e9625f8b3996b0398d202de10e91e1328c88036cb403e9d041e4088");
-  EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey100, ExtendedFieldConfigs()),
-            "9c1436b69a914fd15c88f5dec3d5ae71be024831f39c979ef333274fdd12b03c");
+  for (const Sha256Clone clone : SupportedSha256Clones()) {
+    const ScopedSha256Clone scope(clone);
+    SCOPED_TRACE(CloneLabel(clone));
+    EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey13, ExtendedFieldConfigs()),
+              "11cf961a0e1a1c032269c4c97eb573020e16bad127332829e0d5fb8c9cfb7efc");
+    EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey64, ExtendedFieldConfigs()),
+              "ec0327270e9625f8b3996b0398d202de10e91e1328c88036cb403e9d041e4088");
+    EXPECT_EQ(GoldenClkDigest(BloomHashScheme::kKeyedHmac, kKey100, ExtendedFieldConfigs()),
+              "9c1436b69a914fd15c88f5dec3d5ae71be024831f39c979ef333274fdd12b03c");
+  }
 }
 
 /// The attack module reads positions through TokenPositions; pin them too.
 TEST(ClkGoldenTest, TokenPositions) {
-  std::string listing;
-  for (BloomHashScheme scheme :
-       {BloomHashScheme::kDoubleHashing, BloomHashScheme::kKeyedHmac}) {
-    BloomFilterParams params;
-    params.num_bits = 1000;
-    params.num_hashes = 30;
-    params.scheme = scheme;
-    params.secret_key = kKey13;
-    const BloomFilterEncoder encoder(params);
-    for (const std::string& token :
-         {std::string(), std::string("ab"), std::string("first_name\x1e_m"),
-          std::string(kName60) + "\x1e" + "xy"}) {
-      for (uint32_t pos : encoder.TokenPositions(token)) {
-        listing += std::to_string(pos) + ",";
+  for (const Sha256Clone clone : SupportedSha256Clones()) {
+    const ScopedSha256Clone scope(clone);
+    std::string listing;
+    for (BloomHashScheme scheme :
+         {BloomHashScheme::kDoubleHashing, BloomHashScheme::kKeyedHmac}) {
+      BloomFilterParams params;
+      params.num_bits = 1000;
+      params.num_hashes = 30;
+      params.scheme = scheme;
+      params.secret_key = kKey13;
+      const BloomFilterEncoder encoder(params);
+      for (const std::string& token :
+           {std::string(), std::string("ab"), std::string("first_name\x1e_m"),
+            std::string(kName60) + "\x1e" + "xy"}) {
+        for (uint32_t pos : encoder.TokenPositions(token)) {
+          listing += std::to_string(pos) + ",";
+        }
+        listing += ";";
       }
-      listing += ";";
     }
+    EXPECT_EQ(DigestToHex(Sha256(listing)),
+              "06fe54327b90b04fbaf7b94d91cd57539314c7f9db5f7d7b5dfc47a1d06ca575")
+        << CloneLabel(clone);
   }
-  EXPECT_EQ(DigestToHex(Sha256(listing)),
-            "06fe54327b90b04fbaf7b94d91cd57539314c7f9db5f7d7b5dfc47a1d06ca575");
 }
 
 class BloomLengthSweep : public ::testing::TestWithParam<size_t> {};

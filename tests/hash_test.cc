@@ -5,10 +5,23 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
+
 namespace pprl {
 namespace {
 
-// RFC 1321 / FIPS 180 reference vectors.
+std::string CloneLabel(Sha256Clone clone) {
+  return clone == Sha256Clone::kShaNi ? "sha-ni" : "portable";
+}
+
+TEST(Sha256CloneTest, PortableIsAlwaysSupported) {
+  const std::vector<Sha256Clone> clones = SupportedSha256Clones();
+  ASSERT_FALSE(clones.empty());
+  EXPECT_EQ(clones.front(), Sha256Clone::kPortable);
+}
+
+// RFC 1321 / FIPS 180 reference vectors; every SHA-256 vector runs under
+// each compression clone the CPU supports.
 
 TEST(Md5Test, ReferenceVectors) {
   EXPECT_EQ(DigestToHex(Md5("")), "d41d8cd98f00b204e9800998ecf8427e");
@@ -26,28 +39,64 @@ TEST(Sha1Test, ReferenceVectors) {
 }
 
 TEST(Sha256Test, ReferenceVectors) {
-  EXPECT_EQ(DigestToHex(Sha256("")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-  EXPECT_EQ(DigestToHex(Sha256("abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-  EXPECT_EQ(DigestToHex(Sha256("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  for (const Sha256Clone clone : SupportedSha256Clones()) {
+    const ScopedSha256Clone scope(clone);
+    SCOPED_TRACE(CloneLabel(clone));
+    EXPECT_EQ(DigestToHex(Sha256("")),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    EXPECT_EQ(DigestToHex(Sha256("abc")),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    EXPECT_EQ(
+        DigestToHex(Sha256("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  }
 }
 
 TEST(Sha256Test, MultiBlockMessage) {
   // One million 'a' characters (NIST long-message vector).
   const std::string million(1000000, 'a');
-  EXPECT_EQ(DigestToHex(Sha256(million)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  for (const Sha256Clone clone : SupportedSha256Clones()) {
+    const ScopedSha256Clone scope(clone);
+    EXPECT_EQ(DigestToHex(Sha256(million)),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0")
+        << CloneLabel(clone);
+  }
+}
+
+/// Every clone must give the portable body's digest for random messages
+/// of every length from empty to past four blocks.
+TEST(Sha256Test, ClonesMatchPortableOnRandomMessages) {
+  Rng rng(2212);
+  for (size_t n = 0; n <= 300; ++n) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::string message(n, '\0');
+      for (char& c : message) c = static_cast<char>(rng.NextUint64(256));
+      std::string portable;
+      {
+        const ScopedSha256Clone scope(Sha256Clone::kPortable);
+        portable = DigestToHex(Sha256(message));
+      }
+      for (const Sha256Clone clone : SupportedSha256Clones()) {
+        const ScopedSha256Clone scope(clone);
+        ASSERT_EQ(DigestToHex(Sha256(message)), portable)
+            << CloneLabel(clone) << ", " << n << " bytes, trial " << trial;
+      }
+    }
+  }
 }
 
 TEST(HmacTest, Rfc4231Vectors) {
-  // RFC 4231 test case 2.
-  EXPECT_EQ(DigestToHex(HmacSha256("Jefe", "what do ya want for nothing?")),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-  // Wikipedia's classic example.
-  EXPECT_EQ(DigestToHex(HmacSha256("key", "The quick brown fox jumps over the lazy dog")),
-            "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8");
+  for (const Sha256Clone clone : SupportedSha256Clones()) {
+    const ScopedSha256Clone scope(clone);
+    SCOPED_TRACE(CloneLabel(clone));
+    // RFC 4231 test case 2.
+    EXPECT_EQ(DigestToHex(HmacSha256("Jefe", "what do ya want for nothing?")),
+              "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+    // Wikipedia's classic example.
+    EXPECT_EQ(
+        DigestToHex(HmacSha256("key", "The quick brown fox jumps over the lazy dog")),
+        "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8");
+  }
 }
 
 TEST(HmacTest, LongKeyIsHashedFirst) {
@@ -96,7 +145,11 @@ TEST(DigestPaddingTest, BlockBoundaries) {
     const std::string message(c.n, 'a');
     EXPECT_EQ(DigestToHex(Md5(message)), c.md5) << "n = " << c.n;
     EXPECT_EQ(DigestToHex(Sha1(message)), c.sha1) << "n = " << c.n;
-    EXPECT_EQ(DigestToHex(Sha256(message)), c.sha256) << "n = " << c.n;
+    for (const Sha256Clone clone : SupportedSha256Clones()) {
+      const ScopedSha256Clone scope(clone);
+      EXPECT_EQ(DigestToHex(Sha256(message)), c.sha256)
+          << CloneLabel(clone) << ", n = " << c.n;
+    }
   }
 }
 
@@ -128,16 +181,50 @@ std::string PatternBytes(size_t n, int mul, int add) {
 }
 
 TEST(HmacSha256KeyTest, MatchesTextbookHmacAcrossKeyAndMessageLengths) {
-  for (size_t key_len : {0, 1, 13, 63, 64, 65, 131, 200}) {
-    const std::string key = PatternBytes(key_len, 37, 11);
-    const HmacSha256Key mac(key);
-    for (size_t n = 0; n <= 300; ++n) {
-      const std::string message = PatternBytes(n, 131, 7);
-      const std::string expected = ReferenceHmacHex(key, message);
-      ASSERT_EQ(DigestToHex(mac.Mac(message)), expected)
-          << "key " << key_len << " bytes, message " << n << " bytes";
-      ASSERT_EQ(DigestToHex(HmacSha256(key, message)), expected)
-          << "key " << key_len << " bytes, message " << n << " bytes";
+  for (const Sha256Clone clone : SupportedSha256Clones()) {
+    const ScopedSha256Clone scope(clone);
+    for (size_t key_len : {0, 1, 13, 63, 64, 65, 131, 200}) {
+      const std::string key = PatternBytes(key_len, 37, 11);
+      const HmacSha256Key mac(key);
+      for (size_t n = 0; n <= 300; ++n) {
+        const std::string message = PatternBytes(n, 131, 7);
+        const std::string expected = ReferenceHmacHex(key, message);
+        ASSERT_EQ(DigestToHex(mac.Mac(message)), expected)
+            << CloneLabel(clone) << ", key " << key_len << " bytes, message " << n
+            << " bytes";
+        ASSERT_EQ(DigestToHex(HmacSha256(key, message)), expected)
+            << CloneLabel(clone) << ", key " << key_len << " bytes, message " << n
+            << " bytes";
+      }
+    }
+  }
+}
+
+/// The per-token path: absorbing a prefix once and finishing with each
+/// suffix gives the MAC of the whole message, whatever block boundary the
+/// prefix's tail, the suffix and the padding cross. The long suffixes
+/// fill the stack block more than once.
+TEST(HmacSha256KeyTest, Mac64OfAbsorbedPrefixMatchesMac) {
+  const std::vector<size_t> suffix_lengths = [] {
+    std::vector<size_t> lengths;
+    for (size_t n = 0; n <= 24; ++n) lengths.push_back(n);
+    for (size_t n : {55, 63, 64, 65, 128, 150}) lengths.push_back(n);
+    return lengths;
+  }();
+  for (const Sha256Clone clone : SupportedSha256Clones()) {
+    const ScopedSha256Clone scope(clone);
+    for (size_t key_len : {13, 64, 100}) {
+      const HmacSha256Key mac(PatternBytes(key_len, 37, 11));
+      for (size_t p = 0; p <= 200; ++p) {
+        const std::string prefix = PatternBytes(p, 131, 7);
+        const HmacSha256Key::Midstate midstate = mac.Absorb(prefix);
+        for (size_t s : suffix_lengths) {
+          const std::string suffix = PatternBytes(s, 29, 3);
+          ASSERT_EQ(mac.Mac64(midstate, suffix), DigestToUint64(mac.Mac(prefix + suffix)))
+              << CloneLabel(clone) << ", key " << key_len << " bytes, prefix " << p
+              << " bytes, suffix " << s << " bytes";
+        }
+      }
     }
   }
 }
@@ -167,10 +254,14 @@ TEST(HmacSha256KeyTest, Rfc4231Vectors) {
        "HMAC algorithm.",
        "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
   };
-  for (const Case& c : cases) {
-    EXPECT_EQ(DigestToHex(HmacSha256Key(c.key).Mac(c.data)), c.mac)
-        << "case " << c.number;
-    EXPECT_EQ(DigestToHex(HmacSha256(c.key, c.data)), c.mac) << "case " << c.number;
+  for (const Sha256Clone clone : SupportedSha256Clones()) {
+    const ScopedSha256Clone scope(clone);
+    for (const Case& c : cases) {
+      EXPECT_EQ(DigestToHex(HmacSha256Key(c.key).Mac(c.data)), c.mac)
+          << CloneLabel(clone) << ", case " << c.number;
+      EXPECT_EQ(DigestToHex(HmacSha256(c.key, c.data)), c.mac)
+          << CloneLabel(clone) << ", case " << c.number;
+    }
   }
 }
 

@@ -147,11 +147,17 @@ std::string GoldenRbfDigest(BloomHashScheme scheme) {
   return DigestToHex(Sha256(bytes));
 }
 
+/// Under every SHA-256 clone the CPU supports, with the encoder and its
+/// key built inside the clone's scope.
 TEST(RbfEncoderTest, GoldenBytes) {
-  EXPECT_EQ(GoldenRbfDigest(BloomHashScheme::kDoubleHashing),
-            "b7e7fa09563d25e00bfc412ad401b700151b7ea95d52c3460bac1a520e2958d7");
-  EXPECT_EQ(GoldenRbfDigest(BloomHashScheme::kKeyedHmac),
-            "8f88a7b565a1332be37759277619d88cdb1ddff2965cd141928392731ecfc3e8");
+  for (const Sha256Clone clone : SupportedSha256Clones()) {
+    const ScopedSha256Clone scope(clone);
+    SCOPED_TRACE(clone == Sha256Clone::kShaNi ? "sha-ni" : "portable");
+    EXPECT_EQ(GoldenRbfDigest(BloomHashScheme::kDoubleHashing),
+              "b7e7fa09563d25e00bfc412ad401b700151b7ea95d52c3460bac1a520e2958d7");
+    EXPECT_EQ(GoldenRbfDigest(BloomHashScheme::kKeyedHmac),
+              "8f88a7b565a1332be37759277619d88cdb1ddff2965cd141928392731ecfc3e8");
+  }
 }
 
 }  // namespace
