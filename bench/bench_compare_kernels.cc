@@ -43,32 +43,24 @@ constexpr double kPruneThreshold = 0.7;
 constexpr double kParallelThreshold = 0.85;
 constexpr int kReps = 7;
 
-/// Pairs/sec over kReps timed runs: the median and the quartiles (the
-/// medians of the runs below and above it).
-struct Rate {
-  double median = 0;
-  double p25 = 0;
-  double p75 = 0;
-};
-
 /// Times `run` (which returns the pairs it pruned) kReps times over
-/// `num_pairs` pairs; the last run's prune count lands in `pruned`.
+/// `num_pairs` pairs: the spread of its pairs/sec. The last run's prune
+/// count lands in `pruned`.
 template <typename Run>
-Rate TimeRuns(size_t num_pairs, Run run, size_t& pruned) {
+Spread TimeRuns(size_t num_pairs, Run run, size_t& pruned) {
   std::vector<double> rates;
   for (int rep = 0; rep < kReps; ++rep) {
     Timer timer;
     pruned = run();
     rates.push_back(static_cast<double>(num_pairs) / timer.ElapsedSeconds());
   }
-  std::sort(rates.begin(), rates.end());
-  return {rates[kReps / 2], rates[kReps / 4], rates[kReps - 1 - kReps / 4]};
+  return MedianAndQuartiles(std::move(rates));
 }
 
 struct Measurement {
   std::string name;
   size_t bits = 0;
-  Rate rate;
+  Spread rate;
   size_t pruned = 0;
 };
 
@@ -124,7 +116,7 @@ std::vector<Measurement> BenchAtWidth(size_t bits, const Database& a, const Data
 struct ParallelMeasurement {
   size_t threads = 0;
   size_t bits = 0;
-  Rate rate;
+  Spread rate;
   size_t pruned = 0;
   /// Median rate / (t1 median x threads) at the same width: 1.0 is perfect
   /// scaling, and anything flat across thread counts means a serial stage

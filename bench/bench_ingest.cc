@@ -18,7 +18,8 @@
 ///
 /// The JSON written to out.json is the committed BENCH_ingest.json; it
 /// records the host (cores, CPU, cache sizes) and the commit it ran on, so
-/// run it from the repository root.
+/// run it from the repository root. The corpus (~325 MB at the defaults)
+/// goes to a scratch directory under $TMPDIR that every exit removes.
 
 #include <chrono>
 #include <cstdio>
@@ -110,10 +111,14 @@ int main(int argc, char** argv) {
   const size_t bits =
       argc > 2 ? static_cast<size_t>(std::atoll(argv[2])) : 1024;
   const std::string out_json = argc > 3 ? argv[3] : "BENCH_ingest.json";
-  const std::string dir = "/tmp";
-  const std::string clks_csv = dir + "/pprl_bench_ingest_clks.csv";
-  const std::string clks_pclk = dir + "/pprl_bench_ingest_clks.pclk";
-  const std::string qid_csv = dir + "/pprl_bench_ingest_qids.csv";
+  const bench::ScratchDir scratch("pprl_bench_ingest");
+  if (scratch.path().empty()) {
+    std::fprintf(stderr, "cannot create a scratch directory under TMPDIR\n");
+    return 1;
+  }
+  const std::string clks_csv = scratch.path() + "/clks.csv";
+  const std::string clks_pclk = scratch.path() + "/clks.pclk";
+  const std::string qid_csv = scratch.path() + "/qids.csv";
 
   std::printf("bench_ingest: %zu rows, %zu-bit filters\n", rows, bits);
   std::vector<Measurement> results;
@@ -259,9 +264,5 @@ int main(int argc, char** argv) {
                speedup);
   std::fclose(out);
   std::printf("wrote %s\n", out_json.c_str());
-
-  std::remove(clks_csv.c_str());
-  std::remove(clks_pclk.c_str());
-  std::remove(qid_csv.c_str());
   return speedup >= 5.0 ? 0 : 3;
 }

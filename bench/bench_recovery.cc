@@ -10,17 +10,18 @@
 //   5. checkpoint load — cold-start recovery from the snapshot, which is
 //                      what bounds restart latency once checkpoints exist
 //
+// Both cold starts run kTimedRuns times (recovery only reads the
+// directory) and report the median with the quartiles.
 // BENCH_recovery.json is the committed baseline. Recovery rates are also
 // normalized to seconds-per-million-records so runs of different sizes
-// stay comparable.
+// stay comparable. The WAL and checkpoint live in a scratch directory under
+// $TMPDIR that the bench removes on every exit path.
 //
 // usage: bench_recovery [out.json [num_records]]
 
 #include <sys/stat.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,6 +39,8 @@ namespace {
 constexpr size_t kFilterBits = 512;
 constexpr size_t kDefaultRecords = 200000;
 constexpr size_t kAppendBatch = 4096;
+/// Cold starts timed per recovery path; the report is their spread.
+constexpr int kTimedRuns = 5;
 
 /// ~30%-density CLKs with near-duplicate structure: every third record
 /// perturbs an earlier base entity, so appends pay for realistic LSH
@@ -63,31 +66,6 @@ EncodedDatabase MakeRecords(size_t n, uint64_t seed) {
   }
   return db;
 }
-
-/// The run's WAL and checkpoint directory: a fresh one under $TMPDIR (or
-/// /tmp when it is unset), removed with everything in it when the bench
-/// returns, on every path. `path()` is empty if it could not be created.
-class ScratchDir {
- public:
-  ScratchDir() {
-    const char* tmp = std::getenv("TMPDIR");
-    std::string pattern = std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
-                          "/pprl_bench_recovery-XXXXXX";
-    if (::mkdtemp(pattern.data()) != nullptr) path_ = pattern;
-  }
-  ~ScratchDir() {
-    std::error_code ignored;
-    if (!path_.empty()) std::filesystem::remove_all(path_, ignored);
-  }
-
-  ScratchDir(const ScratchDir&) = delete;
-  ScratchDir& operator=(const ScratchDir&) = delete;
-
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 uint64_t DirBytes(const std::string& dir) {
   uint64_t total = 0;
@@ -136,7 +114,7 @@ int Main(int argc, char** argv) {
   }
 
   // --- 2. Durable ingest: journal + group-commit fsync + apply.
-  const ScratchDir scratch;
+  const ScratchDir scratch("pprl_bench_recovery");
   if (scratch.path().empty()) {
     std::fprintf(stderr, "cannot create a scratch directory under TMPDIR\n");
     return 1;
@@ -170,23 +148,30 @@ int Main(int argc, char** argv) {
               static_cast<double>(wal_bytes) / static_cast<double>(records));
 
   // --- 3. Cold start from WAL segments alone (worst-case restart).
-  double replay_seconds = 0;
-  {
-    OnlineDurability cold(config);
-    std::unique_ptr<OnlineLinkageEngine> recovered;
-    RecoveryReport report;
-    auto status = cold.Recover(&recovered, &report);
-    if (!status.ok() || recovered == nullptr || recovered->size() != records) {
-      std::fprintf(stderr, "WAL replay recovery failed: %s\n",
-                   status.ToString().c_str());
-      return 1;
+  const auto cold_starts = [&](bool from_checkpoint, const char* what) {
+    std::vector<double> seconds;
+    for (int run = 0; run < kTimedRuns; ++run) {
+      OnlineDurability cold(config);
+      std::unique_ptr<OnlineLinkageEngine> recovered;
+      RecoveryReport report;
+      auto status = cold.Recover(&recovered, &report);
+      if (!status.ok() || report.checkpoint_loaded != from_checkpoint ||
+          recovered == nullptr || recovered->size() != records) {
+        std::fprintf(stderr, "%s recovery failed: %s\n", what,
+                     status.ToString().c_str());
+        return std::vector<double>{};
+      }
+      seconds.push_back(report.seconds);
     }
-    replay_seconds = report.seconds;
-    std::printf("wal replay:      %.3f s for %llu records (%.1f s/million)\n",
-                replay_seconds,
-                static_cast<unsigned long long>(report.replayed_records),
-                replay_seconds / millions);
-  }
+    return seconds;
+  };
+  const std::vector<double> replay_runs = cold_starts(false, "WAL replay");
+  if (replay_runs.empty()) return 1;
+  const Spread replay = MedianAndQuartiles(replay_runs);
+  std::printf("wal replay:      %.3f s (quartiles %.3f-%.3f over %d runs) for %zu "
+              "records (%.1f s/million)\n",
+              replay.median, replay.p25, replay.p75, kTimedRuns, records,
+              replay.median / millions);
 
   // --- 4. Checkpoint write (snapshot + fsync + atomic rename).
   Timer checkpoint_timer;
@@ -203,30 +188,20 @@ int Main(int argc, char** argv) {
               static_cast<double>(checkpoint_bytes) / static_cast<double>(records));
 
   // --- 5. Cold start from the checkpoint (the steady-state restart path).
-  double load_seconds = 0;
-  {
-    OnlineDurability cold(config);
-    std::unique_ptr<OnlineLinkageEngine> recovered;
-    RecoveryReport report;
-    auto status = cold.Recover(&recovered, &report);
-    if (!status.ok() || !report.checkpoint_loaded || recovered == nullptr ||
-        recovered->size() != records) {
-      std::fprintf(stderr, "checkpoint recovery failed: %s\n",
-                   status.ToString().c_str());
-      return 1;
-    }
-    load_seconds = report.seconds;
-    std::printf("checkpoint load: %.3f s (%.1f s/million)\n\n", load_seconds,
-                load_seconds / millions);
-  }
+  const std::vector<double> load_runs = cold_starts(true, "checkpoint");
+  if (load_runs.empty()) return 1;
+  const Spread load = MedianAndQuartiles(load_runs);
+  std::printf("checkpoint load: %.3f s (quartiles %.3f-%.3f over %d runs, "
+              "%.1f s/million)\n\n",
+              load.median, load.p25, load.p75, kTimedRuns, load.median / millions);
 
   PrintHeader({"metric", "value"});
   PrintRow({"base_append_records_per_sec", Fmt(base_rps, 0)});
   PrintRow({"wal_append_records_per_sec", Fmt(wal_rps, 0)});
   PrintRow({"wal_overhead_ratio", Fmt(overhead, 2)});
-  PrintRow({"wal_replay_seconds_per_million", Fmt(replay_seconds / millions, 2)});
+  PrintRow({"wal_replay_seconds_per_million", Fmt(replay.median / millions, 2)});
   PrintRow({"checkpoint_seconds", Fmt(checkpoint_seconds, 3)});
-  PrintRow({"checkpoint_load_seconds_per_million", Fmt(load_seconds / millions, 2)});
+  PrintRow({"checkpoint_load_seconds_per_million", Fmt(load.median / millions, 2)});
   std::printf("\nacceptance: WAL overhead %.2fx (bar: within 2x of baseline)\n",
               overhead);
 
@@ -246,15 +221,20 @@ int Main(int argc, char** argv) {
     std::fprintf(f, "  \"wal_overhead_ratio\": %.2f,\n", overhead);
     std::fprintf(f, "  \"wal_bytes_per_record\": %.1f,\n",
                  static_cast<double>(wal_bytes) / static_cast<double>(records));
-    std::fprintf(f, "  \"wal_replay_seconds\": %.3f,\n", replay_seconds);
+    std::fprintf(f, "  \"timed_runs\": %d,\n", kTimedRuns);
+    std::fprintf(f, "  \"wal_replay_seconds\": %.3f,\n", replay.median);
+    std::fprintf(f, "  \"wal_replay_seconds_p25\": %.3f,\n", replay.p25);
+    std::fprintf(f, "  \"wal_replay_seconds_p75\": %.3f,\n", replay.p75);
     std::fprintf(f, "  \"wal_replay_seconds_per_million\": %.2f,\n",
-                 replay_seconds / millions);
+                 replay.median / millions);
     std::fprintf(f, "  \"checkpoint_seconds\": %.3f,\n", checkpoint_seconds);
     std::fprintf(f, "  \"checkpoint_bytes\": %llu,\n",
                  static_cast<unsigned long long>(checkpoint_bytes));
-    std::fprintf(f, "  \"checkpoint_load_seconds\": %.3f,\n", load_seconds);
+    std::fprintf(f, "  \"checkpoint_load_seconds\": %.3f,\n", load.median);
+    std::fprintf(f, "  \"checkpoint_load_seconds_p25\": %.3f,\n", load.p25);
+    std::fprintf(f, "  \"checkpoint_load_seconds_p75\": %.3f,\n", load.p75);
     std::fprintf(f, "  \"checkpoint_load_seconds_per_million\": %.2f\n",
-                 load_seconds / millions);
+                 load.median / millions);
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote %s\n", argv[1]);

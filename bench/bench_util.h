@@ -1,9 +1,13 @@
 #ifndef PPRL_BENCH_BENCH_UTIL_H_
 #define PPRL_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -121,6 +125,48 @@ inline std::string ProvenanceJsonMembers() {
                 commit.c_str());
   return out;
 }
+
+/// The spread of a figure over repeated timed runs: the median and the
+/// quartiles (the medians of the runs below and above it). On a shared
+/// host one run can read half or double the next, so a single run or a
+/// best-of-N figure cannot tell two builds apart.
+struct Spread {
+  double median = 0;
+  double p25 = 0;
+  double p75 = 0;
+};
+
+/// The median and quartiles of `samples` (one per timed run; not empty).
+inline Spread MedianAndQuartiles(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const size_t n = samples.size();
+  return {samples[n / 2], samples[n / 4], samples[n - 1 - n / 4]};
+}
+
+/// A bench's scratch directory: a fresh one under $TMPDIR (or /tmp when
+/// it is unset), removed with everything in it when the bench returns, on
+/// every path. `path()` is empty if it could not be created.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& prefix) {
+    const char* tmp = std::getenv("TMPDIR");
+    std::string pattern = std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
+                          "/" + prefix + "-XXXXXX";
+    if (::mkdtemp(pattern.data()) != nullptr) path_ = pattern;
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ignored);
+  }
+
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Dumps the global metrics registry as JSON when PPRL_METRICS_JSON is
 /// set; benches call this once at the end of main so a run's counters

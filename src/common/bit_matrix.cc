@@ -11,16 +11,11 @@ namespace pprl {
 
 namespace {
 
-constexpr size_t kWordBits = 64;
 constexpr size_t kAlignBytes = 64;
 constexpr size_t kAlignWords = kAlignBytes / sizeof(uint64_t);
 
-size_t CarryingWords(size_t num_bits) {
-  return (num_bits + kWordBits - 1) / kWordBits;
-}
-
 size_t StrideWords(size_t num_bits) {
-  const size_t words = CarryingWords(num_bits);
+  const size_t words = RowWords(num_bits);
   return (words + kAlignWords - 1) / kAlignWords * kAlignWords;
 }
 
@@ -41,7 +36,7 @@ BitMatrix::AlignedWords BitMatrix::Allocate(size_t total_words) {
 BitMatrix::BitMatrix(size_t num_rows, size_t num_bits)
     : num_rows_(num_rows),
       num_bits_(num_bits),
-      words_per_row_(CarryingWords(num_bits)),
+      words_per_row_(RowWords(num_bits)),
       stride_words_(StrideWords(num_bits)),
       data_(Allocate(num_rows * StrideWords(num_bits))),
       capacity_words_(num_rows * StrideWords(num_bits)),
@@ -82,17 +77,8 @@ std::vector<BitVector> BitMatrix::ToVectors() const {
   std::vector<BitVector> out;
   out.reserve(num_rows_);
   for (size_t i = 0; i < num_rows_; ++i) {
-    BitVector v(num_bits_);
-    const uint64_t* src = row(i);
-    for (size_t w = 0; w < words_per_row_; ++w) {
-      uint64_t word = src[w];
-      while (word != 0) {
-        const int bit = std::countr_zero(word);
-        v.Set(w * kWordBits + static_cast<size_t>(bit));
-        word &= word - 1;
-      }
-    }
-    out.push_back(std::move(v));
+    out.push_back(BitVector::FromWords(
+        num_bits_, std::vector<uint64_t>(row(i), row(i) + words_per_row_)));
   }
   return out;
 }

@@ -2,17 +2,23 @@
 
 #include <bit>
 #include <cassert>
+#include <cstring>
 
 namespace pprl {
 
 namespace {
 constexpr size_t kWordBits = 64;
 
-size_t NumWords(size_t num_bits) { return (num_bits + kWordBits - 1) / kWordBits; }
+/// Clears the bits past `num_bits` in the last of the row's words.
+void ClearTail(size_t num_bits, uint64_t* words) {
+  if (num_bits % kWordBits != 0) {
+    words[num_bits / kWordBits] &= (uint64_t{1} << (num_bits % kWordBits)) - 1;
+  }
+}
 }  // namespace
 
 BitVector::BitVector(size_t num_bits)
-    : num_bits_(num_bits), words_(NumWords(num_bits), 0), cached_count_(0) {}
+    : num_bits_(num_bits), words_(RowWords(num_bits), 0), cached_count_(0) {}
 
 BitVector::BitVector(const BitVector& other)
     : num_bits_(other.num_bits_),
@@ -178,6 +184,47 @@ BitVector BitVector::FromString(const std::string& bits) {
     }
   }
   return out;
+}
+
+BitVector BitVector::FromWords(size_t num_bits, std::vector<uint64_t> words) {
+  assert(words.size() == RowWords(num_bits));
+  ClearTail(num_bits, words.data());
+  BitVector out;
+  out.num_bits_ = num_bits;
+  out.words_ = std::move(words);
+  out.InvalidateCount();
+  return out;
+}
+
+void LoadPackedRow(const uint8_t* bytes, size_t num_bits, uint64_t* words) {
+  const size_t num_words = RowWords(num_bits);
+  const size_t num_bytes = PackedRowBytes(num_bits);
+  if (num_words == 0) return;
+  if constexpr (std::endian::native == std::endian::little) {
+    words[num_words - 1] = 0;  // the bytes past the row's last one
+    std::memcpy(words, bytes, num_bytes);
+  } else {
+    std::memset(words, 0, num_words * sizeof(uint64_t));
+    for (size_t b = 0; b < num_bytes; ++b) {
+      words[b / 8] |= static_cast<uint64_t>(bytes[b]) << (8 * (b % 8));
+    }
+  }
+  ClearTail(num_bits, words);
+}
+
+void StorePackedRow(const uint64_t* words, size_t num_bits, uint8_t* bytes) {
+  const size_t num_bytes = PackedRowBytes(num_bits);
+  if (num_bytes == 0) return;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(bytes, words, num_bytes);
+  } else {
+    for (size_t b = 0; b < num_bytes; ++b) {
+      bytes[b] = static_cast<uint8_t>(words[b / 8] >> (8 * (b % 8)));
+    }
+  }
+  if (num_bits % 8 != 0) {
+    bytes[num_bytes - 1] &= static_cast<uint8_t>((1u << (num_bits % 8)) - 1);
+  }
 }
 
 }  // namespace pprl

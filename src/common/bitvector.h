@@ -83,6 +83,11 @@ class BitVector {
   /// rejected by returning an empty vector.
   static BitVector FromString(const std::string& bits);
 
+  /// Adopts `words` (ceil(num_bits / 64) of them, the layout words()
+  /// returns) as a vector of `num_bits` bits, without copying. Bits past
+  /// `num_bits` in the last word are cleared.
+  static BitVector FromWords(size_t num_bits, std::vector<uint64_t> words);
+
   /// Underlying words, little-endian bit order within each word. The last
   /// word's bits past size() are guaranteed zero.
   const std::vector<uint64_t>& words() const { return words_; }
@@ -103,6 +108,25 @@ class BitVector {
   // threads store the same value. Mutation is single-threaded by contract.
   mutable std::atomic<size_t> cached_count_{kNoCount};
 };
+
+/// The packed-row rule: how a filter of `num_bits` bits travels as bytes
+/// on the wire, in the WAL and in the `clk` column of the CSV interchange
+/// file. Byte b holds bits 8b..8b+7, lowest bit first, so a row is
+/// PackedRowBytes(num_bits) bytes and, on a little-endian host, exactly
+/// the leading bytes of its 64-bit words.
+inline size_t PackedRowBytes(size_t num_bits) { return (num_bits + 7) / 8; }
+
+/// 64-bit words that carry a filter of `num_bits` bits.
+inline size_t RowWords(size_t num_bits) { return (num_bits + 63) / 64; }
+
+/// Loads one packed row from `bytes` (PackedRowBytes(num_bits) readable)
+/// into `words` (RowWords(num_bits) writable). Bits past `num_bits` in the
+/// input are ignored: they come out zero.
+void LoadPackedRow(const uint8_t* bytes, size_t num_bits, uint64_t* words);
+
+/// Stores `words` as one packed row of PackedRowBytes(num_bits) bytes;
+/// the last byte's bits past `num_bits` are written as zero.
+void StorePackedRow(const uint64_t* words, size_t num_bits, uint8_t* bytes);
 
 }  // namespace pprl
 

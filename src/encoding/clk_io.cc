@@ -21,23 +21,23 @@ EncodedDatabase EncodedDatabaseFromShard(const EncodedShard& shard) {
 }
 
 std::vector<uint8_t> BitVectorToBytes(const BitVector& bv) {
-  std::vector<uint8_t> out((bv.size() + 7) / 8, 0);
-  for (uint32_t pos : bv.SetPositions()) {
-    out[pos / 8] |= static_cast<uint8_t>(1u << (pos % 8));
-  }
+  std::vector<uint8_t> out(PackedRowBytes(bv.size()));
+  StorePackedRow(bv.words().data(), bv.size(), out.data());
   return out;
+}
+
+BitVector BitVectorFromPackedRow(const uint8_t* bytes, size_t num_bits) {
+  std::vector<uint64_t> words(RowWords(num_bits));
+  LoadPackedRow(bytes, num_bits, words.data());
+  return BitVector::FromWords(num_bits, std::move(words));
 }
 
 Result<BitVector> BitVectorFromBytes(const std::vector<uint8_t>& bytes,
                                      size_t num_bits) {
-  if (bytes.size() * 8 < num_bits) {
+  if (bytes.size() < PackedRowBytes(num_bits)) {
     return Status::InvalidArgument("byte buffer shorter than declared bit length");
   }
-  BitVector bv(num_bits);
-  for (size_t i = 0; i < num_bits; ++i) {
-    if ((bytes[i / 8] >> (i % 8)) & 1u) bv.Set(i);
-  }
-  return bv;
+  return BitVectorFromPackedRow(bytes.data(), num_bits);
 }
 
 Status WriteEncodedDatabase(const std::string& path, const EncodedDatabase& encoded) {

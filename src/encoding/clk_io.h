@@ -46,12 +46,17 @@ EncodedShard ShardFromEncodedDatabase(const EncodedDatabase& encoded);
 /// Unpacks back into per-record filters; inverse of ShardFromEncodedDatabase.
 EncodedDatabase EncodedDatabaseFromShard(const EncodedShard& shard);
 
-/// Serialises a filter to its byte form (little-endian, bit 0 = LSB of
-/// byte 0; trailing bits zero).
+/// Serialises a filter to its packed row (common/bitvector.h: bit 0 is
+/// the LSB of byte 0; trailing bits zero).
 std::vector<uint8_t> BitVectorToBytes(const BitVector& bv);
 
 /// Inverse of BitVectorToBytes; `num_bits` trims the final byte.
 Result<BitVector> BitVectorFromBytes(const std::vector<uint8_t>& bytes, size_t num_bits);
+
+/// Loads a filter from the packed row at `bytes`, which must hold
+/// PackedRowBytes(num_bits) bytes; stray bits past `num_bits` are dropped.
+/// The decoders read each record in place with it.
+BitVector BitVectorFromPackedRow(const uint8_t* bytes, size_t num_bits);
 
 /// Writes an encoded database to `path`. `ids` and `filters` must have the
 /// same length and all filters one common bit length.

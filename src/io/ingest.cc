@@ -1,9 +1,7 @@
 #include "io/ingest.h"
 
-#include <bit>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 
 #include "common/base64.h"
 #include "common/csv.h"
@@ -126,25 +124,11 @@ Status ShardBuilder::Append(uint64_t id, const BitVector& filter) {
 }
 
 Status ShardBuilder::AppendBytes(uint64_t id, const uint8_t* bytes, size_t len) {
-  const size_t carry = (filter_bits_ + 7) / 8;
-  if (len < carry) {
+  if (len < PackedRowBytes(filter_bits_)) {
     return Status::InvalidArgument("byte buffer shorter than declared bit length");
   }
   const size_t r = bits_.AppendRow();
-  uint64_t* row = bits_.mutable_row(r);
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(row, bytes, carry);
-  } else {
-    for (size_t i = 0; i < carry; ++i) {
-      row[i / 8] |= static_cast<uint64_t>(bytes[i]) << (8 * (i % 8));
-    }
-  }
-  // Stray bits past filter_bits in the final byte are not addressable
-  // (mirrors BitVectorFromBytes, which simply never reads them).
-  const size_t tail = filter_bits_ % 64;
-  if (tail != 0 && bits_.words_per_row() > 0) {
-    row[bits_.words_per_row() - 1] &= (1ull << tail) - 1;
-  }
+  LoadPackedRow(bytes, filter_bits_, bits_.mutable_row(r));
   bits_.RecountRow(r);
   ids_.push_back(id);
   return Status::OK();

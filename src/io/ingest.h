@@ -67,9 +67,9 @@ class ShardBuilder {
   /// Appends one record; the filter's words are copied into the next row.
   Status Append(uint64_t id, const BitVector& filter);
 
-  /// Appends one record from its little-endian byte serialisation
-  /// (BitVectorToBytes layout). `len` must cover filter_bits; stray bits
-  /// past filter_bits in the final byte are masked off, matching
+  /// Appends one record from its packed row (LoadPackedRow in
+  /// common/bitvector.h). `len` must cover filter_bits; stray bits past
+  /// filter_bits in the final byte are masked off, as in
   /// BitVectorFromBytes.
   Status AppendBytes(uint64_t id, const uint8_t* bytes, size_t len);
 

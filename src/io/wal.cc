@@ -357,17 +357,18 @@ std::vector<uint8_t> EncodeWalAppendBatch(uint32_t database,
                                           size_t begin, size_t end) {
   const size_t count = end - begin;
   const size_t filter_bits = count == 0 ? 0 : rows.filters[begin].size();
-  const size_t filter_bytes = (filter_bits + 7) / 8;
   std::vector<uint8_t> payload;
-  payload.reserve(16 + count * (8 + filter_bytes));
+  payload.reserve(16 + count * (8 + PackedRowBytes(filter_bits)));
   PutU32(&payload, database);
   PutU32(&payload, static_cast<uint32_t>(count));
   PutU32(&payload, static_cast<uint32_t>(filter_bits));
   PutU32(&payload, 0);  // reserved
   for (size_t i = begin; i < end; ++i) {
     PutU64(&payload, rows.ids[i]);
-    const std::vector<uint8_t> bytes = BitVectorToBytes(rows.filters[i]);
-    payload.insert(payload.end(), bytes.begin(), bytes.end());
+    const BitVector& filter = rows.filters[i];
+    const size_t at = payload.size();
+    payload.resize(at + PackedRowBytes(filter.size()));
+    StorePackedRow(filter.words().data(), filter.size(), payload.data() + at);
   }
   return payload;
 }
@@ -392,7 +393,7 @@ Result<WalAppendBatch> DecodeWalAppendBatch(
     return Status::ProtocolViolation(
         "WAL append-batch declares zero filter bits");
   }
-  const uint64_t filter_bytes = (static_cast<uint64_t>(filter_bits) + 7) / 8;
+  const uint64_t filter_bytes = PackedRowBytes(filter_bits);
   const uint64_t expected = 16 + static_cast<uint64_t>(count) * (8 + filter_bytes);
   if (payload.size() != expected) {
     return Status::ProtocolViolation(
@@ -402,15 +403,9 @@ Result<WalAppendBatch> DecodeWalAppendBatch(
   batch.rows.ids.reserve(count);
   batch.rows.filters.reserve(count);
   const uint8_t* p = payload.data() + 16;
-  std::vector<uint8_t> filter_buf(filter_bytes);
-  for (uint32_t i = 0; i < count; ++i) {
+  for (uint32_t i = 0; i < count; ++i, p += 8 + filter_bytes) {
     batch.rows.ids.push_back(GetU64(p));
-    p += 8;
-    filter_buf.assign(p, p + filter_bytes);
-    auto filter = BitVectorFromBytes(filter_buf, filter_bits);
-    if (!filter.ok()) return filter.status();
-    batch.rows.filters.push_back(std::move(*filter));
-    p += filter_bytes;
+    batch.rows.filters.push_back(BitVectorFromPackedRow(p + 8, filter_bits));
   }
   return batch;
 }

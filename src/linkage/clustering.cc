@@ -1,107 +1,129 @@
 #include "linkage/clustering.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <set>
-#include <unordered_map>
+#include <utility>
 
 namespace pprl {
 
 namespace {
 
-/// Union-find over compacted node ids.
-class UnionFind {
- public:
-  explicit UnionFind(size_t n) : parent_(n), rank_(n, 0) {
-    for (size_t i = 0; i < n; ++i) parent_[i] = i;
-  }
+/// The records the edges touch, numbered densely in RecordRef order by one
+/// sort of the endpoint keys (database << 32 | record), so no array is
+/// ever sized by a record number.
+struct DenseNodes {
+  std::vector<uint64_t> keys;  ///< node id -> key, ascending
+  std::vector<uint32_t> ends;  ///< edge e's endpoints are ends[2e], ends[2e+1]
 
-  size_t Find(size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
+  explicit DenseNodes(const std::vector<MatchEdge>& edges) : ends(2 * edges.size()) {
+    // (key, endpoint slot) pairs; after the sort, equal keys are adjacent.
+    std::vector<std::pair<uint64_t, uint32_t>> slots;
+    slots.reserve(ends.size());
+    for (const MatchEdge& e : edges) {
+      for (const RecordRef& r : {e.x, e.y}) {
+        slots.push_back({static_cast<uint64_t>(r.database) << 32 | r.record,
+                         static_cast<uint32_t>(slots.size())});
+      }
     }
-    return x;
+    std::sort(slots.begin(), slots.end());
+    for (const auto& [key, slot] : slots) {
+      if (keys.empty() || keys.back() != key) keys.push_back(key);
+      ends[slot] = static_cast<uint32_t>(keys.size() - 1);
+    }
   }
 
-  void Union(size_t x, size_t y) {
-    x = Find(x);
-    y = Find(y);
-    if (x == y) return;
-    if (rank_[x] < rank_[y]) std::swap(x, y);
-    parent_[y] = x;
-    if (rank_[x] == rank_[y]) ++rank_[x];
+  size_t size() const { return keys.size(); }
+
+  RecordRef ref(uint32_t id) const {
+    return RecordRef{static_cast<uint32_t>(keys[id] >> 32),
+                     static_cast<uint32_t>(keys[id])};
   }
 
- private:
-  std::vector<size_t> parent_;
-  std::vector<size_t> rank_;
+  /// Clusters from a label per node: members in id order, clusters in the
+  /// order of their first member. For disjoint clusters that is the order
+  /// a sort of the whole clusters gives.
+  std::vector<Cluster> Group(const std::vector<uint32_t>& label) const {
+    constexpr uint32_t kUnseen = UINT32_MAX;
+    std::vector<uint32_t> slot(size(), kUnseen);
+    std::vector<Cluster> out;
+    for (uint32_t id = 0; id < size(); ++id) {
+      uint32_t& s = slot[label[id]];
+      if (s == kUnseen) {
+        s = static_cast<uint32_t>(out.size());
+        out.emplace_back();
+      }
+      out[s].push_back(ref(id));
+    }
+    return out;
+  }
 };
 
 }  // namespace
 
 std::vector<Cluster> ConnectedComponents(const std::vector<MatchEdge>& edges) {
-  std::map<RecordRef, size_t> ids;
-  std::vector<RecordRef> rev;
-  for (const MatchEdge& e : edges) {
-    for (const RecordRef& r : {e.x, e.y}) {
-      if (ids.emplace(r, rev.size()).second) rev.push_back(r);
-    }
+  const DenseNodes nodes(edges);
+  // Union-find with path halving; the root of each set is its smallest id.
+  std::vector<uint32_t> parent(nodes.size());
+  for (uint32_t i = 0; i < parent.size(); ++i) parent[i] = i;
+  const auto find = [&parent](uint32_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (size_t i = 0; i < nodes.ends.size(); i += 2) {
+    const uint32_t a = find(nodes.ends[i]);
+    const uint32_t b = find(nodes.ends[i + 1]);
+    if (a < b) parent[b] = a;
+    if (b < a) parent[a] = b;
   }
-  UnionFind uf(rev.size());
-  for (const MatchEdge& e : edges) uf.Union(ids[e.x], ids[e.y]);
-
-  std::unordered_map<size_t, Cluster> components;
-  for (size_t i = 0; i < rev.size(); ++i) components[uf.Find(i)].push_back(rev[i]);
-  std::vector<Cluster> out;
-  out.reserve(components.size());
-  for (auto& [root, cluster] : components) {
-    std::sort(cluster.begin(), cluster.end());
-    out.push_back(std::move(cluster));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  std::vector<uint32_t> label(nodes.size());
+  for (uint32_t i = 0; i < label.size(); ++i) label[i] = find(i);
+  return nodes.Group(label);
 }
 
 std::vector<Cluster> StarClustering(const std::vector<MatchEdge>& edges) {
-  // Adjacency with strongest-first ordering by total incident weight.
-  std::map<RecordRef, std::vector<std::pair<double, RecordRef>>> adj;
-  std::map<RecordRef, double> strength;
-  for (const MatchEdge& e : edges) {
-    adj[e.x].push_back({e.score, e.y});
-    adj[e.y].push_back({e.score, e.x});
-    strength[e.x] += e.score;
-    strength[e.y] += e.score;
+  const DenseNodes nodes(edges);
+  const size_t n = nodes.size();
+  // Strength: each record's incident scores, summed in edge order.
+  std::vector<double> strength(n, 0.0);
+  for (size_t i = 0; i < edges.size(); ++i) {
+    strength[nodes.ends[2 * i]] += edges[i].score;
+    strength[nodes.ends[2 * i + 1]] += edges[i].score;
   }
-  std::vector<std::pair<double, RecordRef>> order;
-  order.reserve(strength.size());
-  for (const auto& [ref, s] : strength) order.push_back({s, ref});
+  // Neighbours as one CSR array: record v's are adj[begin[v], begin[v+1]).
+  std::vector<uint32_t> begin(n + 1, 0);
+  for (uint32_t end : nodes.ends) ++begin[end + 1];
+  for (size_t v = 0; v < n; ++v) begin[v + 1] += begin[v];
+  std::vector<uint32_t> adj(nodes.ends.size());
+  std::vector<uint32_t> fill(begin.begin(), begin.end() - 1);
+  for (size_t i = 0; i < nodes.ends.size(); i += 2) {
+    adj[fill[nodes.ends[i]]++] = nodes.ends[i + 1];
+    adj[fill[nodes.ends[i + 1]]++] = nodes.ends[i];
+  }
+
+  // Strongest first; ties go to the smaller record.
+  std::vector<std::pair<double, uint32_t>> order(n);
+  for (uint32_t v = 0; v < n; ++v) order[v] = {strength[v], v};
   std::sort(order.begin(), order.end(), [](const auto& x, const auto& y) {
     if (x.first != y.first) return x.first > y.first;
     return x.second < y.second;
   });
 
-  std::set<RecordRef> assigned;
-  std::vector<Cluster> out;
+  // A centre claims every neighbour still unassigned, so the order in
+  // which it visits them does not change its cluster.
+  std::vector<uint8_t> assigned(n, 0);
+  std::vector<uint32_t> centre_of(n);
   for (const auto& [s, centre] : order) {
-    if (assigned.count(centre)) continue;
-    Cluster cluster{centre};
-    assigned.insert(centre);
-    auto& neighbors = adj[centre];
-    std::sort(neighbors.begin(), neighbors.end(), [](const auto& x, const auto& y) {
-      if (x.first != y.first) return x.first > y.first;
-      return x.second < y.second;
-    });
-    for (const auto& [score, neighbor] : neighbors) {
-      if (assigned.count(neighbor)) continue;
-      cluster.push_back(neighbor);
-      assigned.insert(neighbor);
+    if (assigned[centre]) continue;
+    assigned[centre] = 1;
+    centre_of[centre] = centre;
+    for (uint32_t k = begin[centre]; k < begin[centre + 1]; ++k) {
+      if (assigned[adj[k]]) continue;
+      assigned[adj[k]] = 1;
+      centre_of[adj[k]] = centre;
     }
-    std::sort(cluster.begin(), cluster.end());
-    out.push_back(std::move(cluster));
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  return nodes.Group(centre_of);
 }
 
 std::vector<Cluster> ClusterEdges(const std::vector<MatchEdge>& edges, bool star) {

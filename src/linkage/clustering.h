@@ -34,11 +34,19 @@ struct MatchEdge {
 
 /// Connected-components clustering over match edges: the transitive closure
 /// of pairwise matches. Fast but merges over-eagerly on chains.
+///
+/// Both clusterers return each cluster's members in RecordRef order and
+/// the clusters ordered by their first member. They work on flat arrays
+/// over the records the edges touch, numbered by one sort of the
+/// endpoints, so their memory grows with the edges and never with a
+/// record number an edge names.
 std::vector<Cluster> ConnectedComponents(const std::vector<MatchEdge>& edges);
 
-/// Star clustering: sorts records by how strongly they are connected, makes
-/// the strongest unassigned record a cluster centre, assigns its unassigned
-/// neighbours to it. Avoids the chain-merging of connected components.
+/// Star clustering: sorts records by how strongly they are connected (the
+/// sum of their incident scores, added in edge order), makes the strongest
+/// unassigned record a cluster centre (ties: the smaller RecordRef), and
+/// assigns all its unassigned neighbours to it. Avoids the chain-merging
+/// of connected components.
 std::vector<Cluster> StarClustering(const std::vector<MatchEdge>& edges);
 
 /// The linkage unit's clustering step, shared by the single daemon and the

@@ -17,6 +17,23 @@ constexpr size_t kMaxErrorLen = 4096;
 /// Guard on busy-reason text crossing the wire.
 constexpr size_t kMaxReasonLen = 512;
 
+/// One shipment record: a u64 id, then the filter's packed row.
+size_t ShipmentRecordBytes(size_t filter_bits) {
+  return 8 + PackedRowBytes(filter_bits);
+}
+
+void PutShipmentRecord(uint64_t id, const uint64_t* words, size_t filter_bits,
+                       uint8_t* out) {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(id >> (8 * i));
+  StorePackedRow(words, filter_bits, out + 8);
+}
+
+uint64_t GetLeU64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
 StatusCode StatusCodeFromWire(uint16_t v) {
   switch (v) {
     case 1: return StatusCode::kInvalidArgument;
@@ -413,25 +430,22 @@ Result<std::vector<uint8_t>> EncodeShipment(const EncodedDatabase& encoded) {
   if (encoded.ids.size() != encoded.filters.size()) {
     return Status::InvalidArgument("shipment ids/filters size mismatch");
   }
-  WireWriter w;
+  const size_t filter_bits = encoded.size() == 0 ? 0 : encoded.filters[0].size();
+  std::vector<uint8_t> out(encoded.size() * ShipmentRecordBytes(filter_bits));
   for (size_t i = 0; i < encoded.size(); ++i) {
-    if (encoded.filters[i].size() != encoded.filters[0].size()) {
+    if (encoded.filters[i].size() != filter_bits) {
       return Status::InvalidArgument("shipment filters must share one bit length");
     }
-    w.PutU64(encoded.ids[i]);
-    const std::vector<uint8_t> bytes = BitVectorToBytes(encoded.filters[i]);
-    w.PutBytes(bytes.data(), bytes.size());
+    PutShipmentRecord(encoded.ids[i], encoded.filters[i].words().data(), filter_bits,
+                      out.data() + i * ShipmentRecordBytes(filter_bits));
   }
-  return w.Take();
+  return out;
 }
 
 Result<std::vector<uint8_t>> EncodeShipment(const EncodedShard& shard) {
   if (shard.ids.size() != shard.bits.num_rows()) {
     return Status::InvalidArgument("shipment ids/filters size mismatch");
   }
-  // Little-endian byte b of a row is byte b%8 of word b/8 — the same
-  // layout BitVectorToBytes produces (bits past num_bits are zero by the
-  // BitMatrix invariant).
   return EncodeShipmentRows(shard, 0, shard.size());
 }
 
@@ -441,18 +455,14 @@ Result<std::vector<uint8_t>> EncodeShipmentRows(const EncodedShard& shard,
   if (row_begin > row_end || row_end > shard.size()) {
     return Status::InvalidArgument("shipment row range out of bounds");
   }
-  const size_t filter_bytes = (shard.bits.num_bits() + 7) / 8;
-  WireWriter w;
-  std::vector<uint8_t> row_bytes(filter_bytes);
+  const size_t filter_bits = shard.bits.num_bits();
+  const size_t record_bytes = ShipmentRecordBytes(filter_bits);
+  std::vector<uint8_t> out((row_end - row_begin) * record_bytes);
   for (size_t i = row_begin; i < row_end; ++i) {
-    w.PutU64(shard.ids[i]);
-    const uint64_t* row = shard.bits.row(i);
-    for (size_t b = 0; b < filter_bytes; ++b) {
-      row_bytes[b] = static_cast<uint8_t>(row[b / 8] >> (8 * (b % 8)));
-    }
-    w.PutBytes(row_bytes.data(), row_bytes.size());
+    PutShipmentRecord(shard.ids[i], shard.bits.row(i), filter_bits,
+                      out.data() + (i - row_begin) * record_bytes);
   }
-  return w.Take();
+  return out;
 }
 
 Result<EncodedDatabase> DecodeShipment(const std::vector<uint8_t>& payload,
@@ -460,8 +470,7 @@ Result<EncodedDatabase> DecodeShipment(const std::vector<uint8_t>& payload,
   if (filter_bits == 0) {
     return Status::ProtocolViolation("shipment: filter bit length not negotiated");
   }
-  const size_t filter_bytes = (static_cast<size_t>(filter_bits) + 7) / 8;
-  const size_t record_size = 8 + filter_bytes;
+  const size_t record_size = ShipmentRecordBytes(filter_bits);
   if (payload.size() % record_size != 0) {
     return Status::ProtocolViolation(
         "shipment: payload length " + std::to_string(payload.size()) +
@@ -471,16 +480,10 @@ Result<EncodedDatabase> DecodeShipment(const std::vector<uint8_t>& payload,
   EncodedDatabase out;
   out.ids.reserve(count);
   out.filters.reserve(count);
-  WireReader r(payload);
   for (size_t i = 0; i < count; ++i) {
-    auto id = r.ReadU64();
-    if (!id.ok()) return id.status();
-    auto bytes = r.ReadBytes(filter_bytes);
-    if (!bytes.ok()) return bytes.status();
-    auto filter = BitVectorFromBytes(*bytes, filter_bits);
-    if (!filter.ok()) return filter.status();
-    out.ids.push_back(*id);
-    out.filters.push_back(std::move(*filter));
+    const uint8_t* record = payload.data() + i * record_size;
+    out.ids.push_back(GetLeU64(record));
+    out.filters.push_back(BitVectorFromPackedRow(record + 8, filter_bits));
   }
   return out;
 }
@@ -623,7 +626,7 @@ Status CheckBatchLayout(const char* what, uint32_t filter_bits, uint32_t count,
     return Status::OutOfRange(std::string(what) + ": declared record count " +
                               std::to_string(count) + " exceeds limit");
   }
-  const size_t record_size = 8 + (static_cast<size_t>(filter_bits) + 7) / 8;
+  const size_t record_size = ShipmentRecordBytes(filter_bits);
   if (data_len != static_cast<size_t>(count) * record_size) {
     return Status::ProtocolViolation(
         std::string(what) + ": data length " + std::to_string(data_len) +

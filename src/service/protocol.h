@@ -338,11 +338,12 @@ uint64_t ShipmentChunkChecksum(const uint8_t* data, size_t len);
 /// chunk layer ships contiguous spans of this buffer.
 Result<std::vector<uint8_t>> EncodeShipment(const EncodedDatabase& encoded);
 
-/// Same wire layout, straight from a shard's `BitMatrix` rows: the filter
-/// bytes are extracted word-wise without materializing per-record
-/// `BitVector`s, so a streamed ingest (io/ingest.h) goes CSV -> CLK rows
-/// -> wire bytes with no intermediate vectors. Byte-identical to encoding
-/// `EncodedDatabaseFromShard(shard)`.
+/// Same wire layout, straight from a shard's `BitMatrix` rows without
+/// materializing per-record `BitVector`s, so a streamed ingest
+/// (io/ingest.h) goes CSV -> CLK rows -> wire bytes with no intermediate
+/// vectors. Byte-identical to encoding `EncodedDatabaseFromShard(shard)`:
+/// every filter is stored and loaded by the packed-row rule of
+/// common/bitvector.h.
 Result<std::vector<uint8_t>> EncodeShipment(const EncodedShard& shard);
 
 /// Rows [row_begin, row_end) of a shard in the same wire layout — the
@@ -352,7 +353,9 @@ Result<std::vector<uint8_t>> EncodeShipmentRows(const EncodedShard& shard,
                                                 size_t row_end);
 
 /// Inverse of EncodeShipment; `filter_bits` comes from the Hello. The
-/// payload length must be an exact multiple of the per-record size.
+/// payload length must be an exact multiple of the per-record size. Each
+/// record is read in place; stray bits past `filter_bits` in a record's
+/// last byte are masked off, not rejected.
 Result<EncodedDatabase> DecodeShipment(const std::vector<uint8_t>& payload,
                                        uint32_t filter_bits);
 
