@@ -24,8 +24,9 @@
 ///
 /// With --metrics, a Prometheus text endpoint (GET /metrics) is served on
 /// the given port (0 picks an ephemeral one; the bound port is printed).
-/// With --threads > 1, linkage runs stream candidate shards through a
-/// shared shard pool; results are identical to serial runs.
+/// The single daemon and the worker link on a shared pool of --threads
+/// workers, one per core by default (--threads 1 links on the session
+/// thread); results are identical at any thread count.
 ///
 /// Robustness knobs: --io-timeout-ms bounds every socket read/write;
 /// --max-sessions caps concurrent connections (excess is shed with a BUSY
@@ -53,9 +54,8 @@
 #include <string>
 
 #include "blocking/lsh_blocking.h"
-#include "common/cache_info.h"
 #include "common/logging.h"
-#include "linkage/parallel_linkage.h"
+#include "common/thread_pool.h"
 #include "service/coordinator.h"
 #include "service/server.h"
 
@@ -117,7 +117,8 @@ int Usage(FILE* out) {
       "options:\n"
       "  --all-interfaces           bind 0.0.0.0 instead of loopback\n"
       "  --metrics <port>           serve Prometheus text at /metrics\n"
-      "  --threads <n>              parallel compare workers (shard pool)\n"
+      "  --threads <n>              link threads of the single daemon and\n"
+      "                             the worker (default: one per core)\n"
       "  --io-timeout-ms <ms>       per-socket read/write timeout\n"
       "  --max-sessions <n>         concurrent connection cap (excess shed)\n"
       "  --session-ttl-ms <ms>      idle partial-shipment sweep age\n"
@@ -145,31 +146,12 @@ int Usage(FILE* out) {
   return out == stdout ? 0 : 2;
 }
 
-/// The effective parallel-compare configuration, defaults resolved — what
-/// an operator needs to predict memory/cache behaviour. Printed for every
-/// role: workers compare partitions, coordinators cluster, single daemons
-/// do both.
-void PrintParallelTuning(const LinkageUnitServerConfig& config) {
-  const CacheInfo& cache = DetectCacheInfo();
-  ParallelLinkageOptions link_tuning_options;
-  link_tuning_options.num_threads = config.link_threads;
-  std::printf(
-      "pprl_linkd: parallel compare: %zu thread%s; caches l1d %zu KiB, "
-      "l2 %zu KiB, llc %zu MiB\n",
-      config.link_threads, config.link_threads == 1 ? "" : "s",
-      cache.l1d_bytes >> 10, cache.l2_bytes >> 10, cache.llc_bytes >> 20);
-  // The auto-resolved shard/tile geometry at the common 500- and 1000-bit
-  // filter widths — the actual run resolves against the width that
-  // arrives. Zeroes in the config mean "auto"; this is what auto picked.
-  for (const size_t bits : {size_t{500}, size_t{1000}}) {
-    const ResolvedParallelTuning tuning =
-        ResolveParallelTuning(link_tuning_options, bits);
-    std::printf(
-        "pprl_linkd:   @%zu bits: shard %zu pairs, tiles %zu x %zu rows, "
-        "window %zu shards\n",
-        bits, tuning.shard_size, tuning.tile_a_rows, tuning.tile_b_rows,
-        ShardScheduler::PendingWindow(tuning.num_threads));
-  }
+/// The linkage thread count of the roles that link themselves (single
+/// daemon and worker): each Link() or LinkPartition() runs its index
+/// builds and candidate-range tasks on a pool of this many threads.
+void PrintLinkThreads(const LinkageUnitServerConfig& config) {
+  std::printf("pprl_linkd: linkage on %zu thread%s\n", config.link_threads,
+              config.link_threads == 1 ? "" : "s");
 }
 
 void PrintCommonConfig(const LinkageUnitServerConfig& config,
@@ -188,7 +170,6 @@ void PrintCommonConfig(const LinkageUnitServerConfig& config,
                 config.spool_dir.c_str(),
                 io::ShardFileFormatName(config.spool_format));
   }
-  PrintParallelTuning(config);
   if (config.chaos.enabled()) {
     std::printf("pprl_linkd: CHAOS MODE: injecting faults with seed %llu\n",
                 static_cast<unsigned long long>(config.chaos.seed));
@@ -441,6 +422,7 @@ int main(int argc, char** argv) {
                 server.port(), config.expected_owners,
                 config.loopback_only ? "loopback only" : "all interfaces");
     PrintCommonConfig(config, server.max_sessions());
+    PrintLinkThreads(config);
     if (server.metrics_port() != 0) {
       std::printf("pprl_linkd: metrics at http://127.0.0.1:%u/metrics\n",
                   server.metrics_port());
@@ -511,6 +493,7 @@ int main(int argc, char** argv) {
               config.link_options.dice_threshold,
               config.loopback_only ? "loopback only" : "all interfaces");
   PrintCommonConfig(config, server.max_sessions());
+  PrintLinkThreads(config);
   if (config.min_owners >= 2 && config.min_owners < config.expected_owners) {
     std::printf("pprl_linkd: quorum armed: will link with >= %zu owners after "
                 "%d ms without a new shipment (degraded result)\n",

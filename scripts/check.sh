@@ -165,8 +165,10 @@ wait_registered() { # <stderr log> <party>
   return 1
 }
 
-# Path 1: single daemon (README "networked quickstart").
-"${LINKD}" 18901 2 0.8 > "${SMOKE}/single.log" 2> "${SMOKE}/single.err" &
+# Path 1: single daemon (README "networked quickstart"), pinned to one
+# link thread: the serial reference the other paths must match, now that
+# the default is one link thread per core.
+"${LINKD}" 18901 2 0.8 --threads 1 > "${SMOKE}/single.log" 2> "${SMOKE}/single.err" &
 SINGLE_PID=$!
 sleep 0.5
 "${CLI}" ship "${SMOKE}/a.pclk" clinic-a 127.0.0.1:18901 "${SMOKE}/a_single.csv" >/dev/null &
@@ -175,9 +177,9 @@ wait_registered "${SMOKE}/single.err" clinic-a
 "${CLI}" ship "${SMOKE}/b.pclk" clinic-b 127.0.0.1:18901 "${SMOKE}/b_single.csv" >/dev/null
 wait "${SHIP_A}" "${SINGLE_PID}"
 
-# Path 1b: the same single daemon with --threads 4, the only path where
-# the Dice cutoff table reaches the threaded run-shard compare through
-# real processes. Must match the serial daemon byte for byte.
+# Path 1b: the same single daemon with --threads 4: its index builds and
+# candidate-range tasks run on the daemon's pool. Must match the serial
+# daemon byte for byte.
 "${LINKD}" 18903 2 0.8 --threads 4 > "${SMOKE}/threaded.log" 2> "${SMOKE}/threaded.err" &
 THREADED_PID=$!
 sleep 0.5
@@ -188,7 +190,8 @@ wait_registered "${SMOKE}/threaded.err" clinic-a
 wait "${SHIP_A}" "${THREADED_PID}"
 
 # Path 2: coordinator + two workers (docs/OPERATIONS.md walkthrough),
-# with deterministic chaos on every link.
+# with deterministic chaos on every link. The workers keep the default
+# --threads (one per core), so their partitions run on their pools.
 "${LINKD}" 18911 2 --worker > "${SMOKE}/worker1.log" &
 WORKER1_PID=$!
 "${LINKD}" 18912 2 --worker > "${SMOKE}/worker2.log" &

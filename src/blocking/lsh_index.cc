@@ -139,21 +139,23 @@ void LshBandIndex::Probe(const BitVector& probe,
 
 std::deque<LshBandIndex> BuildBandIndexes(
     const std::vector<const std::vector<BitVector>*>& databases, size_t filter_bits,
-    size_t num_tables, size_t bits_per_key, uint64_t seed) {
+    size_t num_tables, size_t bits_per_key, uint64_t seed, ShardScheduler* scheduler) {
   std::deque<LshBandIndex> indexes;
-  for (const std::vector<BitVector>* filters : databases) {
-    LshBandIndex& index =
-        indexes.emplace_back(filter_bits, num_tables, bits_per_key, seed);
-    index.Reserve(filters->size());
-    for (const BitVector& filter : *filters) index.Append(filter);
+  for (size_t d = 0; d < databases.size(); ++d) {
+    indexes.emplace_back(filter_bits, num_tables, bits_per_key, seed);
   }
+  RunTasks(scheduler, databases.size(), [&](size_t d) {
+    indexes[d].Reserve(databases[d]->size());
+    for (const BitVector& filter : *databases[d]) indexes[d].Append(filter);
+  });
   return indexes;
 }
 
 void ForEachLshCandidateRow(const LshBandIndex& a_index, const LshBandIndex& b_index,
                             const BlockPartitioner& partitioner, uint32_t worker,
-                            const CandidateRowFn& consume) {
+                            size_t a_begin, size_t a_end, const CandidateRowFn& consume) {
   assert(a_index.blocker().positions() == b_index.blocker().positions());
+  assert(a_begin <= a_end && a_end <= a_index.size());
   const size_t num_tables = b_index.tables_.size();
   const size_t bits_per_key = b_index.blocker().bits_per_key();
 
@@ -181,7 +183,7 @@ void ForEachLshCandidateRow(const LshBandIndex& a_index, const LshBandIndex& b_i
   std::vector<uint32_t> seen(b_index.size(), 0);
   std::vector<uint32_t> bs;
   char key_bits[kMaxLshBitsPerKey];
-  for (uint32_t a = 0; a < a_index.size(); ++a) {
+  for (uint32_t a = static_cast<uint32_t>(a_begin); a < a_end; ++a) {
     const uint64_t* words = a_index.rows_.row(a);
     const uint32_t stamp = a + 1;
     bs.clear();
@@ -216,9 +218,11 @@ void ForEachLshCandidateRow(const LshBandIndex& a_index, const LshBandIndex& b_i
 std::vector<CandidatePair> LshCandidatePairs(const LshBandIndex& a_index,
                                              const LshBandIndex& b_index,
                                              const BlockPartitioner& partitioner,
-                                             uint32_t worker) {
+                                             uint32_t worker, size_t a_begin,
+                                             size_t a_end) {
+  a_end = std::min(a_end, a_index.size());
   std::vector<CandidatePair> pairs;
-  ForEachLshCandidateRow(a_index, b_index, partitioner, worker,
+  ForEachLshCandidateRow(a_index, b_index, partitioner, worker, a_begin, a_end,
                          [&](uint32_t a, const std::vector<uint32_t>& bs) {
                            for (const uint32_t b : bs) pairs.push_back({a, b});
                          });
@@ -230,7 +234,8 @@ void StreamLshPairRuns(const LshBandIndex& a_index, const LshBandIndex& b_index,
                        size_t shard_size, const CandidateShardFn& emit) {
   StreamCandidateRowRuns(
       [&](const CandidateRowFn& row) {
-        ForEachLshCandidateRow(a_index, b_index, partitioner, worker, row);
+        ForEachLshCandidateRow(a_index, b_index, partitioner, worker, 0,
+                               a_index.size(), row);
       },
       shard_size, emit);
 }

@@ -12,6 +12,7 @@
 #include "common/bit_matrix.h"
 #include "common/bitvector.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 
 namespace pprl {
 
@@ -120,7 +121,8 @@ class LshBandIndex {
   friend void ForEachLshCandidateRow(const LshBandIndex& a_index,
                                      const LshBandIndex& b_index,
                                      const BlockPartitioner& partitioner,
-                                     uint32_t worker, const CandidateRowFn& consume);
+                                     uint32_t worker, size_t a_begin, size_t a_end,
+                                     const CandidateRowFn& consume);
 
   Rng rng_;  ///< consumed by blocker_'s construction; kept for init order
   HammingLshBlocker blocker_;
@@ -136,16 +138,24 @@ class LshBandIndex {
 /// and LinkPartition, PprlPipeline's Hamming-LSH branch): one index per
 /// database, all over the same band geometry. Index d holds
 /// `*databases[d]` as rows 0..n-1, so its rows() matrix is what the
-/// compare kernels read. A deque, because an index cannot move.
+/// compare kernels read. A deque, because an index cannot move. Each
+/// index is filled by one task (RunTasks on `scheduler`, inline when it
+/// is null); an index depends only on its rows and the geometry, so the
+/// result is the same either way.
 std::deque<LshBandIndex> BuildBandIndexes(
     const std::vector<const std::vector<BitVector>*>& databases, size_t filter_bits,
-    size_t num_tables, size_t bits_per_key, uint64_t seed);
+    size_t num_tables, size_t bits_per_key, uint64_t seed,
+    ShardScheduler* scheduler = nullptr);
 
 /// The candidate generator of the batch paths. For each row `a` of
-/// `a_index`, in ascending order, it walks `b_index`'s band chains for a's
-/// fingerprints, drops repeats with a per-row stamp, and calls
-/// consume(a, bs) with the sorted b rows that `worker` owns (rows with
-/// none are skipped). Both indexes must share one band geometry.
+/// `a_index` in [a_begin, a_end), in ascending order, it walks `b_index`'s
+/// band chains for a's fingerprints, drops repeats with a per-row stamp,
+/// and calls consume(a, bs) with the sorted b rows that `worker` owns
+/// (rows with none are skipped). Both indexes must share one band
+/// geometry, and a_begin <= a_end <= a_index.size(). A row's b rows depend
+/// on that row alone, so walking consecutive ranges one after another
+/// (or on different threads, each call with its own stamps) and joining
+/// them in range order yields the full-range walk.
 ///
 /// Ownership is the canonical-key rule of OwnedCandidatePairs: tables are
 /// visited in the string order of their HammingLshBlocker key prefixes
@@ -158,14 +168,16 @@ std::deque<LshBandIndex> BuildBandIndexes(
 /// exactly OwnedCandidatePairs' share of `worker`.
 void ForEachLshCandidateRow(const LshBandIndex& a_index, const LshBandIndex& b_index,
                             const BlockPartitioner& partitioner, uint32_t worker,
-                            const CandidateRowFn& consume);
+                            size_t a_begin, size_t a_end, const CandidateRowFn& consume);
 
-/// ForEachLshCandidateRow as one ascending (a, b) pair list, for the
-/// serial compare.
+/// ForEachLshCandidateRow over a rows [a_begin, min(a_end, a_index.size()))
+/// (all of them by default) as one ascending (a, b) pair list, for the
+/// kernels' CompareMatrices.
 std::vector<CandidatePair> LshCandidatePairs(const LshBandIndex& a_index,
                                              const LshBandIndex& b_index,
                                              const BlockPartitioner& partitioner,
-                                             uint32_t worker);
+                                             uint32_t worker, size_t a_begin = 0,
+                                             size_t a_end = SIZE_MAX);
 
 /// ForEachLshCandidateRow as run shards (StreamCandidateRowRuns), for the
 /// streaming compare.

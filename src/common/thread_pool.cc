@@ -43,6 +43,10 @@ ShardScheduler::~ShardScheduler() {
   for (auto& t : threads_) t.join();
 }
 
+size_t ShardScheduler::HardwareThreads() {
+  return std::clamp<size_t>(std::thread::hardware_concurrency(), 1, kMaxThreads);
+}
+
 size_t ShardScheduler::PendingWindow(size_t num_threads) {
   return std::clamp<size_t>(4 * num_threads, 8, 64);
 }
@@ -101,6 +105,17 @@ void TaskGroup::Submit(std::function<void()> task) {
 void TaskGroup::Wait() {
   std::unique_lock<std::mutex> lock(scheduler_.mutex_);
   done_.wait(lock, [this] { return outstanding_ == 0; });
+}
+
+void RunTasks(ShardScheduler* scheduler, size_t count,
+              const std::function<void(size_t)>& task) {
+  if (scheduler == nullptr) {
+    for (size_t i = 0; i < count; ++i) task(i);
+    return;
+  }
+  TaskGroup group(*scheduler);
+  for (size_t i = 0; i < count; ++i) group.Submit([&task, i] { task(i); });
+  group.Wait();
 }
 
 }  // namespace pprl

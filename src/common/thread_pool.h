@@ -13,11 +13,12 @@ namespace pprl {
 
 class TaskGroup;
 
-/// The shard pool of the parallel linkage path (survey §3.4,
+/// The shard pool of the parallel linkage paths (survey §3.4,
 /// "Parallel/distributed processing"): N threads drain one FIFO queue
-/// under one mutex. A shard is a run of 16k–512k candidate pairs
-/// (ResolveParallelTuning), so even at a few thousand shards a second the
-/// queue mutex is taken far too rarely to contend.
+/// under one mutex. A task is a run shard of 16k–512k candidate pairs
+/// (ResolveParallelTuning) or one index build or candidate-range task of
+/// the linkage unit (RunTasks), so even at a few thousand tasks a second
+/// the queue mutex is taken far too rarely to contend.
 ///
 /// Bounded memory: `Submit` blocks the producer while PendingWindow()
 /// shards are queued but not yet started, so a blocking stage streams
@@ -36,6 +37,11 @@ class ShardScheduler {
   /// configured thread count to it, and the daemon refuses a larger
   /// `--threads` (LinkageUnitServer::Start).
   static constexpr size_t kMaxThreads = 256;
+
+  /// One worker per core: std::thread::hardware_concurrency() clamped to
+  /// [1, kMaxThreads] (an unknown core count gives 1). The daemon's
+  /// default `--threads`.
+  static size_t HardwareThreads();
 
   /// Starts max(1, num_threads) workers; callers keep num_threads <=
   /// kMaxThreads.
@@ -109,6 +115,15 @@ class TaskGroup {
   std::condition_variable done_;
   size_t outstanding_ = 0;  // guarded by scheduler_.mutex_
 };
+
+/// Runs task(0), …, task(count - 1) and returns once all have finished:
+/// in index order on the calling thread when `scheduler` is null, else as
+/// one TaskGroup on `scheduler`. The caller must not be one of the pool's
+/// own workers. Tasks that write only their own slot of a caller-owned
+/// array need no lock, and joining the slots in index order afterwards
+/// gives the same output at every thread count.
+void RunTasks(ShardScheduler* scheduler, size_t count,
+              const std::function<void(size_t)>& task);
 
 }  // namespace pprl
 

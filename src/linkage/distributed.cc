@@ -1,9 +1,31 @@
 #include "linkage/distributed.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <utility>
 
 namespace pprl {
+
+Status ValidatePartitionEdges(const std::vector<MatchEdge>& edges,
+                              const std::vector<size_t>& database_sizes) {
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const MatchEdge& e = edges[i];
+    const bool databases_ok =
+        e.x.database < e.y.database && e.y.database < database_sizes.size();
+    if (!databases_ok || e.x.record >= database_sizes[e.x.database] ||
+        e.y.record >= database_sizes[e.y.database] || !std::isfinite(e.score) ||
+        e.score < 0 || e.score > 1) {
+      return Status::ProtocolViolation(
+          "partition-result edge " + std::to_string(i) + " (" +
+          std::to_string(e.x.database) + ":" + std::to_string(e.x.record) + ", " +
+          std::to_string(e.y.database) + ":" + std::to_string(e.y.record) +
+          ", score " + std::to_string(e.score) +
+          ") is not an edge of the shipped databases with a score in [0, 1]");
+    }
+  }
+  return Status::OK();
+}
 
 MergedPartitions MergeWorkerPartitions(std::vector<WorkerPartitionResult> parts) {
   MergedPartitions merged;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "linkage/clustering.h"
 
 namespace pprl {
@@ -33,6 +34,16 @@ struct MergedPartitions {
   uint64_t candidate_pairs = 0;
   uint64_t pruned_comparisons = 0;
 };
+
+/// The coordinator's check of one gathered worker result, before the
+/// merge: every edge must join two shipped databases in ascending order
+/// (x.database < y.database < database_sizes.size()), name records below
+/// their database's size, and carry a finite score in [0, 1].
+/// ProtocolViolation names the first edge that fails, so a faulty worker
+/// is retried like any other worker fault instead of handing clustering
+/// an out-of-range record or a NaN score to sort.
+Status ValidatePartitionEdges(const std::vector<MatchEdge>& edges,
+                              const std::vector<size_t>& database_sizes);
 
 /// Merges gathered worker results deterministically: concatenates the edge
 /// lists, sorts them into the canonical single-path order, and sums the

@@ -1,11 +1,12 @@
 #include "pipeline/party.h"
 
+#include <algorithm>
 #include <deque>
+#include <optional>
 
 #include "blocking/lsh_index.h"
 #include "common/bit_matrix.h"
 #include "linkage/comparison.h"
-#include "linkage/parallel_linkage.h"
 #include "obs/metrics.h"
 #include "obs/stage_timer.h"
 #include "similarity/similarity.h"
@@ -121,82 +122,80 @@ Result<size_t> LinkableFilterBits(const std::vector<EncodedDatabase>& databases,
   return filter_bits;
 }
 
-/// The block and compare stages Link() and LinkPartition() share: one
-/// LshBandIndex per database over the options' seeded geometry, then, for
-/// every database pair, the candidates `worker` owns under `partitioner`
-/// (all of them with one worker), scored by the Dice kernels over the
-/// indexes' row matrices and thresholded. Every process holding the same
-/// shipments derives the same indexes, so a partition needs no
-/// coordination beyond the ring geometry.
-///
-/// Serially, the block stage ends once every pair's candidates exist, so
-/// pprl_stage_seconds{stage="block"} is index plus candidates and
-/// {stage="compare"} kernels plus threshold. With more than one worker
-/// (or a borrowed pool) the candidates stream as run shards into the
-/// tiled compare instead, so their production counts under compare. Both
-/// branches score the same pairs in the same order with the same kernel,
-/// so edges are identical at any worker count.
+/// The block and compare stages Link() and LinkPartition() share, as one
+/// task list for every thread count. The block stage is one task per
+/// database that builds its LshBandIndex over the options' seeded
+/// geometry. The compare stage is one task per (database pair, range of
+/// kCandidateRangeRows a-rows): the task walks the range's candidates that
+/// `worker` owns under `partitioner` (all of them with one worker) and
+/// scores them with the Dice kernels against the linkage unit's accept
+/// rule. Tasks run inline at one thread, else on the borrowed pool or on
+/// one pool for this call, and join in (pair, range) order, so edges and
+/// counters are those of one serial walk per pair at any thread count.
+/// Every process holding the same shipments derives the same indexes, so
+/// a partition needs no coordination beyond the ring geometry.
 PartitionLinkResult BlockAndCompare(const std::vector<EncodedDatabase>& databases,
                                     size_t filter_bits,
                                     const MultiPartyLinkageOptions& options,
                                     const BlockPartitioner& partitioner,
                                     uint32_t worker) {
-  const bool parallel = options.scheduler != nullptr || options.num_threads > 1;
+  std::optional<ShardScheduler> owned;
+  ShardScheduler* scheduler = options.scheduler;
+  if (scheduler == nullptr && options.num_threads > 1) {
+    scheduler =
+        &owned.emplace(std::min(options.num_threads, ShardScheduler::kMaxThreads));
+  }
+
   obs::StageTimer block_span("block");
   std::vector<const std::vector<BitVector>*> filters;
   for (const EncodedDatabase& db : databases) filters.push_back(&db.filters);
   const std::deque<LshBandIndex> indexes =
       BuildBandIndexes(filters, filter_bits, options.lsh_tables,
-                       options.lsh_bits_per_key, options.lsh_seed);
-  std::vector<std::vector<CandidatePair>> candidates;
-  if (!parallel) {
-    for (uint32_t d1 = 0; d1 < databases.size(); ++d1) {
-      for (uint32_t d2 = d1 + 1; d2 < databases.size(); ++d2) {
-        candidates.push_back(
-            LshCandidatePairs(indexes[d1], indexes[d2], partitioner, worker));
+                       options.lsh_bits_per_key, options.lsh_seed, scheduler);
+  block_span.Stop();
+
+  struct RangeTask {
+    uint32_t d1, d2;
+    size_t a_begin, a_end;
+  };
+  struct RangeResult {
+    std::vector<ScoredPair> hits;
+    size_t candidate_pairs = 0, comparisons = 0, pruned = 0;
+  };
+  std::vector<RangeTask> tasks;
+  for (uint32_t d1 = 0; d1 < databases.size(); ++d1) {
+    for (uint32_t d2 = d1 + 1; d2 < databases.size(); ++d2) {
+      const size_t rows = indexes[d1].size();
+      for (size_t a = 0; a < rows; a += kCandidateRangeRows) {
+        tasks.push_back({d1, d2, a, std::min(a + kCandidateRangeRows, rows)});
       }
     }
   }
-  block_span.Stop();
 
   // One table decides every pair of every database pair under the linkage
   // unit's accept rule, so the kernels' hits are exactly the edges.
   const DiceCutoffs cutoffs(options.dice_threshold, filter_bits, LinkageAccepts);
-  const ComparisonEngine engine(SimilarityMeasure::kDice);
-  PartitionLinkResult result;
   obs::StageTimer compare_span("compare");
-  size_t pair_index = 0;
-  for (uint32_t d1 = 0; d1 < databases.size(); ++d1) {
-    for (uint32_t d2 = d1 + 1; d2 < databases.size(); ++d2) {
-      const BitMatrix& a_rows = indexes[d1].rows();
-      const BitMatrix& b_rows = indexes[d2].rows();
-      std::vector<ScoredPair> scored;
-      if (parallel) {
-        ParallelLinkageOptions parallel_options;
-        parallel_options.num_threads = options.num_threads;
-        parallel_options.scheduler = options.scheduler;
-        const size_t shard_size =
-            ResolveParallelTuning(parallel_options, filter_bits).shard_size;
-        StreamCompareResult streamed = StreamCompareShards(
-            cutoffs, a_rows, b_rows, parallel_options,
-            [&](const CandidateShardFn& emit) {
-              StreamLshPairRuns(indexes[d1], indexes[d2], partitioner, worker,
-                                shard_size, emit);
-            });
-        result.candidate_pairs += streamed.comparisons;
-        result.comparisons += streamed.comparisons;
-        result.pruned_comparisons += streamed.pruned;
-        scored = std::move(streamed.hits);
-      } else {
-        const std::vector<CandidatePair> pairs = std::move(candidates[pair_index++]);
-        result.candidate_pairs += pairs.size();
-        scored = engine.CompareMatrices(a_rows, b_rows, pairs, cutoffs);
-        result.comparisons += engine.last_comparison_count();
-        result.pruned_comparisons += engine.last_pruned_count();
-      }
-      for (const ScoredPair& pair : scored) {
-        result.edges.push_back({{d1, pair.a}, {d2, pair.b}, pair.score});
-      }
+  std::vector<RangeResult> ranges(tasks.size());
+  RunTasks(scheduler, tasks.size(), [&](size_t i) {
+    const RangeTask& task = tasks[i];
+    const std::vector<CandidatePair> pairs =
+        LshCandidatePairs(indexes[task.d1], indexes[task.d2], partitioner, worker,
+                          task.a_begin, task.a_end);
+    const ComparisonEngine engine(SimilarityMeasure::kDice);
+    ranges[i].hits = engine.CompareMatrices(indexes[task.d1].rows(),
+                                            indexes[task.d2].rows(), pairs, cutoffs);
+    ranges[i].candidate_pairs = pairs.size();
+    ranges[i].comparisons = engine.last_comparison_count();
+    ranges[i].pruned = engine.last_pruned_count();
+  });
+  PartitionLinkResult result;
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    result.candidate_pairs += ranges[i].candidate_pairs;
+    result.comparisons += ranges[i].comparisons;
+    result.pruned_comparisons += ranges[i].pruned;
+    for (const ScoredPair& pair : ranges[i].hits) {
+      result.edges.push_back({{tasks[i].d1, pair.a}, {tasks[i].d2, pair.b}, pair.score});
     }
   }
   compare_span.Stop();

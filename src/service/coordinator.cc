@@ -280,11 +280,14 @@ Result<PartitionResultMessage> CoordinatorServer::DriveWorker(
   assign.lsh_tables = static_cast<uint32_t>(options.lsh_tables);
   assign.lsh_bits_per_key = static_cast<uint32_t>(options.lsh_bits_per_key);
   assign.lsh_seed = options.lsh_seed;
-  return AssignWithRetry(worker_index, assign);
+  std::vector<size_t> database_sizes;
+  for (const EncodedDatabase& db : unit.databases()) database_sizes.push_back(db.size());
+  return AssignWithRetry(worker_index, assign, database_sizes);
 }
 
 Result<PartitionResultMessage> CoordinatorServer::AssignWithRetry(
-    size_t worker_index, const AssignPartitionMessage& assign) {
+    size_t worker_index, const AssignPartitionMessage& assign,
+    const std::vector<size_t>& database_sizes) {
   const WorkerEndpoint& worker = coordinator_.workers[worker_index];
   const auto attempt_assignment = [&](int attempt,
                                       int* busy_hint_ms) -> Result<PartitionResultMessage> {
@@ -333,6 +336,7 @@ Result<PartitionResultMessage> CoordinatorServer::AssignWithRetry(
                                        ", assigned " +
                                        std::to_string(assign.worker_index));
     }
+    PPRL_RETURN_IF_ERROR(ValidatePartitionEdges(result->edges, database_sizes));
     return result;
   };
 

@@ -136,9 +136,12 @@ class CoordinatorServer {
                                              const MultiPartyLinkageOptions& options);
 
   /// One kAssignPartition -> kPartitionResult exchange with retry/backoff
-  /// (fresh connection per attempt; BUSY hints honoured).
-  Result<PartitionResultMessage> AssignWithRetry(size_t worker_index,
-                                                 const AssignPartitionMessage& assign);
+  /// (fresh connection per attempt; BUSY hints honoured). A result whose
+  /// edges fail ValidatePartitionEdges against `database_sizes` counts as
+  /// a failed attempt.
+  Result<PartitionResultMessage> AssignWithRetry(
+      size_t worker_index, const AssignPartitionMessage& assign,
+      const std::vector<size_t>& database_sizes);
 
   LinkageUnitServerConfig server_config_;
   CoordinatorConfig coordinator_;

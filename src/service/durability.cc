@@ -180,6 +180,20 @@ Result<uint64_t> OnlineDurability::DurableAppend(OnlineLinkageEngine& engine,
                                                  const EncodedDatabase& records,
                                                  size_t begin, size_t end,
                                                  uint32_t* database_index) {
+  // A batch the engine would reject must never reach the WAL: replay
+  // would stop at it, and every later Recover would fail.
+  if (records.ids.size() != records.filters.size() || begin > end ||
+      end > records.size()) {
+    return Status::InvalidArgument("append batch ids/filters size mismatch");
+  }
+  for (size_t i = begin; i < end; ++i) {
+    if (records.filters[i].size() != engine.filter_bits()) {
+      return Status::InvalidArgument(
+          "append batch has a " + std::to_string(records.filters[i].size()) +
+          "-bit filter; this engine uses " + std::to_string(engine.filter_bits()) +
+          " bits");
+    }
+  }
   std::lock_guard<std::mutex> lock(mutex_);
   PPRL_RETURN_IF_ERROR(
       EnsureWalLocked(static_cast<uint32_t>(engine.filter_bits())));

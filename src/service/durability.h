@@ -81,7 +81,9 @@ class OnlineDurability {
   /// chunks, each applied to the engine only after its WAL write returned.
   /// Returns the party's post-append record cursor. On a journal failure
   /// (disk full) nothing is applied and no ack must be sent — the engine
-  /// never holds records the WAL does not.
+  /// never holds records the WAL does not. A batch with unequal ids and
+  /// filters, a range outside it, or a row whose width is not the
+  /// engine's is InvalidArgument before anything is journaled.
   Result<uint64_t> DurableAppend(OnlineLinkageEngine& engine,
                                  const std::string& party,
                                  const EncodedDatabase& records, size_t begin,

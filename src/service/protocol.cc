@@ -443,15 +443,15 @@ Result<std::vector<uint8_t>> EncodeShipment(const EncodedDatabase& encoded) {
 }
 
 Result<std::vector<uint8_t>> EncodeShipment(const EncodedShard& shard) {
-  if (shard.ids.size() != shard.bits.num_rows()) {
-    return Status::InvalidArgument("shipment ids/filters size mismatch");
-  }
   return EncodeShipmentRows(shard, 0, shard.size());
 }
 
 Result<std::vector<uint8_t>> EncodeShipmentRows(const EncodedShard& shard,
                                                 size_t row_begin,
                                                 size_t row_end) {
+  if (shard.ids.size() != shard.bits.num_rows()) {
+    return Status::InvalidArgument("shipment ids/filters size mismatch");
+  }
   if (row_begin > row_end || row_end > shard.size()) {
     return Status::InvalidArgument("shipment row range out of bounds");
   }

@@ -347,7 +347,8 @@ Result<std::vector<uint8_t>> EncodeShipment(const EncodedDatabase& encoded);
 Result<std::vector<uint8_t>> EncodeShipment(const EncodedShard& shard);
 
 /// Rows [row_begin, row_end) of a shard in the same wire layout — the
-/// batching primitive of the online append/query path.
+/// batching primitive of the online append/query path. InvalidArgument
+/// unless the shard has one id per row and the range lies inside it.
 Result<std::vector<uint8_t>> EncodeShipmentRows(const EncodedShard& shard,
                                                 size_t row_begin,
                                                 size_t row_end);

@@ -212,7 +212,7 @@ Status LinkageUnitServer::Start() {
       return metrics_started;
     }
   }
-  if (config_.link_threads > 1) {
+  if (config_.link_threads > 1 && !config_.online_mode && !config_.distributed_linker) {
     link_scheduler_ = std::make_unique<ShardScheduler>(config_.link_threads);
   }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
@@ -1139,6 +1139,7 @@ void LinkageUnitServer::HandleAssignPartition(MeteredFrameConnection& mfc,
       return;
     }
     MultiPartyLinkageOptions options = config_.link_options;
+    if (link_scheduler_) options.scheduler = link_scheduler_.get();
     options.dice_threshold = assign->dice_threshold;
     options.lsh_tables = assign->lsh_tables;
     options.lsh_bits_per_key = assign->lsh_bits_per_key;

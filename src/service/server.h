@@ -55,12 +55,16 @@ struct LinkageUnitServerConfig {
   /// (unless the quorum option below kicks in first).
   size_t expected_owners = 2;
   MultiPartyLinkageOptions link_options;
-  /// Workers in the daemon's shared shard pool. >1 runs every linkage's
-  /// comparison stage on it (overriding link_options.num_threads/scheduler);
-  /// concurrent linkage runs share the same workers, each tracking its own
-  /// completion. 1 keeps linkage serial. Start() refuses more than
-  /// ShardScheduler::kMaxThreads.
-  size_t link_threads = 1;
+  /// Workers in the daemon's shared shard pool, one per core by default.
+  /// >1 runs the index builds and candidate-range tasks of every Link()
+  /// and LinkPartition() this daemon runs on it (overriding
+  /// link_options.num_threads/scheduler); concurrent runs share the same
+  /// workers, each tracking its own completion. 1 runs them inline on the
+  /// session thread. Only the single-daemon and worker roles start the
+  /// pool: the online role and a coordinator front (distributed_linker
+  /// set) never call Link() or LinkPartition() themselves. Results do not
+  /// depend on it. Start() refuses more than ShardScheduler::kMaxThreads.
+  size_t link_threads = ShardScheduler::HardwareThreads();
   /// Per-socket read/write timeout while a session is active. It does not
   /// bound shutdown: Stop() ends every idle read at once.
   int io_timeout_ms = 30000;
@@ -333,7 +337,8 @@ class LinkageUnitServer {
   /// erases entries, and Stop() joins them once the accept loop is gone.
   std::mutex threads_mutex_;
   std::map<uint64_t, SessionThread> session_threads_;
-  /// Shared shard pool for parallel linkage (set when link_threads > 1).
+  /// Shared shard pool of Link() and LinkPartition() (set when
+  /// link_threads > 1 in the single-daemon and worker roles).
   std::unique_ptr<ShardScheduler> link_scheduler_;
   std::unique_ptr<MetricsHttpServer> metrics_server_;
   Channel channel_;

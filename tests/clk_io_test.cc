@@ -184,6 +184,19 @@ TEST(PackedRowCodecTest, ShipmentCodecsMatchTheReference) {
   }
 }
 
+/// A shard with fewer ids than rows is refused by every shard encoder,
+/// also by the row-range one the append and query paths call directly.
+TEST(PackedRowCodecTest, ShipmentRowsRejectShortIds) {
+  const CodecCase c = MakeCodecCase(500, 17);
+  EncodedShard shard = ShardFromEncodedDatabase(c.ref);
+  shard.ids.resize(shard.size() - 3);
+  for (const auto& encoded :
+       {EncodeShipment(shard), EncodeShipmentRows(shard, 0, shard.size()),
+        EncodeShipmentRows(shard, 0, 2)}) {
+    EXPECT_EQ(encoded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(PackedRowCodecTest, WalAppendBatchCodecsMatchTheReference) {
   for (size_t bits : kCodecWidths) {
     const CodecCase c = MakeCodecCase(bits, 400 + bits);

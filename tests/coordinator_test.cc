@@ -1,4 +1,5 @@
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -6,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include "datagen/generator.h"
+#include "linkage/distributed.h"
+#include "net/transport.h"
+#include "obs/metrics.h"
 #include "pipeline/party.h"
 #include "pipeline/pipeline.h"
 #include "service/client.h"
 #include "service/coordinator.h"
+#include "service/protocol.h"
 #include "service/server.h"
 
 namespace pprl {
@@ -327,6 +332,133 @@ TEST(CoordinatorTest, BelowQuorumFailsTheRun) {
   EXPECT_FALSE(coordinator.server().result().ok());
 
   coordinator.Stop();
+}
+
+/// One kAssignPartition -> kPartitionResult exchange with the worker at
+/// `port`, as a coordinator drives it (one attempt, no retry).
+Result<PartitionResultMessage> AssignPartition(uint16_t port,
+                                               const AssignPartitionMessage& assign) {
+  ConnectOptions connect;
+  connect.io_timeout_ms = 60000;
+  auto conn = TcpConnection::Connect("127.0.0.1", port, connect);
+  if (!conn.ok()) return conn.status();
+  MeteredFrameConnection mfc(**conn, nullptr, assign.coordinator);
+  PPRL_RETURN_IF_ERROR(mfc.Send(static_cast<uint8_t>(MessageType::kAssignPartition),
+                                EncodeAssignPartition(assign), "assign-partition"));
+  int busy_hint_ms = -1;
+  auto payload =
+      ExpectFrame(mfc.Receive(nullptr), MessageType::kPartitionResult, &busy_hint_ms);
+  if (!payload.ok()) return payload.status();
+  return DecodePartitionResult(*payload);
+}
+
+/// A worker links its partition on its own pool (`--threads`): at
+/// link_threads 4 it returns the same partition as at 1 and as the
+/// in-process LinkPartition — edges, scores and counters — and only the
+/// pooled worker runs its tasks on a shard pool (pprl_shard_seconds).
+TEST(CoordinatorTest, WorkerLinksItsPartitionOnItsPool) {
+  Scenario scenario = MakeScenario(3, 150);
+  MultiPartyLinkageOptions options;
+  options.dice_threshold = 0.78;
+  LinkageUnitService reference_unit("lu");
+  Channel reference_channel;
+  LocalLinkageUnitSink sink(reference_channel, reference_unit);
+  for (DatabaseOwner& owner : scenario.owners) {
+    ASSERT_TRUE(owner.ShipEncodings(sink).ok());
+  }
+  const PartitionSpec spec{1, 2, PartitionScheme::kAuto};
+  const auto reference = reference_unit.LinkPartition(options, spec);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_FALSE(reference->edges.empty());
+
+  AssignPartitionMessage assign;
+  assign.protocol_version = kWireProtocolVersion;
+  assign.coordinator = "test-coordinator";
+  assign.worker_index = spec.worker_index;
+  assign.num_workers = spec.num_workers;
+  assign.expected_owners = static_cast<uint32_t>(scenario.owners.size());
+  assign.dice_threshold = options.dice_threshold;
+  assign.lsh_tables = static_cast<uint32_t>(options.lsh_tables);
+  assign.lsh_bits_per_key = static_cast<uint32_t>(options.lsh_bits_per_key);
+  assign.lsh_seed = options.lsh_seed;
+
+  obs::Histogram& shard_seconds = obs::GlobalMetrics().GetHistogram(
+      "pprl_shard_seconds", "Per-shard execution time on the scheduler",
+      obs::DefaultLatencyBuckets());
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    LinkageUnitServerConfig config;
+    config.name = "worker";
+    config.expected_owners = scenario.owners.size();
+    config.worker_mode = true;
+    config.io_timeout_ms = 60000;
+    config.link_threads = threads;
+    LinkageUnitServer worker(config);
+    ASSERT_TRUE(worker.Start().ok());
+    for (DatabaseOwner& owner : scenario.owners) {
+      RemoteOwnerClientConfig ship;
+      ship.port = worker.port();
+      ship.wait_for_results = false;
+      RemoteOwnerClient client(ship);
+      ASSERT_TRUE(owner.ShipEncodings(client).ok()) << owner.name();
+    }
+    ASSERT_EQ(worker.owner_order(), scenario.names);
+
+    const uint64_t tasks_before = shard_seconds.count();
+    auto part = AssignPartition(worker.port(), assign);
+    const uint64_t pool_tasks = shard_seconds.count() - tasks_before;
+    worker.Stop();
+    ASSERT_TRUE(part.ok()) << part.status().ToString();
+    const std::string label = std::to_string(threads) + " link threads";
+    if (threads == 1) {
+      EXPECT_EQ(pool_tasks, 0u) << label;
+    } else {
+      EXPECT_GT(pool_tasks, 0u) << label;
+    }
+    EXPECT_EQ(part->worker_index, spec.worker_index) << label;
+    EXPECT_EQ(part->comparisons, reference->comparisons) << label;
+    EXPECT_EQ(part->candidate_pairs, reference->candidate_pairs) << label;
+    EXPECT_EQ(part->pruned_comparisons, reference->pruned_comparisons) << label;
+    ASSERT_EQ(part->edges.size(), reference->edges.size()) << label;
+    for (size_t i = 0; i < part->edges.size(); ++i) {
+      EXPECT_EQ(part->edges[i].x, reference->edges[i].x) << label << ", edge " << i;
+      EXPECT_EQ(part->edges[i].y, reference->edges[i].y) << label << ", edge " << i;
+      EXPECT_EQ(part->edges[i].score, reference->edges[i].score)
+          << label << ", edge " << i;
+    }
+  }
+}
+
+/// The coordinator's gathered-edge check: a real partition passes, and
+/// each forged edge — databases out of order or unshipped, a record past
+/// its database's end, a score that is NaN, infinite or outside [0, 1] —
+/// is a ProtocolViolation, which the assignment retries like any fault.
+TEST(PartitionEdgeCheckTest, RejectsForgedEdges) {
+  const std::vector<size_t> sizes = {10, 20, 5};
+  const std::vector<MatchEdge> good = {
+      {{0, 0}, {1, 19}, 0.8}, {{0, 9}, {2, 4}, 1.0}, {{1, 3}, {2, 0}, 0.0}};
+  EXPECT_TRUE(ValidatePartitionEdges(good, sizes).ok());
+  EXPECT_TRUE(ValidatePartitionEdges({}, sizes).ok());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<MatchEdge> forged = {
+      {{1, 0}, {0, 0}, 0.9},   // databases descending
+      {{1, 0}, {1, 1}, 0.9},   // one database on both ends
+      {{0, 0}, {3, 0}, 0.9},   // an unshipped database
+      {{0, 10}, {1, 0}, 0.9},  // x record past its database
+      {{0, 0}, {2, 5}, 0.9},   // y record past its database
+      {{0, 0}, {1, 0}, nan},   {{0, 0}, {1, 0}, inf},   {{0, 0}, {1, 0}, -inf},
+      {{0, 0}, {1, 0}, -0.25}, {{0, 0}, {1, 0}, 1.5},
+  };
+  for (size_t i = 0; i < forged.size(); ++i) {
+    std::vector<MatchEdge> edges = good;
+    edges.insert(edges.begin() + 1, forged[i]);
+    const Status checked = ValidatePartitionEdges(edges, sizes);
+    EXPECT_EQ(checked.code(), StatusCode::kProtocolViolation) << "forged edge " << i;
+    EXPECT_NE(checked.message().find("edge 1 "), std::string::npos) << checked.message();
+  }
+  EXPECT_EQ(ValidatePartitionEdges(good, {10, 20}).code(),
+            StatusCode::kProtocolViolation);
 }
 
 /// The --workers flag parser: host:port entries or bare ports, every

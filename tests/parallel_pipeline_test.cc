@@ -3,12 +3,18 @@
 // and clusters. Shard boundaries, which worker runs which shard and merge
 // timing may vary freely underneath — none of it may reach the output.
 
+#include <bit>
+#include <cstdint>
+#include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "blocking/blocking.h"
+#include "blocking/lsh_index.h"
+#include "blocking/partitioner.h"
 #include "common/bit_matrix.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -80,83 +86,148 @@ TEST(ParallelPipelineTest, FullPairsBlockingAlsoDeterministic) {
   }
 }
 
-/// The multi-party service path: serial Link() versus worker counts and a
-/// borrowed shared scheduler must agree on edges, clusters and counters.
+/// The serial reference for Link() and LinkPartition(): one
+/// BuildBandIndexes, then per database pair one LshCandidatePairs walk
+/// over every a-row and one CompareMatrices, edges in pair order. Every
+/// thread count and partition must reproduce it bit for bit.
+PartitionLinkResult SerialLinkReference(const std::vector<EncodedDatabase>& databases,
+                                        const MultiPartyLinkageOptions& options,
+                                        const BlockPartitioner& partitioner,
+                                        uint32_t worker) {
+  const size_t bits = databases[0].filters[0].size();
+  std::vector<const std::vector<BitVector>*> filters;
+  for (const EncodedDatabase& db : databases) filters.push_back(&db.filters);
+  const std::deque<LshBandIndex> indexes =
+      BuildBandIndexes(filters, bits, options.lsh_tables, options.lsh_bits_per_key,
+                       options.lsh_seed);
+  const DiceCutoffs cutoffs(options.dice_threshold, bits, LinkageAccepts);
+  const ComparisonEngine engine(SimilarityMeasure::kDice);
+  PartitionLinkResult result;
+  for (uint32_t d1 = 0; d1 < databases.size(); ++d1) {
+    for (uint32_t d2 = d1 + 1; d2 < databases.size(); ++d2) {
+      const std::vector<CandidatePair> pairs =
+          LshCandidatePairs(indexes[d1], indexes[d2], partitioner, worker);
+      result.candidate_pairs += pairs.size();
+      for (const ScoredPair& pair :
+           engine.CompareMatrices(indexes[d1].rows(), indexes[d2].rows(), pairs, cutoffs)) {
+        result.edges.push_back({{d1, pair.a}, {d2, pair.b}, pair.score});
+      }
+      result.comparisons += engine.last_comparison_count();
+      result.pruned_comparisons += engine.last_pruned_count();
+    }
+  }
+  return result;
+}
+
+void ExpectSameEdges(const std::vector<MatchEdge>& want, const std::vector<MatchEdge>& got,
+                     const std::string& label) {
+  ASSERT_EQ(want.size(), got.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].x, got[i].x) << label << ", edge " << i;
+    EXPECT_EQ(want[i].y, got[i].y) << label << ", edge " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(want[i].score), std::bit_cast<uint64_t>(got[i].score))
+        << label << ", edge " << i;
+  }
+}
+
+/// The multi-party service path against the serial reference: Link() at
+/// 1–4 threads and on a borrowed pool, and LinkPartition() at every
+/// worker of rings of 1–3, agree with it on edges (bitwise), clusters and
+/// all three counters. Database sizes straddle the candidate-range size R
+/// (1, R−1, R, R+1 and 2R+7 rows), so one-row, short, exact and split
+/// ranges all occur.
 TEST(ParallelPipelineTest, MultiPartyLinkIdenticalAcrossWorkerCounts) {
+  constexpr size_t R = kCandidateRangeRows;
   DataGenerator gen(GeneratorConfig{});
   LinkageScenarioConfig scenario;
-  scenario.records_per_database = 120;
-  scenario.num_databases = 3;
+  scenario.records_per_database = 2 * R + 7;
+  scenario.num_databases = 4;
   scenario.overlap = 0.4;
   scenario.corruption.mean_corruptions = 1.0;
   auto dbs = gen.GenerateScenario(scenario);
   ASSERT_TRUE(dbs.ok());
-
   PipelineConfig encoder_config;
+  encoder_config.bloom.num_bits = 500;
   const ClkEncoder encoder(encoder_config.bloom, PprlPipeline::DefaultFieldConfigs());
-  Channel channel;
-  LinkageUnitService unit("lu");
-  for (size_t d = 0; d < dbs->size(); ++d) {
-    DatabaseOwner owner("owner-" + std::to_string(d), std::move((*dbs)[d]));
-    ASSERT_TRUE(owner.Encode(encoder).ok());
-    auto shipment = owner.ShipEncodings(channel, unit.name());
-    ASSERT_TRUE(shipment.ok());
-    ASSERT_TRUE(unit.Receive(owner.name(), std::move(shipment).value()).ok());
+  std::vector<EncodedDatabase> encoded;
+  for (const Database& db : *dbs) {
+    auto filters = encoder.EncodeDatabase(db);
+    ASSERT_TRUE(filters.ok());
+    EncodedDatabase shipment;
+    for (const Record& r : db.records) shipment.ids.push_back(r.id);
+    shipment.filters = std::move(filters).value();
+    encoded.push_back(std::move(shipment));
   }
 
-  MultiPartyLinkageOptions options;
-  options.dice_threshold = 0.8;
-  options.use_star_clustering = false;  // exercise parallel union-find
-  const auto serial = unit.Link(options);
-  ASSERT_TRUE(serial.ok()) << serial.status().message();
-  EXPECT_FALSE(serial->edges.empty());
-
-  auto expect_same = [&](const MultiPartyLinkageResult& actual, const std::string& label) {
-    ASSERT_EQ(serial->edges.size(), actual.edges.size()) << label;
-    for (size_t i = 0; i < serial->edges.size(); ++i) {
-      EXPECT_EQ(serial->edges[i].x, actual.edges[i].x) << label << ", edge " << i;
-      EXPECT_EQ(serial->edges[i].y, actual.edges[i].y) << label << ", edge " << i;
-      EXPECT_EQ(serial->edges[i].score, actual.edges[i].score) << label << ", edge " << i;
-    }
-    ASSERT_EQ(serial->clusters.size(), actual.clusters.size()) << label;
-    for (size_t i = 0; i < serial->clusters.size(); ++i) {
-      EXPECT_EQ(serial->clusters[i], actual.clusters[i]) << label << ", cluster " << i;
-    }
-    EXPECT_EQ(serial->comparisons, actual.comparisons) << label;
-    EXPECT_EQ(serial->pruned_comparisons, actual.pruned_comparisons) << label;
+  struct Case {
+    std::vector<size_t> sizes;
+    bool star;
   };
-
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
-    MultiPartyLinkageOptions parallel_options = options;
-    parallel_options.num_threads = threads;
-    const auto parallel = unit.Link(parallel_options);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().message();
-    expect_same(*parallel, std::to_string(threads) + " threads");
-  }
-
+  const std::vector<Case> cases = {
+      {{2 * R + 7, R}, true},
+      {{R + 1, 1, R - 1}, false},
+      {{R, 2 * R + 7, R + 1, R - 1}, true},
+  };
   ShardScheduler shared(4);
-  MultiPartyLinkageOptions shared_options = options;
-  shared_options.scheduler = &shared;
-  const auto borrowed = unit.Link(shared_options);
-  ASSERT_TRUE(borrowed.ok()) << borrowed.status().message();
-  expect_same(*borrowed, "borrowed scheduler");
-
-  // A worker's partition runs the same block and compare code: streamed
-  // run shards of its owned pairs score exactly like the serial list.
-  for (uint32_t w = 0; w < 3; ++w) {
-    const PartitionSpec spec{w, 3, PartitionScheme::kAuto};
-    const auto serial_part = unit.LinkPartition(options, spec);
-    const auto parallel_part = unit.LinkPartition(shared_options, spec);
-    ASSERT_TRUE(serial_part.ok() && parallel_part.ok());
-    ASSERT_EQ(serial_part->edges.size(), parallel_part->edges.size()) << "worker " << w;
-    for (size_t i = 0; i < serial_part->edges.size(); ++i) {
-      EXPECT_EQ(serial_part->edges[i].x, parallel_part->edges[i].x) << "worker " << w;
-      EXPECT_EQ(serial_part->edges[i].y, parallel_part->edges[i].y) << "worker " << w;
-      EXPECT_EQ(serial_part->edges[i].score, parallel_part->edges[i].score) << "worker " << w;
+  for (const Case& c : cases) {
+    std::string sizes;
+    for (const size_t n : c.sizes) sizes += " " + std::to_string(n);
+    LinkageUnitService unit("lu");
+    std::vector<EncodedDatabase> shipped;
+    for (size_t d = 0; d < c.sizes.size(); ++d) {
+      EncodedDatabase db;
+      db.ids.assign(encoded[d].ids.begin(), encoded[d].ids.begin() + c.sizes[d]);
+      db.filters.assign(encoded[d].filters.begin(),
+                        encoded[d].filters.begin() + c.sizes[d]);
+      ASSERT_TRUE(unit.Receive("owner-" + std::to_string(d), db).ok());
+      shipped.push_back(std::move(db));
     }
-    EXPECT_EQ(serial_part->candidate_pairs, parallel_part->candidate_pairs) << "worker " << w;
-    EXPECT_EQ(serial_part->pruned_comparisons, parallel_part->pruned_comparisons)
-        << "worker " << w;
+
+    MultiPartyLinkageOptions options;
+    options.dice_threshold = 0.8;
+    options.use_star_clustering = c.star;
+    const PartitionLinkResult reference =
+        SerialLinkReference(shipped, options, BlockPartitioner(1), 0);
+    EXPECT_FALSE(reference.edges.empty()) << "sizes" << sizes;
+    const std::vector<Cluster> reference_clusters =
+        ClusterEdges(reference.edges, options.use_star_clustering);
+
+    std::vector<std::pair<std::string, MultiPartyLinkageOptions>> runs;
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
+      MultiPartyLinkageOptions run = options;
+      run.num_threads = threads;
+      runs.emplace_back(std::to_string(threads) + " threads", run);
+    }
+    MultiPartyLinkageOptions borrowed = options;
+    borrowed.scheduler = &shared;
+    runs.emplace_back("borrowed pool", borrowed);
+
+    for (const auto& [name, run] : runs) {
+      const std::string label = "sizes" + sizes + ", " + name;
+      const auto linked = unit.Link(run);
+      ASSERT_TRUE(linked.ok()) << label << ": " << linked.status().message();
+      ExpectSameEdges(reference.edges, linked->edges, label);
+      EXPECT_EQ(reference_clusters, linked->clusters) << label;
+      EXPECT_EQ(reference.candidate_pairs, linked->candidate_pairs) << label;
+      EXPECT_EQ(reference.comparisons, linked->comparisons) << label;
+      EXPECT_EQ(reference.pruned_comparisons, linked->pruned_comparisons) << label;
+
+      for (uint32_t workers = 1; workers <= 3; ++workers) {
+        for (uint32_t w = 0; w < workers; ++w) {
+          const std::string part_label =
+              label + ", worker " + std::to_string(w) + "/" + std::to_string(workers);
+          const PartitionSpec spec{w, workers, PartitionScheme::kAuto};
+          const PartitionLinkResult want = SerialLinkReference(
+              shipped, options, BlockPartitioner(workers, spec.scheme), w);
+          const auto part = unit.LinkPartition(run, spec);
+          ASSERT_TRUE(part.ok()) << part_label << ": " << part.status().message();
+          ExpectSameEdges(want.edges, part->edges, part_label);
+          EXPECT_EQ(want.candidate_pairs, part->candidate_pairs) << part_label;
+          EXPECT_EQ(want.comparisons, part->comparisons) << part_label;
+          EXPECT_EQ(want.pruned_comparisons, part->pruned_comparisons) << part_label;
+        }
+      }
+    }
   }
 }
 

@@ -445,6 +445,56 @@ TEST(RecoveryTest, CrashDuringRecoveryIsIdempotent) {
   EXPECT_EQ(Slurp((*segments)[0].second), before);
 }
 
+/// A batch the engine would reject never reaches the journal: a
+/// mixed-width batch and one with fewer ids than filters each fail the
+/// append, the WAL keeps its bytes and no hello is journaled for the new
+/// party, and the next Recover restores the state before them.
+TEST(RecoveryTest, RejectedBatchLeavesTheWalUnchanged) {
+  const auto dbs = MakeDatabases(20, /*seed=*/31);
+  const std::string dir = FreshDir("rejected_batch");
+  {
+    OnlineDurability durability(Config(dir));
+    std::unique_ptr<OnlineLinkageEngine> engine;
+    RecoveryReport report;
+    ASSERT_TRUE(durability.Recover(&engine, &report).ok());
+    engine = std::make_unique<OnlineLinkageEngine>(kFilterBits);
+    uint32_t db = 0;
+    ASSERT_TRUE(
+        durability.DurableAppend(*engine, "db-0", dbs[0], 0, dbs[0].size(), &db)
+            .ok());
+    auto segments = io::ListWalSegments(dir);
+    ASSERT_TRUE(segments.ok());
+    ASSERT_EQ(segments->size(), 1u);
+    const std::vector<uint8_t> before = Slurp((*segments)[0].second);
+
+    EncodedDatabase mixed = dbs[1];
+    mixed.filters[5] = BitVector(kFilterBits + 64);
+    const auto mixed_append =
+        durability.DurableAppend(*engine, "db-1", mixed, 0, mixed.size(), &db);
+    EXPECT_EQ(mixed_append.status().code(), StatusCode::kInvalidArgument);
+    EncodedDatabase short_ids = dbs[1];
+    short_ids.ids.pop_back();
+    const auto short_append =
+        durability.DurableAppend(*engine, "db-1", short_ids, 0, short_ids.size(), &db);
+    EXPECT_EQ(short_append.status().code(), StatusCode::kInvalidArgument);
+
+    EXPECT_EQ(engine->database_count(), 1u);
+    segments = io::ListWalSegments(dir);
+    ASSERT_TRUE(segments.ok());
+    ASSERT_EQ(segments->size(), 1u);
+    EXPECT_EQ(Slurp((*segments)[0].second), before);
+  }
+
+  OnlineDurability durability(Config(dir));
+  std::unique_ptr<OnlineLinkageEngine> engine;
+  RecoveryReport report;
+  ASSERT_TRUE(durability.Recover(&engine, &report).ok());
+  ASSERT_NE(engine, nullptr);
+  EXPECT_EQ(report.replayed_records, dbs[0].size());
+  auto reference = BuildReference({dbs[0]});
+  ExpectEngineParity(*engine, *reference);
+}
+
 TEST(RecoveryTest, CorruptWalRefusesStartup) {
   const auto dbs = MakeDatabases(15, /*seed=*/37);
   const std::string dir = FreshDir("corrupt_wal");

@@ -351,5 +351,41 @@ TEST(ServiceRoundtripTest, OutOfRangeLinkThreadsFailsStart) {
   }
 }
 
+/// The link pool starts only in the roles that link themselves: at
+/// link_threads 4 a batch daemon and a worker start four more threads than
+/// at 1, while an online daemon and a daemon whose distributed_linker
+/// scatters (a coordinator's front) start none.
+TEST(ServiceRoundtripTest, OnlyLinkingRolesStartTheLinkPool) {
+  struct Role {
+    const char* name;
+    bool worker, online, scatters;
+    size_t pool_threads;
+  };
+  for (const Role& role : {Role{"batch", false, false, false, 4},
+                           Role{"worker", true, false, false, 4},
+                           Role{"online", false, true, false, 0},
+                           Role{"coordinator front", false, false, true, 0}}) {
+    std::vector<size_t> started;
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      LinkageUnitServerConfig config;
+      config.expected_owners = 2;
+      config.worker_mode = role.worker;
+      config.online_mode = role.online;
+      if (role.scatters) {
+        config.distributed_linker = [](const LinkageUnitService&,
+                                       const MultiPartyLinkageOptions&)
+            -> Result<DistributedLinkOutcome> { return Status::Internal("unused"); };
+      }
+      config.link_threads = threads;
+      LinkageUnitServer server(config);
+      const size_t threads_before = ProcessThreadCount();
+      ASSERT_TRUE(server.Start().ok()) << role.name;
+      started.push_back(ProcessThreadCount() - threads_before);
+      server.Stop();
+    }
+    EXPECT_EQ(started[1] - started[0], role.pool_threads) << role.name;
+  }
+}
+
 }  // namespace
 }  // namespace pprl
