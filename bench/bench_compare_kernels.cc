@@ -6,9 +6,9 @@
 // numbers as JSON (BENCH_compare.json is the committed baseline) so later
 // PRs can track the trajectory.
 //
-// A second, larger sweep drives the threaded path: 10k x 10k candidates
-// streamed in run shards straight into the shard pool
-// (linkage/parallel_linkage.h) at 1/2/4/8 workers. BENCH_parallel.json is
+// A second, larger sweep drives the parallel compare executor: all
+// 10k x 10k pairs as candidate-range tasks (CompareRanges,
+// linkage/parallel_linkage.h) at 1/2/4/8 workers. BENCH_parallel.json is
 // its committed baseline.
 //
 // Every row is the median of kReps timed runs, with the quartiles beside
@@ -37,7 +37,7 @@ namespace {
 constexpr size_t kRecordsPerSide = 1000;
 constexpr size_t kParallelRecordsPerSide = 10000;
 constexpr double kPruneThreshold = 0.7;
-/// The streaming sweep runs at a linkage-realistic threshold: at 0.7 most
+/// The parallel sweep runs at a linkage-realistic threshold: at 0.7 most
 /// of the dense 500-bit cross product scores as a hit and the bench would
 /// time result materialization instead of the comparison path.
 constexpr double kParallelThreshold = 0.85;
@@ -122,18 +122,15 @@ struct ParallelMeasurement {
   /// scaling, and anything flat across thread counts means a serial stage
   /// or shared bottleneck is capping the path.
   double scaling_efficiency = 0;
-  size_t shard_size = 0;
-  size_t tile_a_rows = 0;
-  size_t tile_b_rows = 0;
+  /// A-rows per range task (RangeRows of the all-pairs source).
+  size_t range_rows = 0;
 };
 
-/// The streaming sweep: all 10k x 10k candidates flow from
-/// StreamFullPairRuns through the scheduler into the tiled compare path —
-/// candidate generation, dispatch, tiling and merge are all inside the
-/// timed region, so this measures the pipeline's parallel path, not just
-/// the kernel loop. Shard and tile sizes are the auto-resolved values a
-/// production run would use; they ride along in the JSON so regressions
-/// can be traced to tuning changes.
+/// The parallel sweep: all 10k x 10k pairs through CompareRanges, one
+/// task per range of a-rows on a pool of `threads` workers (inline at
+/// one) — pool start, pair expansion, dispatch and the join are all inside
+/// the timed region, so this measures the linkage paths' executor, not
+/// just the kernel loop.
 std::vector<ParallelMeasurement> BenchParallelAtWidth(size_t bits, const Database& a,
                                                       const Database& b) {
   BloomFilterParams bloom;
@@ -145,29 +142,17 @@ std::vector<ParallelMeasurement> BenchParallelAtWidth(size_t bits, const Databas
   const BitMatrix mb = BitMatrix::FromVectors(fb);
   const size_t n = fa.size() * fb.size();
   const DiceCutoffs cutoffs(kParallelThreshold, bits);
+  const CandidateSource all_pairs = CandidateSource::AllPairs(ma, mb);
 
   std::vector<ParallelMeasurement> out;
   double t1_rate = 0;
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    ParallelLinkageOptions options;
-    options.num_threads = threads;
-    const ResolvedParallelTuning tuning = ResolveParallelTuning(options, bits);
     ParallelMeasurement m;
     m.threads = threads;
     m.bits = bits;
-    m.shard_size = tuning.shard_size;
-    m.tile_a_rows = tuning.tile_a_rows;
-    m.tile_b_rows = tuning.tile_b_rows;
+    m.range_rows = RangeRows(all_pairs);
     m.rate = TimeRuns(
-        n,
-        [&] {
-          return StreamCompareShards(cutoffs, ma, mb, options,
-                                     [&](const CandidateShardFn& emit) {
-                                       StreamFullPairRuns(fa.size(), fb.size(),
-                                                          tuning.shard_size, emit);
-                                     })
-              .pruned;
-        },
+        n, [&] { return CompareRanges(cutoffs, {all_pairs}, threads)[0].pruned; },
         m.pruned);
     if (threads == 1) t1_rate = m.rate.median;
     // Fraction of perfect scaling: 1.0 means N threads deliver N x the
@@ -227,30 +212,26 @@ int Main(int argc, char** argv) {
     std::printf("\nwrote %s\n", argv[1]);
   }
 
-  // --- Streaming parallel sweep -------------------------------------------
+  // --- Parallel sweep ------------------------------------------------------
   auto [pa, pb] = TwoDatabases(kParallelRecordsPerSide, 1.2);
   const size_t parallel_pairs = kParallelRecordsPerSide * kParallelRecordsPerSide;
-  const ResolvedParallelTuning shown_tuning =
-      ResolveParallelTuning(ParallelLinkageOptions{}, 500);
-  std::printf("\nstreaming parallel path, %zu x %zu records (%zu candidate pairs), "
-              "Dice threshold %.2f, %zu cores,\n"
-              "auto tuning @500 bits: shard %zu pairs, tiles %zu x %zu rows\n\n",
-              kParallelRecordsPerSide, kParallelRecordsPerSide, parallel_pairs,
-              kParallelThreshold, cores, shown_tuning.shard_size,
-              shown_tuning.tile_a_rows, shown_tuning.tile_b_rows);
-
   std::vector<ParallelMeasurement> parallel_all;
   for (const size_t bits : {size_t{500}, size_t{1000}}) {
     const auto rows = BenchParallelAtWidth(bits, pa, pb);
     parallel_all.insert(parallel_all.end(), rows.begin(), rows.end());
   }
+  const size_t range_rows = parallel_all.front().range_rows;
+  std::printf("\nparallel compare (CompareRanges), %zu x %zu records (%zu candidate "
+              "pairs), Dice threshold %.2f, %zu cores, %zu a-rows per range\n\n",
+              kParallelRecordsPerSide, kParallelRecordsPerSide, parallel_pairs,
+              kParallelThreshold, cores, range_rows);
 
   PrintHeader({"config", "bits", "Mpairs/s", "p25", "p75", "pruned", "vs t1",
                "efficiency"});
   double t1_rate = 0;
   for (const ParallelMeasurement& m : parallel_all) {
     if (m.threads == 1) t1_rate = m.rate.median;
-    PrintRow({"stream-t" + std::to_string(m.threads), Fmt(m.bits),
+    PrintRow({"range-t" + std::to_string(m.threads), Fmt(m.bits),
               Fmt(m.rate.median / 1e6, 2), Fmt(m.rate.p25 / 1e6, 2),
               Fmt(m.rate.p75 / 1e6, 2), Fmt(m.pruned),
               Fmt(m.rate.median / t1_rate, 2) + "x", Fmt(m.scaling_efficiency, 2)});
@@ -266,6 +247,7 @@ int Main(int argc, char** argv) {
     std::fprintf(f, "  \"host\": {%s},\n", ProvenanceJsonMembers().c_str());
     std::fprintf(f, "  \"records_per_side\": %zu,\n  \"candidate_pairs\": %zu,\n",
                  kParallelRecordsPerSide, parallel_pairs);
+    std::fprintf(f, "  \"range_rows\": %zu,\n", range_rows);
     std::fprintf(f, "  \"prune_threshold\": %.2f,\n  \"timed_runs\": %d,\n",
                  kParallelThreshold, kReps);
     std::fprintf(f, "  \"measurements\": [\n");
@@ -273,15 +255,12 @@ int Main(int argc, char** argv) {
       const ParallelMeasurement& m = parallel_all[i];
       if (m.threads == 1) t1_rate = m.rate.median;
       std::fprintf(f,
-                   "    {\"config\": \"stream-t%zu\", \"bits\": %zu, \"threads\": %zu, "
+                   "    {\"config\": \"range-t%zu\", \"bits\": %zu, \"threads\": %zu, "
                    "\"pairs_per_sec\": %.0f, \"p25\": %.0f, \"p75\": %.0f, "
                    "\"pruned\": %zu, "
-                   "\"speedup_vs_t1\": %.2f, \"scaling_efficiency\": %.3f, "
-                   "\"shard_size\": %zu, \"tile_a_rows\": %zu, "
-                   "\"tile_b_rows\": %zu}%s\n",
+                   "\"speedup_vs_t1\": %.2f, \"scaling_efficiency\": %.3f}%s\n",
                    m.threads, m.bits, m.threads, m.rate.median, m.rate.p25, m.rate.p75,
                    m.pruned, m.rate.median / t1_rate, m.scaling_efficiency,
-                   m.shard_size, m.tile_a_rows, m.tile_b_rows,
                    i + 1 < parallel_all.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -19,11 +19,11 @@ export UBSAN_OPTIONS=${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" "$@"
 echo "check.sh: all tests passed under ASan+UBSan"
 
-# ThreadSanitizer gate for the concurrent paths: the threaded run-shard
-# compare (StreamCompareShards) and the kernels it runs on the shard
-# pool, the shard pool and its TaskGroup handoff themselves, the
-# streaming parallel pipeline, and the lock-free metrics registry they
-# all report into.
+# ThreadSanitizer gate for the concurrent paths: the parallel compare
+# executor (CompareRanges) and the kernels its range tasks run on the
+# shard pool, the shard pool and its TaskGroup handoff themselves, the
+# parallel pipeline, and the lock-free metrics registry they all report
+# into.
 # Scoped to those tests — TSan slows everything ~10x and the rest of the
 # suite is single-threaded.
 TSAN_BUILD_DIR=build-tsan
@@ -53,14 +53,14 @@ ctest --test-dir "${TSAN_BUILD_DIR}" --output-on-failure --timeout 60 \
   -R '^(service_chaos_test|service_roundtrip_test|coordinator_test)$'
 echo "check.sh: service suites passed under TSan"
 
-# Scaling gate: the streaming parallel path must actually scale, and the
-# gate prints the measured numbers so a failure is diagnosable from the
-# log. Run the committed benchmark's parallel sweep from an optimized
+# Scaling gate: the parallel compare executor must actually scale, and
+# the gate prints the measured numbers so a failure is diagnosable from
+# the log. Run the committed benchmark's parallel sweep from an optimized
 # build and check, at 500 bits:
-#   * >= 4 cores: stream-t4 >= 2.5x stream-t1 (the cache-blocked path's
-#     floor; the old shard scheme plateaued near 1.1x), and on >= 8 cores
-#     additionally stream-t8 >= stream-t4 (no inversion — more workers
-#     must never make the run slower).
+#   * >= 4 cores: range-t4 >= 2.5x range-t1 (the executor's floor; an
+#     early single-producer shard scheme plateaued near 1.1x), and on
+#     >= 8 cores additionally range-t8 >= range-t4 (no inversion — more
+#     workers must never make the run slower).
 #   * fewer cores (including this repo's 1-core reference box, where
 #     extra workers cannot speed anything up): t4 merely must not
 #     collapse below 0.8x t1.
@@ -75,20 +75,20 @@ data = json.load(open(sys.argv[1]))
 cores = int(sys.argv[2])
 rates = {m["threads"]: m["pairs_per_sec"] for m in data["measurements"] if m["bits"] == 500}
 for t in sorted(rates):
-    print(f"check.sh: stream-t{t} = {rates[t] / 1e6:.1f} Mpairs/s at 500 bits "
+    print(f"check.sh: range-t{t} = {rates[t] / 1e6:.1f} Mpairs/s at 500 bits "
           f"({rates[t] / (rates[1] * t):.2f} scaling efficiency)")
 ok = True
 if cores >= 4:
     ratio = rates[4] / rates[1]
-    print(f"check.sh: stream-t4/t1 = {ratio:.2f}x ({cores} cores, need >= 2.5x)")
+    print(f"check.sh: range-t4/t1 = {ratio:.2f}x ({cores} cores, need >= 2.5x)")
     ok &= ratio >= 2.5
     if cores >= 8:
         ratio8 = rates[8] / rates[4]
-        print(f"check.sh: stream-t8/t4 = {ratio8:.2f}x (need >= 1.0x, no inversion)")
+        print(f"check.sh: range-t8/t4 = {ratio8:.2f}x (need >= 1.0x, no inversion)")
         ok &= ratio8 >= 1.0
 else:
     ratio = rates[4] / rates[1]
-    print(f"check.sh: stream-t4/t1 = {ratio:.2f}x ({cores} cores, need >= 0.8x)")
+    print(f"check.sh: range-t4/t1 = {ratio:.2f}x ({cores} cores, need >= 0.8x)")
     ok &= ratio >= 0.8
 sys.exit(0 if ok else 1)
 EOF

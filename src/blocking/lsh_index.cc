@@ -218,26 +218,13 @@ void ForEachLshCandidateRow(const LshBandIndex& a_index, const LshBandIndex& b_i
 std::vector<CandidatePair> LshCandidatePairs(const LshBandIndex& a_index,
                                              const LshBandIndex& b_index,
                                              const BlockPartitioner& partitioner,
-                                             uint32_t worker, size_t a_begin,
-                                             size_t a_end) {
-  a_end = std::min(a_end, a_index.size());
+                                             uint32_t worker) {
   std::vector<CandidatePair> pairs;
-  ForEachLshCandidateRow(a_index, b_index, partitioner, worker, a_begin, a_end,
+  ForEachLshCandidateRow(a_index, b_index, partitioner, worker, 0, a_index.size(),
                          [&](uint32_t a, const std::vector<uint32_t>& bs) {
                            for (const uint32_t b : bs) pairs.push_back({a, b});
                          });
   return pairs;
-}
-
-void StreamLshPairRuns(const LshBandIndex& a_index, const LshBandIndex& b_index,
-                       const BlockPartitioner& partitioner, uint32_t worker,
-                       size_t shard_size, const CandidateShardFn& emit) {
-  StreamCandidateRowRuns(
-      [&](const CandidateRowFn& row) {
-        ForEachLshCandidateRow(a_index, b_index, partitioner, worker, 0,
-                               a_index.size(), row);
-      },
-      shard_size, emit);
 }
 
 }  // namespace pprl

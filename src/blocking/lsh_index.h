@@ -170,20 +170,12 @@ void ForEachLshCandidateRow(const LshBandIndex& a_index, const LshBandIndex& b_i
                             const BlockPartitioner& partitioner, uint32_t worker,
                             size_t a_begin, size_t a_end, const CandidateRowFn& consume);
 
-/// ForEachLshCandidateRow over a rows [a_begin, min(a_end, a_index.size()))
-/// (all of them by default) as one ascending (a, b) pair list, for the
-/// kernels' CompareMatrices.
+/// ForEachLshCandidateRow over every a row as one ascending (a, b) pair
+/// list: the materialized form the tests check the range walks against.
 std::vector<CandidatePair> LshCandidatePairs(const LshBandIndex& a_index,
                                              const LshBandIndex& b_index,
                                              const BlockPartitioner& partitioner,
-                                             uint32_t worker, size_t a_begin = 0,
-                                             size_t a_end = SIZE_MAX);
-
-/// ForEachLshCandidateRow as run shards (StreamCandidateRowRuns), for the
-/// streaming compare.
-void StreamLshPairRuns(const LshBandIndex& a_index, const LshBandIndex& b_index,
-                       const BlockPartitioner& partitioner, uint32_t worker,
-                       size_t shard_size, const CandidateShardFn& emit);
+                                             uint32_t worker);
 
 }  // namespace pprl
 

@@ -5,13 +5,13 @@
 
 namespace pprl {
 
-/// The cache sizes the cache-blocked comparison path tiles against.
+/// The host's cache sizes, recorded in the provenance of every committed
+/// benchmark (bench/bench_util.h, perfbench) so two hosts' figures are not
+/// compared as one. No code path sizes its work from them.
 ///
-/// Detected once per process from sysfs (Linux) and falling back to
-/// conservative defaults anywhere the topology is unreadable (containers
-/// often hide it). The values bound working sets, so underestimating
-/// merely shrinks tiles; overestimating is what thrashes — hence the
-/// fallbacks sit at the small end of current server parts.
+/// Detected once per process from sysfs (Linux), falling back to the
+/// defaults below anywhere the topology is unreadable (containers often
+/// hide it); the fallbacks sit at the small end of current server parts.
 struct CacheInfo {
   size_t l1d_bytes = 32u << 10;
   size_t l2_bytes = 512u << 10;

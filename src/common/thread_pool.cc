@@ -118,4 +118,10 @@ void RunTasks(ShardScheduler* scheduler, size_t count,
   group.Wait();
 }
 
+ShardScheduler* CallPool(ShardScheduler* borrowed, size_t num_threads,
+                         std::optional<ShardScheduler>& owned) {
+  if (borrowed != nullptr || num_threads <= 1) return borrowed;
+  return &owned.emplace(std::min(num_threads, ShardScheduler::kMaxThreads));
+}
+
 }  // namespace pprl

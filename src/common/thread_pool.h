@@ -6,6 +6,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -15,27 +16,25 @@ class TaskGroup;
 
 /// The shard pool of the parallel linkage paths (survey §3.4,
 /// "Parallel/distributed processing"): N threads drain one FIFO queue
-/// under one mutex. A task is a run shard of 16k–512k candidate pairs
-/// (ResolveParallelTuning) or one index build or candidate-range task of
-/// the linkage unit (RunTasks), so even at a few thousand tasks a second
-/// the queue mutex is taken far too rarely to contend.
+/// under one mutex. A task is one index build or one candidate-range
+/// task of a linkage call (RunTasks; linkage/parallel_linkage.h), a few
+/// hundred rows' worth of candidates, so even at a few thousand tasks a
+/// second the queue mutex is taken far too rarely to contend.
 ///
-/// Bounded memory: `Submit` blocks the producer while PendingWindow()
-/// shards are queued but not yet started, so a blocking stage streams
-/// millions of candidate pairs through a fixed-size window instead of
-/// materializing them all.
+/// Bounded queue: `Submit` blocks the caller while PendingWindow() tasks
+/// are queued but not yet started.
 ///
-/// Shutdown drains: the destructor runs every submitted shard before
+/// Shutdown drains: the destructor runs every submitted task before
 /// joining, so in-flight work is never dropped.
 ///
 /// Observability: `pprl_shard_queue_depth` (submitted, not started) and
-/// `pprl_shard_seconds` (per-shard execution time) in the global registry,
+/// `pprl_shard_seconds` (per-task execution time) in the global registry,
 /// aggregated over every pool in the process.
 class ShardScheduler {
  public:
-  /// The most workers one pool runs. ResolveParallelTuning clamps a
-  /// configured thread count to it, and the daemon refuses a larger
-  /// `--threads` (LinkageUnitServer::Start).
+  /// The most workers one pool runs. CallPool clamps a configured thread
+  /// count to it, and the daemon refuses a larger `--threads`
+  /// (LinkageUnitServer::Start).
   static constexpr size_t kMaxThreads = 256;
 
   /// One worker per core: std::thread::hardware_concurrency() clamped to
@@ -124,6 +123,12 @@ class TaskGroup {
 /// gives the same output at every thread count.
 void RunTasks(ShardScheduler* scheduler, size_t count,
               const std::function<void(size_t)>& task);
+
+/// The pool a linkage call runs its tasks on: `borrowed` when set; else,
+/// above one thread, a pool of min(num_threads, kMaxThreads) workers that
+/// `owned` holds for the call; else null, which RunTasks runs inline.
+ShardScheduler* CallPool(ShardScheduler* borrowed, size_t num_threads,
+                         std::optional<ShardScheduler>& owned);
 
 }  // namespace pprl
 

@@ -271,7 +271,7 @@ DiceThresholdPairAvx512(const BitMatrix& a, const BitMatrix& b,
 }
 
 /// Eight pairs {a0, b0..b0+7}: one a row against eight consecutive b rows
-/// — the shape StreamFullPairRuns and sorted per-record blocked runs
+/// — the shape all-pairs ranges and runs of adjacent blocked candidates
 /// expand to, where BitMatrix rows b0..b0+7 are also adjacent in memory.
 /// The a row and its count hoist out, the eight cutoffs load from the
 /// table at the eight sums, and the prune and accept tests run as 8-lane

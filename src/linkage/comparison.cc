@@ -19,8 +19,7 @@ struct CompareMetrics {
   obs::Counter& pruned = obs::GlobalMetrics().GetCounter(
       "pprl_compare_pairs_pruned_total",
       "Pairs the cardinality bound rejected without running the word loop");
-  obs::Counter* calls[4] = {&Calls("scalar"), &Calls("kernel"), &Calls("stream"),
-                            &Calls("fieldwise")};
+  obs::Counter* calls[3] = {&Calls("scalar"), &Calls("kernel"), &Calls("fieldwise")};
 
   static obs::Counter& Calls(const char* path) {
     return obs::GlobalMetrics().GetCounter(

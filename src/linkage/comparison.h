@@ -31,12 +31,11 @@ using PairSimilarityFunction = std::function<double(const BitVector&, const BitV
 /// cardinality upper bound falls below `min_score` skip the loop entirely
 /// (counted by last_pruned_count()). Scores are bitwise identical to the
 /// scalar functions in similarity/similarity.h and results stay in
-/// candidate order. The engine does no cache blocking of its own: its
-/// callers hand it the sparse candidate lists of blocking (LSH, online
-/// probes), and the dense cross products of the threaded path run on the
-/// shard executor's tiles (linkage/parallel_linkage.h). The
-/// `std::function` constructor remains as the fully general fallback
-/// (custom measures, instrumented runs).
+/// candidate order. The engine does no cache blocking: its callers hand it
+/// candidate lists of blocking or online probes, and the linkage paths
+/// score their candidates with the same kernels in range tasks
+/// (linkage/parallel_linkage.h). The `std::function` constructor remains
+/// as the fully general fallback (custom measures, instrumented runs).
 class ComparisonEngine {
  public:
   /// Fast path: devirtualized batch kernels for a named measure.
@@ -101,12 +100,12 @@ class ComparisonEngine {
 };
 
 /// Where a compare call ran, the `path` label of pprl_compare_calls_total.
-enum class ComparePath { kScalar, kKernel, kStream, kFieldwise };
+enum class ComparePath { kScalar, kKernel, kFieldwise };
 
 /// Counts one finished compare call into the pprl_compare_* counters:
 /// `pairs` candidates evaluated, `pruned` of them answered by the
-/// cardinality bound. Every compare entry point reports here once per
-/// call, after its results are merged.
+/// cardinality bound. ComparisonEngine and CompareFieldwise report once
+/// per call; CompareRanges once per candidate-range task.
 void RecordCompareCall(ComparePath path, size_t pairs, size_t pruned);
 
 /// Per-field similarity vectors for multi-attribute classifiers: one

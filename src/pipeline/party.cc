@@ -1,12 +1,12 @@
 #include "pipeline/party.h"
 
-#include <algorithm>
 #include <deque>
 #include <optional>
+#include <utility>
 
 #include "blocking/lsh_index.h"
 #include "common/bit_matrix.h"
-#include "linkage/comparison.h"
+#include "linkage/parallel_linkage.h"
 #include "obs/metrics.h"
 #include "obs/stage_timer.h"
 #include "similarity/similarity.h"
@@ -125,26 +125,23 @@ Result<size_t> LinkableFilterBits(const std::vector<EncodedDatabase>& databases,
 /// The block and compare stages Link() and LinkPartition() share, as one
 /// task list for every thread count. The block stage is one task per
 /// database that builds its LshBandIndex over the options' seeded
-/// geometry. The compare stage is one task per (database pair, range of
-/// kCandidateRangeRows a-rows): the task walks the range's candidates that
-/// `worker` owns under `partitioner` (all of them with one worker) and
-/// scores them with the Dice kernels against the linkage unit's accept
-/// rule. Tasks run inline at one thread, else on the borrowed pool or on
-/// one pool for this call, and join in (pair, range) order, so edges and
-/// counters are those of one serial walk per pair at any thread count.
-/// Every process holding the same shipments derives the same indexes, so
-/// a partition needs no coordination beyond the ring geometry.
+/// geometry. The compare stage is CompareRanges over every database pair's
+/// band chains: one task per (database pair, range of kCandidateRangeRows
+/// a-rows) that walks the range's candidates that `worker` owns under
+/// `partitioner` (all of them with one worker) and scores them with the
+/// Dice kernels against the linkage unit's accept rule. Tasks run inline
+/// at one thread, else on the borrowed pool or on one pool for this call,
+/// and join in (pair, range) order, so edges and counters are those of
+/// one serial walk per pair at any thread count. Every process holding
+/// the same shipments derives the same indexes, so a partition needs no
+/// coordination beyond the ring geometry.
 PartitionLinkResult BlockAndCompare(const std::vector<EncodedDatabase>& databases,
                                     size_t filter_bits,
                                     const MultiPartyLinkageOptions& options,
                                     const BlockPartitioner& partitioner,
                                     uint32_t worker) {
   std::optional<ShardScheduler> owned;
-  ShardScheduler* scheduler = options.scheduler;
-  if (scheduler == nullptr && options.num_threads > 1) {
-    scheduler =
-        &owned.emplace(std::min(options.num_threads, ShardScheduler::kMaxThreads));
-  }
+  ShardScheduler* scheduler = CallPool(options.scheduler, options.num_threads, owned);
 
   obs::StageTimer block_span("block");
   std::vector<const std::vector<BitVector>*> filters;
@@ -154,21 +151,13 @@ PartitionLinkResult BlockAndCompare(const std::vector<EncodedDatabase>& database
                        options.lsh_bits_per_key, options.lsh_seed, scheduler);
   block_span.Stop();
 
-  struct RangeTask {
-    uint32_t d1, d2;
-    size_t a_begin, a_end;
-  };
-  struct RangeResult {
-    std::vector<ScoredPair> hits;
-    size_t candidate_pairs = 0, comparisons = 0, pruned = 0;
-  };
-  std::vector<RangeTask> tasks;
+  std::vector<std::pair<uint32_t, uint32_t>> database_pairs;
+  std::vector<CandidateSource> sources;
   for (uint32_t d1 = 0; d1 < databases.size(); ++d1) {
     for (uint32_t d2 = d1 + 1; d2 < databases.size(); ++d2) {
-      const size_t rows = indexes[d1].size();
-      for (size_t a = 0; a < rows; a += kCandidateRangeRows) {
-        tasks.push_back({d1, d2, a, std::min(a + kCandidateRangeRows, rows)});
-      }
+      database_pairs.emplace_back(d1, d2);
+      sources.push_back(
+          CandidateSource::LshBands(indexes[d1], indexes[d2], partitioner, worker));
     }
   }
 
@@ -176,28 +165,17 @@ PartitionLinkResult BlockAndCompare(const std::vector<EncodedDatabase>& database
   // unit's accept rule, so the kernels' hits are exactly the edges.
   const DiceCutoffs cutoffs(options.dice_threshold, filter_bits, LinkageAccepts);
   obs::StageTimer compare_span("compare");
-  std::vector<RangeResult> ranges(tasks.size());
-  RunTasks(scheduler, tasks.size(), [&](size_t i) {
-    const RangeTask& task = tasks[i];
-    const std::vector<CandidatePair> pairs =
-        LshCandidatePairs(indexes[task.d1], indexes[task.d2], partitioner, worker,
-                          task.a_begin, task.a_end);
-    const ComparisonEngine engine(SimilarityMeasure::kDice);
-    ranges[i].hits = engine.CompareMatrices(indexes[task.d1].rows(),
-                                            indexes[task.d2].rows(), pairs, cutoffs);
-    ranges[i].candidate_pairs = pairs.size();
-    ranges[i].comparisons = engine.last_comparison_count();
-    ranges[i].pruned = engine.last_pruned_count();
-  });
+  const std::vector<SourceHits> scored = CompareRanges(cutoffs, sources, 1, scheduler);
   PartitionLinkResult result;
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    result.candidate_pairs += ranges[i].candidate_pairs;
-    result.comparisons += ranges[i].comparisons;
-    result.pruned_comparisons += ranges[i].pruned;
-    for (const ScoredPair& pair : ranges[i].hits) {
-      result.edges.push_back({{tasks[i].d1, pair.a}, {tasks[i].d2, pair.b}, pair.score});
+  for (size_t i = 0; i < scored.size(); ++i) {
+    const auto [d1, d2] = database_pairs[i];
+    result.comparisons += scored[i].comparisons;
+    result.pruned_comparisons += scored[i].pruned;
+    for (const ScoredPair& pair : scored[i].hits) {
+      result.edges.push_back({{d1, pair.a}, {d2, pair.b}, pair.score});
     }
   }
+  result.candidate_pairs = result.comparisons;
   compare_span.Stop();
   return result;
 }

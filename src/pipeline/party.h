@@ -77,21 +77,15 @@ struct MultiPartyLinkageOptions {
   uint64_t lsh_seed = 42;
   /// If true, clusters come from star clustering; else connected components.
   bool use_star_clustering = true;
-  /// Threads for the index builds and candidate-range tasks of Link() and
-  /// LinkPartition() alike. 1 runs every task inline on the calling
-  /// thread; >1 runs them on one shard pool for the call. Results are
-  /// identical at any thread count.
+  /// Threads for the index builds and candidate-range tasks
+  /// (linkage/parallel_linkage.h) of Link() and LinkPartition() alike. 1
+  /// runs every task inline on the calling thread; >1 runs them on one
+  /// shard pool for the call. Results are identical at any thread count.
   size_t num_threads = 1;
   /// Borrowed long-lived shard pool (e.g. the daemon's, shared across
   /// concurrent sessions). Overrides num_threads when set.
   ShardScheduler* scheduler = nullptr;
 };
-
-/// A-rows per candidate-range task of Link() and LinkPartition(): each
-/// task walks and scores this many rows of one database against another.
-/// Enough tasks to balance a few cores over 5,000-row databases, each
-/// long enough that its stamps and dispatch cost little.
-inline constexpr size_t kCandidateRangeRows = 512;
 
 /// Result of a multi-database linkage run at the linkage unit.
 struct MultiPartyLinkageResult {

@@ -1,7 +1,8 @@
 #include "pipeline/pipeline.h"
 
-#include <algorithm>
 #include <deque>
+#include <optional>
+#include <utility>
 
 #include "blocking/blocking.h"
 #include "blocking/lsh_index.h"
@@ -129,23 +130,22 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
       break;
   }
 
-  // --- Blocking. ------------------------------------------------------------
-  // With num_threads > 1 the indexes are built here but candidate pairs are
-  // never materialized: the comparison stage below streams them in shards
-  // (blocking/blocking.h) straight into the scheduler. The pair order — and
-  // hence the matches — is identical either way.
-  const bool streaming = config_.num_threads > 1;
+  // --- Blocking and comparison at the matcher. -----------------------------
+  // One definition at every thread count, the linkage unit's: `block` is
+  // the key or band-index build, `compare` the candidate walks plus the
+  // Dice kernels. The walk and the kernels run as CompareRanges'
+  // candidate-range tasks, inline at one thread, else on the pool that
+  // also builds the band indexes; matches are the same either way.
+  std::optional<ShardScheduler> owned;
+  ShardScheduler* scheduler = CallPool(nullptr, config_.num_threads, owned);
   obs::StageTimer block_span("block");
-  std::vector<CandidatePair> candidates;
   BlockIndex index_a;
   BlockIndex index_b;
   // Hamming-LSH only: the two band indexes, whose row matrices the compare
   // kernels read directly.
   std::deque<LshBandIndex> lsh;
-  const BlockPartitioner whole(1);
   switch (config_.blocking) {
     case BlockingScheme::kNone:
-      if (!streaming) candidates = FullPairs(a.records.size(), b.records.size());
       break;
     case BlockingScheme::kSoundex: {
       const StandardBlocker blocker(SoundexNameKey(config_.secret_key));
@@ -157,7 +157,6 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
         channel.Send("party-a", "lu-block", a.records.size() * 16, "blocking-keys");
         channel.Send("party-b", "lu-block", b.records.size() * 16, "blocking-keys");
       }
-      if (!streaming) candidates = StandardBlocker::CandidatePairs(index_a, index_b);
       break;
     }
     case BlockingScheme::kHammingLsh: {
@@ -172,62 +171,38 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
                      "lsh-keys");
       }
       lsh = BuildBandIndexes({&fa, &fb}, filter_bits, config_.lsh_tables,
-                             config_.lsh_bits_per_key, config_.seed);
-      if (!streaming) candidates = LshCandidatePairs(lsh[0], lsh[1], whole, 0);
+                             config_.lsh_bits_per_key, config_.seed, scheduler);
       break;
     }
   }
   out.block_seconds = block_span.Stop();
 
-  // --- Comparison + classification at the matcher. --------------------------
   // The devirtualized Dice kernel over contiguous bit-matrix storage;
   // scores are bitwise identical to DiceSimilarity(), and pairs whose
   // cardinality bound already falls below the threshold skip the word loop.
   // The LSH indexes already hold the packed rows; other schemes pack here.
   obs::StageTimer compare_span("compare");
   BitMatrix packed_a, packed_b;
+  std::vector<CandidatePair> blocked;
+  const BlockPartitioner whole(1);
+  CandidateSource source;
   if (lsh.empty()) {
     packed_a = BitMatrix::FromVectors(fa);
     packed_b = BitMatrix::FromVectors(fb);
-  }
-  const BitMatrix& ma = lsh.empty() ? packed_a : lsh[0].rows();
-  const BitMatrix& mb = lsh.empty() ? packed_b : lsh[1].rows();
-  const DiceCutoffs cutoffs(config_.match_threshold, ma.num_bits());
-  std::vector<ScoredPair> scored;
-  if (streaming) {
-    ParallelLinkageOptions parallel_options;
-    parallel_options.num_threads = config_.num_threads;
-    // Resolve the auto-sized tuning once: the run-shard producers need the
-    // effective shard size, and StreamCompareShards resolves to the same
-    // values internally (same options, same filter width).
-    const ResolvedParallelTuning tuning =
-        ResolveParallelTuning(parallel_options, ma.num_bits());
-    StreamCompareResult streamed = StreamCompareShards(
-        cutoffs, ma, mb, parallel_options, [&](const CandidateShardFn& emit) {
-          switch (config_.blocking) {
-            case BlockingScheme::kNone:
-              StreamFullPairRuns(a.records.size(), b.records.size(),
-                                 tuning.shard_size, emit);
-              break;
-            case BlockingScheme::kSoundex:
-              StreamBlockedPairRuns(index_a, index_b, tuning.shard_size, emit);
-              break;
-            case BlockingScheme::kHammingLsh:
-              StreamLshPairRuns(lsh[0], lsh[1], whole, 0, tuning.shard_size, emit);
-              break;
-          }
-        });
-    scored = std::move(streamed.hits);
-    out.comparisons = streamed.comparisons;
-    out.pruned_comparisons = streamed.pruned;
-    out.candidate_pairs = streamed.comparisons;
+    if (config_.blocking == BlockingScheme::kSoundex) {
+      blocked = StandardBlocker::CandidatePairs(index_a, index_b);
+      source = CandidateSource::Listed(packed_a, packed_b, blocked);
+    } else {
+      source = CandidateSource::AllPairs(packed_a, packed_b);
+    }
   } else {
-    const ComparisonEngine engine(SimilarityMeasure::kDice);
-    scored = engine.CompareMatrices(ma, mb, candidates, cutoffs);
-    out.comparisons = engine.last_comparison_count();
-    out.pruned_comparisons = engine.last_pruned_count();
-    out.candidate_pairs = candidates.size();
+    source = CandidateSource::LshBands(lsh[0], lsh[1], whole, 0);
   }
+  const DiceCutoffs cutoffs(config_.match_threshold, source.a->num_bits());
+  SourceHits scored = std::move(CompareRanges(cutoffs, {source}, 1, scheduler)[0]);
+  out.comparisons = scored.comparisons;
+  out.pruned_comparisons = scored.pruned;
+  out.candidate_pairs = scored.comparisons;
   if (config_.model == LinkageModel::kDualLinkageUnit) {
     channel.Send("lu-block", matcher, out.candidate_pairs * 8, "candidate-pairs");
   }
@@ -239,7 +214,7 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
 
   obs::StageTimer classify_span("classify");
   const ThresholdClassifier classifier(config_.match_threshold, config_.match_threshold);
-  std::vector<ScoredPair> matches = classifier.SelectMatches(scored);
+  std::vector<ScoredPair> matches = classifier.SelectMatches(scored.hits);
   if (config_.one_to_one) matches = GreedyOneToOne(std::move(matches));
   // compare_seconds keeps its historical meaning: comparison + classification.
   out.compare_seconds = compare_seconds + classify_span.Stop();

@@ -57,10 +57,10 @@ struct PipelineConfig {
   bool one_to_one = true;                   ///< de-duplicated databases
 
   // --- execution ------------------------------------------------------------
-  /// Workers for the comparison/classification stages. 1 keeps the serial
-  /// path; >1 streams candidate shards from blocking into a shard pool
-  /// (linkage/parallel_linkage.h). Matches are identical at any thread
-  /// count.
+  /// Threads for the band-index builds and the candidate-range compare
+  /// tasks (linkage/parallel_linkage.h). 0 or 1 runs every task inline on
+  /// the calling thread; >1 runs them on one shard pool for the call.
+  /// Matches are identical at any thread count.
   size_t num_threads = 1;
 
   // --- protocol ------------------------------------------------------------

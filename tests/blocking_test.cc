@@ -95,87 +95,6 @@ TEST(FullPairsTest, CrossProduct) {
   EXPECT_TRUE(FullPairs(0, 5).empty());
 }
 
-/// Collects a run-shard stream back into one expanded vector, checking
-/// that shard ids are sequential, no shard is empty, every shard except
-/// the last covers exactly `shard_size` pairs, and each shard's expanded
-/// sequence is ascending (a, b) — the invariant the tiled compare path
-/// sorts against.
-std::vector<CandidatePair> CollectRunShards(
-    size_t shard_size,
-    const std::function<void(const CandidateShardFn&)>& produce) {
-  std::vector<CandidatePair> all;
-  uint32_t next_id = 0;
-  bool saw_short_shard = false;
-  produce([&](CandidateShard shard) {
-    EXPECT_EQ(shard.shard_id, next_id++) << "shard ids must be sequential";
-    EXPECT_FALSE(shard.runs.empty()) << "empty shards must not be emitted";
-    const size_t num_pairs = shard.num_pairs();
-    if (shard_size != 0) {
-      EXPECT_FALSE(saw_short_shard) << "only the final shard may be short";
-      EXPECT_LE(num_pairs, shard_size);
-      if (num_pairs < shard_size) saw_short_shard = true;
-    }
-    std::vector<CandidatePair> pairs;
-    for (const PairRun& run : shard.runs) {
-      for (uint32_t b = run.b_begin; b < run.b_end; ++b) pairs.push_back({run.a, b});
-    }
-    EXPECT_EQ(pairs.size(), num_pairs);
-    for (size_t i = 1; i < pairs.size(); ++i) {
-      EXPECT_TRUE(pairs[i - 1] < pairs[i]) << "expanded runs must ascend within a shard";
-    }
-    all.insert(all.end(), pairs.begin(), pairs.end());
-  });
-  return all;
-}
-
-/// The run producers must emit exactly the candidate sequence (and shard
-/// boundaries) of their materializing counterparts — runs are a wire
-/// format, not a different stream.
-TEST(StreamPairRunsTest, FullRunsMatchFullPairsAtEveryShardSize) {
-  const auto expected = FullPairs(23, 17);
-  for (const size_t shard_size :
-       {size_t{0}, size_t{1}, size_t{7}, size_t{64}, size_t{1000}}) {
-    const auto streamed =
-        CollectRunShards(shard_size, [&](const CandidateShardFn& emit) {
-          StreamFullPairRuns(23, 17, shard_size, emit);
-        });
-    ASSERT_EQ(expected.size(), streamed.size()) << "shard_size=" << shard_size;
-    for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(expected[i], streamed[i]) << "shard_size=" << shard_size;
-    }
-  }
-  size_t shards_seen = 0;
-  StreamFullPairRuns(0, 5, 8, [&](CandidateShard) { ++shards_seen; });
-  StreamFullPairRuns(5, 0, 8, [&](CandidateShard) { ++shards_seen; });
-  EXPECT_EQ(shards_seen, 0u);
-}
-
-TEST(StreamPairRunsTest, BlockedRunsMatchCandidatePairsAtEveryShardSize) {
-  const BlockingKeyFunction keys = [](const Schema&, const Record& r) {
-    const std::string& name = r.values.at(0);
-    std::vector<std::string> out = {name.substr(0, 1)};
-    if (name.size() > 1) out.push_back(name.substr(0, 2));
-    return out;
-  };
-  const Database a = MakeDb({{"ada", "x"}, {"adam", "y"}, {"bob", "z"}, {"ben", "w"}});
-  const Database b = MakeDb({{"ada", "p"}, {"beth", "q"}, {"adele", "r"}});
-  const StandardBlocker blocker(keys);
-  const BlockIndex ia = blocker.BuildIndex(a);
-  const BlockIndex ib = blocker.BuildIndex(b);
-  const auto expected = StandardBlocker::CandidatePairs(ia, ib);
-  ASSERT_FALSE(expected.empty());
-  for (const size_t shard_size : {size_t{0}, size_t{1}, size_t{3}, size_t{100}}) {
-    const auto streamed =
-        CollectRunShards(shard_size, [&](const CandidateShardFn& emit) {
-          StreamBlockedPairRuns(ia, ib, shard_size, emit);
-        });
-    ASSERT_EQ(expected.size(), streamed.size()) << "shard_size=" << shard_size;
-    for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(expected[i], streamed[i]) << "shard_size=" << shard_size;
-    }
-  }
-}
-
 TEST(SortedNeighborhoodTest, WindowCoversAdjacentKeys) {
   const Database a = MakeDb({{"aaa", "aaa"}, {"zzz", "zzz"}});
   const Database b = MakeDb({{"aab", "aab"}, {"zzy", "zzy"}});

@@ -76,23 +76,13 @@ size_t BoundPrunedCount(SimilarityMeasure m, const std::vector<BitVector>& fa,
   return pruned;
 }
 
-/// Every a x b pair through the threaded path: run shards from
-/// StreamFullPairRuns, tiled on `threads` workers, or on `scheduler` when
-/// given. The smallest legal shard size splits even these small matrices
-/// into several shards.
-StreamCompareResult StreamAllPairs(const DiceCutoffs& cutoffs, const BitMatrix& ma,
-                                   const BitMatrix& mb, size_t threads,
-                                   ShardScheduler* scheduler = nullptr) {
-  ParallelLinkageOptions options;
-  options.num_threads = threads;
-  options.scheduler = scheduler;
-  options.shard_size = 1024;
-  const size_t shard_size = ResolveParallelTuning(options, ma.num_bits()).shard_size;
-  return StreamCompareShards(cutoffs, ma, mb, options,
-                             [&](const CandidateShardFn& emit) {
-                               StreamFullPairRuns(ma.num_rows(), mb.num_rows(),
-                                                  shard_size, emit);
-                             });
+/// Every a x b pair through the parallel compare executor: CompareRanges
+/// on `threads` workers, or on `scheduler` when given.
+SourceHits CompareAllPairs(const DiceCutoffs& cutoffs, const BitMatrix& ma,
+                           const BitMatrix& mb, size_t threads,
+                           ShardScheduler* scheduler = nullptr) {
+  return CompareRanges(cutoffs, {CandidateSource::AllPairs(ma, mb)}, threads,
+                       scheduler)[0];
 }
 
 std::string CloneLabel(KernelClone clone) {
@@ -222,10 +212,11 @@ TEST(CompareKernelsTest, PruningFiresAtHighThresholds) {
   }
 }
 
-/// The threaded path — tiled run shards on the shard pool — against the
-/// serial engine: same hits, same order, same accounting at every thread
-/// count. Dice is the only measure the threaded path runs; the serial
-/// kernels of every measure are checked in KernelMatchesReferenceBitwise.
+/// The parallel path — candidate-range tasks on the shard pool — against
+/// the serial engine: same hits, same order, same accounting at every
+/// thread count. Dice is the only measure the parallel path runs; the
+/// serial kernels of every measure are checked in
+/// KernelMatchesReferenceBitwise.
 TEST(CompareKernelsTest, ParallelMatchesSequentialKernel) {
   Rng rng(23);
   const auto fa = RandomFilters(50, 127, rng);
@@ -238,16 +229,16 @@ TEST(CompareKernelsTest, ParallelMatchesSequentialKernel) {
   const size_t sequential_pruned = kernel.last_pruned_count();
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     const std::string label = "threads=" + std::to_string(threads);
-    const StreamCompareResult streamed =
-        StreamAllPairs(DiceCutoffs(0.6, ma.num_bits()), ma, mb, threads);
-    ExpectSameHits(sequential, streamed.hits, label);
-    EXPECT_EQ(streamed.comparisons, candidates.size()) << label;
-    EXPECT_EQ(streamed.pruned, sequential_pruned) << label;
+    const SourceHits parallel =
+        CompareAllPairs(DiceCutoffs(0.6, ma.num_bits()), ma, mb, threads);
+    ExpectSameHits(sequential, parallel.hits, label);
+    EXPECT_EQ(parallel.comparisons, candidates.size()) << label;
+    EXPECT_EQ(parallel.pruned, sequential_pruned) << label;
   }
 }
 
 /// Thresholded Dice runs through the cutoff-table loops (dense-run
-/// vectorization included) on the serial engine and the threaded path:
+/// vectorization included) on the serial engine and the parallel path:
 /// scores, kept pairs, order, and the pruned/comparison accounting must
 /// all be identical at every thread count, with every kernel clone.
 TEST(CompareKernelsTest, ThresholdedParallelAccountingMatchesSequential) {
@@ -269,18 +260,18 @@ TEST(CompareKernelsTest, ThresholdedParallelAccountingMatchesSequential) {
                                     " bits=" + std::to_string(bits) +
                                     " min=" + std::to_string(min_score) +
                                     " threads=" + std::to_string(threads);
-          const StreamCompareResult streamed =
-              StreamAllPairs(DiceCutoffs(min_score, bits), ma, mb, threads);
-          ExpectSameHits(sequential, streamed.hits, label);
-          EXPECT_EQ(streamed.comparisons, candidates.size()) << label;
-          EXPECT_EQ(streamed.pruned, sequential_pruned) << label;
+          const SourceHits parallel =
+              CompareAllPairs(DiceCutoffs(min_score, bits), ma, mb, threads);
+          ExpectSameHits(sequential, parallel.hits, label);
+          EXPECT_EQ(parallel.comparisons, candidates.size()) << label;
+          EXPECT_EQ(parallel.pruned, sequential_pruned) << label;
         }
       }
     }
   }
 }
 
-/// Several callers streaming on one shared scheduler at once — the shape
+/// Several callers comparing on one shared scheduler at once — the shape
 /// the daemon runs with --threads. Every caller must get its own correct
 /// result and accounting.
 TEST(CompareKernelsTest, ConcurrentCallersShareScheduler) {
@@ -297,12 +288,12 @@ TEST(CompareKernelsTest, ConcurrentCallersShareScheduler) {
   const DiceCutoffs cutoffs(0.7, ma.num_bits());
   ShardScheduler scheduler(4);
   constexpr int kCallers = 4;
-  std::vector<StreamCompareResult> results(kCallers);
+  std::vector<SourceHits> results(kCallers);
   std::vector<std::thread> callers;
   callers.reserve(kCallers);
   for (int t = 0; t < kCallers; ++t) {
     callers.emplace_back([&, t] {
-      results[t] = StreamAllPairs(cutoffs, ma, mb, 1, &scheduler);
+      results[t] = CompareAllPairs(cutoffs, ma, mb, 1, &scheduler);
     });
   }
   for (auto& c : callers) c.join();

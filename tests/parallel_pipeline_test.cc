@@ -1,11 +1,14 @@
-// Determinism of the parallel linkage path: the same datasets linked at
-// 1, 2 and 8 worker threads must produce byte-identical matches, edges
-// and clusters. Shard boundaries, which worker runs which shard and merge
-// timing may vary freely underneath — none of it may reach the output.
+// Determinism of the parallel linkage paths: the same datasets linked at
+// any thread count must produce byte-identical matches, edges, clusters
+// and counters, equal to a serial reference that materializes the
+// candidates and scores them in one pass. Range boundaries, which worker
+// runs which range task and join timing may vary freely underneath — none
+// of it may reach the output.
 
 #include <bit>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,8 +22,10 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "datagen/generator.h"
+#include "linkage/classifier.h"
 #include "linkage/clustering.h"
 #include "linkage/comparison.h"
+#include "linkage/matching.h"
 #include "linkage/parallel_linkage.h"
 #include "obs/metrics.h"
 #include "pipeline/party.h"
@@ -83,6 +88,112 @@ TEST(ParallelPipelineTest, FullPairsBlockingAlsoDeterministic) {
     const auto parallel = PprlPipeline(parallel_config).Link(a, b);
     ASSERT_TRUE(parallel.ok()) << parallel.status().message();
     ExpectSameOutput(*serial, *parallel, threads);
+  }
+}
+
+/// The first `n` records of `db`.
+Database Prefix(const Database& db, size_t n) {
+  Database prefix;
+  prefix.schema = db.schema;
+  prefix.records.assign(db.records.begin(), db.records.begin() + n);
+  return prefix;
+}
+
+/// The serial reference for PprlPipeline::Link(): the scheme's whole
+/// candidate list materialized (FullPairs, StandardBlocker::CandidatePairs,
+/// or BuildBandIndexes + LshCandidatePairs), one CompareMatrices over it,
+/// then the threshold classifier and the greedy 1:1 matching.
+LinkageOutput SerialPipelineReference(const PipelineConfig& config, const Database& a,
+                                      const Database& b) {
+  const ClkEncoder encoder(config.bloom, config.fields);
+  const std::vector<BitVector> fa = encoder.EncodeDatabase(a).value();
+  const std::vector<BitVector> fb = encoder.EncodeDatabase(b).value();
+  std::vector<CandidatePair> pairs;
+  switch (config.blocking) {
+    case BlockingScheme::kNone:
+      pairs = FullPairs(fa.size(), fb.size());
+      break;
+    case BlockingScheme::kSoundex: {
+      const StandardBlocker blocker(SoundexNameKey(config.secret_key));
+      pairs = StandardBlocker::CandidatePairs(blocker.BuildIndex(a), blocker.BuildIndex(b));
+      break;
+    }
+    case BlockingScheme::kHammingLsh: {
+      const std::deque<LshBandIndex> lsh =
+          BuildBandIndexes({&fa, &fb}, config.bloom.num_bits, config.lsh_tables,
+                           config.lsh_bits_per_key, config.seed);
+      pairs = LshCandidatePairs(lsh[0], lsh[1], BlockPartitioner(1), 0);
+      break;
+    }
+  }
+  const ComparisonEngine engine(SimilarityMeasure::kDice);
+  const std::vector<ScoredPair> scored =
+      engine.CompareMatrices(BitMatrix::FromVectors(fa), BitMatrix::FromVectors(fb), pairs,
+                             config.match_threshold);
+  LinkageOutput out;
+  out.candidate_pairs = pairs.size();
+  out.comparisons = engine.last_comparison_count();
+  out.pruned_comparisons = engine.last_pruned_count();
+  const ThresholdClassifier classifier(config.match_threshold, config.match_threshold);
+  out.matches = GreedyOneToOne(classifier.SelectMatches(scored));
+  return out;
+}
+
+/// PprlPipeline::Link() against the serial reference, for every blocking
+/// scheme at 0 (inline), 1, 3 and 8 threads: matches (scores bitwise) and
+/// all three counters equal the reference's, and messages and bytes are
+/// the same at every thread count. A sizes straddle the candidate-range
+/// size R against a B of R rows (1, R−1, R, R+1 and 2R+7 rows), so
+/// one-row, short, exact and split ranges all occur.
+TEST(ParallelPipelineTest, LinkMatchesSerialReferenceAtEveryThreadCount) {
+  constexpr size_t R = kCandidateRangeRows;
+  const auto [a_all, b_all] = OverlappingDatabases(2 * R + 7);
+  const Database b = Prefix(b_all, R);
+  const std::pair<BlockingScheme, const char*> schemes[] = {
+      {BlockingScheme::kNone, "none"},
+      {BlockingScheme::kSoundex, "soundex"},
+      {BlockingScheme::kHammingLsh, "hamming-lsh"},
+  };
+  for (const auto& [scheme, scheme_name] : schemes) {
+    for (const size_t a_rows : {size_t{1}, R - 1, R, R + 1, 2 * R + 7}) {
+      const Database a = Prefix(a_all, a_rows);
+      PipelineConfig config;
+      config.bloom.num_bits = 500;
+      // Every Link() encodes both databases; two name fields keep that
+      // cheap enough for the sanitizer builds.
+      config.fields = {{"first_name", 10}, {"last_name", 10}};
+      config.blocking = scheme;
+      config.match_threshold = 0.8;
+      const LinkageOutput reference = SerialPipelineReference(config, a, b);
+      if (a_rows == 2 * R + 7) {
+        EXPECT_FALSE(reference.matches.empty()) << scheme_name;
+      }
+
+      std::optional<LinkageOutput> first;
+      for (const size_t threads : {size_t{0}, size_t{1}, size_t{3}, size_t{8}}) {
+        const std::string label = std::string(scheme_name) + ", " +
+                                  std::to_string(a_rows) + " x " + std::to_string(R) +
+                                  ", " + std::to_string(threads) + " threads";
+        config.num_threads = threads;
+        const auto linked = PprlPipeline(config).Link(a, b);
+        ASSERT_TRUE(linked.ok()) << label << ": " << linked.status().message();
+        ASSERT_EQ(reference.matches.size(), linked->matches.size()) << label;
+        for (size_t i = 0; i < reference.matches.size(); ++i) {
+          const ScoredPair& want = reference.matches[i];
+          const ScoredPair& got = linked->matches[i];
+          EXPECT_EQ(want.a, got.a) << label << ", match " << i;
+          EXPECT_EQ(want.b, got.b) << label << ", match " << i;
+          EXPECT_EQ(std::bit_cast<uint64_t>(want.score), std::bit_cast<uint64_t>(got.score))
+              << label << ", match " << i;
+        }
+        EXPECT_EQ(reference.candidate_pairs, linked->candidate_pairs) << label;
+        EXPECT_EQ(reference.comparisons, linked->comparisons) << label;
+        EXPECT_EQ(reference.pruned_comparisons, linked->pruned_comparisons) << label;
+        if (!first.has_value()) first = *linked;
+        EXPECT_EQ(first->messages, linked->messages) << label;
+        EXPECT_EQ(first->bytes, linked->bytes) << label;
+      }
+    }
   }
 }
 
@@ -231,13 +342,11 @@ TEST(ParallelPipelineTest, MultiPartyLinkIdenticalAcrossWorkerCounts) {
   }
 }
 
-/// The tiled compare path re-orders kernel execution by (a-tile, b-tile).
-/// None of that may reach the output: hits (values, order, scores —
-/// bitwise), counters and the clusters derived from the hits must be
-/// identical for every thread count and every tile geometry, including
-/// degenerate ones, and the one-thread stream must equal the serial engine
-/// over the materialized candidate list.
-TEST(ParallelPipelineTest, TiledExecutionDeterministicAcrossThreadsAndTiles) {
+/// Blocked candidates through CompareRanges: hits (values, order, scores
+/// — bitwise), counters and the clusters derived from the hits must be
+/// identical for every thread count, and the one-thread run must equal the
+/// serial engine over the materialized candidate list.
+TEST(ParallelPipelineTest, BlockedRangesDeterministicAcrossThreads) {
   Rng rng(97);
   const size_t kBits = 600;
   auto random_filters = [&](size_t n) {
@@ -256,8 +365,8 @@ TEST(ParallelPipelineTest, TiledExecutionDeterministicAcrossThreadsAndTiles) {
   const BitMatrix mb = BitMatrix::FromVectors(random_filters(300));
 
   // Skewed blocks: key k holds every record with i % 13 == k plus, for
-  // k == 0, a giant block of half of each side — the shape the shard pool
-  // and tiling have to keep balanced without reordering output.
+  // k == 0, a giant block of half of each side — the shape the range
+  // tasks have to keep balanced without reordering output.
   BlockIndex index_a;
   BlockIndex index_b;
   for (uint32_t i = 0; i < ma.num_rows(); ++i) {
@@ -269,31 +378,24 @@ TEST(ParallelPipelineTest, TiledExecutionDeterministicAcrossThreadsAndTiles) {
     if (i >= mb.num_rows() / 2) index_b["k0"].push_back(i);
   }
 
-  // Streams the blocked candidates through the tiled compare at the
-  // options' effective shard size.
+  // Scores the blocked candidates through CompareRanges.
+  const std::vector<CandidatePair> blocked =
+      StandardBlocker::CandidatePairs(index_a, index_b);
   const DiceCutoffs cutoffs(0.40, ma.num_bits());
-  auto stream_blocked = [&](const ParallelLinkageOptions& options) {
-    const size_t shard_size = ResolveParallelTuning(options, ma.num_bits()).shard_size;
-    return StreamCompareShards(cutoffs, ma, mb, options,
-                               [&](const CandidateShardFn& emit) {
-                                 StreamBlockedPairRuns(index_a, index_b, shard_size,
-                                                       emit);
-                               });
+  auto compare_blocked = [&](size_t threads) {
+    return CompareRanges(cutoffs, {CandidateSource::Listed(ma, mb, blocked)}, threads)[0];
   };
 
-  ParallelLinkageOptions reference_options;
-  reference_options.num_threads = 1;
   // 0.40 sits ~2.6 sigma above the mean Dice of independent 0.3-density
   // filters: enough hits to make the equality assertions meaningful,
   // rare enough that the prune and threshold paths stay exercised.
-  const StreamCompareResult reference = stream_blocked(reference_options);
+  const SourceHits reference = compare_blocked(1);
   ASSERT_FALSE(reference.hits.empty());
 
-  // The independent reference: the serial engine, untiled, over the
-  // materialized candidate list the stream expands to.
+  // The independent reference: the serial engine over the materialized
+  // candidate list.
   const ComparisonEngine serial(SimilarityMeasure::kDice);
-  const std::vector<ScoredPair> serial_hits = serial.CompareMatrices(
-      ma, mb, StandardBlocker::CandidatePairs(index_a, index_b), 0.40);
+  const std::vector<ScoredPair> serial_hits = serial.CompareMatrices(ma, mb, blocked, 0.40);
   ASSERT_EQ(serial_hits.size(), reference.hits.size());
   for (size_t i = 0; i < serial_hits.size(); ++i) {
     EXPECT_EQ(serial_hits[i], reference.hits[i]) << "serial engine, hit " << i;
@@ -308,62 +410,51 @@ TEST(ParallelPipelineTest, TiledExecutionDeterministicAcrossThreadsAndTiles) {
     return edges;
   }());
 
-  struct TileGeometry {
-    const char* label;
-    size_t tile_a_rows;
-    size_t tile_b_rows;
-    size_t shard_size;
-  };
-  const TileGeometry geometries[] = {
-      {"tiny", 1, 8, 1024},          // every bucket a handful of pairs
-      {"default", 0, 0, 0},          // auto-sized from the cache hierarchy
-      {"huge", 1 << 20, 1 << 20, 1 << 22},  // one bucket per shard
-  };
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    for (const TileGeometry& geometry : geometries) {
-      ParallelLinkageOptions options;
-      options.num_threads = threads;
-      options.tile_a_rows = geometry.tile_a_rows;
-      options.tile_b_rows = geometry.tile_b_rows;
-      options.shard_size = geometry.shard_size;
-      const StreamCompareResult actual = stream_blocked(options);
-      const std::string label =
-          std::string(geometry.label) + " tiles, " + std::to_string(threads) + " threads";
-      ASSERT_EQ(reference.hits.size(), actual.hits.size()) << label;
-      for (size_t i = 0; i < reference.hits.size(); ++i) {
-        EXPECT_EQ(reference.hits[i], actual.hits[i]) << label << ", hit " << i;
-      }
-      EXPECT_EQ(reference.comparisons, actual.comparisons) << label;
-      EXPECT_EQ(reference.pruned, actual.pruned) << label;
-      std::vector<MatchEdge> edges;
-      for (const ScoredPair& hit : actual.hits) {
-        edges.push_back({{0, hit.a}, {1, hit.b}, hit.score});
-      }
-      const auto clusters = ConnectedComponents(edges);
-      ASSERT_EQ(reference_clusters.size(), clusters.size()) << label;
-      for (size_t i = 0; i < reference_clusters.size(); ++i) {
-        EXPECT_EQ(reference_clusters[i], clusters[i]) << label << ", cluster " << i;
-      }
+    const SourceHits actual = compare_blocked(threads);
+    const std::string label = std::to_string(threads) + " threads";
+    ASSERT_EQ(reference.hits.size(), actual.hits.size()) << label;
+    for (size_t i = 0; i < reference.hits.size(); ++i) {
+      EXPECT_EQ(reference.hits[i], actual.hits[i]) << label << ", hit " << i;
+    }
+    EXPECT_EQ(reference.comparisons, actual.comparisons) << label;
+    EXPECT_EQ(reference.pruned, actual.pruned) << label;
+    std::vector<MatchEdge> edges;
+    for (const ScoredPair& hit : actual.hits) {
+      edges.push_back({{0, hit.a}, {1, hit.b}, hit.score});
+    }
+    const auto clusters = ConnectedComponents(edges);
+    ASSERT_EQ(reference_clusters.size(), clusters.size()) << label;
+    for (size_t i = 0; i < reference_clusters.size(); ++i) {
+      EXPECT_EQ(reference_clusters[i], clusters[i]) << label << ", cluster " << i;
     }
   }
 }
 
-/// The threaded path reports its work: one `path="stream"` call, and the
-/// pair and prune counters advance by exactly the run's own totals.
-TEST(ParallelPipelineTest, StreamedCompareAdvancesTheCompareCounters) {
+/// CompareRanges reports its work: one `path="kernel"` call per range,
+/// and the pair and prune counters advance by exactly the run's own
+/// totals. A spans several ranges.
+TEST(ParallelPipelineTest, RangeCompareAdvancesTheCompareCounters) {
   Rng rng(101);
   const size_t kBits = 500;
-  std::vector<BitVector> rows;
-  for (size_t i = 0; i < 400; ++i) {
-    BitVector v(kBits);
-    const double density = 0.05 + 0.5 * rng.NextDouble();
-    for (size_t bit = 0; bit < kBits; ++bit) {
-      if (rng.NextDouble() < density) v.Set(bit);
+  auto random_rows = [&](size_t n) {
+    std::vector<BitVector> rows;
+    for (size_t i = 0; i < n; ++i) {
+      BitVector v(kBits);
+      const double density = 0.05 + 0.5 * rng.NextDouble();
+      for (size_t bit = 0; bit < kBits; ++bit) {
+        if (rng.NextDouble() < density) v.Set(bit);
+      }
+      rows.push_back(std::move(v));
     }
-    rows.push_back(std::move(v));
-  }
-  const BitMatrix ma = BitMatrix::FromVectors(rows);
-  const BitMatrix mb = ma;
+    return rows;
+  };
+  const BitMatrix ma = BitMatrix::FromVectors(random_rows(2 * kCandidateRangeRows + 7));
+  const BitMatrix mb = BitMatrix::FromVectors(random_rows(400));
+  const CandidateSource all_pairs = CandidateSource::AllPairs(ma, mb);
+  const size_t range_rows = RangeRows(all_pairs);
+  const size_t ranges = (ma.num_rows() + range_rows - 1) / range_rows;
+  ASSERT_GT(ranges, 1u);
 
   obs::MetricsRegistry& registry = obs::GlobalMetrics();
   const char* kCallsHelp = "Compare*() dispatches by execution path";
@@ -373,46 +464,18 @@ TEST(ParallelPipelineTest, StreamedCompareAdvancesTheCompareCounters) {
   obs::Counter& pruned = registry.GetCounter(
       "pprl_compare_pairs_pruned_total",
       "Pairs the cardinality bound rejected without running the word loop");
-  obs::Counter& stream_calls =
-      registry.GetCounter("pprl_compare_calls_total", kCallsHelp, {{"path", "stream"}});
+  obs::Counter& kernel_calls =
+      registry.GetCounter("pprl_compare_calls_total", kCallsHelp, {{"path", "kernel"}});
   const uint64_t pairs_before = pairs.value();
   const uint64_t pruned_before = pruned.value();
-  const uint64_t calls_before = stream_calls.value();
+  const uint64_t calls_before = kernel_calls.value();
 
-  ParallelLinkageOptions options;
-  options.num_threads = 4;
-  options.shard_size = 1024;
-  const size_t shard_size = ResolveParallelTuning(options, kBits).shard_size;
-  const StreamCompareResult result = StreamCompareShards(
-      DiceCutoffs(0.7, kBits), ma, mb, options, [&](const CandidateShardFn& emit) {
-        StreamFullPairRuns(ma.num_rows(), mb.num_rows(), shard_size, emit);
-      });
+  const SourceHits result = CompareRanges(DiceCutoffs(0.7, kBits), {all_pairs}, 4)[0];
   ASSERT_EQ(result.comparisons, ma.num_rows() * mb.num_rows());
   ASSERT_GT(result.pruned, 0u);
   EXPECT_EQ(pairs.value() - pairs_before, result.comparisons);
   EXPECT_EQ(pruned.value() - pruned_before, result.pruned);
-  EXPECT_EQ(stream_calls.value() - calls_before, 1u);
-}
-
-/// Out-of-range tuning must clamp, not crash or silently misbehave — and
-/// auto (0) knobs must resolve to something sane for the filter width.
-TEST(ParallelPipelineTest, TuningValidationClampsAbsurdValues) {
-  ParallelLinkageOptions absurd;
-  absurd.num_threads = 0;
-  absurd.shard_size = 3;
-  absurd.tile_b_rows = 2;
-  const ResolvedParallelTuning clamped = ResolveParallelTuning(absurd, 500);
-  EXPECT_EQ(clamped.num_threads, 1u);
-  EXPECT_EQ(clamped.shard_size, 1024u);
-  EXPECT_EQ(clamped.tile_b_rows, 8u);
-
-  const ResolvedParallelTuning automatic =
-      ResolveParallelTuning(ParallelLinkageOptions{}, 500);
-  EXPECT_GE(automatic.shard_size, 16384u);
-  EXPECT_LE(automatic.shard_size, 524288u);
-  EXPECT_GE(automatic.tile_b_rows, 64u);
-  EXPECT_GE(automatic.tile_a_rows, 16u);
-  EXPECT_EQ(automatic.row_bytes, 64u);  // 500 bits -> 8 words -> one line
+  EXPECT_EQ(kernel_calls.value() - calls_before, ranges);
 }
 
 }  // namespace

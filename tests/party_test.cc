@@ -197,11 +197,11 @@ TEST_F(PartyTest, RoundedThresholdKeepsExactTwoThirdsOnEveryLinkagePath) {
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   expect_edge(serial->edges, "serial Link");
 
-  MultiPartyLinkageOptions streamed_options = options;
-  streamed_options.num_threads = 2;
-  const auto streamed = lu.Link(streamed_options);
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  expect_edge(streamed->edges, "streamed Link");
+  MultiPartyLinkageOptions threaded_options = options;
+  threaded_options.num_threads = 2;
+  const auto threaded = lu.Link(threaded_options);
+  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+  expect_edge(threaded->edges, "threaded Link");
 
   std::vector<MatchEdge> partition_edges;
   for (uint32_t w = 0; w < 2; ++w) {

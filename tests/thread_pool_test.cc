@@ -179,8 +179,8 @@ TEST(TaskGroupTest, GroupsOnSharedSchedulerAreIndependent) {
   EXPECT_EQ(second_count.load(), 100);
 }
 
-/// Every StreamCompareShards call waits on a stack TaskGroup and drops it
-/// at once. Wait() must not return while the worker that ran the last task
+/// Every RunTasks call on a pool (each linkage call's index builds and
+/// candidate-range tasks) waits on a stack TaskGroup and drops it at once. Wait() must not return while the worker that ran the last task
 /// can still touch the group; under ThreadSanitizer, a group that is
 /// signalled after its count reaches zero is reported as a use after its
 /// scope within this many short-lived groups.
