@@ -62,6 +62,7 @@
 #include "pipeline/pipeline.h"
 #include "pipeline/schema_matching.h"
 #include "service/client.h"
+#include "service/coordinator.h"
 
 using namespace pprl;
 
@@ -181,8 +182,24 @@ int LinkEncoded(int argc, char** argv) {
   return 0;
 }
 
+/// The <host:port> argument of ship, append and query, parsed by the
+/// coordinator's endpoint rule; unlike a worker entry it needs the host.
+Result<WorkerEndpoint> ParseServerEndpoint(const std::string& endpoint) {
+  if (endpoint.rfind(':') == std::string::npos) {
+    return Status::InvalidArgument("endpoint must be host:port, got " + endpoint);
+  }
+  return ParseEndpoint(endpoint);
+}
+
 int Ship(int argc, char** argv) {
   if (argc < 5) return Usage();
+  const std::string party = argv[3];
+  const std::string endpoint = argv[4];
+  auto server = ParseServerEndpoint(endpoint);
+  if (!server.ok()) {
+    std::fprintf(stderr, "%s\n", server.status().ToString().c_str());
+    return 1;
+  }
   // Loads either shard format; the wire payload is built from the batch
   // rows directly, so no per-record vectors exist on this path.
   auto encoded = io::ReadShardAuto(argv[2]);
@@ -190,16 +207,9 @@ int Ship(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", encoded.status().ToString().c_str());
     return 1;
   }
-  const std::string party = argv[3];
-  const std::string endpoint = argv[4];
-  const size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos) {
-    std::fprintf(stderr, "endpoint must be host:port, got %s\n", endpoint.c_str());
-    return 1;
-  }
   RemoteOwnerClientConfig config;
-  config.host = endpoint.substr(0, colon);
-  config.port = static_cast<uint16_t>(std::atoi(endpoint.c_str() + colon + 1));
+  config.host = server->host;
+  config.port = server->port;
 
   Channel meter;
   RemoteOwnerClient client(config, &meter);
@@ -244,21 +254,21 @@ int Ship(int argc, char** argv) {
 
 int Append(int argc, char** argv) {
   if (argc < 5) return Usage();
+  const std::string party = argv[3];
+  const std::string endpoint = argv[4];
+  auto server = ParseServerEndpoint(endpoint);
+  if (!server.ok()) {
+    std::fprintf(stderr, "%s\n", server.status().ToString().c_str());
+    return 1;
+  }
   auto encoded = io::ReadShardAuto(argv[2]);
   if (!encoded.ok()) {
     std::fprintf(stderr, "%s\n", encoded.status().ToString().c_str());
     return 1;
   }
-  const std::string party = argv[3];
-  const std::string endpoint = argv[4];
-  const size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos) {
-    std::fprintf(stderr, "endpoint must be host:port, got %s\n", endpoint.c_str());
-    return 1;
-  }
   RemoteOwnerClientConfig config;
-  config.host = endpoint.substr(0, colon);
-  config.port = static_cast<uint16_t>(std::atoi(endpoint.c_str() + colon + 1));
+  config.host = server->host;
+  config.port = server->port;
   // An online daemon absorbs the shipment into its live index and never
   // sends a results frame: return at the shipment-complete ack.
   config.wait_for_results = false;
@@ -279,6 +289,12 @@ int Append(int argc, char** argv) {
 
 int Query(int argc, char** argv) {
   if (argc < 5) return Usage();
+  const std::string party = argv[3];
+  auto server = ParseServerEndpoint(argv[4]);
+  if (!server.ok()) {
+    std::fprintf(stderr, "%s\n", server.status().ToString().c_str());
+    return 1;
+  }
   auto encoded = io::ReadShardAuto(argv[2]);
   if (!encoded.ok()) {
     std::fprintf(stderr, "%s\n", encoded.status().ToString().c_str());
@@ -288,16 +304,9 @@ int Query(int argc, char** argv) {
     std::fprintf(stderr, "nothing to query: empty encoding\n");
     return 1;
   }
-  const std::string party = argv[3];
-  const std::string endpoint = argv[4];
-  const size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos) {
-    std::fprintf(stderr, "endpoint must be host:port, got %s\n", endpoint.c_str());
-    return 1;
-  }
   OnlineLinkClientConfig config;
-  config.host = endpoint.substr(0, colon);
-  config.port = static_cast<uint16_t>(std::atoi(endpoint.c_str() + colon + 1));
+  config.host = server->host;
+  config.port = server->port;
 
   OnlineLinkClient client(config);
   const Status connected =

@@ -51,7 +51,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "blocking/lsh_blocking.h"
 #include "common/logging.h"
@@ -86,10 +88,40 @@ void ServeUntilSignalled(LinkageUnitServer& server) {
               g_signal == SIGTERM ? "SIGTERM" : "SIGINT");
 }
 
+/// Cap on the owner, quorum and session counts: far above any deployment,
+/// and low enough that the default session limit 2n + 2 cannot wrap.
+constexpr size_t kMaxCount = 65535;
+constexpr int kMaxMillis = std::numeric_limits<int>::max();
+constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
+
+/// The one rule for every numeric argument: a base-10 integer in
+/// [lo, hi], nothing before or after it. Otherwise it names the argument
+/// and its range and returns false, and the daemon exits 2 before any
+/// socket or thread exists.
+template <typename T>
+bool ParseNumber(const char* name, const char* text, std::type_identity_t<T> lo,
+                 std::type_identity_t<T> hi, T* out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [parsed_end, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || parsed_end != end || value < lo || value > hi) {
+    std::fprintf(stderr, "%s must be an integer in [%s, %s], got '%s'\n", name,
+                 std::to_string(lo).c_str(), std::to_string(hi).c_str(), text);
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 int Usage(FILE* out) {
   std::fprintf(
       out,
       "usage: pprl_linkd <port> <expected_owners> [dice_threshold] [options]\n"
+      "\n"
+      "  <port> is 0..65535 (0 picks an ephemeral port), <expected_owners>\n"
+      "  1..65535, dice_threshold in (0, 1] (default 0.8). Every numeric\n"
+      "  option takes a base-10 integer in the range shown; anything else\n"
+      "  exits 2.\n"
       "\n"
       "roles:\n"
       "  (default)                  single daemon: link locally once every\n"
@@ -111,19 +143,24 @@ int Usage(FILE* out) {
       "                             consistent-hash ring beyond)\n"
       "  --min-worker-quorum <n>    proceed (degraded) once >= n worker\n"
       "                             partitions gathered; 0 = all required\n"
+      "                             (0..65535)\n"
       "  --assign-timeout-ms <ms>   socket wait for one worker's partition\n"
-      "                             result (default 120000)\n"
+      "                             result (default 120000; 0 = no limit)\n"
       "\n"
       "options:\n"
       "  --all-interfaces           bind 0.0.0.0 instead of loopback\n"
       "  --metrics <port>           serve Prometheus text at /metrics\n"
+      "                             (0..65535, 0 = ephemeral; -1 = off)\n"
       "  --threads <n>              link threads of the single daemon and\n"
-      "                             the worker (default: one per core)\n"
-      "  --io-timeout-ms <ms>       per-socket read/write timeout\n"
-      "  --max-sessions <n>         concurrent connection cap (excess shed)\n"
-      "  --session-ttl-ms <ms>      idle partial-shipment sweep age\n"
+      "                             the worker (1..256, default: one per core)\n"
+      "  --io-timeout-ms <ms>       per-socket read/write timeout (default\n"
+      "                             30000; 0 = no limit)\n"
+      "  --max-sessions <n>         concurrent connection cap, excess shed\n"
+      "                             (0..65535; 0 = 2 x owners + 2)\n"
+      "  --session-ttl-ms <ms>      idle partial-shipment sweep age (>= 1,\n"
+      "                             default 60000)\n"
       "  --min-owners <n>           owner quorum: link with fewer owners\n"
-      "                             after a quiet period (degraded)\n"
+      "                             after a quiet period (degraded; 0..65535)\n"
       "  --clustering star|cc       cluster materialization: star clustering\n"
       "                             (default) or connected components\n"
       "  --chaos <seed>             deterministic fault injection (drills)\n"
@@ -135,7 +172,7 @@ int Usage(FILE* out) {
       "                             in <dir> before acking, and recover\n"
       "                             checkpoint + WAL replay on startup\n"
       "  --checkpoint-dir <dir>     checkpoint directory (default: --wal-dir)\n"
-      "  --wal-sync-ms <ms>         WAL fsync group-commit window; <= 0\n"
+      "  --wal-sync-ms <ms>         WAL fsync group-commit window; 0\n"
       "                             fsyncs every append (default 50)\n"
       "  --checkpoint-every-n <n>   checkpoint after n journaled operations;\n"
       "                             0 checkpoints only on shutdown\n"
@@ -222,8 +259,11 @@ int main(int argc, char** argv) {
   bool coordinator_role = false;
   bool online_role = false;
   config.name = "pprl-linkd";
-  config.port = static_cast<uint16_t>(std::atoi(argv[1]));
-  config.expected_owners = static_cast<size_t>(std::atoll(argv[2]));
+  if (!ParseNumber("<port>", argv[1], 0, 65535, &config.port) ||
+      !ParseNumber("<expected_owners>", argv[2], 1, kMaxCount,
+                   &config.expected_owners)) {
+    return 2;
+  }
   if (argc > 3 && argv[3][0] != '-') {
     char* end = nullptr;
     config.link_options.dice_threshold = std::strtod(argv[3], &end);
@@ -277,40 +317,40 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    if (arg == "--min-worker-quorum" && i + 1 < argc) {
-      coordinator_config.min_worker_partitions =
-          static_cast<size_t>(std::atoll(argv[++i]));
+    if (arg == "--min-worker-quorum" && i + 1 < argc &&
+        !ParseNumber(arg.c_str(), argv[++i], 0, kMaxCount,
+                     &coordinator_config.min_worker_partitions)) {
+      return 2;
     }
-    if (arg == "--assign-timeout-ms" && i + 1 < argc) {
-      coordinator_config.assign_timeout_ms = std::atoi(argv[++i]);
+    if (arg == "--assign-timeout-ms" && i + 1 < argc &&
+        !ParseNumber(arg.c_str(), argv[++i], 0, kMaxMillis,
+                     &coordinator_config.assign_timeout_ms)) {
+      return 2;
     }
-    if (arg == "--metrics" && i + 1 < argc) {
-      config.metrics_port = std::atoi(argv[++i]);
+    if (arg == "--metrics" && i + 1 < argc &&
+        !ParseNumber(arg.c_str(), argv[++i], -1, 65535, &config.metrics_port)) {
+      return 2;
     }
-    if (arg == "--threads" && i + 1 < argc) {
-      const char* value = argv[++i];
-      const char* value_end = value + std::strlen(value);
-      size_t threads = 0;
-      const auto [end, error] = std::from_chars(value, value_end, threads);
-      if (error != std::errc() || end != value_end || threads < 1 ||
-          threads > ShardScheduler::kMaxThreads) {
-        std::fprintf(stderr, "--threads must be an integer in [1, %zu], got '%s'\n",
-                     ShardScheduler::kMaxThreads, value);
-        return 2;
-      }
-      config.link_threads = threads;
+    if (arg == "--threads" && i + 1 < argc &&
+        !ParseNumber(arg.c_str(), argv[++i], 1, ShardScheduler::kMaxThreads,
+                     &config.link_threads)) {
+      return 2;
     }
-    if (arg == "--io-timeout-ms" && i + 1 < argc) {
-      config.io_timeout_ms = std::atoi(argv[++i]);
+    if (arg == "--io-timeout-ms" && i + 1 < argc &&
+        !ParseNumber(arg.c_str(), argv[++i], 0, kMaxMillis, &config.io_timeout_ms)) {
+      return 2;
     }
-    if (arg == "--max-sessions" && i + 1 < argc) {
-      config.max_sessions = static_cast<size_t>(std::atoll(argv[++i]));
+    if (arg == "--max-sessions" && i + 1 < argc &&
+        !ParseNumber(arg.c_str(), argv[++i], 0, kMaxCount, &config.max_sessions)) {
+      return 2;
     }
-    if (arg == "--session-ttl-ms" && i + 1 < argc) {
-      config.session_ttl_ms = std::atoi(argv[++i]);
+    if (arg == "--session-ttl-ms" && i + 1 < argc &&
+        !ParseNumber(arg.c_str(), argv[++i], 1, kMaxMillis, &config.session_ttl_ms)) {
+      return 2;
     }
-    if (arg == "--min-owners" && i + 1 < argc) {
-      config.min_owners = static_cast<size_t>(std::atoll(argv[++i]));
+    if (arg == "--min-owners" && i + 1 < argc &&
+        !ParseNumber(arg.c_str(), argv[++i], 0, kMaxCount, &config.min_owners)) {
+      return 2;
     }
     if (arg == "--spool" && i + 1 < argc) {
       config.spool_dir = argv[++i];
@@ -333,17 +373,20 @@ int main(int argc, char** argv) {
     if (arg == "--checkpoint-dir" && i + 1 < argc) {
       config.checkpoint_dir = argv[++i];
     }
-    if (arg == "--wal-sync-ms" && i + 1 < argc) {
-      config.wal_sync_ms = std::atoi(argv[++i]);
+    if (arg == "--wal-sync-ms" && i + 1 < argc &&
+        !ParseNumber(arg.c_str(), argv[++i], 0, kMaxMillis, &config.wal_sync_ms)) {
+      return 2;
     }
-    if (arg == "--checkpoint-every-n" && i + 1 < argc) {
-      config.checkpoint_every_n = static_cast<uint64_t>(std::atoll(argv[++i]));
+    if (arg == "--checkpoint-every-n" && i + 1 < argc &&
+        !ParseNumber(arg.c_str(), argv[++i], 0, kMaxU64, &config.checkpoint_every_n)) {
+      return 2;
     }
-    if (arg == "--chaos-crash-after" && i + 1 < argc) {
-      config.chaos.crash_after_ops = static_cast<uint64_t>(std::atoll(argv[++i]));
+    if (arg == "--chaos-crash-after" && i + 1 < argc &&
+        !ParseNumber(arg.c_str(), argv[++i], 0, kMaxU64, &config.chaos.crash_after_ops)) {
+      return 2;
     }
     if (arg == "--chaos" && i + 1 < argc) {
-      config.chaos.seed = static_cast<uint64_t>(std::atoll(argv[++i]));
+      if (!ParseNumber(arg.c_str(), argv[++i], 0, kMaxU64, &config.chaos.seed)) return 2;
       config.chaos.close_rate = 0.01;
       config.chaos.delay_rate = 0.05;
       config.chaos.truncate_rate = 0.005;

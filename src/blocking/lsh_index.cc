@@ -6,6 +6,8 @@
 #include <string>
 #include <string_view>
 
+#include "common/wire.h"
+
 namespace pprl {
 
 namespace {
@@ -20,8 +22,10 @@ uint64_t MixHash(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
+/// Where the band-checksum fold starts. This is not the FNV-1a-64 offset
+/// basis (14695981039346656037 has one more digit), but every checkpoint
+/// stores the fold's result, so the value is part of the PCKP format.
+constexpr uint64_t kBandChecksumStart = 1469598103934665603ull;
 
 }  // namespace
 
@@ -77,7 +81,7 @@ LshBandIndex::LshBandIndex(size_t filter_bits, size_t num_tables,
       blocker_(filter_bits, num_tables, bits_per_key, rng_),
       tables_(num_tables),
       rows_(0, filter_bits),
-      band_checksum_(kFnvOffset) {
+      band_checksum_(kBandChecksumStart) {
   assert(ValidateLshGeometry(num_tables, bits_per_key).ok());
 }
 
@@ -92,9 +96,9 @@ void LshBandIndex::IndexRow(uint32_t row) {
   for (size_t t = 0; t < tables_.size(); ++t) {
     const uint64_t fp = blocker_.Fingerprint(words, t);
     tables_[t].Insert(fp, row);
-    for (int b = 0; b < 8; ++b) {
-      band_checksum_ = (band_checksum_ ^ ((fp >> (8 * b)) & 0xff)) * kFnvPrime;
-    }
+    uint8_t le[8];
+    StoreLeU64(le, fp);
+    band_checksum_ = Fnv1a64(le, sizeof(le), band_checksum_);
   }
 }
 

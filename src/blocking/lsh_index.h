@@ -89,8 +89,9 @@ class LshBandIndex {
     return probed_entries_.load(std::memory_order_relaxed);
   }
 
-  /// FNV-1a-64 over the little-endian band fingerprints of every indexed
-  /// row in (row, table) order, maintained incrementally by appends. Two
+  /// The FNV-1a-64 fold over the little-endian band fingerprints of every
+  /// indexed row in (row, table) order, started from 1469598103934665603
+  /// rather than the offset basis, maintained incrementally by appends. Two
   /// indexes with equal checksums over the same row count collide
   /// identically, so a checkpoint stores this instead of the band tables
   /// and recovery verifies the rebuild against it (seed or geometry drift

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "blocking/blocking.h"
+#include "common/wire.h"
 
 namespace pprl {
 
@@ -27,20 +28,12 @@ enum class PartitionScheme {
 
 const char* PartitionSchemeName(PartitionScheme scheme);
 
-/// FNV-1a 64 offset basis: the hash of the empty key.
-inline constexpr uint64_t kBlockKeyHashBasis = 0xcbf29ce484222325ULL;
-
-/// FNV-1a 64 over `bytes`, continuing from `hash` — so a key hashed in
+/// FNV-1a-64 over `bytes`, continuing from `hash` — so a key hashed in
 /// pieces (a prefix once, then each suffix) hashes exactly like the whole
 /// key. Key assignment only needs determinism and spread, not collision
 /// resistance: keys are already HMAC/LSH outputs, not attacker-chosen.
-inline uint64_t HashBlockKey(std::string_view bytes,
-                             uint64_t hash = kBlockKeyHashBasis) {
-  for (const char c : bytes) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+inline uint64_t HashBlockKey(std::string_view bytes, uint64_t hash = kFnv1a64Basis) {
+  return Fnv1a64(bytes.data(), bytes.size(), hash);
 }
 
 /// Deterministically assigns block ids (blocking keys) to workers

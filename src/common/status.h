@@ -68,6 +68,11 @@ class Status {
   /// Renders as "OK" or "<Code>: <message>".
   std::string ToString() const;
 
+  /// The same error with "<context>: " in front of its message; OK stays OK.
+  Status WithContext(const std::string& context) const {
+    return ok() ? *this : Status(code_, context + ": " + message_);
+  }
+
  private:
   Status(StatusCode code, std::string msg)
       : code_(code), message_(std::move(msg)) {}

@@ -9,6 +9,7 @@
 #endif
 
 #include "common/random.h"
+#include "common/wire.h"
 
 namespace pprl {
 
@@ -434,13 +435,9 @@ uint64_t TabulationHash::Hash64(uint64_t x) const {
 
 uint64_t TabulationHash::Hash(std::string_view data) const {
   // FNV-1a fold to 64 bits, then one tabulation round for independence
-  // across differently seeded instances.
-  uint64_t h = 1469598103934665603ull;
-  for (char c : data) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return Hash64(h);
+  // across differently seeded instances. The fold's start value is not
+  // the FNV offset basis; it stays as it is so every seeded hash does.
+  return Hash64(Fnv1a64(data.data(), data.size(), 1469598103934665603ull));
 }
 
 }  // namespace pprl

@@ -3,6 +3,7 @@
 #include "common/base64.h"
 #include "common/csv.h"
 #include "common/strings.h"
+#include "common/wire.h"
 
 namespace pprl {
 
@@ -30,6 +31,42 @@ BitVector BitVectorFromPackedRow(const uint8_t* bytes, size_t num_bits) {
   std::vector<uint64_t> words(RowWords(num_bits));
   LoadPackedRow(bytes, num_bits, words.data());
   return BitVector::FromWords(num_bits, std::move(words));
+}
+
+namespace {
+
+void StorePackedRecord(uint64_t id, const uint64_t* words, size_t filter_bits,
+                       uint8_t* out) {
+  StoreLeU64(out, id);
+  StorePackedRow(words, filter_bits, out + 8);
+}
+
+}  // namespace
+
+void StorePackedRecords(const EncodedDatabase& encoded, size_t begin, size_t end,
+                        size_t filter_bits, uint8_t* out) {
+  for (size_t i = begin; i < end; ++i, out += PackedRecordBytes(filter_bits)) {
+    StorePackedRecord(encoded.ids[i], encoded.filters[i].words().data(),
+                      filter_bits, out);
+  }
+}
+
+void StorePackedRecords(const EncodedShard& shard, size_t begin, size_t end,
+                        uint8_t* out) {
+  const size_t filter_bits = shard.bits.num_bits();
+  for (size_t i = begin; i < end; ++i, out += PackedRecordBytes(filter_bits)) {
+    StorePackedRecord(shard.ids[i], shard.bits.row(i), filter_bits, out);
+  }
+}
+
+void LoadPackedRecords(const uint8_t* data, size_t count, size_t filter_bits,
+                       EncodedDatabase* out) {
+  out->ids.reserve(out->ids.size() + count);
+  out->filters.reserve(out->filters.size() + count);
+  for (size_t i = 0; i < count; ++i, data += PackedRecordBytes(filter_bits)) {
+    out->ids.push_back(LoadLeU64(data));
+    out->filters.push_back(BitVectorFromPackedRow(data + 8, filter_bits));
+  }
 }
 
 Result<BitVector> BitVectorFromBytes(const std::vector<uint8_t>& bytes,

@@ -55,8 +55,28 @@ Result<BitVector> BitVectorFromBytes(const std::vector<uint8_t>& bytes, size_t n
 
 /// Loads a filter from the packed row at `bytes`, which must hold
 /// PackedRowBytes(num_bits) bytes; stray bits past `num_bits` are dropped.
-/// The decoders read each record in place with it.
 BitVector BitVectorFromPackedRow(const uint8_t* bytes, size_t num_bits);
+
+/// The packed record: a little-endian u64 id, then the filter's packed
+/// row. Shipments, online append and query batches and WAL append
+/// batches are runs of it (docs/PROTOCOLS.md, "Byte layer"), and it is
+/// the byte count the in-process channel meters for a shipment.
+inline size_t PackedRecordBytes(size_t filter_bits) {
+  return 8 + PackedRowBytes(filter_bits);
+}
+
+/// Stores records [begin, end) as packed records from `out` on, which
+/// must hold (end - begin) * PackedRecordBytes(filter_bits) bytes. Every
+/// filter must be `filter_bits` long.
+void StorePackedRecords(const EncodedDatabase& encoded, size_t begin, size_t end,
+                        size_t filter_bits, uint8_t* out);
+void StorePackedRecords(const EncodedShard& shard, size_t begin, size_t end,
+                        uint8_t* out);
+
+/// Appends the `count` packed records at `data` to `out`, each record
+/// read in place; stray bits past `filter_bits` are dropped.
+void LoadPackedRecords(const uint8_t* data, size_t count, size_t filter_bits,
+                       EncodedDatabase* out);
 
 /// Writes an encoded database to `path`. `ids` and `filters` must have the
 /// same length and all filters one common bit length.

@@ -1,18 +1,8 @@
 #include "io/checkpoint.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <utility>
-
-#include <dirent.h>
-
 #include "blocking/lsh_blocking.h"
+#include "common/wire.h"
+#include "io/durable_file.h"
 #include "io/pclk.h"
 #include "obs/metrics.h"
 
@@ -20,58 +10,18 @@ namespace pprl::io {
 
 namespace {
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-uint64_t DoubleBits(double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double BitsDouble(uint64_t bits) {
-  double v = 0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-Status ErrnoStatus(const std::string& what, const std::string& path) {
-  return Status::IoError(what + " " + path + ": " + std::strerror(errno));
-}
-
 std::string Offset(uint64_t offset) {
   return " at offset " + std::to_string(offset);
 }
 
 void AppendSection(std::vector<uint8_t>* out, CheckpointSection type,
                    const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> header;
-  header.reserve(kCheckpointSectionHeaderBytes);
-  PutU32(&header, static_cast<uint32_t>(type));
-  PutU32(&header, 0);  // reserved
-  PutU64(&header, payload.size());
-  PutU64(&header, Fnv1a64(payload.data(), payload.size()));
-  PutU64(&header, Fnv1a64(header.data(), header.size()));
-  out->insert(out->end(), header.begin(), header.end());
+  uint8_t header[kCheckpointSectionHeaderBytes] = {};
+  StoreLeU32(header, static_cast<uint32_t>(type));
+  StoreLeU64(header + 8, payload.size());  // bytes 4..7 reserved, zero
+  StoreLeU64(header + 16, Fnv1a64(payload.data(), payload.size()));
+  StoreLeU64(header + 24, Fnv1a64(header, 24));
+  out->insert(out->end(), header, header + sizeof(header));
   out->insert(out->end(), payload.begin(), payload.end());
 }
 
@@ -90,81 +40,52 @@ CheckpointMetrics& Metrics() {
   return metrics;
 }
 
-Status WriteFailed(const Status& status) {
-  Metrics().write_failures.Increment();
-  return status;
-}
-
-/// Re-raises a nested decode error with checkpoint context, keeping the
-/// inner error's type (so corruption stays kIoError, truncation
-/// kOutOfRange, ...).
-Status WithContext(const std::string& context, const Status& inner) {
-  const std::string msg = context + ": " + inner.message();
-  switch (inner.code()) {
-    case StatusCode::kInvalidArgument:
-      return Status::InvalidArgument(msg);
-    case StatusCode::kOutOfRange:
-      return Status::OutOfRange(msg);
-    case StatusCode::kProtocolViolation:
-      return Status::ProtocolViolation(msg);
-    case StatusCode::kIoError:
-      return Status::IoError(msg);
-    default:
-      return Status::Internal(msg);
-  }
-}
-
 }  // namespace
 
 std::vector<uint8_t> EncodeCheckpoint(const OnlineSnapshot& snapshot) {
-  std::vector<uint8_t> out;
-  out.reserve(kCheckpointHeaderBytes);
-  PutU32(&out, kCheckpointMagic);
-  PutU32(&out, kCheckpointVersion);
-  PutU64(&out, snapshot.wal_sequence);
-  PutU32(&out, snapshot.filter_bits);
-  PutU32(&out, snapshot.lsh_tables);
-  PutU32(&out, snapshot.lsh_bits_per_key);
-  PutU32(&out, 4);  // section count
-  PutU64(&out, snapshot.lsh_seed);
-  PutU64(&out, DoubleBits(snapshot.dice_threshold));
-  PutU64(&out, 0);  // reserved
-  PutU64(&out, Fnv1a64(out.data(), out.size()));
+  std::vector<uint8_t> out(kCheckpointHeaderBytes);
+  uint8_t* h = out.data();
+  StoreLeU32(h, kCheckpointMagic);
+  StoreLeU32(h + 4, kCheckpointVersion);
+  StoreLeU64(h + 8, snapshot.wal_sequence);
+  StoreLeU32(h + 16, snapshot.filter_bits);
+  StoreLeU32(h + 20, snapshot.lsh_tables);
+  StoreLeU32(h + 24, snapshot.lsh_bits_per_key);
+  StoreLeU32(h + 28, 4);  // section count
+  StoreLeU64(h + 32, snapshot.lsh_seed);
+  StoreLeF64(h + 40, snapshot.dice_threshold);
+  StoreLeU64(h + 56, Fnv1a64(h, 56));  // bytes 48..55 reserved, zero
 
   AppendSection(&out, CheckpointSection::kRows,
                 EncodePclk(snapshot.rows, /*include_popcounts=*/false));
 
-  std::vector<uint8_t> databases;
-  PutU32(&databases, static_cast<uint32_t>(snapshot.database_names.size()));
+  WireWriter databases;
+  databases.PutU32(static_cast<uint32_t>(snapshot.database_names.size()));
   for (size_t i = 0; i < snapshot.database_names.size(); ++i) {
-    const std::string& name = snapshot.database_names[i];
-    PutU32(&databases, static_cast<uint32_t>(name.size()));
-    databases.insert(databases.end(), name.begin(), name.end());
-    PutU32(&databases, snapshot.database_sizes[i]);
+    databases.PutString(snapshot.database_names[i]);
+    databases.PutU32(snapshot.database_sizes[i]);
   }
-  AppendSection(&out, CheckpointSection::kDatabases, databases);
+  AppendSection(&out, CheckpointSection::kDatabases, databases.buffer());
 
   const size_t rows = snapshot.parent.size();
-  std::vector<uint8_t> partition;
-  partition.reserve(8 + rows * 8 + (rows + 7) / 8 + 16);
-  PutU64(&partition, rows);
-  for (uint32_t p : snapshot.parent) PutU32(&partition, p);
-  for (uint32_t db : snapshot.row_database) PutU32(&partition, db);
+  WireWriter partition;
+  partition.PutU64(rows);
+  partition.PutU32s(snapshot.parent.data(), rows);
+  partition.PutU32s(snapshot.row_database.data(), snapshot.row_database.size());
   for (size_t i = 0; i < rows; i += 8) {
     uint8_t byte = 0;
     for (size_t b = 0; b < 8 && i + b < rows; ++b) {
       if (snapshot.linked[i + b]) byte |= static_cast<uint8_t>(1u << b);
     }
-    partition.push_back(byte);
+    partition.PutU8(byte);
   }
-  PutU64(&partition, snapshot.edges);
-  PutU64(&partition, snapshot.comparisons);
-  AppendSection(&out, CheckpointSection::kPartition, partition);
+  partition.PutU64(snapshot.edges);
+  partition.PutU64(snapshot.comparisons);
+  AppendSection(&out, CheckpointSection::kPartition, partition.buffer());
 
-  std::vector<uint8_t> lsh;
-  PutU64(&lsh, snapshot.band_checksum);
-  AppendSection(&out, CheckpointSection::kLshState, lsh);
-
+  WireWriter lsh;
+  lsh.PutU64(snapshot.band_checksum);
+  AppendSection(&out, CheckpointSection::kLshState, lsh.buffer());
   return out;
 }
 
@@ -175,33 +96,33 @@ Result<OnlineSnapshot> DecodeCheckpoint(const uint8_t* data, size_t size,
                               std::to_string(size) + " bytes, header needs " +
                               std::to_string(kCheckpointHeaderBytes));
   }
-  if (GetU32(data) != kCheckpointMagic) {
+  if (LoadLeU32(data) != kCheckpointMagic) {
     return Status::InvalidArgument("not a checkpoint: " + origin +
                                    " (bad magic" + Offset(0) + ")");
   }
-  if (GetU32(data + 4) != kCheckpointVersion) {
+  if (LoadLeU32(data + 4) != kCheckpointVersion) {
     return Status::InvalidArgument("checkpoint " + origin +
                                    " has unsupported version " +
-                                   std::to_string(GetU32(data + 4)) + Offset(4));
+                                   std::to_string(LoadLeU32(data + 4)) + Offset(4));
   }
-  if (GetU64(data + 56) != Fnv1a64(data, 56)) {
+  if (LoadLeU64(data + 56) != Fnv1a64(data, 56)) {
     return Status::IoError("checkpoint " + origin +
                            " header checksum mismatch" + Offset(56));
   }
-  if (GetU64(data + 48) != 0) {
+  if (LoadLeU64(data + 48) != 0) {
     return Status::ProtocolViolation("checkpoint " + origin +
                                      " has reserved header bits set" +
                                      Offset(48));
   }
 
   OnlineSnapshot snapshot;
-  snapshot.wal_sequence = GetU64(data + 8);
-  snapshot.filter_bits = GetU32(data + 16);
-  snapshot.lsh_tables = GetU32(data + 20);
-  snapshot.lsh_bits_per_key = GetU32(data + 24);
-  const uint32_t section_count = GetU32(data + 28);
-  snapshot.lsh_seed = GetU64(data + 32);
-  snapshot.dice_threshold = BitsDouble(GetU64(data + 40));
+  snapshot.wal_sequence = LoadLeU64(data + 8);
+  snapshot.filter_bits = LoadLeU32(data + 16);
+  snapshot.lsh_tables = LoadLeU32(data + 20);
+  snapshot.lsh_bits_per_key = LoadLeU32(data + 24);
+  const uint32_t section_count = LoadLeU32(data + 28);
+  snapshot.lsh_seed = LoadLeU64(data + 32);
+  snapshot.dice_threshold = LoadLeF64(data + 40);
   const Status filter_bits = ValidateFilterBits(snapshot.filter_bits);
   if (!filter_bits.ok()) {
     return Status::ProtocolViolation("checkpoint " + origin + " declares " +
@@ -233,24 +154,24 @@ Result<OnlineSnapshot> DecodeCheckpoint(const uint8_t* data, size_t size,
                                 Offset(offset));
     }
     const uint8_t* h = data + offset;
-    if (GetU64(h + 24) != Fnv1a64(h, 24)) {
+    if (LoadLeU64(h + 24) != Fnv1a64(h, 24)) {
       return Status::IoError("checkpoint " + origin +
                              " section header checksum mismatch" +
                              Offset(offset));
     }
-    const uint32_t type = GetU32(h);
-    if (GetU32(h + 4) != 0) {
+    const uint32_t type = LoadLeU32(h);
+    if (LoadLeU32(h + 4) != 0) {
       return Status::ProtocolViolation("checkpoint " + origin +
                                        " section has reserved bits set" +
                                        Offset(offset + 4));
     }
-    const uint64_t len = GetU64(h + 8);
+    const uint64_t len = LoadLeU64(h + 8);
     if (size - offset - kCheckpointSectionHeaderBytes < len) {
       return Status::OutOfRange("checkpoint " + origin +
                                 " is truncated mid-section" + Offset(offset));
     }
     const uint8_t* payload = h + kCheckpointSectionHeaderBytes;
-    if (GetU64(h + 16) != Fnv1a64(payload, len)) {
+    if (LoadLeU64(h + 16) != Fnv1a64(payload, len)) {
       return Status::IoError("checkpoint " + origin +
                              " section payload checksum mismatch" +
                              Offset(offset));
@@ -266,41 +187,32 @@ Result<OnlineSnapshot> DecodeCheckpoint(const uint8_t* data, size_t size,
       case CheckpointSection::kRows: {
         auto rows = DecodePclk(payload, len);
         if (!rows.ok()) {
-          return WithContext(
-              "checkpoint " + origin + " rows section" + Offset(offset),
-              rows.status());
+          return rows.status().WithContext("checkpoint " + origin +
+                                           " rows section" + Offset(offset));
         }
         snapshot.rows = std::move(*rows);
         break;
       }
       case CheckpointSection::kDatabases: {
-        if (len < 4) {
+        WireReader r(payload, len);
+        uint32_t count = 0;
+        if (!r.Read(&count).ok()) {
           return Status::OutOfRange("checkpoint " + origin +
                                     " databases section is truncated" +
                                     Offset(offset));
         }
-        const uint32_t count = GetU32(payload);
-        uint64_t p = 4;
         for (uint32_t i = 0; i < count; ++i) {
-          if (len - p < 4) {
-            return Status::OutOfRange("checkpoint " + origin +
-                                      " databases section is truncated" +
-                                      Offset(offset));
-          }
-          const uint32_t name_len = GetU32(payload + p);
-          p += 4;
-          if (len - p < static_cast<uint64_t>(name_len) + 4 || name_len == 0) {
+          std::string name;
+          uint32_t size = 0;
+          if (!r.Read(&name, len).ok() || !r.Read(&size).ok() || name.empty()) {
             return Status::ProtocolViolation(
                 "checkpoint " + origin + " database name is malformed" +
                 Offset(offset));
           }
-          snapshot.database_names.emplace_back(
-              reinterpret_cast<const char*>(payload + p), name_len);
-          p += name_len;
-          snapshot.database_sizes.push_back(GetU32(payload + p));
-          p += 4;
+          snapshot.database_names.push_back(std::move(name));
+          snapshot.database_sizes.push_back(size);
         }
-        if (p != len) {
+        if (!r.exhausted()) {
           return Status::ProtocolViolation("checkpoint " + origin +
                                            " databases section has trailing "
                                            "garbage" +
@@ -309,35 +221,32 @@ Result<OnlineSnapshot> DecodeCheckpoint(const uint8_t* data, size_t size,
         break;
       }
       case CheckpointSection::kPartition: {
-        if (len < 8) {
+        WireReader r(payload, len);
+        uint64_t rows = 0;
+        if (!r.Read(&rows).ok()) {
           return Status::OutOfRange("checkpoint " + origin +
                                     " partition section is truncated" +
                                     Offset(offset));
         }
-        const uint64_t rows = GetU64(payload);
-        const uint64_t expected = 8 + rows * 8 + (rows + 7) / 8 + 16;
-        if (len != expected) {
+        // u64 rows, two u32 per row, the linked bitmap, two u64 counters.
+        // The row count is bounded by the payload before any size
+        // arithmetic, so a crafted count cannot wrap it.
+        if (len < 24 || rows > (len - 24) / 8 ||
+            len != 8 + rows * 8 + (rows + 7) / 8 + 16) {
           return Status::ProtocolViolation(
               "checkpoint " + origin + " partition section length mismatch: " +
-              std::to_string(len) + " bytes, geometry needs " +
-              std::to_string(expected) + Offset(offset));
+              std::to_string(len) + " bytes cannot hold " + std::to_string(rows) +
+              " rows" + Offset(offset));
         }
-        const uint8_t* p = payload + 8;
-        snapshot.parent.reserve(rows);
-        for (uint64_t i = 0; i < rows; ++i, p += 4) {
-          snapshot.parent.push_back(GetU32(p));
-        }
-        snapshot.row_database.reserve(rows);
-        for (uint64_t i = 0; i < rows; ++i, p += 4) {
-          snapshot.row_database.push_back(GetU32(p));
-        }
-        snapshot.linked.reserve(rows);
+        r.ReadU32s(rows, &snapshot.parent);  // the length is checked above
+        r.ReadU32s(rows, &snapshot.row_database);
+        const uint8_t* linked = r.ReadView((rows + 7) / 8).value();
+        snapshot.linked.resize(rows);
         for (uint64_t i = 0; i < rows; ++i) {
-          snapshot.linked.push_back((p[i / 8] >> (i % 8)) & 1);
+          snapshot.linked[i] = (linked[i / 8] >> (i % 8)) & 1;
         }
-        p += (rows + 7) / 8;
-        snapshot.edges = GetU64(p);
-        snapshot.comparisons = GetU64(p + 8);
+        r.Read(&snapshot.edges);
+        r.Read(&snapshot.comparisons);
         break;
       }
       case CheckpointSection::kLshState: {
@@ -346,7 +255,7 @@ Result<OnlineSnapshot> DecodeCheckpoint(const uint8_t* data, size_t size,
                                            " LSH section length mismatch" +
                                            Offset(offset));
         }
-        snapshot.band_checksum = GetU64(payload);
+        snapshot.band_checksum = LoadLeU64(payload);
         break;
       }
     }
@@ -399,10 +308,7 @@ Result<OnlineSnapshot> DecodeCheckpoint(const uint8_t* data, size_t size,
 }
 
 std::string CheckpointPath(const std::string& dir, uint64_t wal_sequence) {
-  char name[64];
-  std::snprintf(name, sizeof(name), "checkpoint-%020llu.pckp",
-                static_cast<unsigned long long>(wal_sequence));
-  return dir + "/" + name;
+  return SequencedFilePath(dir, "checkpoint", "pckp", wal_sequence);
 }
 
 Status WriteCheckpointFile(const std::string& dir,
@@ -410,43 +316,11 @@ Status WriteCheckpointFile(const std::string& dir,
                            std::string* final_path) {
   const std::vector<uint8_t> data = EncodeCheckpoint(snapshot);
   const std::string path = CheckpointPath(dir, snapshot.wal_sequence);
-  const std::string tmp = path + ".tmp";
-
-  const int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) return WriteFailed(ErrnoStatus("cannot create", tmp));
-  const uint8_t* p = data.data();
-  size_t remaining = data.size();
-  while (remaining > 0) {
-    const ssize_t n = ::write(fd, p, remaining);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const Status failed = ErrnoStatus("cannot write", tmp);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return WriteFailed(failed);
-    }
-    p += n;
-    remaining -= static_cast<size_t>(n);
+  const Status written = ReplaceFileDurably(path, data, "checkpoint");
+  if (!written.ok()) {
+    Metrics().write_failures.Increment();
+    return written;
   }
-  if (::fsync(fd) != 0) {
-    const Status failed = ErrnoStatus("cannot fsync", tmp);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return WriteFailed(failed);
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const Status failed = ErrnoStatus("cannot rename into place", tmp);
-    ::unlink(tmp.c_str());
-    return WriteFailed(failed);
-  }
-  // fsync the directory so the rename itself survives a machine crash.
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd < 0) return WriteFailed(ErrnoStatus("cannot open directory", dir));
-  const int rc = ::fsync(dfd);
-  ::close(dfd);
-  if (rc != 0) return WriteFailed(ErrnoStatus("cannot fsync directory", dir));
-
   Metrics().writes.Increment();
   Metrics().bytes.Set(static_cast<int64_t>(data.size()));
   if (final_path != nullptr) *final_path = path;
@@ -454,41 +328,14 @@ Status WriteCheckpointFile(const std::string& dir,
 }
 
 Result<OnlineSnapshot> ReadCheckpointFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return ErrnoStatus("cannot open checkpoint", path);
-  std::vector<uint8_t> data;
-  uint8_t buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    data.insert(data.end(), buf, buf + n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return ErrnoStatus("cannot read checkpoint", path);
-  return DecodeCheckpoint(data.data(), data.size(), path);
+  auto data = ReadWholeFile(path, "checkpoint");
+  if (!data.ok()) return data.status();
+  return DecodeCheckpoint(data->data(), data->size(), path);
 }
 
 Result<std::vector<std::pair<uint64_t, std::string>>> ListCheckpoints(
     const std::string& dir) {
-  std::vector<std::pair<uint64_t, std::string>> checkpoints;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    if (errno == ENOENT) return checkpoints;
-    return ErrnoStatus("cannot list checkpoint directory", dir);
-  }
-  while (struct dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    unsigned long long seq = 0;
-    char trailer = 0;
-    if (std::sscanf(name.c_str(), "checkpoint-%20llu.pck%c", &seq, &trailer) ==
-            2 &&
-        trailer == 'p' && name == CheckpointPath("", seq).substr(1)) {
-      checkpoints.emplace_back(seq, dir + "/" + name);
-    }
-  }
-  ::closedir(d);
-  std::sort(checkpoints.begin(), checkpoints.end());
-  return checkpoints;
+  return ListSequencedFiles(dir, "checkpoint", "pckp", "checkpoint");
 }
 
 }  // namespace pprl::io

@@ -63,8 +63,9 @@ enum class CheckpointSection : uint32_t {
   /// row_count x u32 database index, packed linked bitmap
   /// (ceil(row_count/8) bytes), u64 accepted edges, u64 comparisons.
   kPartition = 3,
-  /// LSH rebuild verification: u64 band checksum — FNV-1a-64 over the
-  /// little-endian band fingerprints of every row in (row, table) order.
+  /// LSH rebuild verification: u64 band checksum — the FNV-1a-64 fold
+  /// over the little-endian band fingerprints of every row in (row, table)
+  /// order, started from 1469598103934665603 (LshBandIndex::band_checksum).
   kLshState = 4,
 };
 

@@ -1,9 +1,14 @@
 #include "io/pclk.h"
 
+#include <sys/stat.h>
+
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+
+#include "common/wire.h"
 
 namespace pprl::io {
 
@@ -18,50 +23,19 @@ constexpr uint32_t kMaxStrideBytes = 1u << 24;
 
 constexpr size_t kHeaderChecksumOffset = 56;
 
-uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+/// Copies one file row's carrying words into matrix row `r`. False when
+/// the file's stride padding past them is nonzero.
+bool LoadRow(BitMatrix& bits, size_t r, const uint8_t* row_bytes, size_t stride) {
+  const size_t carry = bits.words_per_row() * 8;
+  LoadLeSpan(bits.mutable_row(r), row_bytes, bits.words_per_row());
+  return std::all_of(row_bytes + carry, row_bytes + stride,
+                     [](uint8_t b) { return b == 0; });
 }
 
-uint64_t GetU64(const uint8_t* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         static_cast<uint64_t>(GetU32(p + 4)) << 32;
+Status StridePaddingError(uint64_t r) {
+  return Status::ProtocolViolation("PCLK row " + std::to_string(r) +
+                                   " has nonzero stride padding");
 }
-
-void PutU32(uint8_t* p, uint32_t v) {
-  p[0] = static_cast<uint8_t>(v);
-  p[1] = static_cast<uint8_t>(v >> 8);
-  p[2] = static_cast<uint8_t>(v >> 16);
-  p[3] = static_cast<uint8_t>(v >> 24);
-}
-
-void PutU64(uint8_t* p, uint64_t v) {
-  PutU32(p, static_cast<uint32_t>(v));
-  PutU32(p + 4, static_cast<uint32_t>(v >> 32));
-}
-
-/// Serialises `count` u64 values little-endian into `out`. On a
-/// little-endian host this is a memcpy; the explicit loop only exists for
-/// portability.
-void PutU64Span(uint8_t* out, const uint64_t* values, size_t count) {
-  if (count == 0) return;  // empty vector data() may be null; memcpy forbids it
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out, values, count * 8);
-  } else {
-    for (size_t i = 0; i < count; ++i) PutU64(out + i * 8, values[i]);
-  }
-}
-
-void GetU64Span(uint64_t* out, const uint8_t* bytes, size_t count) {
-  if (count == 0) return;
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out, bytes, count * 8);
-  } else {
-    for (size_t i = 0; i < count; ++i) out[i] = GetU64(bytes + i * 8);
-  }
-}
-
-size_t CarryingBytes(uint32_t bits) { return (static_cast<size_t>(bits) + 7) / 8; }
 
 /// Validates the loaded matrix against the format contract: no stray bits
 /// past filter_bits, and the popcount column (when present) agreeing with
@@ -81,7 +55,7 @@ Status ValidateRows(BitMatrix& bits, const PclkInfo& info, const uint8_t* popcou
   bits.RecomputeCounts();
   if (popcounts != nullptr) {
     for (size_t r = 0; r < bits.num_rows(); ++r) {
-      if (GetU32(popcounts + r * 4) != bits.row_count(r)) {
+      if (LoadLeU32(popcounts + r * 4) != bits.row_count(r)) {
         return Status::IoError("PCLK popcount column disagrees with row " +
                                std::to_string(r) + " (corrupted shard)");
       }
@@ -90,23 +64,81 @@ Status ValidateRows(BitMatrix& bits, const PclkInfo& info, const uint8_t* popcou
   return Status::OK();
 }
 
-/// Copies one file row (carrying bytes only) into a matrix row and checks
-/// the file's padding bytes past the carrying span are zero.
-Status LoadRow(BitMatrix& bits, size_t r, const uint8_t* row_bytes,
-               uint32_t file_stride) {
-  const size_t carry = bits.words_per_row() * 8;
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(bits.mutable_row(r), row_bytes, carry);
-  } else {
-    GetU64Span(bits.mutable_row(r), row_bytes, bits.words_per_row());
+/// A shard of `size` bytes must be exactly as long as its header says.
+/// Checked before anything is allocated, so a header that declares more
+/// rows than the bytes hold costs nothing.
+Status CheckSize(const PclkInfo& info, uint64_t size) {
+  if (size < info.total_bytes()) {
+    return Status::OutOfRange("PCLK shard truncated: " + std::to_string(size) +
+                              " of " + std::to_string(info.total_bytes()) +
+                              " bytes");
   }
-  for (size_t b = carry; b < file_stride; ++b) {
-    if (row_bytes[b] != 0) {
-      return Status::ProtocolViolation("PCLK row " + std::to_string(r) +
-                                       " has nonzero stride padding");
-    }
+  if (size > info.total_bytes()) {
+    return Status::ProtocolViolation("PCLK shard has trailing bytes");
   }
   return Status::OK();
+}
+
+/// The one decode body of DecodePclk and ReadPclkFile, run once the
+/// header is decoded and the size checked. `header` is the raw header,
+/// `mid` the span between it and the rows section (ids, popcounts, zero
+/// padding), and `read_rows(dst, n)` copies the next `n` bytes of the rows
+/// section into `dst`, false when they are missing. When the stored
+/// stride is the matrix's own, the whole rows section lands in the matrix
+/// in one read, with no re-packing. Checks run in a fixed order: the ids
+/// and popcount checksums, section padding, the rows checksum, stride
+/// padding, stray bits, popcounts.
+template <typename ReadRows>
+Result<EncodedShard> DecodeSections(const uint8_t* header, const PclkInfo& info,
+                                    const uint8_t* mid, ReadRows&& read_rows) {
+  const uint64_t n = info.row_count;
+  if (LoadLeU64(header + 32) != Fnv1a64(mid, n * 8)) {
+    return Status::IoError("PCLK ids section checksum mismatch");
+  }
+  const uint8_t* pop = info.has_popcounts() ? mid + n * 8 : nullptr;
+  if (pop != nullptr && LoadLeU64(header + 40) != Fnv1a64(pop, n * 4)) {
+    return Status::IoError("PCLK popcount section checksum mismatch");
+  }
+  const uint64_t mid_bytes = info.rows_offset() - info.ids_offset();
+  if (!std::all_of(mid + n * 8 + (pop != nullptr ? n * 4 : 0), mid + mid_bytes,
+                   [](uint8_t b) { return b == 0; })) {
+    return Status::ProtocolViolation("PCLK section padding is nonzero");
+  }
+
+  EncodedShard shard;
+  shard.ids.resize(n);
+  LoadLeSpan(shard.ids.data(), mid, n);
+  shard.bits = BitMatrix(n, info.filter_bits);
+  BitMatrix& bits = shard.bits;
+  const size_t stride = info.row_stride_bytes;
+  uint64_t rows_checksum = kFnv1a64Basis;
+  uint64_t padded_row = n;  // first row with nonzero stride padding
+  if (n > 0 && stride == bits.stride_words() * 8 &&
+      std::endian::native == std::endian::little) {
+    uint8_t* dst = reinterpret_cast<uint8_t*>(bits.mutable_row(0));
+    if (!read_rows(dst, n * stride)) return Status::OutOfRange("PCLK rows truncated");
+    rows_checksum = Fnv1a64(dst, n * stride);
+    for (uint64_t r = 0; r < n && padded_row == n; ++r) {
+      const uint64_t* words = bits.row(r);
+      if (!std::all_of(words + bits.words_per_row(), words + bits.stride_words(),
+                       [](uint64_t w) { return w == 0; })) {
+        padded_row = r;
+      }
+    }
+  } else {
+    std::vector<uint8_t> row(stride);
+    for (uint64_t r = 0; r < n; ++r) {
+      if (!read_rows(row.data(), stride)) return Status::OutOfRange("PCLK rows truncated");
+      rows_checksum = Fnv1a64(row.data(), stride, rows_checksum);
+      if (!LoadRow(bits, r, row.data(), stride) && padded_row == n) padded_row = r;
+    }
+  }
+  if (LoadLeU64(header + 48) != rows_checksum) {
+    return Status::IoError("PCLK rows section checksum mismatch");
+  }
+  if (padded_row < n) return StridePaddingError(padded_row);
+  PPRL_RETURN_IF_ERROR(ValidateRows(bits, info, pop));
+  return shard;
 }
 
 bool ReadExact(std::FILE* f, void* out, size_t n) {
@@ -120,17 +152,24 @@ struct FileCloser {
 };
 using File = std::unique_ptr<std::FILE, FileCloser>;
 
-}  // namespace
-
-uint64_t Fnv1a64(const void* data, size_t len) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64 offset basis
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= p[i];
-    hash *= 0x100000001b3ULL;  // FNV-1a 64 prime
-  }
-  return hash;
+/// Size of an open file; 0 when it cannot be read, which every size check
+/// then reports as truncation.
+uint64_t FileSize(std::FILE* f) {
+  struct stat st {};
+  return ::fstat(::fileno(f), &st) == 0 ? static_cast<uint64_t>(st.st_size) : 0;
 }
+
+/// Reads the header at the start of `f` into `raw` and decodes it.
+Result<PclkInfo> ReadHeaderFrom(std::FILE* f, const std::string& path, uint8_t* raw) {
+  const size_t got = std::fread(raw, 1, kPclkHeaderBytes, f);
+  auto info = DecodePclkHeader(raw, got);
+  if (!info.ok() && got < kPclkHeaderBytes) {
+    return Status::OutOfRange(path + ": PCLK header truncated");
+  }
+  return info;
+}
+
+}  // namespace
 
 uint64_t PclkInfo::rows_offset() const {
   const uint64_t after_pop =
@@ -143,26 +182,26 @@ Result<PclkInfo> DecodePclkHeader(const uint8_t* data, size_t size) {
     return Status::OutOfRange("PCLK header truncated: " + std::to_string(size) +
                               " of " + std::to_string(kPclkHeaderBytes) + " bytes");
   }
-  if (GetU32(data) != kPclkMagic) {
+  if (LoadLeU32(data) != kPclkMagic) {
     return Status::InvalidArgument("not a PCLK shard (bad magic)");
   }
   PclkInfo info;
-  info.version = GetU32(data + 4);
+  info.version = LoadLeU32(data + 4);
   if (info.version != kPclkVersion) {
     return Status::InvalidArgument("unsupported PCLK version " +
                                    std::to_string(info.version));
   }
-  info.flags = GetU32(data + 8);
-  info.filter_bits = GetU32(data + 12);
-  info.row_count = GetU64(data + 16);
-  info.row_stride_bytes = GetU32(data + 24);
-  if (GetU32(data + 28) != 0) {
+  info.flags = LoadLeU32(data + 8);
+  info.filter_bits = LoadLeU32(data + 12);
+  info.row_count = LoadLeU64(data + 16);
+  info.row_stride_bytes = LoadLeU32(data + 24);
+  if (LoadLeU32(data + 28) != 0) {
     return Status::ProtocolViolation("PCLK reserved header field is nonzero");
   }
   if ((info.flags & ~kPclkFlagPopcounts) != 0) {
     return Status::ProtocolViolation("PCLK header has unknown flag bits");
   }
-  if (GetU64(data + kHeaderChecksumOffset) !=
+  if (LoadLeU64(data + kHeaderChecksumOffset) !=
       Fnv1a64(data, kHeaderChecksumOffset)) {
     return Status::IoError("PCLK header checksum mismatch");
   }
@@ -175,7 +214,7 @@ Result<PclkInfo> DecodePclkHeader(const uint8_t* data, size_t size) {
       return Status::InvalidArgument("PCLK shard with rows but zero filter bits");
     }
     if (info.row_stride_bytes % 64 != 0 ||
-        info.row_stride_bytes < CarryingBytes(info.filter_bits)) {
+        info.row_stride_bytes < PackedRowBytes(info.filter_bits)) {
       return Status::InvalidArgument(
           "PCLK row stride must be a 64-byte multiple covering filter_bits");
     }
@@ -195,84 +234,46 @@ std::vector<uint8_t> EncodePclk(const EncodedShard& shard, bool include_popcount
   std::vector<uint8_t> out(info.total_bytes(), 0);
 
   // Sections first, so their checksums exist before the header is sealed.
-  PutU64Span(out.data() + info.ids_offset(), shard.ids.data(), n);
+  StoreLeSpan(out.data() + info.ids_offset(), shard.ids.data(), n);
   if (include_popcounts) {
     uint8_t* pop = out.data() + info.popcounts_offset();
     for (uint64_t r = 0; r < n; ++r) {
-      PutU32(pop + r * 4, static_cast<uint32_t>(bits.row_count(r)));
+      StoreLeU32(pop + r * 4, static_cast<uint32_t>(bits.row_count(r)));
     }
   }
   uint8_t* rows = out.data() + info.rows_offset();
   if (n > 0) {
     // Matrix rows are contiguous at exactly the file stride.
-    PutU64Span(rows, bits.row(0), n * bits.stride_words());
+    StoreLeSpan(rows, bits.row(0), n * bits.stride_words());
   }
 
   uint8_t* h = out.data();
-  PutU32(h, kPclkMagic);
-  PutU32(h + 4, info.version);
-  PutU32(h + 8, info.flags);
-  PutU32(h + 12, info.filter_bits);
-  PutU64(h + 16, info.row_count);
-  PutU32(h + 24, info.row_stride_bytes);
-  PutU32(h + 28, 0);
-  PutU64(h + 32, Fnv1a64(out.data() + info.ids_offset(), n * 8));
-  PutU64(h + 40, include_popcounts
-                     ? Fnv1a64(out.data() + info.popcounts_offset(), n * 4)
-                     : 0);
-  PutU64(h + 48, Fnv1a64(rows, n * info.row_stride_bytes));
-  PutU64(h + kHeaderChecksumOffset, Fnv1a64(h, kHeaderChecksumOffset));
+  StoreLeU32(h, kPclkMagic);
+  StoreLeU32(h + 4, info.version);
+  StoreLeU32(h + 8, info.flags);
+  StoreLeU32(h + 12, info.filter_bits);
+  StoreLeU64(h + 16, info.row_count);
+  StoreLeU32(h + 24, info.row_stride_bytes);  // bytes 28..31 reserved, zero
+  StoreLeU64(h + 32, Fnv1a64(out.data() + info.ids_offset(), n * 8));
+  StoreLeU64(h + 40, include_popcounts
+                         ? Fnv1a64(out.data() + info.popcounts_offset(), n * 4)
+                         : 0);
+  StoreLeU64(h + 48, Fnv1a64(rows, n * info.row_stride_bytes));
+  StoreLeU64(h + kHeaderChecksumOffset, Fnv1a64(h, kHeaderChecksumOffset));
   return out;
 }
 
 Result<EncodedShard> DecodePclk(const uint8_t* data, size_t size) {
-  auto header = DecodePclkHeader(data, size);
-  if (!header.ok()) return header.status();
-  const PclkInfo& info = *header;
-  const uint64_t n = info.row_count;
-  if (size < info.total_bytes()) {
-    return Status::OutOfRange("PCLK shard truncated: " + std::to_string(size) +
-                              " of " + std::to_string(info.total_bytes()) +
-                              " bytes");
-  }
-  if (size > info.total_bytes()) {
-    return Status::ProtocolViolation("PCLK shard has trailing bytes");
-  }
-
-  const uint8_t* ids = data + info.ids_offset();
-  if (GetU64(data + 32) != Fnv1a64(ids, n * 8)) {
-    return Status::IoError("PCLK ids section checksum mismatch");
-  }
-  const uint8_t* pop = nullptr;
-  if (info.has_popcounts()) {
-    pop = data + info.popcounts_offset();
-    if (GetU64(data + 40) != Fnv1a64(pop, n * 4)) {
-      return Status::IoError("PCLK popcount section checksum mismatch");
-    }
-  }
-  const uint64_t pad_begin =
-      info.popcounts_offset() + (info.has_popcounts() ? n * 4 : 0);
-  for (uint64_t b = pad_begin; b < info.rows_offset(); ++b) {
-    if (data[b] != 0) {
-      return Status::ProtocolViolation("PCLK section padding is nonzero");
-    }
-  }
-  const uint8_t* rows = data + info.rows_offset();
-  if (GetU64(data + 48) != Fnv1a64(rows, n * info.row_stride_bytes)) {
-    return Status::IoError("PCLK rows section checksum mismatch");
-  }
-
-  EncodedShard shard;
-  shard.ids.resize(n);
-  GetU64Span(shard.ids.data(), ids, n);
-  shard.bits = BitMatrix(n, info.filter_bits);
-  for (uint64_t r = 0; r < n; ++r) {
-    PPRL_RETURN_IF_ERROR(
-        LoadRow(shard.bits, r, rows + r * info.row_stride_bytes,
-                info.row_stride_bytes));
-  }
-  PPRL_RETURN_IF_ERROR(ValidateRows(shard.bits, info, pop));
-  return shard;
+  auto info = DecodePclkHeader(data, size);
+  if (!info.ok()) return info.status();
+  PPRL_RETURN_IF_ERROR(CheckSize(*info, size));
+  const uint8_t* rows = data + info->rows_offset();
+  return DecodeSections(data, *info, data + info->ids_offset(),
+                        [&rows](uint8_t* dst, size_t n) {
+                          std::memcpy(dst, rows, n);
+                          rows += n;
+                          return true;
+                        });
 }
 
 Status WritePclkFile(const std::string& path, const EncodedShard& shard,
@@ -290,117 +291,30 @@ Status WritePclkFile(const std::string& path, const EncodedShard& shard,
   return Status::OK();
 }
 
-namespace {
-
-Result<PclkInfo> ReadHeaderFrom(std::FILE* f, const std::string& path) {
-  uint8_t header[kPclkHeaderBytes];
-  const size_t got = std::fread(header, 1, sizeof(header), f);
-  auto info = DecodePclkHeader(header, got);
-  if (!info.ok() && got < sizeof(header)) {
-    return Status::OutOfRange(path + ": PCLK header truncated");
-  }
-  return info;
-}
-
-}  // namespace
-
 Result<PclkInfo> ReadPclkInfo(const std::string& path) {
   File f(std::fopen(path.c_str(), "rb"));
   if (f == nullptr) return Status::IoError("cannot open " + path);
-  return ReadHeaderFrom(f.get(), path);
+  uint8_t header[kPclkHeaderBytes];
+  return ReadHeaderFrom(f.get(), path, header);
 }
 
 Result<EncodedShard> ReadPclkFile(const std::string& path) {
   File f(std::fopen(path.c_str(), "rb"));
   if (f == nullptr) return Status::IoError("cannot open " + path);
-  auto header = ReadHeaderFrom(f.get(), path);
-  if (!header.ok()) return header.status();
-  const PclkInfo& info = *header;
-  const uint64_t n = info.row_count;
-
-  // ids + optional popcounts + padding arrive as one contiguous span.
-  const uint64_t mid_bytes = info.rows_offset() - info.ids_offset();
-  std::vector<uint8_t> mid(mid_bytes);
+  uint8_t header[kPclkHeaderBytes];
+  auto info = ReadHeaderFrom(f.get(), path, header);
+  if (!info.ok()) return info.status();
+  PPRL_RETURN_IF_ERROR(CheckSize(*info, FileSize(f.get())).WithContext(path));
+  // The ids, popcounts and padding arrive as one span; the rows then
+  // stream from the file straight into the matrix.
+  std::vector<uint8_t> mid(info->rows_offset() - info->ids_offset());
   if (!ReadExact(f.get(), mid.data(), mid.size())) {
     return Status::OutOfRange(path + ": PCLK sections truncated");
   }
-  const uint8_t* ids = mid.data();
-  const uint8_t* pop = info.has_popcounts() ? mid.data() + n * 8 : nullptr;
-
-  EncodedShard shard;
-  shard.ids.resize(n);
-  GetU64Span(shard.ids.data(), ids, n);
-  shard.bits = BitMatrix(n, info.filter_bits);
-
-  const uint64_t expect_ids = Fnv1a64(ids, n * 8);
-  const uint64_t expect_pop = pop != nullptr ? Fnv1a64(pop, n * 4) : 0;
-  const uint64_t pad_begin = n * 8 + (pop != nullptr ? n * 4 : 0);
-  for (uint64_t b = pad_begin; b < mid_bytes; ++b) {
-    if (mid[b] != 0) {
-      return Status::ProtocolViolation(path + ": PCLK section padding is nonzero");
-    }
-  }
-
-  uint64_t rows_checksum = 0xcbf29ce484222325ULL;
-  if (n > 0 &&
-      info.row_stride_bytes == shard.bits.stride_words() * 8 &&
-      std::endian::native == std::endian::little) {
-    // The file stride matches the in-memory stride: stream the whole rows
-    // section straight into the matrix — the zero-re-packing fast path.
-    uint8_t* dst = reinterpret_cast<uint8_t*>(shard.bits.mutable_row(0));
-    if (!ReadExact(f.get(), dst, n * info.row_stride_bytes)) {
-      return Status::OutOfRange(path + ": PCLK rows truncated");
-    }
-    rows_checksum = Fnv1a64(dst, n * info.row_stride_bytes);
-  } else {
-    std::vector<uint8_t> row(info.row_stride_bytes);
-    for (uint64_t r = 0; r < n; ++r) {
-      if (!ReadExact(f.get(), row.data(), row.size())) {
-        return Status::OutOfRange(path + ": PCLK rows truncated");
-      }
-      for (uint8_t b : row) {
-        rows_checksum = (rows_checksum ^ b) * 0x100000001b3ULL;
-      }
-      PPRL_RETURN_IF_ERROR(LoadRow(shard.bits, r, row.data(), info.row_stride_bytes));
-    }
-  }
-  uint8_t trailing = 0;
-  if (std::fread(&trailing, 1, 1, f.get()) != 0) {
-    return Status::ProtocolViolation(path + ": PCLK shard has trailing bytes");
-  }
-
-  // Verify sections after the single pass over the file.
-  uint8_t header_raw[kPclkHeaderBytes];
-  std::rewind(f.get());
-  if (!ReadExact(f.get(), header_raw, sizeof(header_raw))) {
-    return Status::IoError(path + ": reread of PCLK header failed");
-  }
-  if (GetU64(header_raw + 32) != expect_ids) {
-    return Status::IoError(path + ": PCLK ids section checksum mismatch");
-  }
-  if (pop != nullptr && GetU64(header_raw + 40) != expect_pop) {
-    return Status::IoError(path + ": PCLK popcount section checksum mismatch");
-  }
-  if (n > 0 && GetU64(header_raw + 48) != rows_checksum) {
-    return Status::IoError(path + ": PCLK rows section checksum mismatch");
-  }
-
-  // The fast path copied stride padding into the matrix; it must be zero
-  // and ValidateRows only checks the carrying words, so check here.
-  if (info.row_stride_bytes == shard.bits.stride_words() * 8) {
-    for (uint64_t r = 0; r < n; ++r) {
-      const uint64_t* row_words = shard.bits.row(r);
-      for (size_t w = shard.bits.words_per_row(); w < shard.bits.stride_words();
-           ++w) {
-        if (row_words[w] != 0) {
-          return Status::ProtocolViolation(
-              path + ": PCLK row " + std::to_string(r) +
-              " has nonzero stride padding");
-        }
-      }
-    }
-  }
-  PPRL_RETURN_IF_ERROR(ValidateRows(shard.bits, info, pop));
+  auto shard = DecodeSections(header, *info, mid.data(), [&f](uint8_t* dst, size_t n) {
+    return ReadExact(f.get(), dst, n);
+  });
+  if (!shard.ok()) return shard.status().WithContext(path);
   return shard;
 }
 
@@ -408,7 +322,8 @@ Result<EncodedShard> ReadPclkSlice(const std::string& path, uint64_t row_begin,
                                    uint64_t row_count) {
   File f(std::fopen(path.c_str(), "rb"));
   if (f == nullptr) return Status::IoError("cannot open " + path);
-  auto header = ReadHeaderFrom(f.get(), path);
+  uint8_t raw[kPclkHeaderBytes];
+  auto header = ReadHeaderFrom(f.get(), path, raw);
   if (!header.ok()) return header.status();
   const PclkInfo& info = *header;
   if (row_begin > info.row_count || row_count > info.row_count - row_begin) {
@@ -418,6 +333,10 @@ Result<EncodedShard> ReadPclkSlice(const std::string& path, uint64_t row_begin,
                               std::to_string(info.row_count) + " rows");
   }
 
+  // Nothing is allocated for rows the file does not hold.
+  if (FileSize(f.get()) < info.total_bytes()) {
+    return Status::OutOfRange(path + ": PCLK shard truncated");
+  }
   EncodedShard shard;
   shard.ids.resize(row_count);
   shard.bits = BitMatrix(row_count, info.filter_bits);
@@ -431,7 +350,7 @@ Result<EncodedShard> ReadPclkSlice(const std::string& path, uint64_t row_begin,
   if (!ReadExact(f.get(), id_bytes.data(), id_bytes.size())) {
     return Status::OutOfRange(path + ": PCLK ids truncated");
   }
-  GetU64Span(shard.ids.data(), id_bytes.data(), row_count);
+  LoadLeSpan(shard.ids.data(), id_bytes.data(), row_count);
 
   std::vector<uint8_t> pop_bytes;
   if (info.has_popcounts()) {
@@ -457,7 +376,7 @@ Result<EncodedShard> ReadPclkSlice(const std::string& path, uint64_t row_begin,
     if (!ReadExact(f.get(), row.data(), row.size())) {
       return Status::OutOfRange(path + ": PCLK rows truncated");
     }
-    PPRL_RETURN_IF_ERROR(LoadRow(shard.bits, r, row.data(), info.row_stride_bytes));
+    if (!LoadRow(shard.bits, r, row.data(), row.size())) return StridePaddingError(r);
   }
   PPRL_RETURN_IF_ERROR(ValidateRows(
       shard.bits, info, pop_bytes.empty() ? nullptr : pop_bytes.data()));
@@ -468,7 +387,7 @@ bool LooksLikePclkFile(const std::string& path) {
   File f(std::fopen(path.c_str(), "rb"));
   if (f == nullptr) return false;
   uint8_t magic[4];
-  return ReadExact(f.get(), magic, sizeof(magic)) && GetU32(magic) == kPclkMagic;
+  return ReadExact(f.get(), magic, sizeof(magic)) && LoadLeU32(magic) == kPclkMagic;
 }
 
 }  // namespace pprl::io

@@ -40,9 +40,11 @@ namespace pprl::io {
 ///   ...     sn    rows section: row_count rows of row_stride_bytes each;
 ///                 bits past filter_bits within a row must be 0
 ///
-/// The checksum is the same FNV-1a-64 the protocol-v2 shipment chunks use
-/// (service/protocol.h), so a spooled shard and a wire chunk corrupt the
-/// same way and are caught the same way. Decoder errors are typed:
+/// The checksum is the one FNV-1a-64 of the byte layer (common/wire.h),
+/// which the protocol-v2 shipment chunks use too, so a spooled shard and a
+/// wire chunk corrupt the same way and are caught the same way.
+/// DecodePclk and ReadPclkFile run one validation body. Decoder errors
+/// are typed:
 ///   kInvalidArgument   bad magic / unsupported version / bad geometry
 ///   kOutOfRange        truncated header or sections
 ///   kProtocolViolation reserved bits set, trailing garbage, stray bits
@@ -52,9 +54,6 @@ inline constexpr uint32_t kPclkMagic = 0x4B4C4350u;
 inline constexpr uint32_t kPclkVersion = 1;
 inline constexpr uint32_t kPclkFlagPopcounts = 1u << 0;
 inline constexpr size_t kPclkHeaderBytes = 64;
-
-/// FNV-1a 64 (same constants as the protocol-v2 chunk checksum).
-uint64_t Fnv1a64(const void* data, size_t len);
 
 /// A decoded PCLK header: the shard's geometry without its data.
 struct PclkInfo {

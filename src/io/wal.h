@@ -168,7 +168,7 @@ std::vector<uint8_t> EncodeWalHello(const std::string& party);
 Result<std::string> DecodeWalHello(const std::vector<uint8_t>& payload);
 
 /// kAppendBatch payload: u32 database, u32 count, u32 filter_bits,
-/// u32 reserved, then count x (u64 id + ceil(filter_bits/8) filter bytes).
+/// u32 reserved, then `count` packed records (encoding/clk_io.h).
 struct WalAppendBatch {
   uint32_t database = 0;
   EncodedDatabase rows;

@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "net/wire.h"
+#include "common/wire.h"
 
 namespace pprl {
 
@@ -30,11 +30,10 @@ Result<size_t> DecodeFrameHeader(const uint8_t* header, size_t len, uint8_t* ver
   if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
     return Status::ProtocolViolation("frame: bad magic");
   }
-  WireReader r(header + sizeof(kMagic), kFrameHeaderSize - sizeof(kMagic));
-  const uint8_t version = r.ReadU8().value();
-  const uint8_t type = r.ReadU8().value();
-  const uint16_t reserved = r.ReadU16().value();
-  const uint32_t declared = r.ReadU32().value();
+  const uint8_t version = header[4];
+  const uint8_t type = header[5];
+  const uint16_t reserved = LoadLe<uint16_t>(header + 6);
+  const uint32_t declared = LoadLeU32(header + 8);
   if (version != kWireProtocolVersion) {
     return Status::ProtocolViolation("frame: unsupported protocol version " +
                                      std::to_string(version));

@@ -26,14 +26,14 @@ Status DatabaseOwner::Encode(const ClkEncoder& encoder) {
 
 namespace {
 
-/// Bytes a shipment of `encoded` costs on any transport: one 8-byte id
-/// plus the packed filter per record. Both the in-process channel path and
-/// the wire serialisation (service/protocol.h) follow this formula, which
-/// is what keeps their metered totals identical.
+/// Bytes a shipment of `encoded` costs on any transport: one packed
+/// record per filter. The wire serialisation (service/protocol.h) writes
+/// exactly these records, which is what keeps the in-process channel's
+/// metered totals identical to the wire's.
 size_t ShipmentPayloadBytes(const EncodedDatabase& encoded) {
-  const size_t filter_bytes =
-      encoded.filters.empty() ? 0 : (encoded.filters[0].size() + 7) / 8;
-  return encoded.filters.size() * (filter_bytes + 8);
+  return encoded.filters.empty()
+             ? 0
+             : encoded.filters.size() * PackedRecordBytes(encoded.filters[0].size());
 }
 
 }  // namespace

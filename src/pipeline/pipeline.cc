@@ -114,7 +114,7 @@ Result<LinkageOutput> PprlPipeline::Link(const Database& a, const Database& b) c
   const std::vector<BitVector>& fb = b_encoded.value();
   out.encode_seconds = encode_span.Stop();
 
-  const size_t filter_bytes = fa.empty() ? 0 : (fa[0].size() + 7) / 8;
+  const size_t filter_bytes = fa.empty() ? 0 : PackedRowBytes(fa[0].size());
   const std::string matcher =
       config_.model == LinkageModel::kTwoPartyDirect ? "party-a" : "lu-match";
 

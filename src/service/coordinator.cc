@@ -53,6 +53,33 @@ CoordinatorMetrics& Metrics() {
 
 }  // namespace
 
+Result<WorkerEndpoint> ParseEndpoint(const std::string& entry) {
+  WorkerEndpoint endpoint;
+  const size_t colon = entry.rfind(':');
+  const std::string port_text =
+      colon == std::string::npos ? entry : entry.substr(colon + 1);
+  if (colon != std::string::npos) {
+    if (colon == 0) {
+      return Status::InvalidArgument("empty host in endpoint '" + entry + "'");
+    }
+    endpoint.host = entry.substr(0, colon);
+  }
+  // std::from_chars reports an over-long digit string as out of range
+  // instead of throwing.
+  uint64_t port = 0;
+  const char* port_end = port_text.data() + port_text.size();
+  const auto [parsed_end, error] = std::from_chars(port_text.data(), port_end, port);
+  if (port_text.empty() || parsed_end != port_end) {
+    return Status::InvalidArgument("bad port in endpoint '" + entry + "'");
+  }
+  if (error != std::errc() || port == 0 || port > 65535) {
+    return Status::InvalidArgument("port out of range [1, 65535] in endpoint '" +
+                                   entry + "'");
+  }
+  endpoint.port = static_cast<uint16_t>(port);
+  return endpoint;
+}
+
 Result<std::vector<WorkerEndpoint>> ParseWorkerList(const std::string& spec) {
   std::vector<WorkerEndpoint> workers;
   size_t start = 0;
@@ -64,30 +91,9 @@ Result<std::vector<WorkerEndpoint>> ParseWorkerList(const std::string& spec) {
     if (entry.empty()) {
       return Status::InvalidArgument("empty entry in worker list '" + spec + "'");
     }
-    WorkerEndpoint worker;
-    const size_t colon = entry.rfind(':');
-    const std::string port_text =
-        colon == std::string::npos ? entry : entry.substr(colon + 1);
-    if (colon != std::string::npos) {
-      if (colon == 0) {
-        return Status::InvalidArgument("empty host in worker entry '" + entry + "'");
-      }
-      worker.host = entry.substr(0, colon);
-    }
-    // std::from_chars reports an over-long digit string as out of range
-    // instead of throwing.
-    uint64_t port = 0;
-    const char* port_end = port_text.data() + port_text.size();
-    const auto [parsed_end, error] = std::from_chars(port_text.data(), port_end, port);
-    if (port_text.empty() || parsed_end != port_end) {
-      return Status::InvalidArgument("bad port in worker entry '" + entry + "'");
-    }
-    if (error != std::errc() || port == 0 || port > 65535) {
-      return Status::InvalidArgument("port out of range in worker entry '" + entry +
-                                     "'");
-    }
-    worker.port = static_cast<uint16_t>(port);
-    workers.push_back(std::move(worker));
+    auto worker = ParseEndpoint(entry);
+    if (!worker.ok()) return worker.status();
+    workers.push_back(std::move(*worker));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }

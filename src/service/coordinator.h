@@ -24,9 +24,12 @@ struct WorkerEndpoint {
   std::string Label() const { return host + ":" + std::to_string(port); }
 };
 
-/// Parses a "host:port,host:port,..." worker list (the --workers flag).
-/// A bare "port" entry means 127.0.0.1. Rejects empty entries and ports
-/// outside [1, 65535].
+/// Parses one "host:port" endpoint; a bare "port" means 127.0.0.1. Rejects
+/// an empty host and ports outside [1, 65535].
+Result<WorkerEndpoint> ParseEndpoint(const std::string& entry);
+
+/// Parses a "host:port,host:port,..." worker list (the --workers flag),
+/// each entry by ParseEndpoint. Rejects empty entries.
 Result<std::vector<WorkerEndpoint>> ParseWorkerList(const std::string& spec);
 
 /// Configuration of the coordinator role on top of a linkage-unit daemon.

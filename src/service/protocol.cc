@@ -1,10 +1,8 @@
 #include "service/protocol.h"
 
-#include <cstring>
-
 #include "blocking/lsh_blocking.h"
+#include "common/wire.h"
 #include "net/frame.h"
-#include "net/wire.h"
 
 namespace pprl {
 
@@ -16,23 +14,6 @@ constexpr size_t kMaxNameLen = 256;
 constexpr size_t kMaxErrorLen = 4096;
 /// Guard on busy-reason text crossing the wire.
 constexpr size_t kMaxReasonLen = 512;
-
-/// One shipment record: a u64 id, then the filter's packed row.
-size_t ShipmentRecordBytes(size_t filter_bits) {
-  return 8 + PackedRowBytes(filter_bits);
-}
-
-void PutShipmentRecord(uint64_t id, const uint64_t* words, size_t filter_bits,
-                       uint8_t* out) {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(id >> (8 * i));
-  StorePackedRow(words, filter_bits, out + 8);
-}
-
-uint64_t GetLeU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
 
 StatusCode StatusCodeFromWire(uint16_t v) {
   switch (v) {
@@ -94,18 +75,10 @@ std::vector<uint8_t> EncodeHello(const HelloMessage& msg) {
 Result<HelloMessage> DecodeHello(const std::vector<uint8_t>& payload) {
   WireReader r(payload);
   HelloMessage msg;
-  auto version = r.ReadU32();
-  if (!version.ok()) return version.status();
-  msg.protocol_version = *version;
-  auto party = r.ReadString(kMaxNameLen);
-  if (!party.ok()) return party.status();
-  msg.party = std::move(*party);
-  auto bits = r.ReadU32();
-  if (!bits.ok()) return bits.status();
-  msg.filter_bits = *bits;
-  auto count = r.ReadU32();
-  if (!count.ok()) return count.status();
-  msg.record_count = *count;
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.protocol_version));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.party, kMaxNameLen));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.filter_bits));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.record_count));
   if (!r.exhausted()) return Status::ProtocolViolation("hello: trailing bytes");
   if (msg.party.empty()) return Status::ProtocolViolation("hello: empty party name");
   return msg;
@@ -124,21 +97,11 @@ std::vector<uint8_t> EncodeHelloAck(const HelloAckMessage& msg) {
 Result<HelloAckMessage> DecodeHelloAck(const std::vector<uint8_t>& payload) {
   WireReader r(payload);
   HelloAckMessage msg;
-  auto version = r.ReadU32();
-  if (!version.ok()) return version.status();
-  msg.protocol_version = *version;
-  auto server = r.ReadString(kMaxNameLen);
-  if (!server.ok()) return server.status();
-  msg.server = std::move(*server);
-  auto expected = r.ReadU32();
-  if (!expected.ok()) return expected.status();
-  msg.expected_owners = *expected;
-  auto session = r.ReadU64();
-  if (!session.ok()) return session.status();
-  msg.session_id = *session;
-  auto chunk = r.ReadU32();
-  if (!chunk.ok()) return chunk.status();
-  msg.max_chunk_bytes = *chunk;
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.protocol_version));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.server, kMaxNameLen));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.expected_owners));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.session_id));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.max_chunk_bytes));
   if (!r.exhausted()) return Status::ProtocolViolation("hello-ack: trailing bytes");
   if (msg.session_id == 0) return Status::ProtocolViolation("hello-ack: zero session id");
   if (msg.max_chunk_bytes == 0) {
@@ -163,15 +126,14 @@ Result<ShipmentChunkMessage> DecodeShipmentChunk(const std::vector<uint8_t>& pay
   }
   WireReader r(payload);
   ShipmentChunkMessage msg;
-  msg.session_id = r.ReadU64().value();
-  msg.offset = r.ReadU64().value();
-  auto last = r.ReadU8();
-  if (*last > 1) return Status::ProtocolViolation("shipment-chunk: bad last flag");
-  msg.last = *last == 1;
-  msg.checksum = r.ReadU64().value();
-  auto data = r.ReadBytes(r.remaining());
-  if (!data.ok()) return data.status();
-  msg.data = std::move(*data);
+  uint8_t last = 0;
+  r.Read(&msg.session_id);  // the header's size is checked above
+  r.Read(&msg.offset);
+  r.Read(&last);
+  r.Read(&msg.checksum);
+  if (last > 1) return Status::ProtocolViolation("shipment-chunk: bad last flag");
+  msg.last = last == 1;
+  msg.data = r.ReadBytes(r.remaining()).value();
   return msg;
 }
 
@@ -188,22 +150,14 @@ std::vector<uint8_t> EncodeShipmentAck(const ShipmentAckMessage& msg) {
 Result<ShipmentAckMessage> DecodeShipmentAck(const std::vector<uint8_t>& payload) {
   WireReader r(payload);
   ShipmentAckMessage msg;
-  auto session = r.ReadU64();
-  if (!session.ok()) return session.status();
-  msg.session_id = *session;
-  auto acked = r.ReadU64();
-  if (!acked.ok()) return acked.status();
-  msg.acked_bytes = *acked;
-  auto complete = r.ReadU8();
-  if (!complete.ok()) return complete.status();
-  if (*complete > 1) return Status::ProtocolViolation("shipment-ack: bad complete flag");
-  msg.complete = *complete == 1;
-  auto shipped = r.ReadU32();
-  if (!shipped.ok()) return shipped.status();
-  msg.owners_shipped = *shipped;
-  auto expected = r.ReadU32();
-  if (!expected.ok()) return expected.status();
-  msg.expected_owners = *expected;
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.session_id));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.acked_bytes));
+  uint8_t complete = 0;
+  PPRL_RETURN_IF_ERROR(r.Read(&complete));
+  if (complete > 1) return Status::ProtocolViolation("shipment-ack: bad complete flag");
+  msg.complete = complete == 1;
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.owners_shipped));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.expected_owners));
   if (!r.exhausted()) return Status::ProtocolViolation("shipment-ack: trailing bytes");
   return msg;
 }
@@ -219,15 +173,9 @@ std::vector<uint8_t> EncodeResume(const ResumeMessage& msg) {
 Result<ResumeMessage> DecodeResume(const std::vector<uint8_t>& payload) {
   WireReader r(payload);
   ResumeMessage msg;
-  auto version = r.ReadU32();
-  if (!version.ok()) return version.status();
-  msg.protocol_version = *version;
-  auto party = r.ReadString(kMaxNameLen);
-  if (!party.ok()) return party.status();
-  msg.party = std::move(*party);
-  auto session = r.ReadU64();
-  if (!session.ok()) return session.status();
-  msg.session_id = *session;
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.protocol_version));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.party, kMaxNameLen));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.session_id));
   if (!r.exhausted()) return Status::ProtocolViolation("resume: trailing bytes");
   if (msg.party.empty()) return Status::ProtocolViolation("resume: empty party name");
   if (msg.session_id == 0) return Status::ProtocolViolation("resume: zero session id");
@@ -245,16 +193,12 @@ std::vector<uint8_t> EncodeResumeAck(const ResumeAckMessage& msg) {
 Result<ResumeAckMessage> DecodeResumeAck(const std::vector<uint8_t>& payload) {
   WireReader r(payload);
   ResumeAckMessage msg;
-  auto session = r.ReadU64();
-  if (!session.ok()) return session.status();
-  msg.session_id = *session;
-  auto acked = r.ReadU64();
-  if (!acked.ok()) return acked.status();
-  msg.acked_bytes = *acked;
-  auto complete = r.ReadU8();
-  if (!complete.ok()) return complete.status();
-  if (*complete > 1) return Status::ProtocolViolation("resume-ack: bad complete flag");
-  msg.shipment_complete = *complete == 1;
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.session_id));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.acked_bytes));
+  uint8_t complete = 0;
+  PPRL_RETURN_IF_ERROR(r.Read(&complete));
+  if (complete > 1) return Status::ProtocolViolation("resume-ack: bad complete flag");
+  msg.shipment_complete = complete == 1;
   if (!r.exhausted()) return Status::ProtocolViolation("resume-ack: trailing bytes");
   return msg;
 }
@@ -271,12 +215,8 @@ std::vector<uint8_t> EncodeBusy(const BusyMessage& msg) {
 Result<BusyMessage> DecodeBusy(const std::vector<uint8_t>& payload) {
   WireReader r(payload);
   BusyMessage msg;
-  auto retry = r.ReadU32();
-  if (!retry.ok()) return retry.status();
-  msg.retry_after_ms = *retry;
-  auto reason = r.ReadString(kMaxReasonLen);
-  if (!reason.ok()) return reason.status();
-  msg.reason = std::move(*reason);
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.retry_after_ms));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.reason, kMaxReasonLen));
   if (!r.exhausted()) return Status::ProtocolViolation("busy: trailing bytes");
   return msg;
 }
@@ -289,10 +229,7 @@ std::vector<uint8_t> EncodeAssignPartition(const AssignPartitionMessage& msg) {
   w.PutU32(msg.num_workers);
   w.PutU8(msg.scheme);
   w.PutU32(msg.expected_owners);
-  uint64_t threshold_bits = 0;
-  static_assert(sizeof(threshold_bits) == sizeof(msg.dice_threshold));
-  std::memcpy(&threshold_bits, &msg.dice_threshold, sizeof(threshold_bits));
-  w.PutU64(threshold_bits);
+  w.PutF64(msg.dice_threshold);
   w.PutU32(msg.lsh_tables);
   w.PutU32(msg.lsh_bits_per_key);
   w.PutU64(msg.lsh_seed);
@@ -303,39 +240,19 @@ Result<AssignPartitionMessage> DecodeAssignPartition(
     const std::vector<uint8_t>& payload) {
   WireReader r(payload);
   AssignPartitionMessage msg;
-  auto version = r.ReadU32();
-  if (!version.ok()) return version.status();
-  msg.protocol_version = *version;
-  auto coordinator = r.ReadString(kMaxNameLen);
-  if (!coordinator.ok()) return coordinator.status();
-  msg.coordinator = std::move(*coordinator);
-  auto worker = r.ReadU32();
-  if (!worker.ok()) return worker.status();
-  msg.worker_index = *worker;
-  auto workers = r.ReadU32();
-  if (!workers.ok()) return workers.status();
-  msg.num_workers = *workers;
-  auto scheme = r.ReadU8();
-  if (!scheme.ok()) return scheme.status();
-  if (*scheme > 2) {
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.protocol_version));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.coordinator, kMaxNameLen));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.worker_index));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.num_workers));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.scheme));
+  if (msg.scheme > 2) {
     return Status::ProtocolViolation("assign-partition: unknown scheme");
   }
-  msg.scheme = *scheme;
-  auto owners = r.ReadU32();
-  if (!owners.ok()) return owners.status();
-  msg.expected_owners = *owners;
-  auto threshold_bits = r.ReadU64();
-  if (!threshold_bits.ok()) return threshold_bits.status();
-  std::memcpy(&msg.dice_threshold, &*threshold_bits, sizeof(msg.dice_threshold));
-  auto tables = r.ReadU32();
-  if (!tables.ok()) return tables.status();
-  msg.lsh_tables = *tables;
-  auto bits_per_key = r.ReadU32();
-  if (!bits_per_key.ok()) return bits_per_key.status();
-  msg.lsh_bits_per_key = *bits_per_key;
-  auto seed = r.ReadU64();
-  if (!seed.ok()) return seed.status();
-  msg.lsh_seed = *seed;
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.expected_owners));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.dice_threshold));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.lsh_tables));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.lsh_bits_per_key));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.lsh_seed));
   if (!r.exhausted()) {
     return Status::ProtocolViolation("assign-partition: trailing bytes");
   }
@@ -370,9 +287,7 @@ std::vector<uint8_t> EncodePartitionResult(const PartitionResultMessage& msg) {
     w.PutU32(e.x.record);
     w.PutU32(e.y.database);
     w.PutU32(e.y.record);
-    uint64_t score_bits = 0;
-    std::memcpy(&score_bits, &e.score, sizeof(score_bits));
-    w.PutU64(score_bits);
+    w.PutF64(e.score);
   }
   return w.Take();
 }
@@ -381,35 +296,24 @@ Result<PartitionResultMessage> DecodePartitionResult(
     const std::vector<uint8_t>& payload, size_t max_edges) {
   WireReader r(payload);
   PartitionResultMessage msg;
-  auto worker = r.ReadU32();
-  if (!worker.ok()) return worker.status();
-  msg.worker_index = *worker;
-  auto comparisons = r.ReadU64();
-  if (!comparisons.ok()) return comparisons.status();
-  msg.comparisons = *comparisons;
-  auto candidates = r.ReadU64();
-  if (!candidates.ok()) return candidates.status();
-  msg.candidate_pairs = *candidates;
-  auto pruned = r.ReadU64();
-  if (!pruned.ok()) return pruned.status();
-  msg.pruned_comparisons = *pruned;
-  auto count = r.ReadU32();
-  if (!count.ok()) return count.status();
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.worker_index));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.comparisons));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.candidate_pairs));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.pruned_comparisons));
+  uint32_t count = 0;
+  PPRL_RETURN_IF_ERROR(r.Read(&count));
   // 4 x u32 refs + u64 score bits per edge.
-  if (*count > max_edges || r.remaining() < static_cast<size_t>(*count) * 24) {
+  if (count > max_edges || r.remaining() < static_cast<size_t>(count) * 24) {
     return Status::OutOfRange("partition-result: declared edge count " +
-                              std::to_string(*count) + " exceeds payload");
+                              std::to_string(count) + " exceeds payload");
   }
-  msg.edges.reserve(*count);
-  for (uint32_t i = 0; i < *count; ++i) {
-    MatchEdge e;
-    e.x.database = r.ReadU32().value();
-    e.x.record = r.ReadU32().value();
-    e.y.database = r.ReadU32().value();
-    e.y.record = r.ReadU32().value();
-    const uint64_t score_bits = r.ReadU64().value();
-    std::memcpy(&e.score, &score_bits, sizeof(e.score));
-    msg.edges.push_back(e);
+  msg.edges.resize(count);
+  for (MatchEdge& e : msg.edges) {  // the size is checked above
+    r.Read(&e.x.database);
+    r.Read(&e.x.record);
+    r.Read(&e.y.database);
+    r.Read(&e.y.record);
+    r.Read(&e.score);
   }
   if (!r.exhausted()) {
     return Status::ProtocolViolation("partition-result: trailing bytes");
@@ -418,12 +322,7 @@ Result<PartitionResultMessage> DecodePartitionResult(
 }
 
 uint64_t ShipmentChunkChecksum(const uint8_t* data, size_t len) {
-  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64 offset basis
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ULL;  // FNV-1a 64 prime
-  }
-  return hash;
+  return Fnv1a64(data, len);
 }
 
 Result<std::vector<uint8_t>> EncodeShipment(const EncodedDatabase& encoded) {
@@ -431,14 +330,13 @@ Result<std::vector<uint8_t>> EncodeShipment(const EncodedDatabase& encoded) {
     return Status::InvalidArgument("shipment ids/filters size mismatch");
   }
   const size_t filter_bits = encoded.size() == 0 ? 0 : encoded.filters[0].size();
-  std::vector<uint8_t> out(encoded.size() * ShipmentRecordBytes(filter_bits));
-  for (size_t i = 0; i < encoded.size(); ++i) {
-    if (encoded.filters[i].size() != filter_bits) {
+  for (const BitVector& filter : encoded.filters) {
+    if (filter.size() != filter_bits) {
       return Status::InvalidArgument("shipment filters must share one bit length");
     }
-    PutShipmentRecord(encoded.ids[i], encoded.filters[i].words().data(), filter_bits,
-                      out.data() + i * ShipmentRecordBytes(filter_bits));
   }
+  std::vector<uint8_t> out(encoded.size() * PackedRecordBytes(filter_bits));
+  StorePackedRecords(encoded, 0, encoded.size(), filter_bits, out.data());
   return out;
 }
 
@@ -455,13 +353,9 @@ Result<std::vector<uint8_t>> EncodeShipmentRows(const EncodedShard& shard,
   if (row_begin > row_end || row_end > shard.size()) {
     return Status::InvalidArgument("shipment row range out of bounds");
   }
-  const size_t filter_bits = shard.bits.num_bits();
-  const size_t record_bytes = ShipmentRecordBytes(filter_bits);
-  std::vector<uint8_t> out((row_end - row_begin) * record_bytes);
-  for (size_t i = row_begin; i < row_end; ++i) {
-    PutShipmentRecord(shard.ids[i], shard.bits.row(i), filter_bits,
-                      out.data() + (i - row_begin) * record_bytes);
-  }
+  std::vector<uint8_t> out((row_end - row_begin) *
+                           PackedRecordBytes(shard.bits.num_bits()));
+  StorePackedRecords(shard, row_begin, row_end, out.data());
   return out;
 }
 
@@ -470,28 +364,20 @@ Result<EncodedDatabase> DecodeShipment(const std::vector<uint8_t>& payload,
   if (filter_bits == 0) {
     return Status::ProtocolViolation("shipment: filter bit length not negotiated");
   }
-  const size_t record_size = ShipmentRecordBytes(filter_bits);
+  const size_t record_size = PackedRecordBytes(filter_bits);
   if (payload.size() % record_size != 0) {
     return Status::ProtocolViolation(
         "shipment: payload length " + std::to_string(payload.size()) +
         " is not a multiple of the record size " + std::to_string(record_size));
   }
-  const size_t count = payload.size() / record_size;
   EncodedDatabase out;
-  out.ids.reserve(count);
-  out.filters.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    const uint8_t* record = payload.data() + i * record_size;
-    out.ids.push_back(GetLeU64(record));
-    out.filters.push_back(BitVectorFromPackedRow(record + 8, filter_bits));
-  }
+  LoadPackedRecords(payload.data(), payload.size() / record_size, filter_bits, &out);
   return out;
 }
 
 ShipmentAssembler::ShipmentAssembler(uint32_t filter_bits, uint32_t record_count)
     : filter_bits_(filter_bits),
-      expected_(static_cast<uint64_t>(record_count) *
-                (8 + (static_cast<uint64_t>(filter_bits) + 7) / 8)) {
+      expected_(static_cast<uint64_t>(record_count) * PackedRecordBytes(filter_bits)) {
   buffer_.reserve(expected_);
 }
 
@@ -566,43 +452,25 @@ Result<OwnerLinkageSummary> DecodeResults(const std::vector<uint8_t>& payload,
                                           size_t max_matches) {
   WireReader r(payload);
   OwnerLinkageSummary summary;
-  auto comparisons = r.ReadU64();
-  if (!comparisons.ok()) return comparisons.status();
-  summary.comparisons = *comparisons;
-  auto candidates = r.ReadU64();
-  if (!candidates.ok()) return candidates.status();
-  summary.candidate_pairs = *candidates;
-  auto edges = r.ReadU64();
-  if (!edges.ok()) return edges.status();
-  summary.total_edges = *edges;
-  auto clusters = r.ReadU64();
-  if (!clusters.ok()) return clusters.status();
-  summary.total_clusters = *clusters;
-  auto linked = r.ReadU32();
-  if (!linked.ok()) return linked.status();
-  summary.owners_linked = *linked;
-  auto owners_expected = r.ReadU32();
-  if (!owners_expected.ok()) return owners_expected.status();
-  summary.owners_expected = *owners_expected;
-  auto workers_linked = r.ReadU32();
-  if (!workers_linked.ok()) return workers_linked.status();
-  summary.workers_linked = *workers_linked;
-  auto workers_expected = r.ReadU32();
-  if (!workers_expected.ok()) return workers_expected.status();
-  summary.workers_expected = *workers_expected;
-  auto count = r.ReadU32();
-  if (!count.ok()) return count.status();
-  if (*count > max_matches || r.remaining() < static_cast<size_t>(*count) * 12) {
-    return Status::OutOfRange("results: declared match count " + std::to_string(*count) +
+  PPRL_RETURN_IF_ERROR(r.Read(&summary.comparisons));
+  PPRL_RETURN_IF_ERROR(r.Read(&summary.candidate_pairs));
+  PPRL_RETURN_IF_ERROR(r.Read(&summary.total_edges));
+  PPRL_RETURN_IF_ERROR(r.Read(&summary.total_clusters));
+  PPRL_RETURN_IF_ERROR(r.Read(&summary.owners_linked));
+  PPRL_RETURN_IF_ERROR(r.Read(&summary.owners_expected));
+  PPRL_RETURN_IF_ERROR(r.Read(&summary.workers_linked));
+  PPRL_RETURN_IF_ERROR(r.Read(&summary.workers_expected));
+  uint32_t count = 0;
+  PPRL_RETURN_IF_ERROR(r.Read(&count));
+  if (count > max_matches || r.remaining() < static_cast<size_t>(count) * 12) {
+    return Status::OutOfRange("results: declared match count " + std::to_string(count) +
                               " exceeds payload");
   }
-  summary.matches.reserve(*count);
-  for (uint32_t i = 0; i < *count; ++i) {
-    MatchedRecordSummary m;
-    m.record = r.ReadU32().value();
-    m.cluster_id = r.ReadU32().value();
-    m.cluster_size = r.ReadU32().value();
-    summary.matches.push_back(m);
+  summary.matches.resize(count);
+  for (MatchedRecordSummary& m : summary.matches) {  // the size is checked above
+    r.Read(&m.record);
+    r.Read(&m.cluster_id);
+    r.Read(&m.cluster_size);
   }
   if (!r.exhausted()) return Status::ProtocolViolation("results: trailing bytes");
   return summary;
@@ -615,7 +483,7 @@ namespace {
 constexpr uint32_t kMaxBatchRecords = 16u << 20;
 
 /// Shared layout check of the online batch messages: `data` must hold
-/// exactly `count` records of (u64 id + ceil(filter_bits/8) bytes).
+/// exactly `count` packed records of `filter_bits`-bit filters.
 Status CheckBatchLayout(const char* what, uint32_t filter_bits, uint32_t count,
                         size_t data_len) {
   if (filter_bits == 0) {
@@ -626,7 +494,7 @@ Status CheckBatchLayout(const char* what, uint32_t filter_bits, uint32_t count,
     return Status::OutOfRange(std::string(what) + ": declared record count " +
                               std::to_string(count) + " exceeds limit");
   }
-  const size_t record_size = ShipmentRecordBytes(filter_bits);
+  const size_t record_size = PackedRecordBytes(filter_bits);
   if (data_len != static_cast<size_t>(count) * record_size) {
     return Status::ProtocolViolation(
         std::string(what) + ": data length " + std::to_string(data_len) +
@@ -652,24 +520,13 @@ Result<AppendRecordsMessage> DecodeAppendRecords(
     const std::vector<uint8_t>& payload) {
   WireReader r(payload);
   AppendRecordsMessage msg;
-  auto session = r.ReadU64();
-  if (!session.ok()) return session.status();
-  msg.session_id = *session;
-  auto base = r.ReadU64();
-  if (!base.ok()) return base.status();
-  msg.base_index = *base;
-  auto bits = r.ReadU32();
-  if (!bits.ok()) return bits.status();
-  msg.filter_bits = *bits;
-  auto count = r.ReadU32();
-  if (!count.ok()) return count.status();
-  msg.count = *count;
-  Status layout = CheckBatchLayout("append-records", msg.filter_bits,
-                                   msg.count, r.remaining());
-  if (!layout.ok()) return layout;
-  auto data = r.ReadBytes(r.remaining());
-  if (!data.ok()) return data.status();
-  msg.data = std::move(*data);
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.session_id));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.base_index));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.filter_bits));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.count));
+  PPRL_RETURN_IF_ERROR(CheckBatchLayout("append-records", msg.filter_bits,
+                                        msg.count, r.remaining()));
+  msg.data = r.ReadBytes(r.remaining()).value();
   return msg;
 }
 
@@ -688,30 +545,17 @@ std::vector<uint8_t> EncodeQuery(const QueryMessage& msg) {
 Result<QueryMessage> DecodeQuery(const std::vector<uint8_t>& payload) {
   WireReader r(payload);
   QueryMessage msg;
-  auto session = r.ReadU64();
-  if (!session.ok()) return session.status();
-  msg.session_id = *session;
-  auto query = r.ReadU64();
-  if (!query.ok()) return query.status();
-  msg.query_id = *query;
-  auto want = r.ReadU8();
-  if (!want.ok()) return want.status();
-  msg.want_clusters = *want != 0;
-  auto top_k = r.ReadU32();
-  if (!top_k.ok()) return top_k.status();
-  msg.top_k = *top_k;
-  auto bits = r.ReadU32();
-  if (!bits.ok()) return bits.status();
-  msg.filter_bits = *bits;
-  auto count = r.ReadU32();
-  if (!count.ok()) return count.status();
-  msg.count = *count;
-  Status layout =
-      CheckBatchLayout("link-query", msg.filter_bits, msg.count, r.remaining());
-  if (!layout.ok()) return layout;
-  auto data = r.ReadBytes(r.remaining());
-  if (!data.ok()) return data.status();
-  msg.data = std::move(*data);
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.session_id));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.query_id));
+  uint8_t want = 0;
+  PPRL_RETURN_IF_ERROR(r.Read(&want));
+  msg.want_clusters = want != 0;
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.top_k));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.filter_bits));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.count));
+  PPRL_RETURN_IF_ERROR(
+      CheckBatchLayout("link-query", msg.filter_bits, msg.count, r.remaining()));
+  msg.data = r.ReadBytes(r.remaining()).value();
   return msg;
 }
 
@@ -730,9 +574,7 @@ std::vector<uint8_t> EncodeQueryResult(const QueryResultMessage& msg) {
       w.PutU32(m.database);
       w.PutU32(m.record);
       w.PutU64(m.id);
-      uint64_t score_bits = 0;
-      std::memcpy(&score_bits, &m.score, sizeof(score_bits));
-      w.PutU64(score_bits);
+      w.PutF64(m.score);
     }
   }
   return w.Take();
@@ -742,54 +584,36 @@ Result<QueryResultMessage> DecodeQueryResult(const std::vector<uint8_t>& payload
                                              size_t max_matches) {
   WireReader r(payload);
   QueryResultMessage msg;
-  auto query = r.ReadU64();
-  if (!query.ok()) return query.status();
-  msg.query_id = *query;
-  auto index_size = r.ReadU64();
-  if (!index_size.ok()) return index_size.status();
-  msg.index_size = *index_size;
-  auto count = r.ReadU32();
-  if (!count.ok()) return count.status();
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.query_id));
+  PPRL_RETURN_IF_ERROR(r.Read(&msg.index_size));
+  uint32_t count = 0;
+  PPRL_RETURN_IF_ERROR(r.Read(&count));
   // u64 id + 4 x u32 per record, before its matches.
-  if (*count > max_matches || r.remaining() < static_cast<size_t>(*count) * 24) {
+  if (count > max_matches || r.remaining() < static_cast<size_t>(count) * 24) {
     return Status::OutOfRange("query-result: declared record count " +
-                              std::to_string(*count) + " exceeds payload");
+                              std::to_string(count) + " exceeds payload");
   }
-  msg.records.reserve(*count);
-  for (uint32_t i = 0; i < *count; ++i) {
-    QueryRecordResult rec;
-    auto id = r.ReadU64();
-    if (!id.ok()) return id.status();
-    rec.id = *id;
-    auto cluster_id = r.ReadU32();
-    if (!cluster_id.ok()) return cluster_id.status();
-    rec.cluster_id = *cluster_id;
-    auto cluster_size = r.ReadU32();
-    if (!cluster_size.ok()) return cluster_size.status();
-    rec.cluster_size = *cluster_size;
-    auto candidates = r.ReadU32();
-    if (!candidates.ok()) return candidates.status();
-    rec.candidates = *candidates;
-    auto match_count = r.ReadU32();
-    if (!match_count.ok()) return match_count.status();
+  msg.records.resize(count);
+  for (QueryRecordResult& rec : msg.records) {
+    uint32_t match_count = 0;
+    PPRL_RETURN_IF_ERROR(r.Read(&rec.id));
+    PPRL_RETURN_IF_ERROR(r.Read(&rec.cluster_id));
+    PPRL_RETURN_IF_ERROR(r.Read(&rec.cluster_size));
+    PPRL_RETURN_IF_ERROR(r.Read(&rec.candidates));
+    PPRL_RETURN_IF_ERROR(r.Read(&match_count));
     // u32 db + u32 record + u64 id + u64 score bits per match.
-    if (*match_count > max_matches ||
-        r.remaining() < static_cast<size_t>(*match_count) * 24) {
+    if (match_count > max_matches ||
+        r.remaining() < static_cast<size_t>(match_count) * 24) {
       return Status::OutOfRange("query-result: declared match count " +
-                                std::to_string(*match_count) +
-                                " exceeds payload");
+                                std::to_string(match_count) + " exceeds payload");
     }
-    rec.matches.reserve(*match_count);
-    for (uint32_t j = 0; j < *match_count; ++j) {
-      QueryMatch m;
-      m.database = r.ReadU32().value();
-      m.record = r.ReadU32().value();
-      m.id = r.ReadU64().value();
-      const uint64_t score_bits = r.ReadU64().value();
-      std::memcpy(&m.score, &score_bits, sizeof(m.score));
-      rec.matches.push_back(m);
+    rec.matches.resize(match_count);
+    for (QueryMatch& m : rec.matches) {  // the size is checked above
+      r.Read(&m.database);
+      r.Read(&m.record);
+      r.Read(&m.id);
+      r.Read(&m.score);
     }
-    msg.records.push_back(std::move(rec));
   }
   if (!r.exhausted()) {
     return Status::ProtocolViolation("query-result: trailing bytes");
@@ -809,12 +633,10 @@ std::vector<uint8_t> EncodeError(const Status& status) {
 Result<ErrorMessage> DecodeError(const std::vector<uint8_t>& payload) {
   WireReader r(payload);
   ErrorMessage out;
-  auto code = r.ReadU16();
-  if (!code.ok()) return code.status();
-  out.code = StatusCodeFromWire(*code);
-  auto msg = r.ReadString(kMaxErrorLen);
-  if (!msg.ok()) return msg.status();
-  out.message = std::move(*msg);
+  uint16_t code = 0;
+  PPRL_RETURN_IF_ERROR(r.Read(&code));
+  out.code = StatusCodeFromWire(code);
+  PPRL_RETURN_IF_ERROR(r.Read(&out.message, kMaxErrorLen));
   return out;
 }
 

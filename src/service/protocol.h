@@ -241,8 +241,8 @@ struct PartitionResultMessage {
 /// the unit as the client last knew it — the idempotency cursor. A batch
 /// whose records all lie at or below the unit's cursor is acknowledged
 /// without being applied; a batch starting beyond it is a protocol
-/// violation (a gap). `data` is the EncodeShipment layout: count ×
-/// (u64 id + ceil(filter_bits/8) filter bytes). The reply is a
+/// violation (a gap). `data` is the EncodeShipment layout: `count`
+/// packed records (encoding/clk_io.h). The reply is a
 /// kShipmentAck whose `acked_bytes` carries the party's RECORD cursor
 /// (records applied), not bytes, and `complete` is always true.
 struct AppendRecordsMessage {
@@ -332,8 +332,8 @@ Result<PartitionResultMessage> DecodePartitionResult(
 /// enough to catch the single-bit flips a faulty transport introduces.
 uint64_t ShipmentChunkChecksum(const uint8_t* data, size_t len);
 
-/// Serialises an encoded database as n × (u64 id + ceil(bits/8) filter
-/// bytes) — exactly the byte count the in-process `Channel` path meters
+/// Serialises an encoded database as n packed records (encoding/clk_io.h)
+/// — exactly the byte count the in-process `Channel` path meters
 /// for an "encoded-filters" shipment, so cost accounting matches. The
 /// chunk layer ships contiguous spans of this buffer.
 Result<std::vector<uint8_t>> EncodeShipment(const EncodedDatabase& encoded);

@@ -105,8 +105,7 @@ class RunOnce {
 };
 
 uint64_t ExpectedShipmentBytes(uint32_t filter_bits, uint32_t record_count) {
-  return static_cast<uint64_t>(record_count) *
-         (8 + (static_cast<uint64_t>(filter_bits) + 7) / 8);
+  return static_cast<uint64_t>(record_count) * PackedRecordBytes(filter_bits);
 }
 
 }  // namespace

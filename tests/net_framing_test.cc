@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/wire.h"
 #include "net/fault_injection.h"
 #include "net/retry.h"
 #include "net/transport.h"
-#include "net/wire.h"
 #include "service/protocol.h"
 
 namespace pprl {

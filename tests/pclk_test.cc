@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bitvector.h"
+#include "common/wire.h"
 #include "encoding/clk_io.h"
 
 namespace pprl {
@@ -17,7 +18,6 @@ namespace {
 using io::DecodePclk;
 using io::DecodePclkHeader;
 using io::EncodePclk;
-using io::Fnv1a64;
 using io::kPclkHeaderBytes;
 
 /// A deterministic shard with varied rows (including an all-zero one).
@@ -329,6 +329,92 @@ TEST(PclkTest, FuzzedDecodingNeverCrashesAndErrorsAreTyped) {
                 code == StatusCode::kIoError)
         << StatusCodeToString(code) << ": " << decoded.status().message();
   }
+}
+
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  if (!bytes.empty()) std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+}
+
+/// The file reader runs the decoder's validation body: on every mutated
+/// image both return the same shard or fail with the same code.
+TEST(PclkTest, FileReaderAgreesWithDecoderOnMutations) {
+  const EncodedShard shard = MakeShard(5, 200);
+  const std::vector<uint8_t> pristine = EncodePclk(shard);
+  const std::string path = ::testing::TempDir() + "/pclk_mutated.pclk";
+  std::mt19937_64 rng(0xBEEF);
+  for (int iteration = 0; iteration < 400; ++iteration) {
+    std::vector<uint8_t> bytes = pristine;
+    bytes[rng() % bytes.size()] ^= static_cast<uint8_t>(1 + rng() % 255);
+    if (rng() % 4 == 0) bytes.resize(rng() % (bytes.size() + 16));
+    WriteBytes(path, bytes);
+    auto from_memory = DecodePclk(bytes.data(), bytes.size());
+    auto from_file = io::ReadPclkFile(path);
+    ASSERT_EQ(from_memory.ok(), from_file.ok()) << iteration;
+    if (from_memory.ok()) {
+      ExpectShardsEqual(*from_memory, *from_file);
+    } else {
+      EXPECT_EQ(from_memory.status().code(), from_file.status().code())
+          << from_memory.status().ToString() << " vs "
+          << from_file.status().ToString();
+    }
+  }
+}
+
+/// A file whose rows are stored at a wider stride than the matrix's takes
+/// the row-by-row path, which must decode the same rows and still report
+/// nonzero stride padding as a protocol violation.
+TEST(PclkTest, WideStrideImagesDecodeRowByRow) {
+  const EncodedShard shard = MakeShard(3, 100);
+  const std::vector<uint8_t> narrow = EncodePclk(shard);
+  auto info = DecodePclkHeader(narrow.data(), narrow.size());
+  ASSERT_TRUE(info.ok());
+  const size_t stride = info->row_stride_bytes;
+  std::vector<uint8_t> wide(narrow.begin(), narrow.begin() + info->rows_offset());
+  for (size_t r = 0; r < shard.size(); ++r) {
+    const uint8_t* row = narrow.data() + info->rows_offset() + r * stride;
+    wide.insert(wide.end(), row, row + stride);
+    wide.insert(wide.end(), 64, 0);
+  }
+  const auto seal = [&](std::vector<uint8_t>& bytes) {
+    StoreLeU32(bytes.data() + 24, static_cast<uint32_t>(stride + 64));
+    StoreLeU64(bytes.data() + 48, Fnv1a64(bytes.data() + info->rows_offset(),
+                                          bytes.size() - info->rows_offset()));
+    StoreLeU64(bytes.data() + 56, Fnv1a64(bytes.data(), 56));
+  };
+  seal(wide);
+  const std::string path = ::testing::TempDir() + "/pclk_wide.pclk";
+  WriteBytes(path, wide);
+  auto decoded = DecodePclk(wide.data(), wide.size());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectShardsEqual(shard, *decoded);
+  auto read = io::ReadPclkFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ExpectShardsEqual(shard, *read);
+
+  wide[info->rows_offset() + (stride + 64) + stride + 5] = 1;  // row 1's padding
+  seal(wide);
+  WriteBytes(path, wide);
+  EXPECT_EQ(DecodePclk(wide.data(), wide.size()).status().code(),
+            StatusCode::kProtocolViolation);
+  EXPECT_EQ(io::ReadPclkFile(path).status().code(), StatusCode::kProtocolViolation);
+}
+
+/// A header that declares far more rows than the file holds fails from the
+/// file size, before anything is allocated for those rows.
+TEST(PclkTest, DeclaredRowsBeyondTheFileFailBeforeAllocating) {
+  std::vector<uint8_t> bytes = Encoded();
+  StoreLeU64(bytes.data() + 16, 1ull << 32);  // the largest count a header may declare
+  FixHeaderChecksum(bytes);
+  const std::string path = ::testing::TempDir() + "/pclk_oversized.pclk";
+  WriteBytes(path, bytes);
+  EXPECT_EQ(DecodePclk(bytes.data(), bytes.size()).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(io::ReadPclkFile(path).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(io::ReadPclkSlice(path, 0, 1ull << 32).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(PclkTest, ReadMissingFileFails) {

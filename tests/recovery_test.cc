@@ -14,6 +14,7 @@
 
 #include "blocking/lsh_blocking.h"
 #include "common/random.h"
+#include "common/wire.h"
 #include "encoding/clk_io.h"
 #include "io/checkpoint.h"
 #include "io/wal.h"
@@ -268,6 +269,66 @@ void DurableIngest(const std::vector<EncodedDatabase>& dbs,
     ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
     EXPECT_EQ(*cursor, end);
   }
+}
+
+/// A partition section that declares more rows than its bytes hold must
+/// fail with a typed error. 0x1f81f81f81f81f80 rows make the section's
+/// size arithmetic (8 + 8 rows + ceil(rows / 8) + 16) wrap to exactly the
+/// 8 bytes the crafted section has; with every section re-checksummed,
+/// nothing but the row count gives the image away.
+TEST(CheckpointTest, OverflowingPartitionRowCountIsRejected) {
+  io::OnlineSnapshot snapshot;
+  snapshot.filter_bits = 64;
+  snapshot.lsh_tables = 4;
+  snapshot.lsh_bits_per_key = 8;
+  snapshot.lsh_seed = 1;
+  snapshot.dice_threshold = 0.8;
+  snapshot.database_names = {"a"};
+  snapshot.database_sizes = {2};
+  EncodedDatabase rows;
+  rows.ids = {1, 2};
+  rows.filters = {BitVector(64), BitVector(64)};
+  snapshot.rows = ShardFromEncodedDatabase(rows);
+  snapshot.row_database = {0, 0};
+  snapshot.parent = {0, 1};
+  snapshot.linked = {0, 0};
+  const std::vector<uint8_t> honest = io::EncodeCheckpoint(snapshot);
+
+  // Rebuild the file with the partition section's payload replaced.
+  std::vector<uint8_t> image(honest.begin(),
+                             honest.begin() + io::kCheckpointHeaderBytes);
+  for (size_t offset = io::kCheckpointHeaderBytes; offset < honest.size();) {
+    const uint8_t* h = honest.data() + offset;
+    const uint64_t len = LoadLeU64(h + 8);
+    std::vector<uint8_t> payload(h + io::kCheckpointSectionHeaderBytes,
+                                 h + io::kCheckpointSectionHeaderBytes + len);
+    if (LoadLeU32(h) == static_cast<uint32_t>(io::CheckpointSection::kPartition)) {
+      payload.assign(8, 0);
+      StoreLeU64(payload.data(), 0x1f81f81f81f81f80ull);
+    }
+    uint8_t header[io::kCheckpointSectionHeaderBytes] = {};
+    StoreLeU32(header, LoadLeU32(h));
+    StoreLeU64(header + 8, payload.size());
+    StoreLeU64(header + 16, Fnv1a64(payload.data(), payload.size()));
+    StoreLeU64(header + 24, Fnv1a64(header, 24));
+    image.insert(image.end(), header, header + sizeof(header));
+    image.insert(image.end(), payload.begin(), payload.end());
+    offset += io::kCheckpointSectionHeaderBytes + len;
+  }
+  ASSERT_EQ(image.size(), 477u);
+
+  const auto decoded = io::DecodeCheckpoint(image.data(), image.size(), "crafted");
+  EXPECT_EQ(decoded.status().code(), StatusCode::kProtocolViolation)
+      << decoded.status().ToString();
+
+  const std::string dir = FreshDir("ckpt_row_overflow");
+  Dump(io::CheckpointPath(dir, 1), image);
+  OnlineDurability durability(Config(dir));
+  std::unique_ptr<OnlineLinkageEngine> recovered;
+  RecoveryReport report;
+  const Status status = durability.Recover(&recovered, &report);
+  EXPECT_EQ(status.code(), StatusCode::kProtocolViolation) << status.ToString();
+  EXPECT_EQ(recovered, nullptr);
 }
 
 /// Crash matrix k1: process died mid-WAL-append — the segment ends in a
