@@ -10,6 +10,13 @@
 //   5. checkpoint load — cold-start recovery from the snapshot, which is
 //                      what bounds restart latency once checkpoints exist
 //
+// The records belong to two parties, in alternating runs of kAppendBatch
+// records, and every third record is a near-duplicate of an earlier record
+// of the other party: ingest and replay both score cross-party candidates
+// and accept edges, as an online linkage unit does (records of one party
+// alone are never compared). Both ingests and every recovery must end with
+// the same edges and comparisons, which the bench prints and records.
+//
 // Both cold starts run kTimedRuns times (recovery only reads the
 // directory) and report the median with the quartiles.
 // BENCH_recovery.json is the committed baseline. Recovery rates are also
@@ -42,9 +49,16 @@ constexpr size_t kAppendBatch = 4096;
 /// Cold starts timed per recovery path; the report is their spread.
 constexpr int kTimedRuns = 5;
 
+constexpr const char* kParties[] = {"warehouse", "registry"};
+
+/// The party of record r: parties alternate in runs of kAppendBatch
+/// records, so the durable ingest appends whole batches of one party.
+size_t PartyOf(size_t r) { return (r / kAppendBatch) % 2; }
+
 /// ~30%-density CLKs with near-duplicate structure: every third record
-/// perturbs an earlier base entity, so appends pay for realistic LSH
-/// candidate generation and edge acceptance, not just index insertion.
+/// (once the other party has records) perturbs an earlier record of the
+/// other party, so appends pay for realistic LSH candidate generation,
+/// scoring and edge acceptance, not just index insertion.
 EncodedDatabase MakeRecords(size_t n, uint64_t seed) {
   Rng rng(seed);
   EncodedDatabase db;
@@ -52,8 +66,12 @@ EncodedDatabase MakeRecords(size_t n, uint64_t seed) {
   db.filters.reserve(n);
   for (size_t r = 0; r < n; ++r) {
     db.ids.push_back(r + 1);
-    if (r % 3 == 2) {
-      BitVector near = db.filters[rng.NextUint64(r)];
+    if (r % 3 == 2 && r >= kAppendBatch) {
+      // An earlier record of the other party: one of its earlier runs.
+      const size_t run = r / kAppendBatch;
+      const size_t other_run = run - 1 - 2 * rng.NextUint64((run + 1) / 2);
+      const size_t from = other_run * kAppendBatch + rng.NextUint64(kAppendBatch);
+      BitVector near = db.filters[from];
       for (int flip = 0; flip < 3; ++flip) near.Flip(rng.NextUint64(kFilterBits));
       db.filters.push_back(std::move(near));
     } else {
@@ -97,21 +115,38 @@ int Main(int argc, char** argv) {
 
   // --- 1. Baseline: the engine alone, no journal in the path.
   double base_rps = 0;
+  uint64_t edges = 0;
+  uint64_t comparisons = 0;
   {
     OnlineLinkageEngine engine(kFilterBits);
-    const uint32_t d = engine.RegisterDatabase("warehouse");
+    for (const char* party : kParties) engine.RegisterDatabase(party);
     Timer t;
     for (size_t r = 0; r < records; ++r) {
-      auto row = engine.Append(d, db.ids[r], db.filters[r]);
+      auto row = engine.Append(static_cast<uint32_t>(PartyOf(r)), db.ids[r], db.filters[r]);
       if (!row.ok()) {
         std::fprintf(stderr, "append failed: %s\n", row.status().ToString().c_str());
         return 1;
       }
     }
     base_rps = static_cast<double>(records) / t.ElapsedSeconds();
-    std::printf("baseline append: %.0f records/s (%zu edges)\n", base_rps,
-                engine.edges());
+    edges = engine.edges();
+    comparisons = engine.comparisons();
+    std::printf("baseline append: %.0f records/s (%llu edges, %llu comparisons)\n",
+                base_rps, static_cast<unsigned long long>(edges),
+                static_cast<unsigned long long>(comparisons));
   }
+  // Every ingest and recovery must reach the baseline's linkage.
+  const auto same_linkage = [&](const OnlineLinkageEngine& engine, const char* what) {
+    if (engine.size() == records && engine.edges() == edges &&
+        engine.comparisons() == comparisons) {
+      return true;
+    }
+    std::fprintf(stderr, "%s: %zu records, %llu edges, %llu comparisons differ from the "
+                 "baseline\n", what, engine.size(),
+                 static_cast<unsigned long long>(engine.edges()),
+                 static_cast<unsigned long long>(engine.comparisons()));
+    return false;
+  };
 
   // --- 2. Durable ingest: journal + group-commit fsync + apply.
   const ScratchDir scratch("pprl_bench_recovery");
@@ -131,7 +166,8 @@ int Main(int argc, char** argv) {
     Timer t;
     for (size_t row = 0; row < records; row += kAppendBatch) {
       const size_t end = std::min(records, row + kAppendBatch);
-      auto cursor = durability.DurableAppend(*engine, "warehouse", db, row, end, &d);
+      auto cursor =
+          durability.DurableAppend(*engine, kParties[PartyOf(row)], db, row, end, &d);
       if (!cursor.ok()) {
         std::fprintf(stderr, "durable append failed: %s\n",
                      cursor.status().ToString().c_str());
@@ -140,6 +176,7 @@ int Main(int argc, char** argv) {
     }
     wal_rps = static_cast<double>(records) / t.ElapsedSeconds();
   }
+  if (!same_linkage(*engine, "durable append")) return 1;
   const uint64_t wal_bytes = DirBytes(dir);
   const double overhead = base_rps / wal_rps;
   std::printf("durable append:  %.0f records/s with --wal-sync-ms %d "
@@ -156,11 +193,12 @@ int Main(int argc, char** argv) {
       RecoveryReport report;
       auto status = cold.Recover(&recovered, &report);
       if (!status.ok() || report.checkpoint_loaded != from_checkpoint ||
-          recovered == nullptr || recovered->size() != records) {
+          recovered == nullptr) {
         std::fprintf(stderr, "%s recovery failed: %s\n", what,
                      status.ToString().c_str());
         return std::vector<double>{};
       }
+      if (!same_linkage(*recovered, what)) return std::vector<double>{};
       seconds.push_back(report.seconds);
     }
     return seconds;
@@ -196,6 +234,8 @@ int Main(int argc, char** argv) {
               load.median, load.p25, load.p75, kTimedRuns, load.median / millions);
 
   PrintHeader({"metric", "value"});
+  PrintRow({"edges", std::to_string(edges)});
+  PrintRow({"comparisons", std::to_string(comparisons)});
   PrintRow({"base_append_records_per_sec", Fmt(base_rps, 0)});
   PrintRow({"wal_append_records_per_sec", Fmt(wal_rps, 0)});
   PrintRow({"wal_overhead_ratio", Fmt(overhead, 2)});
@@ -215,6 +255,10 @@ int Main(int argc, char** argv) {
     std::fprintf(f, "  \"host\": {%s},\n", ProvenanceJsonMembers().c_str());
     std::fprintf(f, "  \"records\": %zu,\n  \"filter_bits\": %zu,\n", records,
                  kFilterBits);
+    std::fprintf(f, "  \"parties\": 2,\n");
+    std::fprintf(f, "  \"edges\": %llu,\n  \"comparisons\": %llu,\n",
+                 static_cast<unsigned long long>(edges),
+                 static_cast<unsigned long long>(comparisons));
     std::fprintf(f, "  \"wal_sync_ms\": %d,\n", config.wal_sync_ms);
     std::fprintf(f, "  \"base_append_records_per_sec\": %.0f,\n", base_rps);
     std::fprintf(f, "  \"wal_append_records_per_sec\": %.0f,\n", wal_rps);

@@ -64,6 +64,8 @@
 #include "service/client.h"
 #include "service/coordinator.h"
 
+#include "parse_number.h"
+
 using namespace pprl;
 
 namespace {
@@ -82,7 +84,9 @@ int Usage() {
                "  pprl_cli append <clks.{csv|pclk}> <party_name> <host:port>\n"
                "  pprl_cli query <clks.{csv|pclk}> <party_name> <host:port>"
                " [matches_out.csv]\n"
-               "  pprl_cli --help\n");
+               "  pprl_cli --help\n"
+               "generate writes n (1..10000000, default 1000) records per "
+               "database.\n");
   return 2;
 }
 
@@ -379,9 +383,16 @@ int Query(int argc, char** argv) {
   return 0;
 }
 
+/// Records per database `generate` writes at most: a few GB of CSV, far
+/// beyond any demo, and well inside what one process can hold.
+constexpr size_t kMaxGenerateRecords = 10'000'000;
+
 int Generate(int argc, char** argv) {
   if (argc < 4) return Usage();
-  const size_t n = argc > 4 ? static_cast<size_t>(std::atoll(argv[4])) : 1000;
+  size_t n = 1000;
+  if (argc > 4 && !examples::ParseNumber("[n]", argv[4], 1, kMaxGenerateRecords, &n)) {
+    return 2;
+  }
   const double corruptions = argc > 5 ? std::atof(argv[5]) : 1.5;
   DataGenerator gen(GeneratorConfig{});
   LinkageScenarioConfig scenario;

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -32,6 +33,8 @@
 #include "io/ingest.h"
 #include "io/pclk.h"
 #include "io/wal.h"
+
+#include "parse_number.h"
 
 using namespace pprl;
 
@@ -54,7 +57,9 @@ int Usage() {
                "checkpoint or PWAL write-ahead-log segment offline and\n"
                "reports the first corrupt offset; a torn WAL tail (the\n"
                "normal post-crash artifact) is reported but passes.\n"
-               "verify exits 0 (valid), 1 (corrupt) or 2 (usage).\n");
+               "verify exits 0 (valid), 1 (corrupt) or 2 (usage).\n"
+               "n (default 10) and seed (default 42) are base-10 integers\n"
+               "in [0, 2^64 - 1]; anything else exits 2.\n");
   return 2;
 }
 
@@ -305,16 +310,20 @@ int main(int argc, char** argv) {
 
   if (command == "info") return CmdInfo(path);
   if (command == "verify") return CmdVerify(path);
+  constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
+  uint64_t n = 10;
+  if ((command == "head" || command == "tail" || command == "sample") && argc > 3 &&
+      !examples::ParseNumber("[n]", argv[3], 0, kMaxU64, &n)) {
+    return 2;
+  }
   if (command == "head" || command == "tail") {
-    const uint64_t n =
-        argc > 3 ? static_cast<uint64_t>(std::atoll(argv[3])) : 10;
     return CmdHeadTail(path, n, command == "tail");
   }
   if (command == "sample") {
-    const uint64_t n =
-        argc > 3 ? static_cast<uint64_t>(std::atoll(argv[3])) : 10;
-    const uint64_t seed =
-        argc > 4 ? static_cast<uint64_t>(std::atoll(argv[4])) : 42;
+    uint64_t seed = 42;
+    if (argc > 4 && !examples::ParseNumber("[seed]", argv[4], 0, kMaxU64, &seed)) {
+      return 2;
+    }
     return CmdSample(path, n, seed);
   }
   if (command == "tocsv" && argc > 3) {

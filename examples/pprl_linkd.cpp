@@ -46,14 +46,12 @@
 ///   ./build/examples/pprl_cli ship /tmp/a_clks.csv hospital-a 127.0.0.1:7001
 ///   ./build/examples/pprl_cli ship /tmp/b_clks.csv hospital-b 127.0.0.1:7001
 
-#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
-#include <type_traits>
 
 #include "blocking/lsh_blocking.h"
 #include "common/logging.h"
@@ -61,7 +59,10 @@
 #include "service/coordinator.h"
 #include "service/server.h"
 
+#include "parse_number.h"
+
 using namespace pprl;
+using pprl::examples::ParseNumber;
 
 namespace {
 
@@ -93,25 +94,6 @@ void ServeUntilSignalled(LinkageUnitServer& server) {
 constexpr size_t kMaxCount = 65535;
 constexpr int kMaxMillis = std::numeric_limits<int>::max();
 constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
-
-/// The one rule for every numeric argument: a base-10 integer in
-/// [lo, hi], nothing before or after it. Otherwise it names the argument
-/// and its range and returns false, and the daemon exits 2 before any
-/// socket or thread exists.
-template <typename T>
-bool ParseNumber(const char* name, const char* text, std::type_identity_t<T> lo,
-                 std::type_identity_t<T> hi, T* out) {
-  const char* end = text + std::strlen(text);
-  T value{};
-  const auto [parsed_end, error] = std::from_chars(text, end, value);
-  if (error != std::errc() || parsed_end != end || value < lo || value > hi) {
-    std::fprintf(stderr, "%s must be an integer in [%s, %s], got '%s'\n", name,
-                 std::to_string(lo).c_str(), std::to_string(hi).c_str(), text);
-    return false;
-  }
-  *out = value;
-  return true;
-}
 
 int Usage(FILE* out) {
   std::fprintf(
@@ -433,11 +415,12 @@ int main(int argc, char** argv) {
                                                  : config.checkpoint_dir)
                       .c_str());
       std::printf("pprl_linkd: recovery: %llu checkpointed + %llu replayed "
-                  "records (%llu torn bytes dropped) in %.3f s\n",
+                  "records (%llu torn bytes dropped) in %.3f s (checkpoint "
+                  "%.3f s, replay %.3f s)\n",
                   static_cast<unsigned long long>(rec.checkpoint_records),
                   static_cast<unsigned long long>(rec.replayed_records),
                   static_cast<unsigned long long>(rec.torn_bytes_dropped),
-                  rec.seconds);
+                  rec.seconds, rec.checkpoint_seconds, rec.replay_seconds);
     }
     PrintCommonConfig(config, server.max_sessions());
     if (server.metrics_port() != 0) {

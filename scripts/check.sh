@@ -22,8 +22,8 @@ echo "check.sh: all tests passed under ASan+UBSan"
 # ThreadSanitizer gate for the concurrent paths: the parallel compare
 # executor (CompareRanges) and the kernels its range tasks run on the
 # shard pool, the shard pool and its TaskGroup handoff themselves, the
-# parallel pipeline, and the lock-free metrics registry they all report
-# into.
+# parallel pipeline, recovery's pooled index rebuild and replay runs, and
+# the lock-free metrics registry they all report into.
 # Scoped to those tests — TSan slows everything ~10x and the rest of the
 # suite is single-threaded.
 TSAN_BUILD_DIR=build-tsan
@@ -33,11 +33,11 @@ cmake -B "${TSAN_BUILD_DIR}" -S . \
 cmake --build "${TSAN_BUILD_DIR}" -j "$(nproc)" \
   --target comparison_test compare_kernels_test thread_pool_test \
            parallel_pipeline_test metrics_test online_linkage_test \
-           wal_test recovery_test
+           wal_test recovery_test replay_parity_test
 
 export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1}
 ctest --test-dir "${TSAN_BUILD_DIR}" --output-on-failure -j "$(nproc)" \
-  -R '^(comparison_test|compare_kernels_test|thread_pool_test|parallel_pipeline_test|metrics_test|online_linkage_test|wal_test|recovery_test)$'
+  -R '^(comparison_test|compare_kernels_test|thread_pool_test|parallel_pipeline_test|metrics_test|online_linkage_test|wal_test|recovery_test|replay_parity_test)$'
 echo "check.sh: concurrency tests passed under TSan"
 
 # Service gate: the daemon's session threads under TSan. Seeded fault

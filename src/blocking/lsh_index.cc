@@ -114,31 +114,66 @@ void LshBandIndex::Reserve(size_t rows) {
   for (BandTable& table : tables_) table.next.reserve(rows);
 }
 
-uint32_t LshBandIndex::AppendFrom(const BitMatrix& src, size_t src_row) {
+void LshBandIndex::AppendRows(const BitMatrix& src, size_t begin, size_t end,
+                              ShardScheduler* scheduler) {
   assert(src.num_bits() == rows_.num_bits());
-  const uint32_t row = static_cast<uint32_t>(rows_.AppendRow());
-  std::memcpy(rows_.mutable_row(row), src.row(src_row),
-              rows_.words_per_row() * sizeof(uint64_t));
-  rows_.RecountRow(row);
-  IndexRow(row);
-  return row;
+  assert(begin <= end && end <= src.num_rows());
+  const size_t num_tables = tables_.size();
+  std::vector<uint64_t> fingerprints;  // [table][row of the block]
+  for (size_t block = begin; block < end; block += kBulkBlockRows) {
+    const size_t n = std::min(kBulkBlockRows, end - block);
+    const uint32_t first = static_cast<uint32_t>(rows_.num_rows());
+    for (size_t r = block; r < block + n; ++r) {
+      const size_t row = rows_.AppendRow();
+      std::memcpy(rows_.mutable_row(row), src.row(r),
+                  rows_.words_per_row() * sizeof(uint64_t));
+      rows_.RecountRow(row);
+    }
+    fingerprints.resize(num_tables * n);
+    constexpr size_t kTaskRows = 512;
+    RunTasks(scheduler, (n + kTaskRows - 1) / kTaskRows, [&](size_t task) {
+      const size_t task_end = std::min(n, (task + 1) * kTaskRows);
+      for (size_t r = task * kTaskRows; r < task_end; ++r) {
+        const uint64_t* words = rows_.row(first + r);
+        for (size_t t = 0; t < num_tables; ++t) {
+          fingerprints[t * n + r] = blocker_.Fingerprint(words, t);
+        }
+      }
+    });
+    // The checksum keeps the (row, table) order of row-by-row appends;
+    // each table's chains only depend on its own rows' order.
+    const auto fold = [&] {
+      uint8_t le[8];
+      for (size_t r = 0; r < n; ++r) {
+        for (size_t t = 0; t < num_tables; ++t) {
+          StoreLeU64(le, fingerprints[t * n + r]);
+          band_checksum_ = Fnv1a64(le, sizeof(le), band_checksum_);
+        }
+      }
+    };
+    const auto fill = [&] {
+      for (size_t t = 0; t < num_tables; ++t) {
+        for (size_t r = 0; r < n; ++r) {
+          tables_[t].Insert(fingerprints[t * n + r], first + static_cast<uint32_t>(r));
+        }
+      }
+    };
+    if (scheduler == nullptr) {
+      fold();
+      fill();
+    } else {
+      TaskGroup group(*scheduler);
+      group.Submit(fold);
+      fill();
+      group.Wait();
+    }
+  }
 }
 
 void LshBandIndex::Probe(const BitVector& probe,
                          std::vector<uint32_t>* out) const {
-  out->clear();
-  uint64_t scanned = 0;
-  for (size_t t = 0; t < tables_.size(); ++t) {
-    const BandTable& table = tables_[t];
-    for (uint32_t row = table.Find(BandFingerprint(probe, t)); row != kNoRow;
-         row = table.next[row]) {
-      out->push_back(row);
-      ++scanned;
-    }
-  }
-  probed_entries_.fetch_add(scanned, std::memory_order_relaxed);
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
+  assert(probe.size() == filter_bits());
+  ProbeRows(probe.words().data(), size(), [](uint32_t) { return true; }, out);
 }
 
 std::deque<LshBandIndex> BuildBandIndexes(

@@ -1,6 +1,7 @@
 #ifndef PPRL_BLOCKING_LSH_INDEX_H_
 #define PPRL_BLOCKING_LSH_INDEX_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -44,6 +45,11 @@ namespace pprl {
 ///    unchanged over candidate sets.
 class LshBandIndex {
  public:
+  /// Rows per block of AppendRows(): 4,096 rows x 20 tables of
+  /// fingerprints is a 640 KiB buffer, which stays in a 2 MiB L2 beside
+  /// the table being filled.
+  static constexpr size_t kBulkBlockRows = 4096;
+
   /// Samples band geometry from `Rng(seed)` exactly like the batch path in
   /// pipeline/party.cc does, so a batch `Link()` with the same
   /// (filter_bits, num_tables, bits_per_key, seed) sees the same collisions.
@@ -55,12 +61,19 @@ class LshBandIndex {
   /// O(tables) map operations + one O(row words) copy. Returns the row id.
   uint32_t Append(const BitVector& filter);
 
-  /// Append() without the BitVector detour: copies row `src_row` of `src`
-  /// (same bit length) straight into the backing matrix and indexes it.
-  /// This is the checkpoint-recovery bulk path — band tables are a
-  /// deterministic function of the row sequence, so restoring an index is
-  /// re-appending its rows (docs/PROTOCOLS.md Appendix B).
-  uint32_t AppendFrom(const BitMatrix& src, size_t src_row);
+  /// Appends rows [begin, end) of `src` (same bit length) as the next
+  /// rows, leaving exactly the chains and band_checksum() that appending
+  /// them one by one in order would. This is the recovery bulk path:
+  /// band tables are a deterministic function of the row sequence, so
+  /// restoring an index is re-appending its rows (docs/PROTOCOLS.md
+  /// Appendix B). It works in blocks of kBulkBlockRows rows: the block's
+  /// band fingerprints are computed by tasks on `scheduler` (inline when
+  /// it is null) into one buffer, then one task folds them into the band
+  /// checksum while the calling thread fills the tables one table at a
+  /// time. Every allocation happens on the calling thread, so the pool's
+  /// malloc arenas keep nothing once the index is freed.
+  void AppendRows(const BitMatrix& src, size_t begin, size_t end,
+                  ShardScheduler* scheduler = nullptr);
 
   /// Makes room for `rows` rows in total, so a bulk build appends without
   /// regrowing the row matrix or the chain links.
@@ -69,6 +82,14 @@ class LshBandIndex {
   /// All distinct indexed rows that collide with `probe` in at least one
   /// band table, ascending row order. Does not insert. `out` is cleared.
   void Probe(const BitVector& probe, std::vector<uint32_t>* out) const;
+
+  /// The probe body behind Probe() and the online replay's candidate
+  /// source: every distinct row b < `limit` that shares a band chain with
+  /// the filter `words` and that keep(b) accepts, ascending. `out` is
+  /// cleared. Adds the chain entries walked to probed_entries().
+  template <typename Keep>
+  void ProbeRows(const uint64_t* words, size_t limit, const Keep& keep,
+                 std::vector<uint32_t>* out) const;
 
   /// Band fingerprint of `bf` in `table` — equal fingerprints are exactly
   /// the string-key collisions of `HammingLshBlocker::Keys`.
@@ -134,6 +155,24 @@ class LshBandIndex {
   /// lock in OnlineLinkageEngine) stay race-free.
   mutable std::atomic<uint64_t> probed_entries_{0};
 };
+
+template <typename Keep>
+void LshBandIndex::ProbeRows(const uint64_t* words, size_t limit, const Keep& keep,
+                             std::vector<uint32_t>* out) const {
+  out->clear();
+  uint64_t scanned = 0;
+  for (size_t t = 0; t < tables_.size(); ++t) {
+    const BandTable& table = tables_[t];
+    for (uint32_t row = table.Find(blocker_.Fingerprint(words, t)); row != kNoRow;
+         row = table.next[row]) {
+      ++scanned;
+      if (row < limit && keep(row)) out->push_back(row);
+    }
+  }
+  probed_entries_.fetch_add(scanned, std::memory_order_relaxed);
+  std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
+}
 
 /// The block step every batch linkage path shares (LinkageUnitService::Link
 /// and LinkPartition, PprlPipeline's Hamming-LSH branch): one index per

@@ -7,6 +7,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "linkage/parallel_linkage.h"
+
 namespace pprl {
 
 namespace {
@@ -25,6 +27,12 @@ const std::vector<double>& MicroLatencyBuckets() {
       1e-6, 2.5e-6, 5e-6,  1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4,
       5e-4, 1e-3,   2.5e-3, 5e-3, 1e-2,   0.1,  1.0};
   return buckets;
+}
+
+/// What Append and AppendRun return for a filter of the wrong width.
+Status WidthMismatch(size_t bits, size_t index_bits) {
+  return Status::InvalidArgument("filter has " + std::to_string(bits) +
+                                 " bits, index takes " + std::to_string(index_bits));
 }
 
 }  // namespace
@@ -85,11 +93,7 @@ void OnlineLinkageEngine::Union(uint32_t a, uint32_t b) {
 
 Result<uint32_t> OnlineLinkageEngine::Append(uint32_t database, uint64_t id,
                                              const BitVector& filter) {
-  if (filter.size() != filter_bits()) {
-    return Status::InvalidArgument(
-        "filter has " + std::to_string(filter.size()) + " bits, index takes " +
-        std::to_string(filter_bits()));
-  }
+  if (filter.size() != filter_bits()) return WidthMismatch(filter.size(), filter_bits());
   const Clock::time_point start = Clock::now();
   std::unique_lock lock(mutex_);
   if (database >= database_names_.size()) {
@@ -98,33 +102,83 @@ Result<uint32_t> OnlineLinkageEngine::Append(uint32_t database, uint64_t id,
   }
   // Probe before appending, so the candidate set is exactly the rows that
   // arrived earlier — each unordered pair is considered once, by whichever
-  // record arrives later (the stream/batch equivalence argument).
-  index_.Probe(filter, &append_scratch_);
+  // record arrives later (the stream/batch equivalence argument). The
+  // batch path never compares records of the same database, so while
+  // every indexed row is `database`'s there is nothing to probe for.
+  if (meta_.size() == database_sizes_[database]) {
+    append_scratch_.clear();
+  } else {
+    index_.Probe(filter, &append_scratch_);
+  }
   const uint32_t row = index_.Append(filter);
   const uint32_t record = database_sizes_[database]++;
-  meta_.push_back({database, record, id});
+  meta_.push_back({record, id});
+  row_database_.push_back(database);
   parent_.push_back(row);
   linked_.push_back(false);
 
   pair_scratch_.clear();
   for (uint32_t cand : append_scratch_) {
-    // The batch path never compares records of the same database.
-    if (meta_[cand].database == database) continue;
+    if (row_database_[cand] == database) continue;
     pair_scratch_.push_back({row, cand});
   }
   comparisons_ += pair_scratch_.size();
   const std::vector<ScoredPair> scored =
       engine_.CompareMatrices(index_.rows(), index_.rows(), pair_scratch_, cutoffs_);
-  for (const ScoredPair& pair : scored) {
-    Union(pair.a, pair.b);
-    linked_[pair.a] = true;
-    linked_[pair.b] = true;
-    ++edges_;
-    partition_dirty_ = true;
-  }
+  for (const ScoredPair& pair : scored) AttachLocked(pair.a, pair.b);
   index_size_.Set(static_cast<int64_t>(meta_.size()));
   insert_seconds_.Observe(SecondsSince(start));
   return record;
+}
+
+Status OnlineLinkageEngine::AppendRun(const std::vector<uint32_t>& databases,
+                                      const EncodedShard& rows,
+                                      ShardScheduler* scheduler) {
+  const size_t n = rows.bits.num_rows();
+  if (databases.size() != n || rows.ids.size() != n) {
+    return Status::InvalidArgument("run has " + std::to_string(databases.size()) +
+                                   " databases and " + std::to_string(rows.ids.size()) +
+                                   " ids for " + std::to_string(n) + " filters");
+  }
+  if (n == 0) return Status::OK();
+  if (rows.bits.num_bits() != filter_bits()) {
+    return WidthMismatch(rows.bits.num_bits(), filter_bits());
+  }
+  std::unique_lock lock(mutex_);
+  for (const uint32_t database : databases) {
+    if (database >= database_names_.size()) {
+      return Status::InvalidArgument("unregistered database index " +
+                                     std::to_string(database));
+    }
+  }
+  index_.AppendRows(rows.bits, 0, n, scheduler);
+  // Row r has an earlier row of another database iff r exceeds its record
+  // index; once one row does, every later row does too.
+  size_t probe_from = meta_.size() + n;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t row = static_cast<uint32_t>(meta_.size());
+    const uint32_t record = database_sizes_[databases[i]]++;
+    if (row != record) probe_from = std::min<size_t>(probe_from, row);
+    meta_.push_back({record, rows.ids[i]});
+    row_database_.push_back(databases[i]);
+    parent_.push_back(row);
+    linked_.push_back(false);
+  }
+  const std::vector<SourceHits> scored = CompareRanges(
+      cutoffs_, {CandidateSource::Arrivals(index_, row_database_, probe_from)},
+      /*num_threads=*/1, scheduler);
+  comparisons_ += scored[0].comparisons;
+  for (const ScoredPair& pair : scored[0].hits) AttachLocked(pair.a, pair.b);
+  index_size_.Set(static_cast<int64_t>(meta_.size()));
+  return Status::OK();
+}
+
+void OnlineLinkageEngine::AttachLocked(uint32_t a, uint32_t b) {
+  Union(a, b);
+  linked_[a] = true;
+  linked_[b] = true;
+  ++edges_;
+  partition_dirty_ = true;
 }
 
 void OnlineLinkageEngine::RefreshPartitionLocked() {
@@ -145,7 +199,7 @@ void OnlineLinkageEngine::RefreshPartitionLocked() {
   for (auto& [root, rows] : groups) {
     Cluster members;
     members.reserve(rows.size());
-    for (uint32_t r : rows) members.push_back({meta_[r].database, meta_[r].record});
+    for (uint32_t r : rows) members.push_back({row_database_[r], meta_[r].record});
     std::sort(members.begin(), members.end());
     built.emplace_back(std::move(members), std::move(rows));
   }
@@ -171,8 +225,7 @@ OnlineQueryResult OnlineLinkageEngine::QueryLocked(const BitVector& filter,
   std::vector<CandidatePair> pairs;
   pairs.reserve(candidates.size());
   for (uint32_t cand : candidates) {
-    if (exclude_database != kNoDatabase &&
-        meta_[cand].database == exclude_database) {
+    if (exclude_database != kNoDatabase && row_database_[cand] == exclude_database) {
       continue;
     }
     pairs.push_back({0, cand});
@@ -189,17 +242,16 @@ OnlineQueryResult OnlineLinkageEngine::QueryLocked(const BitVector& filter,
   std::sort(scored.begin(), scored.end(),
             [this](const ScoredPair& x, const ScoredPair& y) {
               if (x.score != y.score) return x.score > y.score;
-              const RowMeta& mx = meta_[x.b];
-              const RowMeta& my = meta_[y.b];
-              return mx.database != my.database ? mx.database < my.database
-                                                : mx.record < my.record;
+              const uint32_t dx = row_database_[x.b];
+              const uint32_t dy = row_database_[y.b];
+              return dx != dy ? dx < dy : meta_[x.b].record < meta_[y.b].record;
             });
   const size_t cap = top_k == 0 ? options_.max_matches_per_query : top_k;
   if (scored.size() > cap) scored.resize(cap);
   out.matches.reserve(scored.size());
   for (const ScoredPair& pair : scored) {
     const RowMeta& m = meta_[pair.b];
-    out.matches.push_back({m.database, m.record, m.id, pair.score});
+    out.matches.push_back({row_database_[pair.b], m.record, m.id, pair.score});
   }
   if (want_clusters && !scored.empty()) {
     const uint32_t best_row = scored.front().b;
@@ -284,12 +336,9 @@ io::OnlineSnapshot OnlineLinkageEngine::ExportSnapshot(
   snapshot.database_names = database_names_;
   snapshot.database_sizes = database_sizes_;
   snapshot.rows.ids.reserve(meta_.size());
-  snapshot.row_database.reserve(meta_.size());
   snapshot.linked.reserve(meta_.size());
-  for (const RowMeta& m : meta_) {
-    snapshot.rows.ids.push_back(m.id);
-    snapshot.row_database.push_back(m.database);
-  }
+  for (const RowMeta& m : meta_) snapshot.rows.ids.push_back(m.id);
+  snapshot.row_database = row_database_;
   snapshot.rows.bits = index_.rows();
   snapshot.parent = parent_;
   for (const bool l : linked_) snapshot.linked.push_back(l ? 1 : 0);
@@ -300,7 +349,8 @@ io::OnlineSnapshot OnlineLinkageEngine::ExportSnapshot(
 }
 
 Result<std::unique_ptr<OnlineLinkageEngine>> OnlineLinkageEngine::FromSnapshot(
-    const io::OnlineSnapshot& snapshot, const OnlineLinkageOptions& serving) {
+    const io::OnlineSnapshot& snapshot, const OnlineLinkageOptions& serving,
+    ShardScheduler* scheduler) {
   OnlineLinkageOptions options = serving;
   options.dice_threshold = snapshot.dice_threshold;
   options.lsh_tables = snapshot.lsh_tables;
@@ -312,16 +362,16 @@ Result<std::unique_ptr<OnlineLinkageEngine>> OnlineLinkageEngine::FromSnapshot(
   engine->database_names_ = snapshot.database_names;
   engine->database_sizes_.assign(snapshot.database_names.size(), 0);
   const size_t rows = snapshot.rows.size();
+  engine->index_.AppendRows(snapshot.rows.bits, 0, rows, scheduler);
   engine->meta_.reserve(rows);
   engine->linked_.reserve(rows);
+  engine->row_database_ = snapshot.row_database;
   for (size_t i = 0; i < rows; ++i) {
     // DecodeCheckpoint validated row_database against the registry; the
     // per-database record index is recomputed from arrival order, which is
     // exactly how Append() assigned it.
     const uint32_t db = snapshot.row_database[i];
-    engine->index_.AppendFrom(snapshot.rows.bits, i);
-    engine->meta_.push_back({db, engine->database_sizes_[db]++,
-                             snapshot.rows.ids[i]});
+    engine->meta_.push_back({engine->database_sizes_[db]++, snapshot.rows.ids[i]});
     engine->linked_.push_back(snapshot.linked[i] != 0);
   }
   if (engine->index_.band_checksum() != snapshot.band_checksum) {

@@ -12,6 +12,8 @@
 #include "blocking/lsh_index.h"
 #include "common/bitvector.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
+#include "encoding/clk_io.h"
 #include "io/checkpoint.h"
 #include "linkage/clustering.h"
 #include "linkage/comparison.h"
@@ -104,8 +106,25 @@ class OnlineLinkageEngine {
 
   /// Links one arriving record into the population: indexes it, scores its
   /// LSH candidates from other databases, attaches accepted edges.
-  /// Returns the record's index within its database.
+  /// Returns the record's index within its database. While every indexed
+  /// row belongs to `database`, no candidate can survive the
+  /// cross-database rule and the probe is skipped.
   Result<uint32_t> Append(uint32_t database, uint64_t id, const BitVector& filter);
+
+  /// The WAL replay path: appends record i of `rows` to `databases[i]`,
+  /// for every i in order, leaving the rows, registry, partition, edges()
+  /// and comparisons() exactly as that many Append() calls would. It
+  /// indexes the run with LshBandIndex::AppendRows, scores every row's
+  /// candidates (the earlier rows of other databases it collides with)
+  /// with CompareRanges on `scheduler` (inline when null), then unions the
+  /// hits serially in (row, candidate) order, which is the order the
+  /// per-record path unions them in. Rows ahead of the first row with an
+  /// earlier row of another database are not probed. Nothing is applied
+  /// when a database is unregistered, a filter width differs from the
+  /// engine's or the lengths disagree (InvalidArgument). Replayed records
+  /// are not observed in pprl_index_insert_seconds.
+  Status AppendRun(const std::vector<uint32_t>& databases, const EncodedShard& rows,
+                   ShardScheduler* scheduler);
 
   /// Link query: matches of `filter` against the indexed population,
   /// without inserting anything. `exclude_database` (use kNoDatabase for
@@ -148,19 +167,23 @@ class OnlineLinkageEngine {
   /// the rebuild against the snapshot's band checksum so geometry or seed
   /// drift fails loudly instead of silently changing the collision
   /// relation. Engine options (threshold, LSH geometry) come from the
-  /// snapshot; `serving` carries the non-durable serving knobs.
+  /// snapshot; `serving` carries the non-durable serving knobs. The index
+  /// is rebuilt by LshBandIndex::AppendRows on `scheduler` (inline when
+  /// null).
   static Result<std::unique_ptr<OnlineLinkageEngine>> FromSnapshot(
-      const io::OnlineSnapshot& snapshot, const OnlineLinkageOptions& serving);
+      const io::OnlineSnapshot& snapshot, const OnlineLinkageOptions& serving,
+      ShardScheduler* scheduler = nullptr);
 
  private:
   struct RowMeta {
-    uint32_t database = 0;
     uint32_t record = 0;
     uint64_t id = 0;
   };
 
   uint32_t Find(uint32_t row);                  ///< union-find with halving
   void Union(uint32_t a, uint32_t b);
+  /// Records one accepted edge: union plus the linked/edge bookkeeping.
+  void AttachLocked(uint32_t a, uint32_t b);
   void RefreshPartitionLocked();
   OnlineQueryResult QueryLocked(const BitVector& filter,
                                 uint32_t exclude_database, bool want_clusters,
@@ -175,6 +198,7 @@ class OnlineLinkageEngine {
 
   mutable std::shared_mutex mutex_;
   std::vector<RowMeta> meta_;
+  std::vector<uint32_t> row_database_;  ///< database of each row
   std::vector<std::string> database_names_;
   std::vector<uint32_t> database_sizes_;
   std::vector<uint32_t> parent_;   ///< union-find over row ids

@@ -93,7 +93,16 @@ SourceHits ScoreRange(const DiceCutoffs& cutoffs, const CandidateSource& source,
     out.comparisons = last - first;
   } else {
     ChunkScorer scorer(cutoffs, source, out, stats);
-    if (source.a_index != nullptr) {
+    if (source.row_database != nullptr) {
+      const std::vector<uint32_t>& database = *source.row_database;
+      std::vector<uint32_t> bs;
+      for (size_t a = a_begin; a < a_end; ++a) {
+        const uint32_t own = database[a];
+        source.a_index->ProbeRows(
+            source.a->row(a), a, [&](uint32_t b) { return database[b] != own; }, &bs);
+        if (!bs.empty()) scorer.AddRow(static_cast<uint32_t>(a), bs);
+      }
+    } else if (source.a_index != nullptr) {
       ForEachLshCandidateRow(*source.a_index, *source.b_index, *source.partitioner,
                              source.worker, a_begin, a_end,
                              [&](uint32_t a, const std::vector<uint32_t>& bs) {
@@ -144,6 +153,16 @@ CandidateSource CandidateSource::LshBands(const LshBandIndex& a, const LshBandIn
   return source;
 }
 
+CandidateSource CandidateSource::Arrivals(const LshBandIndex& index,
+                                          const std::vector<uint32_t>& row_database,
+                                          size_t first) {
+  CandidateSource source = AllPairs(index.rows(), index.rows());
+  source.a_index = &index;
+  source.row_database = &row_database;
+  source.first = first;
+  return source;
+}
+
 std::vector<SourceHits> CompareRanges(const DiceCutoffs& cutoffs,
                                       const std::vector<CandidateSource>& sources,
                                       size_t num_threads, ShardScheduler* scheduler) {
@@ -157,7 +176,7 @@ std::vector<SourceHits> CompareRanges(const DiceCutoffs& cutoffs,
   for (size_t s = 0; s < sources.size(); ++s) {
     const size_t step = RangeRows(sources[s]);
     const size_t rows = sources[s].a->num_rows();
-    for (size_t a = 0; a < rows; a += step) {
+    for (size_t a = sources[s].first; a < rows; a += step) {
       ranges.push_back({s, a, std::min(a + step, rows)});
     }
   }

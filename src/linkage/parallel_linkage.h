@@ -35,6 +35,11 @@ inline constexpr size_t kDenseRangePairs = size_t{1} << 20;
 ///  - LshBands: the band chains of two indexes over one geometry
 ///    (ForEachLshCandidateRow), keeping the pairs `worker` owns under
 ///    `partitioner`; the indexes' rows() are the matrices.
+///  - Arrivals: one index against itself, in arrival order. For each row
+///    a in [first, index.size()) it yields the rows b < a that share a
+///    band chain with a and whose row_database[b] differs from
+///    row_database[a] (LshBandIndex::ProbeRows), which are exactly the
+///    pairs the online engine's per-record Append scores when a arrives.
 /// A source borrows everything it points at.
 struct CandidateSource {
   static CandidateSource AllPairs(const BitMatrix& a, const BitMatrix& b);
@@ -42,6 +47,8 @@ struct CandidateSource {
                                 const std::vector<CandidatePair>& pairs);
   static CandidateSource LshBands(const LshBandIndex& a, const LshBandIndex& b,
                                   const BlockPartitioner& partitioner, uint32_t worker);
+  static CandidateSource Arrivals(const LshBandIndex& index,
+                                  const std::vector<uint32_t>& row_database, size_t first);
 
   const BitMatrix* a = nullptr;
   const BitMatrix* b = nullptr;
@@ -50,6 +57,9 @@ struct CandidateSource {
   const LshBandIndex* b_index = nullptr;
   const BlockPartitioner* partitioner = nullptr;
   uint32_t worker = 0;
+  const std::vector<uint32_t>* row_database = nullptr;
+  /// The first a-row walked; ranges are cut from here.
+  size_t first = 0;
 };
 
 /// What CompareRanges kept of one source.

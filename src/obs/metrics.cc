@@ -130,7 +130,7 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
         s.value = static_cast<double>(entry.counter->value());
         break;
       case MetricType::kGauge:
-        s.value = static_cast<double>(entry.gauge->value());
+        s.value = entry.gauge->value();
         break;
       case MetricType::kHistogram: {
         s.bounds = entry.histogram->upper_bounds();

@@ -48,20 +48,21 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// A value that can go up and down (queue depth, active sessions).
+/// A value that can go up and down (queue depth, active sessions, the
+/// seconds a recovery phase took). Counts stay exact up to 2^53.
 class Gauge {
  public:
   Gauge() = default;
   Gauge(const Gauge&) = delete;
   Gauge& operator=(const Gauge&) = delete;
 
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  void Sub(int64_t n = 1) { value_.fetch_sub(n, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
+  void Add(double n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  void Sub(double n = 1) { value_.fetch_sub(n, std::memory_order_relaxed); }
+  double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  std::atomic<int64_t> value_{0};
+  std::atomic<double> value_{0};
 };
 
 /// A fixed-bucket distribution (latencies). Bucket upper bounds are set at

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -17,6 +18,16 @@ namespace pprl {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+double SecondsSince(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// Rows per replay run of Recover. A run's rows are indexed before any of
+/// them is probed, so a row's probe also walks past the later rows of its
+/// run in the band chains; the bound keeps that walk, and the run's
+/// memory, small.
+constexpr size_t kReplayRunRows = LshBandIndex::kBulkBlockRows;
 
 Status MkdirIfMissing(const std::string& dir) {
   if (dir.empty()) return Status::InvalidArgument("durability needs a directory");
@@ -31,6 +42,17 @@ struct DurabilityMetrics {
   obs::Counter& replayed_records = obs::GlobalMetrics().GetCounter(
       "pprl_recovery_replayed_records_total",
       "records re-applied from WAL replay during recovery");
+  obs::Gauge& checkpoint_seconds = RecoverySeconds("checkpoint");
+  obs::Gauge& replay_seconds = RecoverySeconds("replay");
+
+  static obs::Gauge& RecoverySeconds(const char* phase) {
+    return obs::GlobalMetrics().GetGauge(
+        "pprl_recovery_seconds",
+        "seconds the last startup recovery spent per phase (checkpoint: read "
+        "and restore the newest checkpoint; replay: read the WAL and apply its "
+        "tail)",
+        {{"phase", phase}});
+  }
 };
 
 DurabilityMetrics& Metrics() {
@@ -55,6 +77,11 @@ Status OnlineDurability::Recover(std::unique_ptr<OnlineLinkageEngine>* engine,
   engine->reset();
   *report = RecoveryReport();
 
+  // Recovery ends before the listener binds, and the online role has no
+  // link pool, so the engine is rebuilt on a pool of its own.
+  std::optional<ShardScheduler> owned_pool;
+  ShardScheduler* pool = CallPool(nullptr, ShardScheduler::HardwareThreads(), owned_pool);
+
   auto checkpoints = io::ListCheckpoints(config_.checkpoint_dir);
   if (!checkpoints.ok()) return checkpoints.status();
   uint64_t last_sequence = 0;
@@ -63,7 +90,7 @@ Status OnlineDurability::Recover(std::unique_ptr<OnlineLinkageEngine>* engine,
     auto snapshot = io::ReadCheckpointFile(path);
     if (!snapshot.ok()) return snapshot.status();
     auto restored =
-        OnlineLinkageEngine::FromSnapshot(*snapshot, config_.serving_options);
+        OnlineLinkageEngine::FromSnapshot(*snapshot, config_.serving_options, pool);
     if (!restored.ok()) return restored.status();
     *engine = std::move(*restored);
     last_sequence = snapshot->wal_sequence;
@@ -71,7 +98,25 @@ Status OnlineDurability::Recover(std::unique_ptr<OnlineLinkageEngine>* engine,
     report->checkpoint_path = path;
     report->checkpoint_records = snapshot->rows.size();
   }
+  report->checkpoint_seconds = SecondsSince(start);
+  const Clock::time_point replay_start = Clock::now();
 
+  // Consecutive append batches are applied in runs of up to kReplayRunRows
+  // rows (AppendRun), across batch, hello and segment boundaries: a run
+  // leaves the state of per-record appends, so consecutive runs equal one
+  // long run. A run holds one filter width; a batch of another width than
+  // the engine's is applied on its own right away, so replay fails on it
+  // exactly where per-record appends would.
+  std::vector<uint32_t> run_databases;
+  EncodedShard run;
+  const auto apply_run = [&]() -> Status {
+    if (run_databases.empty()) return Status::OK();
+    const Status applied = (*engine)->AppendRun(run_databases, run, pool);
+    run_databases.clear();
+    run.ids.clear();
+    run.bits = BitMatrix(0, run.bits.num_bits());
+    return applied;
+  };
   auto segments = io::ListWalSegments(config_.wal_dir);
   if (!segments.ok()) return segments.status();
   for (const auto& [start_seq, path] : *segments) {
@@ -115,12 +160,18 @@ Status OnlineDurability::Recover(std::unique_ptr<OnlineLinkageEngine>* engine,
                 std::to_string(record.offset) +
                 " appends to an unregistered database");
           }
-          for (size_t i = 0; i < batch->rows.size(); ++i) {
-            auto appended = (*engine)->Append(batch->database,
-                                              batch->rows.ids[i],
-                                              batch->rows.filters[i]);
-            if (!appended.ok()) return appended.status();
+          const size_t bits = batch->rows.filters.front().size();  // count >= 1
+          if (bits != run.bits.num_bits()) {
+            PPRL_RETURN_IF_ERROR(apply_run());
+            run.bits = BitMatrix(0, bits);
           }
+          for (size_t i = 0; i < batch->rows.size(); ++i) {
+            run_databases.push_back(batch->database);
+            run.ids.push_back(batch->rows.ids[i]);
+            run.bits.AppendRow(batch->rows.filters[i]);
+            if (run_databases.size() == kReplayRunRows) PPRL_RETURN_IF_ERROR(apply_run());
+          }
+          if (bits != (*engine)->filter_bits()) PPRL_RETURN_IF_ERROR(apply_run());
           report->replayed_records += batch->rows.size();
           break;
         }
@@ -135,11 +186,14 @@ Status OnlineDurability::Recover(std::unique_ptr<OnlineLinkageEngine>* engine,
     }
     if (replayed_any) ++report->replayed_segments;
   }
+  PPRL_RETURN_IF_ERROR(apply_run());
 
   next_sequence_ = last_sequence + 1;
   report->wal_sequence = last_sequence;
-  report->seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
+  report->replay_seconds = SecondsSince(replay_start);
+  report->seconds = SecondsSince(start);
+  Metrics().checkpoint_seconds.Set(report->checkpoint_seconds);
+  Metrics().replay_seconds.Set(report->replay_seconds);
   if (report->checkpoint_loaded || report->replayed_records > 0) {
     Metrics().recovery_runs.Increment();
     Metrics().replayed_records.Increment(report->replayed_records);
@@ -269,9 +323,7 @@ Status OnlineDurability::CheckpointLocked(OnlineLinkageEngine& engine) {
   ops_since_checkpoint_ = 0;
   PPRL_LOG(kInfo) << "checkpoint covering WAL sequence " << covered << " ("
                   << snapshot.rows.size() << " records) written to " << path
-                  << " in "
-                  << std::chrono::duration<double>(Clock::now() - start).count()
-                  << " s";
+                  << " in " << SecondsSince(start) << " s";
   return Status::OK();
 }
 

@@ -48,7 +48,11 @@ struct RecoveryReport {
   uint64_t replayed_records = 0;
   uint64_t torn_bytes_dropped = 0;
   uint64_t wal_sequence = 0;  ///< last durable sequence after replay
-  double seconds = 0;
+  /// Crash -> ready by phase: reading the newest checkpoint and restoring
+  /// the engine from it, then reading the WAL and applying its tail.
+  double checkpoint_seconds = 0;
+  double replay_seconds = 0;
+  double seconds = 0;  ///< the whole Recover call
 };
 
 /// The online serving path's durability layer: journals every absorbed
@@ -67,7 +71,9 @@ class OnlineDurability {
 
   /// Recovers prior state: loads the newest checkpoint (if any), replays
   /// every WAL record with a later sequence, and leaves `*engine` holding
-  /// the rebuilt engine — or nullptr when no prior state exists. Corrupt
+  /// the rebuilt engine — or nullptr when no prior state exists. The
+  /// checkpoint's index rebuild and the replay runs (AppendRun) share one
+  /// pool of ShardScheduler::HardwareThreads() workers made for the call. Corrupt
   /// state fails with a typed error naming the file and offset; a torn
   /// WAL tail (the normal post-crash artifact) is dropped and reported.
   /// Read-only: recovery crashed and retried any number of times leaves

@@ -192,7 +192,8 @@ Status LinkageUnitServer::Start() {
                     << " checkpointed + " << recovery_report_.replayed_records
                     << " replayed records, " << recovery_report_.torn_bytes_dropped
                     << " torn WAL bytes dropped, " << recovery_report_.seconds
-                    << " s";
+                    << " s (checkpoint " << recovery_report_.checkpoint_seconds
+                    << " s, replay " << recovery_report_.replay_seconds << " s)";
   }
   PPRL_RETURN_IF_ERROR(listener_.Listen(config_.port, config_.loopback_only));
   if (config_.metrics_port >= 0) {
